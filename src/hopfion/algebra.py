@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RoughFieldError
+from .lattice import SLOTS2
 
 UNIT_TOL = 1e-8
 
@@ -415,26 +416,66 @@ def cp1_lift_of(point, tol=1e-12):
     return g
 
 
-def spherical_triangle_area(a, b, c, with_grads=False):
-    """Signed area of the geodesic triangle (a, b, c) on the unit 2-sphere.
+def _dot(u, v):
+    out = u[0] * v[0]
+    out += u[1] * v[1]
+    out += u[2] * v[2]
+    return out
 
-    2 atan2(a.(b x c), 1 + a.b + b.c + c.a); with_grads also returns the
-    Euclidean gradients with respect to the three vertices.
-    """
-    bxc = np.cross(b, c)
-    n = np.sum(a * bxc, axis=-1, keepdims=True)
-    d = (1.0 + np.sum(a * b, axis=-1) + np.sum(b * c, axis=-1)
-         + np.sum(c * a, axis=-1))[..., None]
-    area = 2.0 * np.arctan2(n[..., 0], d[..., 0])
+
+def _cross(u, v):
+    out = np.empty_like(u)
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(u[i], v[j], out=out[k])
+        out[k] -= u[j] * v[i]
+    return out
+
+
+def _triangle(a, b, c, with_grads):
+    """Signed area 2 atan2(a.(b x c), 1 + a.b + b.c + c.a) [, vertex gradients]."""
+    bxc = _cross(b, c)
+    n = _dot(a, bxc)
+    d = 1.0 + _dot(a, b)
+    d += _dot(b, c)
+    d += _dot(c, a)
+    area = 2.0 * np.arctan2(n, d)
     if not with_grads:
         return area
     denom = n * n + d * d
-    cn = 2.0 * d / denom
-    cd = -2.0 * n / denom
-    ga = cn * bxc + cd * (b + c)
-    gb = cn * np.cross(c, a) + cd * (a + c)
-    gc = cn * np.cross(a, b) + cd * (a + b)
-    return area, ga, gb, gc
+    cn, cd = 2.0 * d / denom, -2.0 * n / denom
+    out = [area]
+    for x, u, v in ((bxc, b, c), (_cross(c, a), a, c), (_cross(a, b), a, b)):
+        x *= cn
+        x += cd * (u + v)
+        out.append(x)
+    return out
+
+
+def plaquette_areas(p, with_grads=False):
+    """Signed spherical areas swept by the lattice plaquettes of a CP1 map.
+
+    p holds unit vectors component-major, shape (3, n, n, n).  Yields
+    ((mu, nu), area) slot by slot in SLOTS2 order; area[x] sums the geodesic
+    triangles (x, x+mu, x+mu+nu) and (x, x+mu+nu, x+nu).  with_grads adds
+    the gradients of area[x] at the corners x, x+mu, x+mu+nu and x+nu.
+    Every product and sum matches np.cross and np.sum(..., axis=-1) term
+    for term (IEEE + and * commute), so results round as the site-major
+    formula does; arithmetic runs in place to spare temporaries.
+    """
+    p = np.ascontiguousarray(p)
+    for mu, nu in SLOTS2:
+        p10 = np.roll(p, -1, axis=mu + 1)
+        p11 = np.roll(p10, -1, axis=nu + 1)
+        p01 = np.roll(p, -1, axis=nu + 1)
+        if not with_grads:
+            yield (mu, nu), _triangle(p, p10, p11, False) + _triangle(p, p11, p01, False)
+            continue
+        a1, g00, g10, g11 = _triangle(p, p10, p11, True)
+        a2, g2a, g2b, g01 = _triangle(p, p11, p01, True)
+        g00 += g2a
+        g11 += g2b
+        del p10, p11, p01, g2a, g2b  # free them before the caller scatters
+        yield (mu, nu), a1 + a2, (g00, g10, g11, g01)
 
 
 # ---------------------------------------------------------------------------

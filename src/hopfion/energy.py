@@ -154,18 +154,13 @@ def descent_energy(psi, scale_dirichlet=1.0, scale_skyrme=1.0, split=False):
     if not psi.is_cp1:
         raise ValueError("the descent objective is implemented for the CP1 target")
     h = psi.grid.h
-    p = psi.values
-    e2 = np.zeros(p.shape[:-1])
+    p = np.moveaxis(psi.values, -1, 0).copy()
+    e2 = np.zeros(p.shape[1:])
     for mu in range(3):
-        delta = np.roll(p, -1, axis=mu) - p
-        e2 += np.sum(delta * delta, axis=-1)
+        delta = np.roll(p, -1, axis=mu + 1) - p
+        e2 += alg._dot(delta, delta)
     e4 = np.zeros_like(e2)
-    for mu, nu in SLOTS2:
-        p10 = np.roll(p, -1, axis=mu)
-        p01 = np.roll(p, -1, axis=nu)
-        p11 = np.roll(p10, -1, axis=nu)
-        area = (alg.spherical_triangle_area(p, p10, p11)
-                + alg.spherical_triangle_area(p, p11, p01))
+    for _, area in alg.plaquette_areas(p):
         e4 += area * area
     dirichlet = scale_dirichlet * float(np.sum(e2)) * h / 8.0
     skyrme = scale_skyrme * float(np.sum(e4)) / (16.0 * h)
@@ -179,24 +174,19 @@ def descent_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
     if not psi.is_cp1:
         raise ValueError("the descent objective is implemented for the CP1 target")
     h = psi.grid.h
-    p = psi.values
+    p = np.moveaxis(psi.values, -1, 0).copy()
     grad = np.zeros_like(p)
     for mu in range(3):
         grad += (scale_dirichlet / 4.0) * h * (
-            2.0 * p - np.roll(p, -1, axis=mu) - np.roll(p, 1, axis=mu))
-    for mu, nu in SLOTS2:
-        p10 = np.roll(p, -1, axis=mu)
-        p01 = np.roll(p, -1, axis=nu)
-        p11 = np.roll(p10, -1, axis=nu)
-        a1, g1a, g1b, g1c = alg.spherical_triangle_area(p, p10, p11, with_grads=True)
-        a2, g2a, g2b, g2c = alg.spherical_triangle_area(p, p11, p01, with_grads=True)
-        w = (scale_skyrme / (8.0 * h)) * (a1 + a2)[..., None]
-        grad += w * (g1a + g2a)
-        grad += np.roll(w * g1b, 1, axis=mu)
-        grad += np.roll(np.roll(w * (g1c + g2b), 1, axis=mu), 1, axis=nu)
-        grad += np.roll(w * g2c, 1, axis=nu)
-    grad -= np.sum(grad * p, axis=-1, keepdims=True) * p
-    return grad
+            2.0 * p - np.roll(p, -1, axis=mu + 1) - np.roll(p, 1, axis=mu + 1))
+    for (mu, nu), area, (g00, g10, g11, g01) in alg.plaquette_areas(p, with_grads=True):
+        w = (scale_skyrme / (8.0 * h)) * area
+        grad += w * g00
+        grad += np.roll(w * g10, 1, axis=mu + 1)
+        grad += np.roll(np.roll(w * g11, 1, axis=mu + 1), 1, axis=nu + 1)
+        grad += np.roll(w * g01, 1, axis=nu + 1)
+    grad -= alg._dot(grad, p) * p
+    return np.ascontiguousarray(np.moveaxis(grad, 0, -1))
 
 
 def energy_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):

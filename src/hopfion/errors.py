@@ -17,5 +17,5 @@ class DegeneratePreimageError(HopfionError):
     """Preimage extraction hit a degenerate cell configuration."""
 
 
-class ConfigError(HopfionError):
-    """A run configuration file could not be parsed."""
+class ConfigError(HopfionError, ValueError):
+    """A run configuration could not be parsed or holds an invalid value."""

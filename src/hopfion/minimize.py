@@ -17,12 +17,13 @@ decreases the objective.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import descent_energy, descent_gradient
-from .errors import FluxObstructionError
+from .errors import ConfigError, FluxObstructionError
 from .topology import whitehead_charge
 
 STEP_FLOOR = 1e-14
@@ -43,13 +44,21 @@ class RelaxConfig:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ConfigError("max_iters must be >= 1")
         if not (0.0 < self.grad_tol < 1.0):
-            raise ValueError("grad_tol must lie in (0, 1)")
+            raise ConfigError("grad_tol must lie in (0, 1)")
         if self.step_init <= 0:
-            raise ValueError("step_init must be positive")
+            raise ConfigError("step_init must be positive")
         if self.step_rule not in ("fixed", "barzilai_borwein", "backtracking"):
-            raise ValueError(f"unknown step rule '{self.step_rule}'")
+            raise ConfigError(f"unknown step rule '{self.step_rule}'")
+        for name in ("step_cap", "scale_dirichlet", "scale_skyrme"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0")
+        for name in ("checkpoint_every", "charge_check_every"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise ConfigError(f"{name} must be an integer >= 0")
 
 
 @dataclass
@@ -97,6 +106,8 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
         history.append((it, energy, e2, e4, gn, st, charge))
 
     log(0, gnorm, 0.0)
+    if not np.isfinite(energy):
+        return RelaxRun(history, psi, "diverged", cfg)
     if gnorm == 0.0:
         return RelaxRun(history, psi, "converged", cfg)
 
@@ -125,17 +136,16 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
         if cfg.step_rule == "fixed":
             trial = psi.with_values(psi.values - step * grad)
             trial_e2, trial_e4 = descent_energy(trial, split=True, **scales)
-            accepted = True
         else:
-            accepted = False
             while step >= STEP_FLOOR:
                 trial = psi.with_values(psi.values - step * grad)
                 trial_e2, trial_e4 = descent_energy(trial, split=True, **scales)
-                if trial_e2 + trial_e4 <= energy - ARMIJO_C * step * g2:
-                    accepted = True
+                # a non-finite trial fails Armijo at every step; report it as diverged
+                if (not np.isfinite(trial_e2 + trial_e4)
+                        or trial_e2 + trial_e4 <= energy - ARMIJO_C * step * g2):
                     break
                 step *= 0.5
-            if not accepted:
+            else:
                 termination = "stalled"
                 break
 

@@ -170,17 +170,9 @@ def area_flux_2form(psi):
     """
     if not psi.is_cp1:
         raise ValueError("area flux needs a CP1 map")
-    p = psi.values
-    h2 = psi.grid.h ** 2
-    slots = []
-    for mu, nu in SLOTS2:
-        p10 = np.roll(p, -1, axis=mu)
-        p01 = np.roll(p, -1, axis=nu)
-        p11 = np.roll(p10, -1, axis=nu)
-        area = (alg.spherical_triangle_area(p, p10, p11)
-                + alg.spherical_triangle_area(p, p11, p01))
-        # the plaquette area approximates h^2 times the 2-form component
-        slots.append(area[..., None] / (4.0 * np.pi * h2))
+    # the plaquette area approximates h^2 times the 2-form component
+    slots = [area[..., None] / (4.0 * np.pi * psi.grid.h ** 2)
+             for _, area in alg.plaquette_areas(np.moveaxis(psi.values, -1, 0))]
     return LatticeField.from_slots(psi.grid, 2, slots)
 
 

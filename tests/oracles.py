@@ -1,8 +1,10 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the code paths they check: the degree oracles
-work directly on the 4-component lift values, and the linking oracle is
-the Gauss double sum over polyline segment pairs.
+work directly on the 4-component lift values, the linking oracle is the
+Gauss double sum over polyline segment pairs, and the plaquette
+references evaluate the spherical triangle formula on site-major values
+with np.cross and last-axis sums, one plaquette loop per consumer.
 
 Orientation dictionary, frozen: with the package conventions (x-fastest
 site ordering, right-handed axes, quaternion basis i, j, k) the charge
@@ -15,7 +17,7 @@ carry the conversion.
 
 import numpy as np
 
-from hopfion.lattice import centered_diff
+from hopfion.lattice import SLOTS2, LatticeField, centered_diff
 
 CHARGE_FROM_VOLUME = -1.0
 
@@ -86,3 +88,81 @@ def gauss_integral_linking(c1, c2):
         dist3 = np.sum(diff * diff, axis=-1) ** 1.5
         total += np.sum(np.sum(cross * diff, axis=-1) / dist3)
     return total / (4.0 * np.pi)
+
+
+def spherical_triangle_area(a, b, c, with_grads=False):
+    """Signed area of the geodesic triangle (a, b, c) on the unit 2-sphere.
+
+    2 atan2(a.(b x c), 1 + a.b + b.c + c.a); with_grads also returns the
+    Euclidean gradients with respect to the three vertices.
+    """
+    bxc = np.cross(b, c)
+    n = np.sum(a * bxc, axis=-1, keepdims=True)
+    d = (1.0 + np.sum(a * b, axis=-1) + np.sum(b * c, axis=-1)
+         + np.sum(c * a, axis=-1))[..., None]
+    area = 2.0 * np.arctan2(n[..., 0], d[..., 0])
+    if not with_grads:
+        return area
+    denom = n * n + d * d
+    cn = 2.0 * d / denom
+    cd = -2.0 * n / denom
+    ga = cn * bxc + cd * (b + c)
+    gb = cn * np.cross(c, a) + cd * (a + c)
+    gc = cn * np.cross(a, b) + cd * (a + b)
+    return area, ga, gb, gc
+
+
+def _corners(p, mu, nu):
+    p10 = np.roll(p, -1, axis=mu)
+    p01 = np.roll(p, -1, axis=nu)
+    return p10, np.roll(p10, -1, axis=nu), p01
+
+
+def descent_energy(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
+    """(dirichlet, skyrme) of the descent objective, site-major throughout."""
+    h = psi.grid.h
+    p = psi.values
+    e2 = np.zeros(p.shape[:-1])
+    for mu in range(3):
+        delta = np.roll(p, -1, axis=mu) - p
+        e2 += np.sum(delta * delta, axis=-1)
+    e4 = np.zeros_like(e2)
+    for mu, nu in SLOTS2:
+        p10, p11, p01 = _corners(p, mu, nu)
+        area = spherical_triangle_area(p, p10, p11) + spherical_triangle_area(p, p11, p01)
+        e4 += area * area
+    return (scale_dirichlet * float(np.sum(e2)) * h / 8.0,
+            scale_skyrme * float(np.sum(e4)) / (16.0 * h))
+
+
+def descent_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
+    """Tangent gradient of descent_energy, scattered as whole site vectors."""
+    h = psi.grid.h
+    p = psi.values
+    grad = np.zeros_like(p)
+    for mu in range(3):
+        grad += (scale_dirichlet / 4.0) * h * (
+            2.0 * p - np.roll(p, -1, axis=mu) - np.roll(p, 1, axis=mu))
+    for mu, nu in SLOTS2:
+        p10, p11, p01 = _corners(p, mu, nu)
+        a1, g1a, g1b, g1c = spherical_triangle_area(p, p10, p11, with_grads=True)
+        a2, g2a, g2b, g2c = spherical_triangle_area(p, p11, p01, with_grads=True)
+        w = (scale_skyrme / (8.0 * h)) * (a1 + a2)[..., None]
+        grad += w * (g1a + g2a)
+        grad += np.roll(w * g1b, 1, axis=mu)
+        grad += np.roll(np.roll(w * (g1c + g2b), 1, axis=mu), 1, axis=nu)
+        grad += np.roll(w * g2c, 1, axis=nu)
+    grad -= np.sum(grad * p, axis=-1, keepdims=True) * p
+    return grad
+
+
+def area_flux_2form(psi):
+    """Signed plaquette areas over 4 pi h^2, one slot per (mu, nu)."""
+    p = psi.values
+    h2 = psi.grid.h ** 2
+    slots = []
+    for mu, nu in SLOTS2:
+        p10, p11, p01 = _corners(p, mu, nu)
+        area = spherical_triangle_area(p, p10, p11) + spherical_triangle_area(p, p11, p01)
+        slots.append(area[..., None] / (4.0 * np.pi * h2))
+    return LatticeField.from_slots(psi.grid, 2, slots)

@@ -257,16 +257,27 @@ def test_cp1_lift_roundtrip(rng):
     assert np.max(np.abs(alg.cp1_point_of(g) - poles)) < 1e-12
 
 
-def test_spherical_triangle_area_gradients(rng):
+def test_plaquette_area_corner_gradients(rng):
     a, b, c = (alg.cp1_point_of(alg.random_unit_quaternions(rng, (32,))) for _ in range(3))
-    area, ga, gb, gc = alg.spherical_triangle_area(a, b, c, with_grads=True)
+    # triangle t lies on the (0, 1) plaquette anchored at (2i, 2j, k): a at
+    # the anchor, b at +x, c at +x+y and a random fourth corner at +y; the
+    # 2x2 blocks are disjoint, so each plaquette area sees only its corners
+    p = np.moveaxis(alg.cp1_point_of(alg.random_unit_quaternions(rng, (8, 8, 8))), -1, 0).copy()
+    i, j, k = np.unravel_index(np.arange(32), (4, 4, 2))
+    x, y = 2 * i, 2 * j
+    p[:, x, y, k], p[:, x + 1, y, k], p[:, x + 1, y + 1, k] = a.T, b.T, c.T
+
+    def slot_xy(q, with_grads=False):
+        return next(alg.plaquette_areas(q, with_grads))
+
+    (mu, nu), _, grads = slot_xy(p, with_grads=True)
+    assert (mu, nu) == (0, 1)
     eps = 1e-7
-    for arg, grad in ((0, ga), (1, gb), (2, gc)):
+    for (dx, dy), grad in zip(((0, 0), (1, 0), (1, 1), (0, 1)), grads):
         d = rng.standard_normal((32, 3))
-        args_p = [a.copy(), b.copy(), c.copy()]
-        args_m = [a.copy(), b.copy(), c.copy()]
-        args_p[arg] = args_p[arg] + eps * d
-        args_m[arg] = args_m[arg] - eps * d
-        fd = (alg.spherical_triangle_area(*args_p) - alg.spherical_triangle_area(*args_m)) / (2 * eps)
-        an = np.sum(grad * d, axis=-1)
+        p_p, p_m = p.copy(), p.copy()
+        p_p[:, x + dx, y + dy, k] += eps * d.T
+        p_m[:, x + dx, y + dy, k] -= eps * d.T
+        fd = (slot_xy(p_p)[1][x, y, k] - slot_xy(p_m)[1][x, y, k]) / (2 * eps)
+        an = np.sum(grad[:, x, y, k].T * d, axis=-1)
         assert np.max(np.abs(fd - an)) < 1e-6

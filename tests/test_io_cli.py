@@ -204,6 +204,12 @@ class TestCli:
         cfg.write_text("grid.sides = 7\n")
         assert main(["relax", "--config", str(cfg)]) == 2
 
+    def test_bad_optimizer_value_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"grid.n = 8\noptimizer.step_cap = -0.1\noutput.dir = {tmp_path}\n")
+        assert main(["relax", "--config", str(cfg)]) == 2
+        assert "step_cap" in capsys.readouterr().err
+
     def test_check_small_sizes(self, capsys):
         assert main(["check", "--sizes", "16,24,32"]) == 0
         out = capsys.readouterr().out

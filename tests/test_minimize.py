@@ -4,6 +4,8 @@ import pytest
 from conftest import smooth_cp1_map
 from hopfion import algebra as alg
 from hopfion import fields as fl
+from hopfion import minimize
+from hopfion.energy import descent_energy
 from hopfion.lattice import Grid
 from hopfion.minimize import RelaxConfig, RelaxRun, charge_guard, relax
 
@@ -19,6 +21,13 @@ class TestConfig:
         dict(grad_tol=1.5),
         dict(step_init=-1.0),
         dict(step_rule="newton"),
+        dict(step_cap=-0.1),
+        dict(step_cap=float("inf")),
+        dict(scale_dirichlet=-1.0),
+        dict(scale_skyrme=float("nan")),
+        dict(checkpoint_every=-1),
+        dict(checkpoint_every=2.5),
+        dict(charge_check_every=-25),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -59,6 +68,24 @@ class TestRelax:
                                       charge_check_every=0))
         assert run.termination == "max_iters"
         assert run.history[-1][0] == 3
+
+    @pytest.mark.parametrize("first_nan", [0, 1])
+    def test_nan_energy_diverges(self, rng, monkeypatch, first_nan):
+        # call 0 is the initial energy, every later call a trial energy
+        calls = []
+
+        def energy(psi, **kwargs):
+            calls.append(psi)
+            if len(calls) > first_nan:
+                return float("nan"), float("nan")
+            return descent_energy(psi, **kwargs)
+
+        monkeypatch.setattr(minimize, "descent_energy", energy)
+        psi0 = smooth_cp1_map(Grid(12), rng, amplitude=0.5)
+        run = relax(psi0, RelaxConfig(max_iters=5, charge_check_every=0))
+        assert run.termination == "diverged"
+        assert len(calls) == first_nan + 1
+        assert len(run.history) == 1
 
     def test_deterministic_history(self, rng):
         psi0 = smooth_cp1_map(Grid(12), rng, amplitude=0.5)
