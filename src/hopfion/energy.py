@@ -186,6 +186,7 @@ def descent_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
         grad += np.roll(np.roll(w * g11, 1, axis=mu + 1), 1, axis=nu + 1)
         grad += np.roll(w * g01, 1, axis=nu + 1)
     grad -= alg._dot(grad, p) * p
+    # C order, so that reductions over the returned gradient run as before
     return np.ascontiguousarray(np.moveaxis(grad, 0, -1))
 
 
