@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import tempfile
 
 import numpy as np
@@ -31,11 +32,14 @@ class SnapshotError(Exception):
 
 
 def _atomic_write(path, payload):
+    """Write bytes, or an iterable of byte chunks, to path in one rename."""
+    chunks = (payload,) if isinstance(payload, bytes) else payload
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hopf-tmp-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -50,8 +54,8 @@ def _site_payload(values):
     return np.ascontiguousarray(flat.transpose(2, 1, 0, 3)).astype("<f8")
 
 
-def _payload_sites(raw, n, ncomp):
-    arr = np.frombuffer(raw, dtype="<f8").reshape(n, n, n, ncomp)
+def _payload_sites(flat, n, ncomp):
+    arr = flat.reshape(n, n, n, ncomp)
     return np.ascontiguousarray(arr.transpose(2, 1, 0, 3))
 
 
@@ -90,34 +94,76 @@ def write_snapshot(path, obj, kind=None, extra_meta=None):
     _atomic_write(path, header + meta_bytes + payload.tobytes())
 
 
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def validate_meta(meta):
+    """Check a snapshot header against its kind before anything is allocated.
+
+    Needs n (an integer >= 4), a positive finite length, a known kind, and
+    a component count that fits it: 3 for map_s2, 4 for lift_su2, a
+    positive multiple of 3 for potential.
+    """
+    if not isinstance(meta, dict):
+        raise SnapshotError("metadata is not a JSON object")
+    missing = [key for key in ("n", "length", "kind", "components") if key not in meta]
+    if missing:
+        raise SnapshotError(f"metadata lacks {', '.join(missing)}")
+    n, length, kind, ncomp = meta["n"], meta["length"], meta["kind"], meta["components"]
+    if kind not in FIELD_KINDS:
+        raise SnapshotError(f"unknown field kind '{kind}'")
+    if not _is_count(n) or n < 4:
+        raise SnapshotError(f"grid size n = {n!r} is not an integer >= 4")
+    number = isinstance(length, (int, float)) and not isinstance(length, bool)
+    if not number or not 0 < length <= sys.float_info.max:
+        raise SnapshotError(f"period length = {length!r} is not a positive number")
+    fits = _is_count(ncomp) and {"map_s2": ncomp == 3, "lift_su2": ncomp == 4,
+                                 "potential": ncomp > 0 and ncomp % 3 == 0}[kind]
+    if not fits:
+        raise SnapshotError(f"{kind} snapshot cannot have {ncomp!r} components")
+
+
 def read_snapshot(path):
     """Returns (metadata dict, field object)."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
+    try:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    except OSError as exc:
+        raise SnapshotError(f"cannot read snapshot: {exc}") from exc
     if blob[:4] != MAGIC:
         raise SnapshotError("bad magic; not a snapshot file")
+    if len(blob) < 12:
+        raise SnapshotError("truncated header")
     version, meta_len = struct.unpack("<II", blob[4:12])
     if version != FORMAT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
-    meta = json.loads(blob[12:12 + meta_len].decode("utf-8"))
+    if len(blob) < 12 + meta_len:
+        raise SnapshotError("truncated metadata")
+    try:
+        meta = json.loads(blob[12:12 + meta_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SnapshotError(f"metadata is not UTF-8 JSON: {exc}") from exc
+    validate_meta(meta)
     n = meta["n"]
     ncomp = meta["components"]
-    raw = blob[12 + meta_len:]
+    raw = memoryview(blob)[12 + meta_len:]
     expected = n ** 3 * ncomp * 8
     if len(raw) != expected:
         raise SnapshotError(f"payload is {len(raw)} bytes, expected {expected}")
-    values = _payload_sites(raw, n, ncomp)
+    flat = np.frombuffer(raw, dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise SnapshotError("payload holds NaN or Inf")
+    values = _payload_sites(flat, n, ncomp)
     grid = Grid(n, meta["length"])
     kind = meta["kind"]
     if kind == "map_s2":
         return meta, fl.MapField(grid, alg.su2_u1(), values, renormalize=False)
     if kind == "lift_su2":
         return meta, fl.LiftField(grid, alg.su2_u1(), values, renormalize=False)
-    if kind == "potential":
-        data = values.reshape(n, n, n, 3, ncomp // 3)
-        a = LatticeField(grid, 1, data)
-        return meta, fl.PotentialField(a, fl.constant_map(grid), alg.su2_u1())
-    raise SnapshotError(f"unknown field kind '{kind}'")
+    data = values.reshape(n, n, n, 3, ncomp // 3)
+    a = LatticeField(grid, 1, data)
+    return meta, fl.PotentialField(a, fl.constant_map(grid), alg.su2_u1())
 
 
 # ---------------------------------------------------------------------------
@@ -203,50 +249,56 @@ def write_history_csv(path, run):
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
+# rows per `%` formatting call of the ASCII exports
+_BLOCK_ROWS = 4096
+
+
+def _text_chunks(head, rows, sep):
+    """head, then one line per row of the 2-d array rows, as byte chunks.
+
+    Values go through %r on Python floats: shortest round-trip reprs.
+    """
+    yield (head + "\n").encode("utf-8")
+    fmt = sep.join(["%r"] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        yield ((fmt * len(block)) % tuple(block.ravel().tolist())).encode("utf-8")
+
+
 def _vtk_header(grid, title):
-    return [
+    h = float(grid.h)
+    return "\n".join([
         "# vtk DataFile Version 3.0",
         title,
         "ASCII",
         "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {grid.n} {grid.n} {grid.n}",
         "ORIGIN 0 0 0",
-        f"SPACING {grid.h!r} {grid.h!r} {grid.h!r}",
+        f"SPACING {h!r} {h!r} {h!r}",
         f"POINT_DATA {grid.n ** 3}",
-    ]
+    ])
 
 
-def _vtk_vectors(name, values):
-    # VTK structured points iterate x fastest
-    lines = [f"VECTORS {name} double"]
-    flat = values.transpose(2, 1, 0, 3).reshape(-1, 3)
-    for row in flat:
-        lines.append(f"{row[0]!r} {row[1]!r} {row[2]!r}")
-    return lines
-
-
-def _vtk_scalars(name, values):
-    lines = [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-    flat = values.transpose(2, 1, 0).reshape(-1)
-    for v in flat:
-        lines.append(repr(float(v)))
-    return lines
+def _vtk_chunks(grid, title, blocks):
+    yield (_vtk_header(grid, title) + "\n").encode("utf-8")
+    for head, values in blocks:
+        # VTK structured points iterate x fastest
+        rows = values.transpose(2, 1, 0, 3).reshape(-1, values.shape[3])
+        yield from _text_chunks(head, rows, " ")
 
 
 def export_vtk(path, meta, obj):
     """Legacy ASCII STRUCTURED_POINTS export of a snapshot's field."""
     kind = meta["kind"]
-    grid = obj.grid
-    lines = _vtk_header(grid, f"hopfion {kind}")
     if kind == "map_s2":
-        lines += _vtk_vectors("psi", obj.values)
+        blocks = [("VECTORS psi double", obj.values)]
     elif kind == "lift_su2":
-        lines += _vtk_vectors("lift_im", obj.values[..., 1:])
-        lines += _vtk_scalars("lift_re", obj.values[..., 0])
+        blocks = [("VECTORS lift_im double", obj.values[..., 1:]),
+                  ("SCALARS lift_re double 1\nLOOKUP_TABLE default", obj.values[..., :1])]
     else:  # potential: one vector block per axis slot
-        for mu, label in enumerate(("a_x", "a_y", "a_z")):
-            lines += _vtk_vectors(label, obj.a.slot(mu))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        blocks = [(f"VECTORS {label} double", obj.a.slot(mu))
+                  for mu, label in enumerate(("a_x", "a_y", "a_z"))]
+    _atomic_write(path, _vtk_chunks(obj.grid, f"hopfion {kind}", blocks))
 
 
 def export_density_csv(path, obj):
@@ -259,11 +311,5 @@ def export_density_csv(path, obj):
         density = np.sum(obj.values * obj.values, axis=-1)
     else:
         density = obj.a.norm2_density()
-    grid = obj.grid
-    coords = grid.site_coords()
-    lines = ["x,y,z,density"]
-    flat_c = coords.reshape(-1, 3)
-    flat_d = density.reshape(-1)
-    for (x, y, z), dv in zip(flat_c, flat_d):
-        lines.append(f"{x!r},{y!r},{z!r},{dv!r}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    rows = np.column_stack([obj.grid.site_coords().reshape(-1, 3), density.reshape(-1)])
+    _atomic_write(path, _text_chunks("x,y,z,density", rows, ","))

@@ -77,14 +77,68 @@ class SectorLabel:
     modulus_note: str
 
 
+# slot permutations of the 3-form with their signs
+_SLOT_PERMS = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
+               ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0))
+# the six terms of x . (y x z) in the (a, b, c) order einsum sums them
+_DET_TERMS = (((0, 1, 2), 1.0), ((0, 2, 1), -1.0), ((1, 0, 2), -1.0),
+              ((1, 2, 0), 1.0), ((2, 0, 1), 1.0), ((2, 1, 0), -1.0))
+
+
+def _epsilon_scale(T):
+    """c when the trace tensor is c * epsilon (the su2 pairs), else None."""
+    if T.shape != (3, 3, 3):
+        return None
+    epsilon = np.zeros((3, 3, 3))
+    for abc, sign in _DET_TERMS:
+        epsilon[abc] = sign
+    c = T[0, 1, 2]
+    return c if np.array_equal(T, c * epsilon) else None
+
+
+def _epsilon_wedge(A, B, G):
+    """Sum over slot permutations of sign * det[A_i, B_j, G_k], per site.
+
+    Each determinant is summed term by term in einsum's order in one
+    scratch buffer, so c times the result equals the einsum contraction
+    with c * epsilon bit for bit.
+    """
+    out = np.zeros(A.shape[:3])
+    det = np.empty_like(out)
+    tmp = np.empty_like(out)
+    for (i, j, k), sign in _SLOT_PERMS:
+        (a, b, e), _ = _DET_TERMS[0]
+        np.multiply(A[..., i, a], B[..., j, b], out=det)
+        det *= G[..., k, e]
+        for (a, b, e), term_sign in _DET_TERMS[1:]:
+            np.multiply(A[..., i, a], B[..., j, b], out=tmp)
+            tmp *= G[..., k, e]
+            if term_sign > 0:
+                det += tmp
+            else:
+                det -= tmp
+        if sign > 0:
+            out += det
+        else:
+            out -= det
+    return out
+
+
 def triple_trace_wedge(alpha, beta, gamma, trace_tensor):
-    """tr(alpha ^ beta ^ gamma) as a scalar 3-form, trace via the pair tensor."""
+    """tr(alpha ^ beta ^ gamma) as a scalar 3-form, trace via the pair tensor.
+
+    A tensor c * epsilon takes the determinant kernel; any other tensor
+    (su3_t2) the generic einsum contraction.
+    """
     grid = alpha.grid
     T = trace_tensor
+    c = _epsilon_scale(T)
+    if c is not None:
+        out = _epsilon_wedge(alpha.data, beta.data, gamma.data)
+        out *= c
+        return LatticeField(grid, 3, out[..., None, None])
     out = np.zeros((grid.n,) * 3)
-    perms = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-             ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0))
-    for (i, j, k), sign in perms:
+    for (i, j, k), sign in _SLOT_PERMS:
         out += sign * np.einsum("abc,...a,...b,...c->...",
                                 T, alpha.slot(i), beta.slot(j), gamma.slot(k))
     return LatticeField(grid, 3, out[..., None, None])
@@ -118,6 +172,8 @@ def chern_simons_charge(a, pair=None, normalization=CHERN_SIMONS_SU_N):
 
 
 def _restrict(data, idx):
+    if len(idx) == data.shape[-1]:
+        return data
     out = np.zeros_like(data)
     out[..., idx] = data[..., idx]
     return out
@@ -137,6 +193,17 @@ def _subsample_lift(u):
     return fl.LiftField(coarse, u.pair, u.values[::2, ::2, ::2], renormalize=False)
 
 
+def _richardson(fine, grid, extrapolated, coarse):
+    """(4 fine - coarse()) / 3, the h^2 bias removed against the stride-2 subsample.
+
+    coarse is called only when extrapolated is set and the grid can be
+    halved; otherwise the plain fine value comes back.
+    """
+    if not extrapolated or grid.n % 2 or grid.n < 8:
+        return fine
+    return (4.0 * fine - coarse()) / 3.0
+
+
 def chern_simons_from_lift(u, phi=None, extrapolated=True):
     """Chern-Simons charge of a lift, with h^2 Richardson elimination.
 
@@ -145,15 +212,12 @@ def chern_simons_from_lift(u, phi=None, extrapolated=True):
     quadrature bias cancels in (4 q_h - q_2h) / 3.  Falls back to the
     plain value when the grid cannot be halved.
     """
-    fine = chern_simons_charge(fl.pure_gauge_potential(u, phi))
-    if not extrapolated or u.grid.n % 2 or u.grid.n < 8:
-        return fine
-    u2 = _subsample_lift(u)
-    phi2 = None
-    if phi is not None:
-        phi2 = _subsample_map(phi)
-    coarse = chern_simons_charge(fl.pure_gauge_potential(u2, phi2))
-    return ChargeReport(cs_value=(4.0 * fine.cs_value - coarse.cs_value) / 3.0)
+    def coarse():
+        phi2 = None if phi is None else _subsample_map(phi)
+        return chern_simons_charge(fl.pure_gauge_potential(_subsample_lift(u), phi2)).cs_value
+
+    fine = chern_simons_charge(fl.pure_gauge_potential(u, phi)).cs_value
+    return ChargeReport(cs_value=_richardson(fine, u.grid, extrapolated, coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +307,13 @@ def whitehead_charge(psi, return_fields=False, extrapolated=True):
     if return_fields:
         return _whitehead_plain(psi, return_fields=True)
     fine = _whitehead_plain(psi)
-    if not extrapolated or psi.grid.n % 2 or psi.grid.n < 8:
-        return fine
     try:
-        coarse = _whitehead_plain(_subsample_map(psi))
+        return _richardson(fine, psi.grid, extrapolated,
+                           lambda: _whitehead_plain(_subsample_map(psi)))
     except FluxObstructionError:
         # the halved field is too rough to carry its fluxes; keep the
         # unextrapolated fine-grid value
         return fine
-    return (4.0 * fine - coarse) / 3.0
 
 
 # ---------------------------------------------------------------------------

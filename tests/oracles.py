@@ -166,3 +166,16 @@ def area_flux_2form(psi):
         area = spherical_triangle_area(p, p10, p11) + spherical_triangle_area(p, p11, p01)
         slots.append(area[..., None] / (4.0 * np.pi * h2))
     return LatticeField.from_slots(psi.grid, 2, slots)
+
+
+def triple_trace_wedge(alpha, beta, gamma, trace_tensor):
+    """tr(alpha ^ beta ^ gamma) as a scalar 3-form, trace via the pair tensor."""
+    grid = alpha.grid
+    T = trace_tensor
+    out = np.zeros((grid.n,) * 3)
+    perms = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
+             ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0))
+    for (i, j, k), sign in perms:
+        out += sign * np.einsum("abc,...a,...b,...c->...",
+                                T, alpha.slot(i), beta.slot(j), gamma.slot(k))
+    return LatticeField(grid, 3, out[..., None, None])

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hopfion import algebra as alg
 from hopfion import fields as fl
 from hopfion import io as hio
 from hopfion.cli import main
+from hopfion.energy import energy_map
 from hopfion.errors import ConfigError
 from hopfion.lattice import Grid, LatticeField
 
@@ -119,6 +121,40 @@ class TestExports:
         assert lines[0] == "x,y,z,density"
         assert len(lines) == 1 + 8 ** 3
 
+    @staticmethod
+    def _tokens(lines):
+        return np.array([float(tok) for line in lines for tok in line.replace(",", " ").split()])
+
+    def test_vtk_map_round_trip(self, tmp_path, rng):
+        psi = smooth_cp1_map(Grid(8), rng)
+        path = tmp_path / "psi.vtk"
+        hio.export_vtk(path, {"kind": "map_s2"}, psi)
+        lines = path.read_text().splitlines()
+        data = lines[lines.index("VECTORS psi double") + 1:]
+        got = self._tokens(data).reshape(8, 8, 8, 3)
+        assert np.array_equal(got, psi.values.transpose(2, 1, 0, 3))
+
+    def test_vtk_lift_round_trip(self, tmp_path, rng):
+        u = smooth_lift(Grid(8), rng)
+        path = tmp_path / "u.vtk"
+        hio.export_vtk(path, {"kind": "lift_su2"}, u)
+        lines = path.read_text().splitlines()
+        vec = lines.index("VECTORS lift_im double")
+        sca = lines.index("SCALARS lift_re double 1")
+        assert lines[sca + 1] == "LOOKUP_TABLE default"
+        im = self._tokens(lines[vec + 1:sca]).reshape(8, 8, 8, 3)
+        re = self._tokens(lines[sca + 2:]).reshape(8, 8, 8)
+        assert np.array_equal(im, u.values[..., 1:].transpose(2, 1, 0, 3))
+        assert np.array_equal(re, u.values[..., 0].transpose(2, 1, 0))
+
+    def test_density_csv_round_trip(self, tmp_path, rng):
+        psi = smooth_cp1_map(Grid(8), rng)
+        path = tmp_path / "density.csv"
+        hio.export_density_csv(path, psi)
+        got = self._tokens(path.read_text().splitlines()[1:]).reshape(-1, 4)
+        assert np.array_equal(got[:, :3], Grid(8).site_coords().reshape(-1, 3))
+        assert np.array_equal(got[:, 3], energy_map(psi).density.slot(0)[..., 0].reshape(-1))
+
 
 class TestCli:
     def test_constant_ansatz_energy_zero(self, tmp_path, capsys):
@@ -214,3 +250,69 @@ class TestCli:
         assert main(["check", "--sizes", "16,24,32"]) == 0
         out = capsys.readouterr().out
         assert "identities within budget" in out
+
+
+def _forged_snapshot(path, meta=None, payload=None, meta_bytes=None):
+    """A snapshot file with hand-made metadata and payload."""
+    if meta_bytes is None:
+        meta_bytes = json.dumps(meta).encode("utf-8")
+    path.write_bytes(hio.MAGIC + struct.pack("<II", hio.FORMAT_VERSION, len(meta_bytes))
+                     + meta_bytes + (payload or b""))
+    return path
+
+
+_MAP_META = {"n": 4, "length": 1.0, "kind": "map_s2", "components": 3}
+_UNIT_X = np.tile([1.0, 0.0, 0.0], 4 ** 3).astype("<f8").tobytes()
+
+
+def _with(**changes):
+    return dict(_MAP_META, **changes)
+
+
+@pytest.mark.parametrize("meta, payload", [
+    ({key: value for key, value in _MAP_META.items() if key != "n"}, _UNIT_X),
+    (_with(n=0), b""),
+    (_with(n=-4), b""),
+    (_with(n=4.0), _UNIT_X),
+    (_with(length=0.0), _UNIT_X),
+    (_with(length=10 ** 400), _UNIT_X),
+    (_with(kind="sphere"), _UNIT_X),
+    (_with(components=4), np.zeros(4 ** 4).astype("<f8").tobytes()),
+    (_with(kind="lift_su2"), _UNIT_X),
+    (_with(kind="potential", components=4), np.zeros(4 ** 4).astype("<f8").tobytes()),
+    (_MAP_META, np.tile([np.nan, 0.0, 0.0], 4 ** 3).astype("<f8").tobytes()),
+    (_MAP_META, np.tile([np.inf, 0.0, 0.0], 4 ** 3).astype("<f8").tobytes()),
+], ids=["missing_n", "n_zero", "n_negative", "n_float", "length_zero", "length_huge", "unknown_kind",
+        "map_with_4_components", "lift_with_3_components", "potential_with_4_components",
+        "nan_payload", "inf_payload"])
+def test_bad_snapshot_meta_exit_2(tmp_path, capsys, meta, payload):
+    path = _forged_snapshot(tmp_path / "bad.hopf", meta, payload)
+    assert main(["energy", "--map", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("blob", [
+    hio.MAGIC + b"\x01\x00",
+    hio.MAGIC + struct.pack("<II", hio.FORMAT_VERSION, 500) + b"{}",
+    hio.MAGIC + struct.pack("<II", hio.FORMAT_VERSION, 2) + b"\xff\xfe",
+    hio.MAGIC + struct.pack("<II", hio.FORMAT_VERSION, 5) + b"{n: 4",
+    hio.MAGIC + struct.pack("<II", hio.FORMAT_VERSION, 2) + b"[]",
+], ids=["truncated_header", "truncated_metadata", "non_utf8_metadata", "malformed_json",
+        "metadata_not_object"])
+def test_malformed_snapshot_header_exit_2(tmp_path, capsys, blob):
+    path = tmp_path / "bad.hopf"
+    path.write_bytes(blob)
+    assert main(["energy", "--map", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_missing_snapshot_exit_2(tmp_path, capsys):
+    assert main(["energy", "--map", str(tmp_path / "absent.hopf")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_valid_forged_snapshot_reads(tmp_path):
+    path = _forged_snapshot(tmp_path / "ok.hopf", _MAP_META, _UNIT_X)
+    meta, psi = hio.read_snapshot(path)
+    assert meta == _MAP_META
+    assert np.array_equal(psi.values[..., 0], np.ones((4, 4, 4)))

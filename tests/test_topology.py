@@ -8,6 +8,7 @@ from hopfion import topology as tp
 from hopfion.errors import DegeneratePreimageError, FluxObstructionError
 from hopfion.gauge import make_stabilizer, smooth_scalar
 from hopfion.lattice import Grid, LatticeField, d, l2_norm
+import oracles
 from oracles import gauss_integral_linking, signed_preimage_count, volume_degree
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -85,6 +86,40 @@ class TestChernSimons:
                  + tp.triple_trace_wedge(aperp, aperp, aperp, T).data)
         scale = max(float(np.max(np.abs(whole.data))), 1e-30)
         assert np.max(np.abs(whole.data - split)) < 1e-10 * scale
+
+
+class TestTripleTraceKernel:
+    def test_epsilon_path_matches_einsum(self, rng, monkeypatch):
+        # three distinct generic 1-forms: no term of the determinant vanishes
+        grid = Grid(12)
+        T = alg.su2_u1().trace_tensor
+        alpha, beta, gamma = (LatticeField(grid, 1, rng.standard_normal((12,) * 3 + (3, 3)))
+                              for _ in range(3))
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("the su2 trace tensor took the einsum path")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        got = tp.triple_trace_wedge(alpha, beta, gamma, T).data
+        monkeypatch.undo()
+        ref = oracles.triple_trace_wedge(alpha, beta, gamma, T).data
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_su3_path_is_the_einsum(self, rng):
+        grid = Grid(6)
+        T = alg.su3_t2().trace_tensor
+        alpha, beta, gamma = (LatticeField(grid, 1, rng.standard_normal((6,) * 3 + (3, 8)))
+                              for _ in range(3))
+        got = tp.triple_trace_wedge(alpha, beta, gamma, T)
+        assert np.array_equal(got.data, oracles.triple_trace_wedge(alpha, beta, gamma, T).data)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_chern_simons_from_lift_unmoved(self, q, monkeypatch):
+        _, u = fl.make_ansatz("hopf", Grid(24), q)
+        got = tp.chern_simons_from_lift(u).cs_value
+        monkeypatch.setattr(tp, "triple_trace_wedge", oracles.triple_trace_wedge)
+        ref = tp.chern_simons_from_lift(u).cs_value
+        assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 class TestWhitehead:
