@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .algebra import (
-    ad_action,
     coisotropy_form,
     project_isotropy,
     su2_group,

@@ -202,12 +202,6 @@ class HomogeneousPair:
     def proj_perp(self, xi):
         return np.asarray(xi) - self.proj_h(xi)
 
-    def block_project(self, xi, block):
-        out = np.zeros_like(np.asarray(xi))
-        idx = list(self.simple_block_map[block])
-        out[..., idx] = np.asarray(xi)[..., idx]
-        return out
-
     # -- group dependent pieces -------------------------------------------
     def matrix_of(self, xi):
         return np.einsum("...a,aij->...ij", xi, self.basis_matrices)
@@ -217,13 +211,27 @@ class HomogeneousPair:
         return out / self._frob_scale
 
     def ad(self, g, xi):
-        """Ad(g) xi = g xi g^-1 on coefficients, g a group element."""
+        """Ad(g) xi = g xi g^-1 on coefficients, g a group element.
+
+        Broadcasts: g of shape (..., 1, 4) or (..., 1, N, N) acts on every
+        slot of xi shaped (..., slots, dim_g).
+        """
         if self.group_kind == "quaternion":
-            _check_unit_quaternion(g)
+            check_unit(g, "group element")
             return qrotate(g, xi)
-        X = self.matrix_of(xi)
-        gH = np.swapaxes(np.asarray(g), -1, -2).conj()
-        return self.coeffs_of(np.asarray(g) @ X @ gH)
+        return self.coeffs_of(np.asarray(g) @ self.matrix_of(xi) @ self.inverse(g))
+
+    def inverse(self, g):
+        """g^-1: the conjugate of a unit quaternion, the adjoint of a unitary matrix."""
+        if self.group_kind == "quaternion":
+            return qconj(g)
+        return np.swapaxes(np.asarray(g), -1, -2).conj()
+
+    def mul(self, g, k):
+        """The group product g k."""
+        if self.group_kind == "quaternion":
+            return qmul(g, k)
+        return np.asarray(g) @ k
 
     def identity_element(self, shape=()):
         if self.group_kind == "quaternion":
@@ -234,10 +242,12 @@ class HomogeneousPair:
         return np.broadcast_to(eye, tuple(shape) + eye.shape).copy()
 
 
-def _check_unit_quaternion(g, tol=UNIT_TOL):
-    bad = np.abs(qnorm(g) - 1.0)
-    if np.any(bad > tol):
-        raise ValueError(f"group element is not unit to {tol:g} (max defect {bad.max():.3e})")
+def check_unit(q, what):
+    """Raise ValueError unless every vector on the last axis is finite and unit to UNIT_TOL."""
+    defect = np.abs(qnorm(q) - 1.0)
+    if not np.all(defect <= UNIT_TOL):  # NaN fails the comparison too
+        raise ValueError(f"{what} is not finite and unit to {UNIT_TOL:g} "
+                         f"(max defect {np.max(defect):.3e})")
 
 
 def _su2_pair(name, h_indices, symmetric):
@@ -300,30 +310,9 @@ def su3_t2():
     return _PAIR_CACHE["su3_t2"]
 
 
-def pair_by_name(name):
-    factories = {"su2_u1": su2_u1, "su2_group": su2_group, "su3_flag": su3_t2,
-                 "su3_t2": su3_t2}
-    if name not in factories:
-        raise ValueError(f"unknown pair '{name}' (expected one of {sorted(factories)})")
-    return factories[name]()
-
-
 # ---------------------------------------------------------------------------
 # spec operations
 # ---------------------------------------------------------------------------
-
-def ad_action(g, xi, pair=None):
-    """Ad(g) xi = g xi g^-1.
-
-    Quaternion g acts on imaginary coefficients directly; matrix groups
-    need their pair for coefficient extraction.
-    """
-    g = np.asarray(g)
-    if pair is not None and pair.group_kind == "matrix":
-        return pair.ad(g, xi)
-    _check_unit_quaternion(g)
-    return qrotate(g, np.asarray(xi))
-
 
 def _is_cp1_point(pair, x):
     return pair.group_kind == "quaternion" and np.asarray(x).shape[-1] == 3
@@ -332,22 +321,21 @@ def _is_cp1_point(pair, x):
 def project_isotropy(pair, x, xi):
     """Split xi into (isotropic, coisotropic) parts at the coset point x.
 
-    x is either a unit imaginary quaternion (CP1 fast path, closed forms
-    par = (xi.phi) phi, perp = phi [xi, phi] / 2) or a group representative
-    g with x = gH, in which case everything routes through Ad(g).
+    The one pointwise split into h_x and its orthogonal complement.  x is
+    either a unit imaginary quaternion (CP1 fast path: par = (xi.phi) phi,
+    perp = xi - par) or a group representative g with x = gH, in which case
+    both parts route through Ad(g).  x broadcasts against xi, so a form
+    splits in one call with x = phi.values[:, :, :, None].
     """
     xi = np.asarray(xi)
     if _is_cp1_point(pair, x):
         phi = np.asarray(x)
-        _check_unit_imaginary(phi)
+        check_unit(phi, "coset point")
         par = np.sum(xi * phi, axis=-1, keepdims=True) * phi
-        perp = np.cross(phi, np.cross(xi, phi))  # = phi [xi, phi] / 2
-        return par, perp
+        return par, xi - par
     g = np.asarray(x)
-    down = pair.ad(_group_inverse(pair, g), xi)
-    par = pair.ad(g, pair.proj_h(down))
-    perp = pair.ad(g, pair.proj_perp(down))
-    return par, perp
+    down = pair.ad(pair.inverse(g), xi)
+    return pair.ad(g, pair.proj_h(down)), pair.ad(g, pair.proj_perp(down))
 
 
 def coisotropy_form(pair, x, tangent):
@@ -360,7 +348,7 @@ def coisotropy_form(pair, x, tangent):
     """
     if _is_cp1_point(pair, x):
         q = np.asarray(x)
-        _check_unit_imaginary(q)
+        check_unit(q, "coset point")
         eta = np.asarray(tangent)
         off = np.abs(np.sum(eta * q, axis=-1))
         scale = np.maximum(np.linalg.norm(eta, axis=-1), 1.0)
@@ -369,19 +357,6 @@ def coisotropy_form(pair, x, tangent):
         return qim(qmul(qembed(q), qembed(eta))) * 0.5
     _, perp = project_isotropy(pair, x, tangent)
     return perp
-
-
-def _check_unit_imaginary(q, tol=UNIT_TOL):
-    q = np.asarray(q)
-    bad = np.abs(np.linalg.norm(q, axis=-1) - 1.0)
-    if np.any(bad > tol):
-        raise ValueError(f"coset point is not unit to {tol:g}")
-
-
-def _group_inverse(pair, g):
-    if pair.group_kind == "quaternion":
-        return qconj(g)
-    return np.swapaxes(np.asarray(g), -1, -2).conj()
 
 
 def cp1_point_of(g):
@@ -394,7 +369,7 @@ def cp1_point_of(g):
 def cp1_lift_of(point, tol=1e-12):
     """One representative g with g i g^-1 = point (shortest rotation from i)."""
     p = np.asarray(point, dtype=float)
-    _check_unit_imaginary(p)
+    check_unit(p, "coset point")
     i = np.zeros_like(p)
     i[..., 0] = 1.0
     # rotation by angle arccos(i.p) about the normalized axis i x p

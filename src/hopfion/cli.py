@@ -186,17 +186,9 @@ def _run_relax(args):
     cfgmap = hio.load_config(args.config)
     grid = Grid(cfgmap["grid.n"], cfgmap["grid.length"])
     psi0, _ = make_ansatz(cfgmap["ansatz.kind"], grid, cfgmap["ansatz.charge"])
-    cfg = RelaxConfig(
-        max_iters=cfgmap["optimizer.max_iters"],
-        grad_tol=cfgmap["optimizer.grad_tol"],
-        step_init=cfgmap["optimizer.step_init"],
-        step_rule=cfgmap["optimizer.step_rule"],
-        checkpoint_every=cfgmap["optimizer.checkpoint_every"],
-        charge_check_every=cfgmap["optimizer.charge_check_every"],
-        step_cap=cfgmap["optimizer.step_cap"],
-        scale_dirichlet=cfgmap["model.scale_dirichlet"],
-        scale_skyrme=cfgmap["model.scale_skyrme"],
-    )
+    # every optimizer.* and model.* key names a RelaxConfig field
+    cfg = RelaxConfig(**{key.partition(".")[2]: value for key, value in cfgmap.items()
+                         if key.partition(".")[0] in ("optimizer", "model")})
     outdir = cfgmap["output.dir"]
     os.makedirs(outdir, exist_ok=True)
 

@@ -52,24 +52,6 @@ def comm_wedge(omega, pair):
     return wedge(omega, omega, lambda a, b: 0.5 * pair.bracket(a, b))
 
 
-def isotropy_project_2form(W, psi):
-    """Slotwise projection onto the isotropy subalgebra along the map."""
-    pair = psi.pair
-    if pair.dim_h == 0:
-        return LatticeField.zeros(W.grid, W.degree, W.vdim)
-    if psi.is_cp1:
-        ref = psi.values[:, :, :, None, :]
-        par = np.sum(W.data * ref, axis=-1, keepdims=True) * ref
-        return LatticeField(W.grid, W.degree, par)
-    g = psi.values
-    ginv = np.swapaxes(g, -1, -2).conj()
-    slots = []
-    for idx in range(W.data.shape[3]):
-        down = pair.ad(ginv, W.slot(idx))
-        slots.append(pair.ad(g, pair.proj_h(down)))
-    return LatticeField.from_slots(W.grid, W.degree, slots)
-
-
 def _report(grid, e2, e4, tag, scale_dirichlet, scale_skyrme):
     h3 = grid.h ** 3
     e2 = scale_dirichlet * e2
@@ -109,7 +91,7 @@ def energy_map(psi, variant="coisotropy", scale_dirichlet=1.0, scale_skyrme=1.0)
     e2 = 0.5 * omega.norm2_density()
     W = comm_wedge(omega, psi.pair)
     if variant == "isotropic_skyrme":
-        W = isotropy_project_2form(W, psi)
+        W = fl.split_form(W, psi, psi.pair)[0]
         tag = "map/isotropic_skyrme"
     elif variant == "coisotropy":
         tag = "map/coisotropy"

@@ -14,8 +14,12 @@ import numpy as np
 from . import algebra as alg
 from .lattice import Grid, LatticeField, SLOTS2, centered_diff
 
-def _renorm_quat(values):
-    return values / np.linalg.norm(values, axis=-1, keepdims=True)
+def _unit_quat(values, renormalize, what):
+    """Quaternion site values scaled to unit norm, or checked to be unit already."""
+    if renormalize:
+        return values / np.linalg.norm(values, axis=-1, keepdims=True)
+    alg.check_unit(values, what)
+    return values
 
 
 class MapField:
@@ -23,7 +27,8 @@ class MapField:
 
     CP1 values: (n, n, n, 3) unit imaginary quaternions.  Group targets:
     (n, n, n, 4) unit quaternions.  Matrix pairs store coset representatives
-    (n, n, n, N, N).  Values are renormalized on construction and frozen.
+    (n, n, n, N, N).  Quaternion values are renormalized on construction, or
+    with renormalize=False checked to be finite and unit, and frozen.
     """
 
     __slots__ = ("grid", "pair", "values")
@@ -31,8 +36,11 @@ class MapField:
     def __init__(self, grid, pair, values, renormalize=True):
         values = np.asarray(values)
         if pair.group_kind == "quaternion":
-            if renormalize:
-                values = _renorm_quat(values)
+            shape = (grid.n,) * 3 + ((3,) if pair.dim_h else (4,))
+            if values.shape != shape:
+                raise ValueError(f"{pair.name} map values must have shape {shape}, "
+                                 f"not {values.shape}")
+            values = _unit_quat(values, renormalize, "map value")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "values", values)
@@ -61,8 +69,8 @@ class LiftField:
 
     def __init__(self, grid, pair, values, renormalize=True):
         values = np.asarray(values)
-        if pair.group_kind == "quaternion" and renormalize:
-            values = _renorm_quat(values)
+        if pair.group_kind == "quaternion":
+            values = _unit_quat(values, renormalize, "lift value")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "values", values)
@@ -73,9 +81,7 @@ class LiftField:
         raise AttributeError("LiftField is immutable")
 
     def inverse_values(self):
-        if self.pair.group_kind == "quaternion":
-            return alg.qconj(self.values)
-        return np.swapaxes(self.values, -1, -2).conj()
+        return self.pair.inverse(self.values)
 
 
 class PotentialField:
@@ -92,7 +98,7 @@ class PotentialField:
     def split(self):
         """(a_par, a_perp) as 1-forms, pointwise in h_phi and its complement."""
         if self._split is None:
-            self._split = split_potential(self.a, self.phi, self.pair)
+            self._split = split_form(self.a, self.phi, self.pair)
         return self._split
 
     @property
@@ -100,27 +106,16 @@ class PotentialField:
         return self.a.grid
 
 
-def split_potential(a, phi, pair):
+def split_form(form, phi, pair):
+    """(par, perp): a g-valued form of any degree split pointwise into h_phi
+    and its orthogonal complement along the map phi."""
     if pair.dim_h == 0:
-        zero = LatticeField.zeros(a.grid, 1, a.vdim)
-        return zero, a
+        return LatticeField.zeros(form.grid, form.degree, form.vdim), form
     if phi is None:
         raise ValueError("isotropy split needs a reference map")
-    if phi.is_cp1:
-        ref = phi.values[:, :, :, None, :]  # broadcast over slots
-        par = np.sum(a.data * ref, axis=-1, keepdims=True) * ref
-        return (LatticeField(a.grid, 1, par),
-                LatticeField(a.grid, 1, a.data - par))
-    # representative-valued reference: project through Ad(g)
-    g = phi.values
-    ginv = np.swapaxes(g, -1, -2).conj() if phi.pair.group_kind == "matrix" else alg.qconj(g)
-    par_slots, perp_slots = [], []
-    for mu in range(3):
-        down = pair.ad(ginv, a.slot(mu))
-        par_slots.append(pair.ad(g, pair.proj_h(down)))
-        perp_slots.append(pair.ad(g, pair.proj_perp(down)))
-    return (LatticeField.from_slots(a.grid, 1, par_slots),
-            LatticeField.from_slots(a.grid, 1, perp_slots))
+    # phi broadcasts over the slot axis
+    par, perp = alg.project_isotropy(pair, phi.values[:, :, :, None], form.data)
+    return LatticeField(form.grid, form.degree, par), LatticeField(form.grid, form.degree, perp)
 
 
 def constant_map(grid, pair=None, point=(1.0, 0.0, 0.0)):
@@ -132,9 +127,7 @@ def constant_map(grid, pair=None, point=(1.0, 0.0, 0.0)):
 
 def links(u, axis):
     """Link variable u(x)^-1 u(x + e_axis)."""
-    if u.pair.group_kind == "quaternion":
-        return alg.qmul(alg.qconj(u.values), np.roll(u.values, -1, axis=axis))
-    return u.inverse_values() @ np.roll(u.values, -1, axis=axis)
+    return u.pair.mul(u.inverse_values(), np.roll(u.values, -1, axis=axis))
 
 
 def pure_gauge_potential(u, phi=None):
@@ -155,21 +148,16 @@ def pure_gauge_potential(u, phi=None):
 
 def plaquette_defect(u):
     """Max distance of any plaquette holonomy from the identity."""
+    pair = u.pair
+    axes = -1 if pair.group_kind == "quaternion" else (-2, -1)
     worst = 0.0
     for mu, nu in SLOTS2:
         l_mu = links(u, mu)
         l_nu = links(u, nu)
-        if u.pair.group_kind == "quaternion":
-            p = alg.qmul(alg.qmul(l_mu, np.roll(l_nu, -1, axis=mu)),
-                         alg.qconj(alg.qmul(l_nu, np.roll(l_mu, -1, axis=nu))))
-            ident = np.zeros_like(p)
-            ident[..., 0] = 1.0
-            worst = max(worst, float(np.max(np.linalg.norm(p - ident, axis=-1))))
-        else:
-            p = (l_mu @ np.roll(l_nu, -1, axis=mu)
-                 @ np.swapaxes(l_nu @ np.roll(l_mu, -1, axis=nu), -1, -2).conj())
-            eye = np.eye(p.shape[-1])
-            worst = max(worst, float(np.max(np.linalg.norm(p - eye, axis=(-2, -1)))))
+        p = pair.mul(pair.mul(l_mu, np.roll(l_nu, -1, axis=mu)),
+                     pair.inverse(pair.mul(l_nu, np.roll(l_mu, -1, axis=nu))))
+        defect = np.linalg.norm(p - pair.identity_element(p.shape[:3]), axis=axes)
+        worst = max(worst, float(np.max(defect)))
     return worst
 
 
@@ -217,16 +205,13 @@ def pullback_coisotropy(psi):
         for mu in range(3):
             v = centered_diff(psi.values, mu, g.h)
             v = v - np.sum(v * psi.values, axis=-1, keepdims=True) * psi.values
-            slots.append(alg.qim(alg.qmul(v, alg.qconj(psi.values))))
+            slots.append(alg.qim(alg.qmul(v, psi.pair.inverse(psi.values))))
         return LatticeField.from_slots(g, 1, slots)
     pair = psi.pair
     u = LiftField(g, pair, psi.values, renormalize=False)
-    slots = []
-    for mu in range(3):
-        ell = links(u, mu)
-        omega_down = pair.proj_perp(pair.coeffs_of(alg.matrix_log_unitary(ell)) / g.h)
-        slots.append(pair.ad(psi.values, omega_down))
-    return LatticeField.from_slots(g, 1, slots)
+    down = [pair.proj_perp(pair.coeffs_of(alg.matrix_log_unitary(links(u, mu))) / g.h)
+            for mu in range(3)]
+    return LatticeField(g, 1, pair.ad(psi.values[:, :, :, None], np.stack(down, axis=3)))
 
 
 # ---------------------------------------------------------------------------

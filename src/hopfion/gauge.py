@@ -56,10 +56,9 @@ def make_stabilizer(phi, theta):
 
 
 def ad_inverse_apply(w, form):
-    """Ad(w^-1) applied slotwise to a g-valued form."""
-    ginv = alg.qconj(w.values)
-    slots = [alg.qrotate(ginv, form.slot(i)) for i in range(form.data.shape[3])]
-    return LatticeField.from_slots(form.grid, form.degree, slots)
+    """Ad(w^-1) applied slotwise to a g-valued form (w broadcasts over slots)."""
+    return LatticeField(form.grid, form.degree,
+                        alg.qrotate(w.inverse_values()[:, :, :, None], form.data))
 
 
 def stabilizer_log_derivative(stab, scheme="log"):
@@ -88,7 +87,7 @@ def stabilizer_log_derivative(stab, scheme="log"):
 
 
 def _require_isotropic(b, phi, tol=ISOTROPY_TOL):
-    par, _ = fl.split_potential(b, phi, phi.pair)
+    par = fl.split_form(b, phi, phi.pair)[0]
     defect = float(np.max(np.abs(b.data - par.data)))
     scale = max(float(np.max(np.abs(b.data))), 1.0)
     if defect > tol * scale:
@@ -123,14 +122,8 @@ def coset_curvature(b, phi=None):
     pair = phi.pair
     omega = fl.pullback_coisotropy(phi)
     bracket = "bracket" if pair.group_kind == "quaternion" else (lambda x, y: pair.bracket(x, y))
-    par_oo = _project_par_2form(comm_wedge(omega, pair), phi)
+    par_oo = fl.split_form(comm_wedge(omega, pair), phi, pair)[0]
     return d(b) + comm_wedge(b, pair) - wedge(b, omega, bracket) - par_oo
-
-
-def _project_par_2form(W, phi):
-    from .energy import isotropy_project_2form
-
-    return isotropy_project_2form(W, phi)
 
 
 def projector_derivative_wedge(phi, form):
@@ -157,17 +150,6 @@ def projector_derivative_wedge(phi, form):
         out = dphi(0, form.slot(2)) - dphi(1, form.slot(1)) + dphi(2, form.slot(0))
         return LatticeField.from_slots(form.grid, 3, [out])
     raise ValueError("projector derivative wedge expects a 1- or 2-form")
-
-
-def project_par(form, phi):
-    ref = phi.values[:, :, :, None, :]
-    par = np.sum(form.data * ref, axis=-1, keepdims=True) * ref
-    return LatticeField(form.grid, form.degree, par)
-
-
-def project_perp(form, phi):
-    par = project_par(form, phi)
-    return form - par
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +235,8 @@ def identity_suite(sizes=(16, 32, 64), seed=0, length=2.0 * np.pi):
     def record(name, kind, n, value):
         res.setdefault(name, {"kind": kind, "vals": {}})["vals"][n] = value
 
+    # Single-use intermediates are inlined or reuse the names lhs and rhs: at
+    # n = 64 a form takes 19 MB, and a named one lives to the end of its grid.
     for grid in grids:
         rng = np.random.default_rng(seed)  # same modes on every grid
         phi, u, theta, a_smooth = smooth_inputs(grid, rng)
@@ -260,20 +244,17 @@ def identity_suite(sizes=(16, 32, 64), seed=0, length=2.0 * np.pi):
         omega = fl.pullback_coisotropy(phi)
         stab = make_stabilizer(phi, theta)
         phi0 = fl.constant_map(grid)
-        omega0 = fl.pullback_coisotropy(phi0)
         stab0 = make_stabilizer(phi0, theta)
 
         apot = fl.pure_gauge_potential(u, phi)
         a = apot.a
-        apar, aperp = fl.split_potential(a, phi, pair)
+        apar, aperp = fl.split_form(a, phi, pair)
 
         # ---- pointwise-algebraic class ------------------------------
         # Dafi over shared discrete inputs, non-constant phi, exact dw
-        dw = stabilizer_log_derivative(stab, scheme="exact")
-        a_w = ad_inverse_apply(stab.w, a_smooth) + dw
-        _, awperp = fl.split_potential(a_w, phi, pair)
-        _, asperp = fl.split_potential(a_smooth, phi, pair)
-        lhs = awperp + omega
+        a_w = ad_inverse_apply(stab.w, a_smooth) + stabilizer_log_derivative(stab, scheme="exact")
+        b, asperp = fl.split_form(a_smooth, phi, pair)
+        lhs = fl.split_form(a_w, phi, pair)[1] + omega
         rhs = ad_inverse_apply(stab.w, asperp + omega)
         record("dafi_shared_inputs", "pointwise", grid.n, _rel(lhs - rhs, rhs))
 
@@ -285,84 +266,71 @@ def identity_suite(sizes=(16, 32, 64), seed=0, length=2.0 * np.pi):
                float(np.max(np.abs(d_lhs - d_rhs))) / scale)
 
         # curvature equivariance with shared inputs (constant phi)
-        b0_slots = [smooth_scalar(grid, rng)[..., None] * phi0.values for _ in range(3)]
-        b0 = LatticeField.from_slots(grid, 1, b0_slots)
-        b0w = gauge_transform_potential(fl.PotentialField(b0, phi0, pair), stab0, phi0)
-        f_lhs = coset_curvature(b0w, phi0)
-        f_rhs = ad_inverse_apply(stab0.w, coset_curvature(fl.PotentialField(b0, phi0, pair), phi0))
-        record("curvature_equivariance_shared", "pointwise", grid.n, _rel(f_lhs - f_rhs, f_rhs))
+        b0 = LatticeField.from_slots(
+            grid, 1, [smooth_scalar(grid, rng)[..., None] * phi0.values for _ in range(3)])
+        lhs = coset_curvature(
+            gauge_transform_potential(fl.PotentialField(b0, phi0, pair), stab0, phi0), phi0)
+        rhs = ad_inverse_apply(stab0.w, coset_curvature(fl.PotentialField(b0, phi0, pair), phi0))
+        record("curvature_equivariance_shared", "pointwise", grid.n, _rel(lhs - rhs, rhs))
 
         # symmetric-space cancellations
         aa = comm_wedge(aperp, pair)
         record("symmetric_fourth_term", "pointwise", grid.n,
-               l2_norm(project_perp(aa, phi)) / max(l2_norm(aa), 1e-30))
+               l2_norm(fl.split_form(aa, phi, pair)[1]) / max(l2_norm(aa), 1e-30))
         oo = comm_wedge(omega, pair)
         record("refcurv_no_projection", "pointwise", grid.n,
-               l2_norm(project_perp(oo, phi)) / max(l2_norm(oo), 1e-30))
+               l2_norm(fl.split_form(oo, phi, pair)[1]) / max(l2_norm(oo), 1e-30))
 
         # ---- differential class -------------------------------------
         # curvature formula vs its projected form (Theorem statement vs corollary)
-        b = project_par(a_smooth, phi)
-        F_thm = coset_curvature(fl.PotentialField(b, phi, pair), phi)
-        F_cor = (project_par(d(b), phi) + comm_wedge(b, pair)
-                 - project_par(oo, phi))
-        record("curvature_vs_projected_form", "differential", grid.n, _rel(F_thm - F_cor, F_thm))
+        lhs = coset_curvature(fl.PotentialField(b, phi, pair), phi)
+        db_par, db_perp = fl.split_form(d(b), phi, pair)
+        rhs = db_par + comm_wedge(b, pair) - fl.split_form(oo, phi, pair)[0]
+        record("curvature_vs_projected_form", "differential", grid.n, _rel(lhs - rhs, lhs))
 
         # (db)_perp = [omega, b]
-        lhs = project_perp(d(b), phi)
         rhs = wedge(omega, b, "bracket")
-        record("isotropic_derivative_perp", "differential", grid.n, _rel(lhs - rhs, rhs))
+        record("isotropic_derivative_perp", "differential", grid.n, _rel(db_perp - rhs, rhs))
 
         # projector-derivative relations
+        dphi_par = projector_derivative_wedge(phi, apar)
+        dphi_perp = projector_derivative_wedge(phi, aperp)
         record("dphi_wedge_par", "differential", grid.n,
-               _rel(projector_derivative_wedge(phi, apar) - project_perp(d(apar), phi),
-                    d(apar)))
+               _rel(dphi_par - fl.split_form(d(apar), phi, pair)[1], d(apar)))
         record("dphi_wedge_perp", "differential", grid.n,
-               _rel(projector_derivative_wedge(phi, aperp) + project_par(d(aperp), phi),
-                    d(aperp)))
+               _rel(dphi_perp + fl.split_form(d(aperp), phi, pair)[0], d(aperp)))
 
         # flat-potential relations (pure-gauge a, smooth phi)
-        F_par = coset_curvature(fl.PotentialField(apar, phi, pair), phi)
-        rhs_i = (projector_derivative_wedge(phi, aperp)
-                 - project_par(comm_wedge(aperp, pair), phi)
-                 - project_par(oo, phi))
-        record("flat_curvature_i", "differential", grid.n, _rel(F_par - rhs_i, F_par))
+        lhs = coset_curvature(fl.PotentialField(apar, phi, pair), phi)
+        rhs = dphi_perp - fl.split_form(aa, phi, pair)[0] - fl.split_form(oo, phi, pair)[0]
+        record("flat_curvature_i", "differential", grid.n, _rel(lhs - rhs, lhs))
 
-        rhs_ip = (projector_derivative_wedge(phi, aperp)
-                  - comm_wedge(aperp, pair) - oo)
-        record("flat_curvature_i_symmetric", "differential", grid.n, _rel(F_par - rhs_ip, F_par))
+        rhs = dphi_perp - aa - oo
+        record("flat_curvature_i_symmetric", "differential", grid.n, _rel(lhs - rhs, lhs))
 
-        da_perp = d(aperp)
-        rhs_ii = (-projector_derivative_wedge(phi, apar)
-                  - projector_derivative_wedge(phi, aperp)
-                  - wedge(apar, aperp, "bracket")
-                  - project_perp(comm_wedge(aperp, pair), phi))
-        record("flat_derivative_ii", "differential", grid.n, _rel(da_perp - rhs_ii, da_perp))
+        lhs = d(aperp)
+        rhs = -dphi_par - dphi_perp - wedge(apar, aperp, "bracket") - fl.split_form(aa, phi, pair)[1]
+        record("flat_derivative_ii", "differential", grid.n, _rel(lhs - rhs, lhs))
 
-        rhs_iip = (-projector_derivative_wedge(phi, apar)
-                   - projector_derivative_wedge(phi, aperp)
-                   - wedge(apar, aperp, "bracket"))
-        record("flat_derivative_ii_symmetric", "differential", grid.n, _rel(da_perp - rhs_iip, da_perp))
+        rhs = -dphi_par - dphi_perp - wedge(apar, aperp, "bracket")
+        record("flat_derivative_ii_symmetric", "differential", grid.n, _rel(lhs - rhs, lhs))
 
-        lhs_iiip = d(comm_wedge(aperp, pair))
-        rhs_iiip = (-wedge(projector_derivative_wedge(phi, apar), aperp, "bracket")
-                    + projector_derivative_wedge(phi, comm_wedge(aperp, pair)))
-        record("flat_quartic_iii_symmetric", "differential", grid.n, _rel(lhs_iiip - rhs_iiip, lhs_iiip))
+        lhs = d(aa)
+        rhs = -wedge(dphi_par, aperp, "bracket") + projector_derivative_wedge(phi, aa)
+        record("flat_quartic_iii_symmetric", "differential", grid.n, _rel(lhs - rhs, lhs))
 
         # pure-gauge flatness and the map/potential correspondences
         record("pure_gauge_flatness", "differential", grid.n,
                _rel(d(a) + comm_wedge(a, pair), d(a)))
 
         psi = fl.act(u, phi)
-        omega_psi = fl.pullback_coisotropy(psi)
-        adomega = LatticeField.from_slots(
-            grid, 1, [alg.qrotate(alg.qconj(u.values), omega_psi.slot(m)) for m in range(3)])
-        record("mapcon", "differential", grid.n, _rel(aperp - (adomega - omega), aperp))
+        rhs = ad_inverse_apply(u, fl.pullback_coisotropy(psi)) - omega
+        record("mapcon", "differential", grid.n, _rel(aperp - rhs, aperp))
 
         # stabilizer derivative: log route vs calculus route
-        dw_log = stabilizer_log_derivative(stab, scheme="log")
+        lhs = stabilizer_log_derivative(stab, scheme="log")
         record("stabilizer_derivative_e062", "differential", grid.n,
-               _rel(dw_log - stabilizer_log_derivative(stab, scheme="exact"), dw_log))
+               _rel(lhs - stabilizer_log_derivative(stab, scheme="exact"), lhs))
 
         # gauge action composition: exact for same-axis stabilizer products
         theta2 = smooth_scalar(grid, rng, 0.6)

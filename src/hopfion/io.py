@@ -157,10 +157,13 @@ def read_snapshot(path):
     values = _payload_sites(flat, n, ncomp)
     grid = Grid(n, meta["length"])
     kind = meta["kind"]
-    if kind == "map_s2":
-        return meta, fl.MapField(grid, alg.su2_u1(), values, renormalize=False)
-    if kind == "lift_su2":
-        return meta, fl.LiftField(grid, alg.su2_u1(), values, renormalize=False)
+    try:
+        if kind == "map_s2":
+            return meta, fl.MapField(grid, alg.su2_u1(), values, renormalize=False)
+        if kind == "lift_su2":
+            return meta, fl.LiftField(grid, alg.su2_u1(), values, renormalize=False)
+    except ValueError as exc:
+        raise SnapshotError(f"{kind} payload: {exc}") from exc
     data = values.reshape(n, n, n, 3, ncomp // 3)
     a = LatticeField(grid, 1, data)
     return meta, fl.PotentialField(a, fl.constant_map(grid), alg.su2_u1())
@@ -173,8 +176,6 @@ def read_snapshot(path):
 CONFIG_DEFAULTS = {
     "grid.n": 32,
     "grid.length": 2.0 * np.pi,
-    "model.pair": "su2_u1",
-    "model.variant": "coisotropy",
     "model.scale_dirichlet": 1.0,
     "model.scale_skyrme": 1.0,
     "ansatz.kind": "hopf",
@@ -187,27 +188,6 @@ CONFIG_DEFAULTS = {
     "optimizer.charge_check_every": 25,
     "optimizer.step_cap": 0.2,
     "output.dir": "hopfion-out",
-    "seed": 0,
-}
-
-_CONFIG_PARSERS = {
-    "grid.n": int,
-    "grid.length": float,
-    "model.pair": str,
-    "model.variant": str,
-    "model.scale_dirichlet": float,
-    "model.scale_skyrme": float,
-    "ansatz.kind": str,
-    "ansatz.charge": int,
-    "optimizer.max_iters": int,
-    "optimizer.grad_tol": float,
-    "optimizer.step_init": float,
-    "optimizer.step_rule": str,
-    "optimizer.checkpoint_every": int,
-    "optimizer.charge_check_every": int,
-    "optimizer.step_cap": float,
-    "output.dir": str,
-    "seed": int,
 }
 
 
@@ -226,7 +206,7 @@ def parse_config(text):
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         try:
-            values[key] = _CONFIG_PARSERS[key](value)
+            values[key] = type(CONFIG_DEFAULTS[key])(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") from exc
     return values

@@ -179,3 +179,33 @@ def triple_trace_wedge(alpha, beta, gamma, trace_tensor):
         out += sign * np.einsum("abc,...a,...b,...c->...",
                                 T, alpha.slot(i), beta.slot(j), gamma.slot(k))
     return LatticeField(grid, 3, out[..., None, None])
+
+
+def cp1_split_potential(a, phi):
+    """The CP1 isotropy split of a 1-form as fields.split_potential computed it."""
+    ref = phi.values[:, :, :, None, :]  # broadcast over slots
+    par = np.sum(a.data * ref, axis=-1, keepdims=True) * ref
+    return (LatticeField(a.grid, 1, par),
+            LatticeField(a.grid, 1, a.data - par))
+
+
+def cp1_isotropy_project_2form(W, psi):
+    """The CP1 isotropic part of a 2-form as energy.isotropy_project_2form computed it."""
+    ref = psi.values[:, :, :, None, :]
+    par = np.sum(W.data * ref, axis=-1, keepdims=True) * ref
+    return LatticeField(W.grid, W.degree, par)
+
+
+def slotwise_ad_split(form, phi):
+    """Isotropy split along a matrix-pair map through Ad of its representatives,
+    one slot at a time."""
+    pair = phi.pair
+    g = phi.values
+    ginv = np.swapaxes(g, -1, -2).conj()
+    par_slots, perp_slots = [], []
+    for idx in range(form.data.shape[3]):
+        down = pair.ad(ginv, form.slot(idx))
+        par_slots.append(pair.ad(g, pair.proj_h(down)))
+        perp_slots.append(pair.ad(g, pair.proj_perp(down)))
+    return (LatticeField.from_slots(form.grid, form.degree, par_slots),
+            LatticeField.from_slots(form.grid, form.degree, perp_slots))

@@ -7,6 +7,7 @@ I = np.array([0.0, 1.0, 0.0, 0.0])
 J = np.array([0.0, 0.0, 1.0, 0.0])
 K = np.array([0.0, 0.0, 0.0, 1.0])
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
+SU2_U1 = alg.su2_u1()
 
 
 class TestQuaternions:
@@ -53,21 +54,21 @@ class TestQuaternions:
 class TestAdAction:
     def test_identity(self, rng):
         xi = rng.standard_normal((8, 3))
-        assert np.allclose(alg.ad_action(ONE, xi), xi)
+        assert np.allclose(SU2_U1.ad(ONE, xi), xi)
 
     def test_half_turn_example(self):
         g = alg.qexp(np.array([np.pi / 2.0, 0.0, 0.0]))
         assert np.allclose(g, I)
-        assert np.allclose(alg.ad_action(g, np.array([0.0, 1.0, 0.0])), [0.0, -1.0, 0.0])
+        assert np.allclose(SU2_U1.ad(g, np.array([0.0, 1.0, 0.0])), [0.0, -1.0, 0.0])
 
     def test_isometry_and_homomorphism(self, rng):
         g = alg.random_unit_quaternions(rng, (256,))
         h = alg.random_unit_quaternions(rng, (256,))
         xi = rng.standard_normal((256, 3))
-        assert np.allclose(np.linalg.norm(alg.ad_action(g, xi), axis=-1),
+        assert np.allclose(np.linalg.norm(SU2_U1.ad(g, xi), axis=-1),
                            np.linalg.norm(xi, axis=-1), atol=1e-12)
-        lhs = alg.ad_action(alg.qmul(g, h), xi)
-        rhs = alg.ad_action(g, alg.ad_action(h, xi))
+        lhs = SU2_U1.ad(alg.qmul(g, h), xi)
+        rhs = SU2_U1.ad(g, SU2_U1.ad(h, xi))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_bracket_automorphism(self, rng):
@@ -75,13 +76,13 @@ class TestAdAction:
         g = alg.random_unit_quaternions(rng, (128,))
         xi = rng.standard_normal((128, 3))
         eta = rng.standard_normal((128, 3))
-        lhs = alg.ad_action(g, pair.bracket(xi, eta))
-        rhs = pair.bracket(alg.ad_action(g, xi), alg.ad_action(g, eta))
+        lhs = SU2_U1.ad(g, pair.bracket(xi, eta))
+        rhs = pair.bracket(SU2_U1.ad(g, xi), SU2_U1.ad(g, eta))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
-            alg.ad_action(2.0 * ONE, np.array([1.0, 0.0, 0.0]))
+            SU2_U1.ad(2.0 * ONE, np.array([1.0, 0.0, 0.0]))
 
 
 class TestPairs:
@@ -179,6 +180,16 @@ class TestIsotropyProjection:
         pt = alg.cp1_point_of(g)
         xi = rng.standard_normal((512, 3))
         p_fast, q_fast = alg.project_isotropy(pair, pt, xi)
+        p_gen, q_gen = alg.project_isotropy(pair, g, xi)
+        assert np.max(np.abs(p_fast - p_gen)) < 1e-12
+        assert np.max(np.abs(q_fast - q_gen)) < 1e-12
+
+    def test_generic_path_broadcasts_over_slots(self, rng):
+        # one representative per site acting on every slot of a form
+        pair = alg.su2_u1()
+        g = alg.random_unit_quaternions(rng, (128, 1))
+        xi = rng.standard_normal((128, 3, 3))
+        p_fast, q_fast = alg.project_isotropy(pair, alg.cp1_point_of(g), xi)
         p_gen, q_gen = alg.project_isotropy(pair, g, xi)
         assert np.max(np.abs(p_fast - p_gen)) < 1e-12
         assert np.max(np.abs(q_fast - q_gen)) < 1e-12

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import smooth_cp1_map, smooth_lift
 from hopfion import algebra as alg
 from hopfion import fields as fl
+from hopfion.energy import comm_wedge
 from hopfion.errors import RoughFieldError
-from hopfion.lattice import Grid, l2_norm
+from hopfion.lattice import Grid, LatticeField, l2_norm
 
 
 class TestPureGauge:
@@ -140,6 +142,62 @@ class TestSplit:
         par, perp = a.split()
         assert np.max(np.abs(par.data)) == 0.0
         assert np.max(np.abs(perp.data - a.a.data)) == 0.0
+
+
+class TestMergedSplit:
+    def test_cp1_split_matches_old_formulas(self, grid12, rng):
+        phi = smooth_cp1_map(grid12, rng, amplitude=0.4)
+        a = LatticeField(grid12, 1, rng.standard_normal((12,) * 3 + (3, 3)))
+        par, perp = fl.split_form(a, phi, phi.pair)
+        ref_par, ref_perp = oracles.cp1_split_potential(a, phi)
+        assert np.array_equal(par.data, ref_par.data)
+        assert np.array_equal(perp.data, ref_perp.data)
+        W = comm_wedge(fl.pullback_coisotropy(phi), phi.pair) + LatticeField(
+            grid12, 2, rng.standard_normal((12,) * 3 + (3, 3)))
+        par, perp = fl.split_form(W, phi, phi.pair)
+        ref_par = oracles.cp1_isotropy_project_2form(W, phi)
+        assert np.array_equal(par.data, ref_par.data)
+        assert np.array_equal(perp.data, (W - ref_par).data)  # the old project_perp
+
+    def test_generic_split_matches_slotwise_ad(self, rng):
+        pair = alg.su3_t2()
+        grid = Grid(6)
+        gen = 0.3 * rng.standard_normal((6,) * 3 + (8,))
+        phi = fl.MapField(grid, pair, alg.matrix_exp(pair.matrix_of(gen)), renormalize=False)
+        for degree, slots in ((1, 3), (2, 3), (3, 1)):
+            form = LatticeField(grid, degree, rng.standard_normal((6,) * 3 + (slots, 8)))
+            par, perp = fl.split_form(form, phi, pair)
+            ref_par, ref_perp = oracles.slotwise_ad_split(form, phi)
+            assert np.max(np.abs(par.data - ref_par.data)) <= 1e-12
+            assert np.max(np.abs(perp.data - ref_perp.data)) <= 1e-12
+            assert np.max(np.abs(par.data + perp.data - form.data)) <= 1e-12
+
+    def test_needs_reference_map(self, grid12):
+        with pytest.raises(ValueError):
+            fl.split_form(LatticeField.zeros(grid12, 2, 3), None, alg.su2_u1())
+
+
+class TestFieldInvariants:
+    @pytest.mark.parametrize("scale", [3.0, 1.0 + 1e-6, np.nan, np.inf])
+    def test_map_not_unit_rejected(self, grid12, rng, scale):
+        vals = smooth_cp1_map(grid12, rng).values.copy()
+        vals[1, 2, 3] *= scale
+        with pytest.raises(ValueError):
+            fl.MapField(grid12, alg.su2_u1(), vals, renormalize=False)
+
+    def test_lift_not_unit_rejected(self, grid12, rng):
+        vals = smooth_lift(grid12, rng).values.copy()
+        vals[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            fl.LiftField(grid12, alg.su2_u1(), vals, renormalize=False)
+
+    @pytest.mark.parametrize("pair, ncomp", [(alg.su2_u1(), 4), (alg.su2_group(), 3)])
+    def test_component_count_must_fit_pair(self, grid12, pair, ncomp):
+        vals = np.zeros((12,) * 3 + (ncomp,))
+        vals[..., 0] = 1.0
+        for renormalize in (True, False):
+            with pytest.raises(ValueError):
+                fl.MapField(grid12, pair, vals, renormalize=renormalize)
 
 
 class TestAnsatz:

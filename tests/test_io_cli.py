@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -13,6 +14,7 @@ from hopfion.cli import main
 from hopfion.energy import energy_map
 from hopfion.errors import ConfigError
 from hopfion.lattice import Grid, LatticeField
+from hopfion.minimize import RelaxConfig
 
 
 class TestSnapshots:
@@ -96,6 +98,12 @@ class TestRunConfig:
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
             hio.parse_config("grid.n 32")
+
+    def test_defaults_match_relax_config(self):
+        # every optimizer.* and model.* key is a RelaxConfig field with the same default
+        relax_keys = {key.partition(".")[2]: value for key, value in hio.CONFIG_DEFAULTS.items()
+                      if key.partition(".")[0] in ("optimizer", "model")}
+        assert relax_keys == dataclasses.asdict(RelaxConfig())
 
 
 class TestExports:
@@ -246,6 +254,14 @@ class TestCli:
         assert main(["relax", "--config", str(cfg)]) == 2
         assert "step_cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["model.pair = su3_t2", "model.variant = bogus", "seed = 7"])
+    def test_deleted_config_key_exit_2(self, tmp_path, capsys, line):
+        # these keys were once accepted and ignored
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"grid.n = 8\noptimizer.max_iters = 1\n{line}\noutput.dir = {tmp_path}\n")
+        assert main(["relax", "--config", str(cfg)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
     def test_check_small_sizes(self, capsys):
         assert main(["check", "--sizes", "16,24,32"]) == 0
         out = capsys.readouterr().out
@@ -309,6 +325,18 @@ def test_malformed_snapshot_header_exit_2(tmp_path, capsys, blob):
 def test_missing_snapshot_exit_2(tmp_path, capsys):
     assert main(["energy", "--map", str(tmp_path / "absent.hopf")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind, command, flag", [("map_s2", "energy", "--map"),
+                                                 ("lift_su2", "degree", "--lift")])
+def test_non_unit_snapshot_exit_2(tmp_path, capsys, kind, command, flag):
+    # the n = 8 hopf ansatz scaled by 3 once loaded and got an energy
+    psi, u = fl.make_ansatz("hopf", Grid(8), 1)
+    values = 3.0 * (psi if kind == "map_s2" else u).values
+    meta = {"n": 8, "length": 2.0 * np.pi, "kind": kind, "components": values.shape[-1]}
+    path = _forged_snapshot(tmp_path / "scaled.hopf", meta, hio._site_payload(values).tobytes())
+    assert main([command, flag, str(path)]) == 2
+    assert "not finite and unit" in capsys.readouterr().err
 
 
 def test_valid_forged_snapshot_reads(tmp_path):
