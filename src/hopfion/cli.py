@@ -87,17 +87,26 @@ def main(argv=None):
         return 3
 
 
+def _initial_fields(kind, n, length, charge):
+    """make_ansatz on Grid(n, length); a bad value is a ConfigError (exit 2)."""
+    from .errors import ConfigError
+    from .fields import make_ansatz
+    from .lattice import Grid
+
+    try:
+        return make_ansatz(kind, Grid(n, length), charge)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _dispatch(args):
     import numpy as np
 
     from . import io as hio
-    from .fields import make_ansatz
-    from .lattice import Grid
 
     if args.command == "ansatz":
         length = args.length if args.length is not None else 2.0 * np.pi
-        grid = Grid(args.n, length)
-        psi, u = make_ansatz(args.kind, grid, args.charge)
+        psi, u = _initial_fields(args.kind, args.n, length, args.charge)
         meta = {"ansatz": args.kind, "charge": args.charge}
         hio.write_snapshot(args.out + ".psi.hopf", psi, extra_meta=meta)
         hio.write_snapshot(args.out + ".lift.hopf", u, extra_meta=meta)
@@ -179,16 +188,12 @@ def _print_charge(report, as_json):
 
 def _run_relax(args):
     from . import io as hio
-    from .fields import make_ansatz
-    from .lattice import Grid
-    from .minimize import RelaxConfig, charge_guard, relax
+    from .minimize import charge_guard, relax
 
     cfgmap = hio.load_config(args.config)
-    grid = Grid(cfgmap["grid.n"], cfgmap["grid.length"])
-    psi0, _ = make_ansatz(cfgmap["ansatz.kind"], grid, cfgmap["ansatz.charge"])
-    # every optimizer.* and model.* key names a RelaxConfig field
-    cfg = RelaxConfig(**{key.partition(".")[2]: value for key, value in cfgmap.items()
-                         if key.partition(".")[0] in ("optimizer", "model")})
+    psi0, _ = _initial_fields(cfgmap["ansatz.kind"], cfgmap["grid.n"],
+                              cfgmap["grid.length"], cfgmap["ansatz.charge"])
+    cfg = hio.relax_config(cfgmap)
     outdir = cfgmap["output.dir"]
     os.makedirs(outdir, exist_ok=True)
 
@@ -201,9 +206,9 @@ def _run_relax(args):
     hio.write_snapshot(os.path.join(outdir, "final.psi.hopf"), run.final_psi,
                        extra_meta={"termination": run.termination})
     flagged = charge_guard(run)
-    row = run.history[-1]
-    print(f"termination: {run.termination} after {row[0]} iterations; "
-          f"energy {row[1]:.6f}; grad_norm {row[4]:.3e}")
+    last = run.history[-1]
+    print(f"termination: {run.termination} after {last.iter} iterations; "
+          f"energy {last.energy:.6f}; grad_norm {last.grad_norm:.3e}")
     if flagged:
         print(f"warning: charge jumps flagged at iterations {flagged}")
     if run.termination == "diverged":
@@ -212,10 +217,14 @@ def _run_relax(args):
 
 
 def _run_check(args):
+    from .errors import ConfigError
     from .gauge import identity_suite
     from .suites import invariant_suite
 
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError:
+        raise ConfigError(f"--sizes takes comma-separated integers, not {args.sizes!r}") from None
     rows = identity_suite(sizes=sizes, seed=args.seed) + invariant_suite(seed=args.seed)
     width = max(len(r.name) for r in rows)
     failed = 0

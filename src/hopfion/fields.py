@@ -54,10 +54,6 @@ class MapField:
     def is_cp1(self):
         return self.pair.group_kind == "quaternion" and self.values.shape[-1] == 3
 
-    @property
-    def is_group(self):
-        return self.pair.dim_h == 0
-
     def with_values(self, values, renormalize=True):
         return MapField(self.grid, self.pair, values, renormalize=renormalize)
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import algebra as alg
 from . import fields as fl
 from .energy import comm_wedge, energy_map, energy_potential
+from .errors import ConfigError
 from .lattice import SLOTS2, Grid, LatticeField, d, forward_diff, l2_norm, wedge
 
 ISOTROPY_TOL = 1e-10
@@ -228,7 +229,11 @@ def smooth_inputs(grid, rng, phi_amplitude=0.2, u_amplitude=0.4):
 
 
 def identity_suite(sizes=(16, 32, 64), seed=0, length=2.0 * np.pi):
-    """Evaluate the gauge-calculus identities over a family of grids."""
+    """Evaluate the gauge-calculus identities over two or more distinct grid sizes."""
+    sizes = sorted(set(sizes))
+    if len(sizes) < 2 or sizes[0] < 4:
+        # a one-point order fit means nothing; Grid needs n >= 4
+        raise ConfigError(f"sizes {sizes} must hold two or more distinct grid sizes >= 4")
     grids = [Grid(n, length) for n in sizes]
     res = {}
 

@@ -8,6 +8,7 @@ are bitwise identical regardless of host endianness.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -20,6 +21,7 @@ from . import algebra as alg
 from . import fields as fl
 from .errors import ConfigError
 from .lattice import Grid, LatticeField
+from .minimize import HistoryRow, RelaxConfig
 
 MAGIC = b"HOPF"
 FORMAT_VERSION = 1
@@ -173,20 +175,17 @@ def read_snapshot(path):
 # run configuration
 # ---------------------------------------------------------------------------
 
+def _relax_key(f):
+    """The config key of a RelaxConfig field: optimizer.<name> or model.<name>."""
+    return f"{f.metadata.get('section', 'optimizer')}.{f.name}"
+
+
 CONFIG_DEFAULTS = {
     "grid.n": 32,
     "grid.length": 2.0 * np.pi,
-    "model.scale_dirichlet": 1.0,
-    "model.scale_skyrme": 1.0,
     "ansatz.kind": "hopf",
     "ansatz.charge": 1,
-    "optimizer.max_iters": 2000,
-    "optimizer.grad_tol": 1e-3,
-    "optimizer.step_init": 0.2,
-    "optimizer.step_rule": "barzilai_borwein",
-    "optimizer.checkpoint_every": 0,
-    "optimizer.charge_check_every": 25,
-    "optimizer.step_cap": 0.2,
+    **{_relax_key(f): f.default for f in dataclasses.fields(RelaxConfig)},
     "output.dir": "hopfion-out",
 }
 
@@ -213,8 +212,17 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)
+
+
+def relax_config(values):
+    """The RelaxConfig of parsed config values; an invalid value is a ConfigError."""
+    return RelaxConfig(**{f.name: values[_relax_key(f)] for f in dataclasses.fields(RelaxConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +230,9 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 
 def write_history_csv(path, run):
-    lines = ["iter,energy,dirichlet,skyrme,grad_norm,step,charge"]
-    for it, e, e2, e4, gn, st, ch in run.history:
-        charge = "" if ch is None else repr(ch)
-        lines.append(f"{it},{e!r},{e2!r},{e4!r},{gn!r},{st!r},{charge}")
+    """One CSV line per HistoryRow, shortest round-trip reprs; no charge is empty."""
+    lines = [",".join(HistoryRow._fields)]
+    lines += [",".join("" if v is None else repr(v) for v in row) for row in run.history]
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 

@@ -29,8 +29,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("grid needs at least 4 sites per axis")
-        if self.length <= 0:
-            raise ValueError("period must be positive")
+        if not (np.isfinite(self.length) and self.length > 0):
+            raise ValueError("period must be positive and finite")
 
     @property
     def h(self):

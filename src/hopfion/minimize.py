@@ -10,8 +10,8 @@ The objective is the topology-protecting discretization of the energy
 (descent_energy): chordal Dirichlet term plus the plaquette-area quartic
 term, which charges lattice-scale topology changes their full continuum
 price and keeps the monitored charge stable at moderate resolution.  The
-default step rule is Barzilai-Borwein with an Armijo backtracking
-safeguard and a per-site displacement cap, so every accepted step strictly
+step is Barzilai-Borwein (Barzilai & Borwein 1988), capped per site and
+halved until it passes the Armijo test, so every accepted step strictly
 decreases the objective.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,15 +33,16 @@ ARMIJO_C = 1e-4
 
 @dataclass
 class RelaxConfig:
+    """Each field is the config key optimizer.<name> (or model.<name>) and its default."""
+
     max_iters: int = 2000
     grad_tol: float = 1e-3          # relative to the initial gradient norm
-    step_init: float = 0.2
-    step_rule: str = "barzilai_borwein"   # or 'fixed', 'backtracking'
+    step_init: float = 0.2          # first step, and the fallback BB step
     checkpoint_every: int = 0       # 0 disables
     charge_check_every: int = 25    # 0 disables
     step_cap: float = 0.2           # max per-site displacement per step
-    scale_dirichlet: float = 1.0
-    scale_skyrme: float = 1.0
+    scale_dirichlet: float = field(default=1.0, metadata={"section": "model"})
+    scale_skyrme: float = field(default=1.0, metadata={"section": "model"})
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -49,8 +51,6 @@ class RelaxConfig:
             raise ConfigError("grad_tol must lie in (0, 1)")
         if self.step_init <= 0:
             raise ConfigError("step_init must be positive")
-        if self.step_rule not in ("fixed", "barzilai_borwein", "backtracking"):
-            raise ConfigError(f"unknown step rule '{self.step_rule}'")
         for name in ("step_cap", "scale_dirichlet", "scale_skyrme"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -61,21 +61,30 @@ class RelaxConfig:
                 raise ConfigError(f"{name} must be an integer >= 0")
 
 
+class HistoryRow(NamedTuple):
+    """One history row: the state after iteration iter and the step taken to it."""
+
+    iter: int
+    energy: float
+    dirichlet: float
+    skyrme: float
+    grad_norm: float
+    step: float
+    charge: float | None     # None off the charge-monitor cadence
+
+
 @dataclass
 class RelaxRun:
-    history: list            # rows (iter, energy, dirichlet, skyrme, grad_norm, step, charge)
+    history: list            # HistoryRow per iteration, from 0
     final_psi: object
     termination: str
     config: RelaxConfig = field(repr=False, default=None)
 
-    HISTORY_COLUMNS = ("iter", "energy", "dirichlet", "skyrme",
-                       "grad_norm", "step", "charge")
-
     def charges(self):
-        return [(row[0], row[6]) for row in self.history if row[6] is not None]
+        return [(row.iter, row.charge) for row in self.history if row.charge is not None]
 
     def energies(self):
-        return [row[1] for row in self.history]
+        return [row.energy for row in self.history]
 
 
 def _charge_estimate(psi):
@@ -103,7 +112,7 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
     def log(it, gn, st):
         charge = _charge_estimate(psi) if (
             cfg.charge_check_every and it % cfg.charge_check_every == 0) else None
-        history.append((it, energy, e2, e4, gn, st, charge))
+        history.append(HistoryRow(it, energy, e2, e4, gn, st, charge))
 
     log(0, gnorm, 0.0)
     if not np.isfinite(energy):
@@ -113,18 +122,17 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
 
     prev_vals = None
     prev_grad = None
-    step = cfg.step_init
 
     for it in range(1, cfg.max_iters + 1):
-        if cfg.step_rule == "barzilai_borwein" and prev_vals is not None:
+        step = cfg.step_init
+        if prev_vals is not None:
             ds = psi.values - prev_vals
             dg = grad - prev_grad
             denom = float(np.sum(ds * dg))
-            step = float(np.sum(ds * ds)) / denom if abs(denom) > 1e-300 else cfg.step_init
+            if abs(denom) > 1e-300:
+                step = float(np.sum(ds * ds)) / denom
             if not np.isfinite(step) or step <= 0:
                 step = cfg.step_init
-        else:
-            step = cfg.step_init
         gmax = float(np.max(np.linalg.norm(grad, axis=-1)))
         if cfg.step_cap and gmax > 0:
             step = min(step, cfg.step_cap / gmax)
@@ -133,21 +141,17 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
         prev_grad = grad
         g2 = gnorm * gnorm
 
-        if cfg.step_rule == "fixed":
+        while step >= STEP_FLOOR:
             trial = psi.with_values(psi.values - step * grad)
             trial_e2, trial_e4 = descent_energy(trial, split=True, **scales)
-        else:
-            while step >= STEP_FLOOR:
-                trial = psi.with_values(psi.values - step * grad)
-                trial_e2, trial_e4 = descent_energy(trial, split=True, **scales)
-                # a non-finite trial fails Armijo at every step; report it as diverged
-                if (not np.isfinite(trial_e2 + trial_e4)
-                        or trial_e2 + trial_e4 <= energy - ARMIJO_C * step * g2):
-                    break
-                step *= 0.5
-            else:
-                termination = "stalled"
+            # a non-finite trial fails Armijo at every step; report it as diverged
+            if (not np.isfinite(trial_e2 + trial_e4)
+                    or trial_e2 + trial_e4 <= energy - ARMIJO_C * step * g2):
                 break
+            step *= 0.5
+        else:
+            termination = "stalled"
+            break
 
         if not np.isfinite(trial_e2 + trial_e4):
             termination = "diverged"
@@ -176,13 +180,5 @@ def charge_guard(run, threshold=0.25):
     A flagged pair is evidence of lattice-scale topology change; it is a
     warning, not a failure.
     """
-    charges = run.charges()
-    if len(charges) < 2:
-        return []
-    flagged = []
-    for (_, c0), (it1, c1) in zip(charges, charges[1:]):
-        if c0 is None or c1 is None:
-            continue
-        if abs(c1 - c0) > threshold:
-            flagged.append(it1)
-    return flagged
+    charges = run.charges()   # monitored rows only
+    return [it1 for (_, c0), (it1, c1) in zip(charges, charges[1:]) if abs(c1 - c0) > threshold]

@@ -27,7 +27,7 @@ import numpy as np
 from . import algebra as alg
 from . import fields as fl
 from .errors import DegeneratePreimageError, FluxObstructionError
-from .lattice import LatticeField, SLOTS2, wedge
+from .lattice import Grid, LatticeField, SLOTS2, wedge
 
 # Calibrated on the degree-1 ball ansatz and frozen; see README, conventions.
 CHERN_SIMONS_SU_N = 1.0 / (24.0 * np.pi ** 2)
@@ -179,18 +179,10 @@ def _restrict(data, idx):
     return out
 
 
-def _subsample_map(psi):
-    from .lattice import Grid
-
-    coarse = Grid(psi.grid.n // 2, psi.grid.length)
-    return fl.MapField(coarse, psi.pair, psi.values[::2, ::2, ::2], renormalize=False)
-
-
-def _subsample_lift(u):
-    from .lattice import Grid
-
-    coarse = Grid(u.grid.n // 2, u.grid.length)
-    return fl.LiftField(coarse, u.pair, u.values[::2, ::2, ::2], renormalize=False)
+def _subsample(field):
+    """The stride-2 subsample of a MapField or LiftField: spacing 2h, same period."""
+    coarse = Grid(field.grid.n // 2, field.grid.length)
+    return type(field)(coarse, field.pair, field.values[::2, ::2, ::2], renormalize=False)
 
 
 def _richardson(fine, grid, extrapolated, coarse):
@@ -213,8 +205,8 @@ def chern_simons_from_lift(u, phi=None, extrapolated=True):
     plain value when the grid cannot be halved.
     """
     def coarse():
-        phi2 = None if phi is None else _subsample_map(phi)
-        return chern_simons_charge(fl.pure_gauge_potential(_subsample_lift(u), phi2)).cs_value
+        phi2 = None if phi is None else _subsample(phi)
+        return chern_simons_charge(fl.pure_gauge_potential(_subsample(u), phi2)).cs_value
 
     fine = chern_simons_charge(fl.pure_gauge_potential(u, phi)).cs_value
     return ChargeReport(cs_value=_richardson(fine, u.grid, extrapolated, coarse))
@@ -309,7 +301,7 @@ def whitehead_charge(psi, return_fields=False, extrapolated=True):
     fine = _whitehead_plain(psi)
     try:
         return _richardson(fine, psi.grid, extrapolated,
-                           lambda: _whitehead_plain(_subsample_map(psi)))
+                           lambda: _whitehead_plain(_subsample(psi)))
     except FluxObstructionError:
         # the halved field is too rough to carry its fluxes; keep the
         # unextrapolated fine-grid value
@@ -404,8 +396,6 @@ def preimage_curves(psi, p, max_attempts=4):
     """
     if not psi.is_cp1:
         raise ValueError("preimage extraction needs a CP1 map")
-    n, h = psi.grid.n, psi.grid.h
-    L = psi.grid.length
     value = np.asarray(p, dtype=float)
     for attempt in range(max_attempts):
         crossings = _face_crossings(psi, value)
@@ -414,25 +404,17 @@ def preimage_curves(psi, p, max_attempts=4):
                 "no preimage of the regular value; choose a different one")
         by_entry = {}
         by_exit = {}
-        degenerate = False
         for ci, (_, enter, exit_) in enumerate(crossings):
             by_entry.setdefault(enter, []).append(ci)
             by_exit.setdefault(exit_, []).append(ci)
-        for cube in set(by_entry) | set(by_exit):
-            if len(by_entry.get(cube, ())) != len(by_exit.get(cube, ())):
-                degenerate = True
-                break
-        if degenerate:
-            tilt = alg.qexp(1e-7 * (attempt + 1) * np.array([1.0, 1.0, 1.0]))
-            value = alg.qrotate(tilt, value)
-            continue
-        try:
-            loops = _walk_loops(crossings, by_exit, psi.grid)
-        except DegeneratePreimageError:
-            tilt = alg.qexp(1e-7 * (attempt + 1) * np.array([1.0, 1.0, 1.0]))
-            value = alg.qrotate(tilt, value)
-            continue
-        return loops
+        if all(len(by_entry.get(cube, ())) == len(by_exit.get(cube, ()))
+               for cube in set(by_entry) | set(by_exit)):
+            try:
+                return _walk_loops(crossings, by_exit, psi.grid)
+            except DegeneratePreimageError:
+                pass
+        tilt = alg.qexp(1e-7 * (attempt + 1) * np.array([1.0, 1.0, 1.0]))
+        value = alg.qrotate(tilt, value)
     raise DegeneratePreimageError(
         "preimage extraction degenerate; choose a different regular value")
 

@@ -155,6 +155,11 @@ class TestIdentitySuite:
             else:
                 assert r.fitted_order is not None
 
+    @pytest.mark.parametrize("sizes", [(16,), (16, 16), (2, 16)])
+    def test_needs_two_distinct_sizes_from_4(self, sizes):
+        with pytest.raises(ValueError):
+            identity_suite(sizes=sizes)
+
 
 class TestGaugeSmooth:
     def test_zero_stays(self, grid12):

@@ -14,7 +14,7 @@ from hopfion.cli import main
 from hopfion.energy import energy_map
 from hopfion.errors import ConfigError
 from hopfion.lattice import Grid, LatticeField
-from hopfion.minimize import RelaxConfig
+from hopfion.minimize import HistoryRow, RelaxConfig, relax
 
 
 class TestSnapshots:
@@ -73,7 +73,8 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = hio.parse_config("")
         assert cfg["grid.n"] == 32
-        assert cfg["optimizer.step_rule"] == "barzilai_borwein"
+        assert cfg["optimizer.step_init"] == 0.2
+        assert cfg["model.scale_skyrme"] == 1.0
 
     def test_parse_values_and_comments(self):
         text = """
@@ -254,7 +255,8 @@ class TestCli:
         assert main(["relax", "--config", str(cfg)]) == 2
         assert "step_cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["model.pair = su3_t2", "model.variant = bogus", "seed = 7"])
+    @pytest.mark.parametrize("line", ["model.pair = su3_t2", "model.variant = bogus", "seed = 7",
+                                      "optimizer.step_rule = fixed"])
     def test_deleted_config_key_exit_2(self, tmp_path, capsys, line):
         # these keys were once accepted and ignored
         cfg = tmp_path / "old.cfg"
@@ -266,6 +268,44 @@ class TestCli:
         assert main(["check", "--sizes", "16,24,32"]) == 0
         out = capsys.readouterr().out
         assert "identities within budget" in out
+
+    @pytest.mark.parametrize("sizes", ["16", "16,16", "a,b", "2,16"])
+    def test_check_bad_sizes_exit_2(self, capsys, sizes):
+        # one distinct size gave a meaningless one-point order fit
+        assert main(["check", "--sizes", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("config, argv", [
+        (None, ["relax", "--config", "{cfg}"]),
+        (b"grid.n = 8  # \xff\n", ["relax", "--config", "{cfg}"]),
+        (b"grid.n = 3\n", ["relax", "--config", "{cfg}"]),
+        (b"grid.n = 8\nansatz.kind = bogus\n", ["relax", "--config", "{cfg}"]),
+        (b"grid.n = 8\ngrid.length = nan\n", ["relax", "--config", "{cfg}"]),
+        (None, ["ansatz", "--n", "3", "--out", "{tmp}/a"]),
+    ], ids=["missing_config", "non_utf8_config", "n_3", "unknown_ansatz", "nan_length",
+            "ansatz_n_3"])
+    def test_bad_run_input_exit_2(self, tmp_path, capsys, config, argv):
+        cfg = tmp_path / "run.cfg"
+        if config is not None:
+            cfg.write_bytes(config + f"output.dir = {tmp_path / 'out'}\n".encode())
+        assert main([arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "a.psi.hopf").exists()
+
+    def test_history_csv_schema(self, tmp_path, rng):
+        psi0 = smooth_cp1_map(Grid(12), rng, amplitude=0.4)
+        run = relax(psi0, RelaxConfig(max_iters=4, grad_tol=1e-12, charge_check_every=2))
+        path = tmp_path / "history.csv"
+        hio.write_history_csv(path, run)
+        header, *lines = path.read_text().splitlines()
+        assert tuple(header.split(",")) == HistoryRow._fields
+        assert len(lines) == len(run.history) == 5
+        for row, line in zip(run.history, lines):
+            plain = tuple(row)
+            assert row == plain and row[4] == row.grad_norm
+            assert [None if tok == "" else float(tok) for tok in line.split(",")] == [
+                None if v is None else float(v) for v in plain]
 
 
 def _forged_snapshot(path, meta=None, payload=None, meta_bytes=None):

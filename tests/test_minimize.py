@@ -7,20 +7,20 @@ from hopfion import fields as fl
 from hopfion import minimize
 from hopfion.energy import descent_energy
 from hopfion.lattice import Grid
-from hopfion.minimize import RelaxConfig, RelaxRun, charge_guard, relax
+from hopfion.minimize import HistoryRow, RelaxConfig, RelaxRun, charge_guard, relax
 
 
 class TestConfig:
     def test_defaults_valid(self):
         cfg = RelaxConfig()
-        assert cfg.step_rule == "barzilai_borwein"
+        assert (cfg.max_iters, cfg.step_init, cfg.step_cap) == (2000, 0.2, 0.2)
 
     @pytest.mark.parametrize("kwargs", [
         dict(max_iters=0),
         dict(grad_tol=0.0),
         dict(grad_tol=1.5),
         dict(step_init=-1.0),
-        dict(step_rule="newton"),
+        dict(step_init=0.0),
         dict(step_cap=-0.1),
         dict(step_cap=float("inf")),
         dict(scale_dirichlet=-1.0),
@@ -94,21 +94,15 @@ class TestRelax:
         run2 = relax(psi0, cfg)
         assert run1.history == run2.history
 
-    def test_fixed_rule_runs(self, rng):
-        psi0 = smooth_cp1_map(Grid(12), rng, amplitude=0.3)
-        run = relax(psi0, RelaxConfig(max_iters=20, step_rule="fixed",
-                                      step_init=0.05, charge_check_every=0))
-        assert run.history[-1][0] >= 1
-
     def test_rotation_equivariance(self, rng):
-        # deterministic (fixed) schedule: relaxing the rotated field equals
-        # rotating the relaxed field
+        # relaxing the rotated field equals rotating the relaxed field: the
+        # energy, its gradient and the BB step are rotation invariant
         grid = Grid(12)
         psi0 = smooth_cp1_map(grid, rng, amplitude=0.4)
         g = alg.random_unit_quaternions(rng)
         rotated = psi0.with_values(alg.qrotate(g, psi0.values))
-        cfg = RelaxConfig(max_iters=50, step_rule="fixed", step_init=0.05,
-                          grad_tol=1e-12, charge_check_every=0)
+        cfg = RelaxConfig(max_iters=50, step_init=0.05, grad_tol=1e-12,
+                          charge_check_every=0)
         run_a = relax(psi0, cfg)
         run_b = relax(rotated, cfg)
         moved = alg.qrotate(g, run_a.final_psi.values)
@@ -132,7 +126,8 @@ class TestRelax:
 
 class TestChargeGuard:
     def _fake_run(self, charges):
-        history = [(it * 10, 1.0, 0.5, 0.5, 0.1, 0.1, c) for it, c in enumerate(charges)]
+        history = [HistoryRow(it * 10, 1.0, 0.5, 0.5, 0.1, 0.1, c)
+                   for it, c in enumerate(charges)]
         return RelaxRun(history, None, "converged")
 
     def test_steady_history_unflagged(self):
