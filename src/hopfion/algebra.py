@@ -421,7 +421,10 @@ def _triangle(a, b, c, with_grads):
     out = [area]
     for x, u, v in ((bxc, b, c), (_cross(c, a), a, c), (_cross(a, b), a, b)):
         x *= cn
-        x += cd * (u + v)
+        uv = u + v
+        uv *= cd
+        x += uv
+        del uv
         out.append(x)
     return out
 

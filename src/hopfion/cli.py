@@ -2,8 +2,9 @@
 
 Heavy imports happen inside main() so that HOPF_THREADS can cap the BLAS
 and OpenMP pools before numpy comes up.  Exit codes: 0 success, 1 failed
-check budgets, 2 malformed input (snapshot, config, arguments), 3
-numerical failure.
+check budgets, 2 malformed input (snapshot, config, arguments) or an
+output path that cannot be written, 3 numerical failure.  Output
+directories are checked before the work starts.
 """
 
 from __future__ import annotations
@@ -79,12 +80,25 @@ def main(argv=None):
 
     try:
         return _dispatch(args)
-    except (hio.SnapshotError, ConfigError) as exc:
+    except (hio.SnapshotError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HopfionError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+
+
+def _require_output_dir(path):
+    """ConfigError (exit 2) unless the directory that will hold path exists.
+
+    A directory test only, with no trial write, so that it costs an export
+    nothing.
+    """
+    from .errors import ConfigError
+
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory {directory} does not exist")
 
 
 def _initial_fields(kind, n, length, charge):
@@ -105,6 +119,7 @@ def _dispatch(args):
     from . import io as hio
 
     if args.command == "ansatz":
+        _require_output_dir(args.out)
         length = args.length if args.length is not None else 2.0 * np.pi
         psi, u = _initial_fields(args.kind, args.n, length, args.charge)
         meta = {"ansatz": args.kind, "charge": args.charge}
@@ -156,8 +171,9 @@ def _dispatch(args):
         return _run_check(args)
 
     if args.command == "export":
-        meta, obj = hio.read_snapshot(args.input)
         stem = args.out or os.path.splitext(args.input)[0]
+        _require_output_dir(stem)
+        meta, obj = hio.read_snapshot(args.input)
         hio.export_vtk(stem + ".vtk", meta, obj)
         hio.export_density_csv(stem + ".density.csv", obj)
         print(f"wrote {stem}.vtk and {stem}.density.csv")
@@ -195,7 +211,7 @@ def _run_relax(args):
                               cfgmap["grid.length"], cfgmap["ansatz.charge"])
     cfg = hio.relax_config(cfgmap)
     outdir = cfgmap["output.dir"]
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(outdir, exist_ok=True)   # before the relaxation: an OSError exits 2
 
     def checkpoint(it, psi):
         hio.write_snapshot(os.path.join(outdir, f"checkpoint-{it:06d}.hopf"),
@@ -225,6 +241,8 @@ def _run_check(args):
         sizes = tuple(int(s) for s in args.sizes.split(","))
     except ValueError:
         raise ConfigError(f"--sizes takes comma-separated integers, not {args.sizes!r}") from None
+    if args.json_out:
+        _require_output_dir(args.json_out)
     rows = identity_suite(sizes=sizes, seed=args.seed) + invariant_suite(seed=args.seed)
     width = max(len(r.name) for r in rows)
     failed = 0

@@ -1,23 +1,29 @@
 """Constrained relaxation of CP1-valued maps with charge monitoring.
 
-The optimizer moves the map itself: tangent gradient step followed by
-pointwise renormalization back to the sphere.  Optimizing over the map
-rather than over a lift sidesteps the gauge degeneracy of lift
-representations entirely; topological diagnostics for lifts remain
-available in the topology module.
+The optimizer moves the map itself, a point of the product of spheres
+(one per site).  Optimizing over the map rather than over a lift
+sidesteps the gauge degeneracy of lift representations entirely;
+topological diagnostics for lifts remain available in the topology
+module.
 
 The objective is the topology-protecting discretization of the energy
 (descent_energy): chordal Dirichlet term plus the plaquette-area quartic
 term, which charges lattice-scale topology changes their full continuum
 price and keeps the monitored charge stable at moderate resolution.  The
-step is Barzilai-Borwein (Barzilai & Borwein 1988), capped per site and
-halved until it passes the Armijo test, so every accepted step strictly
-decreases the objective.
+method is Riemannian L-BFGS (Absil, Mahony & Sepulchre 2008, ch. 4 and 8;
+Huang, Gallivan & Absil 2015): two-loop directions (Nocedal & Wright
+2006, ch. 7) projected onto the tangent space, retraction by pointwise
+renormalization, a per-site step cap and a monotone Armijo line search
+with halving, so every accepted step strictly decreases the objective.
+descend runs that loop for any objective; relax and gauge.gauge_smooth
+call it.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -27,8 +33,16 @@ from .energy import descent_energy, descent_gradient
 from .errors import ConfigError, FluxObstructionError
 from .topology import whitehead_charge
 
-STEP_FLOOR = 1e-14
 ARMIJO_C = 1e-4
+# (s, y) pairs kept by L-BFGS; m = 3 and 8 were measured against it
+MEMORY = 5
+# A line search gives up after this many halvings of its first trial step.
+# The converging hopf relaxations (n = 24, 32; charge 1, 2) halve at most
+# once; ten means the quasi-Newton model misses the objective by three
+# orders of magnitude, as next to a wrapped plaquette (area +-pi), where
+# more halvings only creep along the kink, and a step may cross it and
+# change the topology.
+MAX_HALVINGS = 10
 
 
 @dataclass
@@ -37,7 +51,7 @@ class RelaxConfig:
 
     max_iters: int = 2000
     grad_tol: float = 1e-3          # relative to the initial gradient norm
-    step_init: float = 0.2          # first step, and the fallback BB step
+    step_init: float = 0.2          # initial inverse-Hessian scale, and the gradient-fallback step
     checkpoint_every: int = 0       # 0 disables
     charge_check_every: int = 25    # 0 disables
     step_cap: float = 0.2           # max per-site displacement per step
@@ -62,7 +76,11 @@ class RelaxConfig:
 
 
 class HistoryRow(NamedTuple):
-    """One history row: the state after iteration iter and the step taken to it."""
+    """One history row: the state after iteration iter and the step taken to it.
+
+    step is the accepted line-search step along the search direction (1 is
+    the full quasi-Newton step; 0 in row 0).
+    """
 
     iter: int
     energy: float
@@ -94,84 +112,149 @@ def _charge_estimate(psi):
         return None
 
 
+def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
+            on_step, step_cap=0.0):
+    """Riemannian L-BFGS with a monotone Armijo line search; returns (x, termination).
+
+    objective(x) gives the terms whose sum is minimized and gradient(x) the
+    gradient of that sum, an array tangent at x.  retract(x, v) is the point
+    reached from x along the array v, and project(x, v) the part of v
+    tangent at x.  on_step(it, x, terms, grad, step) sees the start (it 0,
+    step 0) and every accepted step; a true return value ends the run as
+    that termination.
+
+    The direction is the two-loop product H grad over the last MEMORY pairs
+    (s = the accepted step, y = the change of the gradient), projected at
+    x; a pair is kept only when s.y > 0, and with none H is step_init.  The
+    trial step along the direction starts at 1, capped so that no site
+    (last array axis) moves by more than step_cap (0: no cap), and is halved
+    up to MAX_HALVINGS times until the Armijo test on the slope grad.d
+    passes.  When it fails, the memory is cleared and the search repeated
+    along step_init * grad; when that fails too the run has "stalled".  A
+    non-finite objective ends it as "diverged" at the last finite point.
+    """
+    terms = objective(x)
+    f = sum(terms)
+    g = gradient(x)
+    stop = on_step(0, x, terms, g, 0.0)
+    if not np.isfinite(f):
+        return x, "diverged"
+    if stop:
+        return x, stop
+
+    pairs = deque()    # (s, y, 1 / s.y), flat, oldest first
+    for it in range(1, max_iters + 1):
+        d = project(x, _two_loop(g, pairs, step_init))
+        found = _line_search(objective, retract, x, f, g, d, step_cap)
+        if found is None and pairs:
+            pairs.clear()
+            d = step_init * g
+            found = _line_search(objective, retract, x, f, g, d, step_cap)
+        if found is None:
+            return x, "stalled"
+        step, trial, trial_terms = found
+        if not np.isfinite(sum(trial_terms)):
+            return x, "diverged"
+        # the gradient's temporaries set the peak memory: let the old point
+        # and the pair the new one evicts go first
+        x, terms, f = trial, trial_terms, sum(trial_terms)
+        if len(pairs) == MEMORY:
+            pairs.popleft()
+        d *= -step
+        g_new = gradient(x)
+        s, y = d.ravel(), (g_new - g).ravel()
+        sy = _inner(s, y)
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        g = g_new
+        stop = on_step(it, x, terms, g, step)
+        if stop:
+            return x, stop
+    return x, "max_iters"
+
+
+def _inner(u, v):
+    """u.v of flat arrays in numpy's own fixed-order loop.
+
+    Not np.dot: BLAS splits a dot product over its threads, so the sum, and
+    with it the whole L-BFGS path, would change with the thread count.
+    """
+    return float(np.einsum("i,i->", u, v))
+
+
+def _two_loop(g, pairs, scale):
+    """The L-BFGS product H g; H0 is scale times the identity with no pairs."""
+    q = g.ravel().copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * _inner(s, q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, rho = pairs[-1]
+        scale = 1.0 / (rho * _inner(y, y))
+    q *= scale
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * _inner(y, q)) * s
+    return q.reshape(g.shape)
+
+
+def _line_search(objective, retract, x, f, g, d, step_cap):
+    """Armijo halving from step 1 (capped) along -d: (step, point, terms), or None."""
+    slope = _inner(g.ravel(), d.ravel())
+    if not slope > 0:
+        return None
+    step = 1.0
+    if step_cap:
+        step = min(step, step_cap / float(np.max(np.linalg.norm(d, axis=-1))))
+    for _ in range(MAX_HALVINGS + 1):
+        trial = retract(x, (-step) * d)
+        terms = objective(trial)
+        f_trial = sum(terms)
+        # a non-finite trial fails Armijo at every step; report it as diverged.
+        # "<" keeps the descent strict where the Armijo term rounds away
+        if not np.isfinite(f_trial) or f_trial < f - ARMIJO_C * step * slope:
+            return step, trial, terms
+        step *= 0.5
+    return None
+
+
 def relax(psi0, cfg=None, checkpoint_cb=None):
     """Minimize the descent objective from psi0; returns the full run record."""
     cfg = cfg if cfg is not None else RelaxConfig()
-    psi = psi0
     scales = dict(scale_dirichlet=cfg.scale_dirichlet, scale_skyrme=cfg.scale_skyrme)
-
-    e2, e4 = descent_energy(psi, split=True, **scales)
-    energy = e2 + e4
-    grad = descent_gradient(psi, **scales)
-    gnorm = float(np.linalg.norm(grad))
-    gnorm0 = gnorm if gnorm > 0 else 1.0
-
     history = []
-    termination = "max_iters"
+    gnorm0 = 1.0
 
-    def log(it, gn, st):
+    def on_step(it, psi, terms, grad, step):
+        nonlocal gnorm0
+        e2, e4 = terms
+        gnorm = math.sqrt(_inner(grad.ravel(), grad.ravel()))
+        if it == 0 and gnorm > 0:
+            gnorm0 = gnorm
         charge = _charge_estimate(psi) if (
             cfg.charge_check_every and it % cfg.charge_check_every == 0) else None
-        history.append(HistoryRow(it, energy, e2, e4, gn, st, charge))
-
-    log(0, gnorm, 0.0)
-    if not np.isfinite(energy):
-        return RelaxRun(history, psi, "diverged", cfg)
-    if gnorm == 0.0:
-        return RelaxRun(history, psi, "converged", cfg)
-
-    prev_vals = None
-    prev_grad = None
-
-    for it in range(1, cfg.max_iters + 1):
-        step = cfg.step_init
-        if prev_vals is not None:
-            ds = psi.values - prev_vals
-            dg = grad - prev_grad
-            denom = float(np.sum(ds * dg))
-            if abs(denom) > 1e-300:
-                step = float(np.sum(ds * ds)) / denom
-            if not np.isfinite(step) or step <= 0:
-                step = cfg.step_init
-        gmax = float(np.max(np.linalg.norm(grad, axis=-1)))
-        if cfg.step_cap and gmax > 0:
-            step = min(step, cfg.step_cap / gmax)
-
-        prev_vals = psi.values
-        prev_grad = grad
-        g2 = gnorm * gnorm
-
-        while step >= STEP_FLOOR:
-            trial = psi.with_values(psi.values - step * grad)
-            trial_e2, trial_e4 = descent_energy(trial, split=True, **scales)
-            # a non-finite trial fails Armijo at every step; report it as diverged
-            if (not np.isfinite(trial_e2 + trial_e4)
-                    or trial_e2 + trial_e4 <= energy - ARMIJO_C * step * g2):
-                break
-            step *= 0.5
-        else:
-            termination = "stalled"
-            break
-
-        if not np.isfinite(trial_e2 + trial_e4):
-            termination = "diverged"
-            break
-
-        psi = trial
-        e2, e4 = trial_e2, trial_e4
-        energy = e2 + e4
-        grad = descent_gradient(psi, **scales)
-        gnorm = float(np.linalg.norm(grad))
-        log(it, gnorm, step)
-
-        if checkpoint_cb is not None and cfg.checkpoint_every and it % cfg.checkpoint_every == 0:
+        history.append(HistoryRow(it, e2 + e4, e2, e4, gnorm, step, charge))
+        if checkpoint_cb is not None and cfg.checkpoint_every and it \
+                and it % cfg.checkpoint_every == 0:
             checkpoint_cb(it, psi)
-
         if gnorm <= cfg.grad_tol * gnorm0:
-            termination = "converged"
-            break
+            return "converged"
+        return None
 
+    psi, termination = descend(
+        lambda psi: descent_energy(psi, split=True, **scales),
+        lambda psi: descent_gradient(psi, **scales),
+        psi0, retract=lambda psi, v: psi.with_values(psi.values + v),
+        project=_tangent, step_init=cfg.step_init, max_iters=cfg.max_iters,
+        on_step=on_step, step_cap=cfg.step_cap)
     return RelaxRun(history, psi, termination, cfg)
+
+
+def _tangent(psi, v):
+    """v minus its component along the unit site vectors of psi."""
+    p = psi.values
+    return v - np.einsum("...i,...i->...", v, p)[..., None] * p
 
 
 def charge_guard(run, threshold=0.25):

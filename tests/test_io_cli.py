@@ -9,6 +9,7 @@ import pytest
 from conftest import smooth_cp1_map, smooth_lift
 from hopfion import algebra as alg
 from hopfion import fields as fl
+from hopfion import gauge, minimize
 from hopfion import io as hio
 from hopfion.cli import main
 from hopfion.energy import energy_map
@@ -293,6 +294,41 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists() and not (tmp_path / "a.psi.hopf").exists()
 
+    @pytest.mark.parametrize("where", ["missing_parent", "under_file"])
+    def test_ansatz_unwritable_out_exit_2(self, tmp_path, capsys, where):
+        out = _unwritable(tmp_path, where)
+        assert main(["ansatz", "--kind", "constant", "--n", "8", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("where", ["under_file", "is_file"])
+    def test_relax_unwritable_dir_exit_2(self, tmp_path, capsys, monkeypatch, where):
+        monkeypatch.setattr(minimize, "relax", lambda *a, **k: pytest.fail("relax ran"))
+        outdir = _unwritable(tmp_path, where)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid.n = 8\noutput.dir = {outdir}\n")
+        assert main(["relax", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("where", ["missing_parent", "under_file"])
+    def test_check_unwritable_json_exit_2(self, tmp_path, capsys, monkeypatch, where):
+        monkeypatch.setattr(gauge, "identity_suite", lambda *a, **k: pytest.fail("suite ran"))
+        out = _unwritable(tmp_path, where)
+        assert main(["check", "--sizes", "16,32", "--json-out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("where", ["missing_parent", "under_file"])
+    def test_export_unwritable_out_exit_2(self, tmp_path, capsys, where):
+        prefix = str(tmp_path / "e")
+        assert main(["ansatz", "--kind", "constant", "--n", "8", "--out", prefix]) == 0
+        capsys.readouterr()
+        out = _unwritable(tmp_path, where)
+        assert main(["export", "--in", prefix + ".psi.hopf", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_history_csv_schema(self, tmp_path, rng):
         psi0 = smooth_cp1_map(Grid(12), rng, amplitude=0.4)
         run = relax(psi0, RelaxConfig(max_iters=4, grad_tol=1e-12, charge_check_every=2))
@@ -306,6 +342,14 @@ class TestCli:
             assert row == plain and row[4] == row.grad_norm
             assert [None if tok == "" else float(tok) for tok in line.split(",")] == [
                 None if v is None else float(v) for v in plain]
+
+
+def _unwritable(tmp_path, where):
+    """An output path whose parent is missing or a regular file, or that is a file."""
+    regular = tmp_path / "file"
+    regular.write_text("")
+    return {"missing_parent": tmp_path / "missing" / "x", "under_file": regular / "x",
+            "is_file": regular}[where]
 
 
 def _forged_snapshot(path, meta=None, payload=None, meta_bytes=None):

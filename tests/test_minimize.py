@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ from hopfion import minimize
 from hopfion.energy import descent_energy
 from hopfion.lattice import Grid
 from hopfion.minimize import HistoryRow, RelaxConfig, RelaxRun, charge_guard, relax
+from hopfion.topology import whitehead_charge
 
 
 class TestConfig:
@@ -94,9 +100,26 @@ class TestRelax:
         run2 = relax(psi0, cfg)
         assert run1.history == run2.history
 
+    def test_history_independent_of_blas_threads(self):
+        # a BLAS dot product splits its sum over the threads: descend's
+        # inner products must not depend on the thread caps
+        script = ("from hopfion import fields, minimize; from hopfion.lattice import Grid; "
+                  "psi, _ = fields.make_ansatz('hopf', Grid(16), 1); "
+                  "cfg = minimize.RelaxConfig(max_iters=30, charge_check_every=0); "
+                  "print(repr(minimize.relax(psi, cfg).history))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, text=True, timeout=300).stdout)
+        assert outs[0] == outs[1] and outs[0].count("HistoryRow") == 31
+
     def test_rotation_equivariance(self, rng):
         # relaxing the rotated field equals rotating the relaxed field: the
-        # energy, its gradient and the BB step are rotation invariant
+        # energy, its gradient and the L-BFGS inner products are rotation
+        # invariant
         grid = Grid(12)
         psi0 = smooth_cp1_map(grid, rng, amplitude=0.4)
         g = alg.random_unit_quaternions(rng)
@@ -107,6 +130,27 @@ class TestRelax:
         run_b = relax(rotated, cfg)
         moved = alg.qrotate(g, run_a.final_psi.values)
         assert np.max(np.abs(moved - run_b.final_psi.values)) < 1e-8
+
+    def test_topology_barrier_stalls(self, monkeypatch):
+        # at n = 16 the charge-1 relaxation meets a wrapped plaquette (area
+        # +-pi) in descent_energy; the run must stop there, not creep along
+        # the kink until a step unwinds the charge.  The bounds are the
+        # Barzilai-Borwein run this replaced: stalled at charge 0.878 after
+        # 1194 energy evaluations
+        calls = []
+
+        def energy(psi, **kwargs):
+            calls.append(None)
+            return descent_energy(psi, **kwargs)
+
+        monkeypatch.setattr(minimize, "descent_energy", energy)
+        psi0, _ = fl.make_ansatz("hopf", Grid(16), 1)
+        run = relax(psi0, RelaxConfig())
+        energies = run.energies()
+        assert run.termination == "stalled"
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+        assert abs(whitehead_charge(run.final_psi) - 0.878) <= 0.05
+        assert len(calls) <= 1194
 
     def test_checkpoint_callback(self, rng):
         psi0 = smooth_cp1_map(Grid(12), rng, amplitude=0.4)
@@ -122,6 +166,59 @@ class TestRelax:
                                       charge_check_every=10))
         iters = [it for it, _ in run.charges()]
         assert iters == [0, 10, 20]
+
+
+def _descend(objective, gradient, x0, project=lambda x, v: v, max_iters=100, tol=1e-10):
+    """minimize.descend on R^n; returns (termination, objective values seen)."""
+    seen = []
+
+    def on_step(it, x, terms, grad, step):
+        seen.append(sum(terms))
+        return "converged" if np.linalg.norm(grad) <= tol else None
+
+    _, termination = minimize.descend(objective, gradient, x0, retract=lambda x, v: x + v,
+                                      project=project, step_init=0.2, max_iters=max_iters,
+                                      on_step=on_step)
+    return termination, seen
+
+
+class TestDescend:
+    def test_quasi_newton_on_ill_conditioned_quadratic(self):
+        # curvatures 1..100: the best fixed gradient step contracts the
+        # error by 0.98 per step, about 1400 steps to |grad| <= 1e-10; L-BFGS
+        # takes 77
+        k = np.linspace(1.0, 100.0, 20)
+        termination, seen = _descend(lambda x: (0.5 * float(np.dot(k * x, x)),),
+                                     lambda x: k * x, np.ones(20), max_iters=100)
+        assert termination == "converged"
+        assert all(b < a for a, b in zip(seen, seen[1:]))
+
+    def test_failed_search_retries_along_gradient(self):
+        # from the second step on the "projection" turns the quasi-Newton
+        # direction uphill; descend must fall back to the gradient
+        calls = []
+
+        def uphill(x, v):
+            calls.append(None)
+            return v if len(calls) == 1 else -v
+
+        termination, seen = _descend(lambda x: (0.5 * float(np.dot(x, x)),), lambda x: x,
+                                     np.ones(3), project=uphill, max_iters=5)
+        assert termination == "max_iters" and len(seen) == 6
+
+    def test_kink_stalls_instead_of_creeping(self):
+        # |x| at 1e-6 from its kink: only steps of 2^-17 of the first trial
+        # or less descend, more halvings than a line search may take
+        termination, seen = _descend(lambda x: (float(np.abs(x).sum()),), np.sign,
+                                     np.full(1, 1e-6))
+        assert termination == "stalled" and seen == [1e-6]
+
+    def test_no_step_without_decrease(self):
+        # a gradient too small to move the objective at float precision: the
+        # Armijo bound rounds to f itself, and an equal value is no descent
+        termination, seen = _descend(lambda x: (1.0,), lambda x: np.full(4, 1e-30),
+                                     np.zeros(4), tol=0.0)
+        assert termination == "stalled" and seen == [1.0]
 
 
 class TestChargeGuard:
