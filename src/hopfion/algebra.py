@@ -30,14 +30,31 @@ UNIT_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 def qmul(p, q):
-    """Hamilton product of quaternion arrays, broadcasting over leading axes."""
+    """Hamilton product of quaternion arrays, broadcasting over leading axes.
+
+    w = p0 q0 - p.q and v = p0 q + q0 p + p x q, component by component
+    into the output, with the sums in the order of np.sum and np.cross.
+    """
     p = np.asarray(p)
     q = np.asarray(q)
-    pw, pv = p[..., :1], p[..., 1:]
-    qw, qv = q[..., :1], q[..., 1:]
-    w = pw * qw - np.sum(pv * qv, axis=-1, keepdims=True)
-    v = pw * qv + qw * pv + np.cross(pv, qv)
-    return np.concatenate([w, v], axis=-1)
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape), dtype=np.result_type(p, q))
+    p0, p1, p2, p3 = (p[..., k] for k in range(4))
+    q0, q1, q2, q3 = (q[..., k] for k in range(4))
+    w = out[..., 0]
+    np.multiply(p1, q1, out=w)
+    w += p2 * q2
+    w += p3 * q3
+    np.subtract(p0 * q0, w, out=w)
+    for k, pk, qk, (a, b, c, d) in ((1, p1, q1, (p2, q3, p3, q2)),
+                                    (2, p2, q2, (p3, q1, p1, q3)),
+                                    (3, p3, q3, (p1, q2, p2, q1))):
+        v = out[..., k]
+        np.multiply(p0, qk, out=v)
+        v += q0 * pk
+        cross = a * b
+        cross -= c * d
+        v += cross
+    return out
 
 
 def qconj(q):
@@ -444,10 +461,16 @@ def plaquette_areas(p, with_grads=False):
     for mu, nu in SLOTS2:
         p10 = np.roll(p, -1, axis=mu + 1)
         p11 = np.roll(p10, -1, axis=nu + 1)
-        p01 = np.roll(p, -1, axis=nu + 1)
         if not with_grads:
-            yield (mu, nu), _triangle(p, p10, p11, False) + _triangle(p, p11, p01, False)
+            # x+mu is freed before x+nu is made: two shifted copies at a time
+            area = _triangle(p, p10, p11, False)
+            del p10
+            p01 = np.roll(p, -1, axis=nu + 1)
+            area += _triangle(p, p11, p01, False)
+            del p11, p01
+            yield (mu, nu), area
             continue
+        p01 = np.roll(p, -1, axis=nu + 1)
         a1, g00, g10, g11 = _triangle(p, p10, p11, True)
         a2, g2a, g2b, g01 = _triangle(p, p11, p01, True)
         g00 += g2a

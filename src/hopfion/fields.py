@@ -129,14 +129,17 @@ def links(u, axis):
 def pure_gauge_potential(u, phi=None):
     """a = u^-1 du from principal logs of link variables, exactly g-valued."""
     h = u.grid.h
-    slots = []
+    inv = u.inverse_values()
+    data = np.empty(u.values.shape[:3] + (3, u.pair.dim_g))
     for mu in range(3):
-        ell = links(u, mu)
+        ell = u.pair.mul(inv, np.roll(u.values, -1, axis=mu))
         if u.pair.group_kind == "quaternion":
-            slots.append(alg.qlog(ell) / h)
+            coeffs = alg.qlog(ell)
         else:
-            slots.append(u.pair.coeffs_of(alg.matrix_log_unitary(ell)) / h)
-    a = LatticeField.from_slots(u.grid, 1, slots)
+            coeffs = u.pair.coeffs_of(alg.matrix_log_unitary(ell))
+        del ell
+        np.divide(coeffs, h, out=data[:, :, :, mu])
+    a = LatticeField(u.grid, 1, data)
     ref = phi if phi is not None else (
         constant_map(u.grid) if u.pair.name == "su2_u1" else None)
     return PotentialField(a, ref, u.pair)

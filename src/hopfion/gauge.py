@@ -25,6 +25,7 @@ from . import fields as fl
 from .energy import comm_wedge, energy_map, energy_potential
 from .errors import ConfigError
 from .lattice import SLOTS2, Grid, LatticeField, d, forward_diff, l2_norm, wedge
+from .minimize import descend
 
 ISOTROPY_TOL = 1e-10
 
@@ -386,11 +387,6 @@ def gauge_smooth(b, phi, iterations=200, step=0.2):
     history (start and accepted steps) decreases strictly by the Armijo
     test.  This is a heuristic smoothing pass, not a compactness statement.
     """
-    # imported here: at module level it pulls minimize and topology in before
-    # the rest of the package, and that import order alone moved the peak RSS
-    # of the n = 48 charge routes (glibc heap layout) from about 77.5 to 87 MB
-    from .minimize import descend
-
     if not phi.is_cp1:
         raise ValueError("gauge smoothing is implemented for the CP1 pair")
     bfield = b.a if isinstance(b, fl.PotentialField) else b

@@ -124,24 +124,32 @@ def _epsilon_wedge(A, B, G):
     return out
 
 
+def _trace_wedge_data(A, B, G, T):
+    """tr(A ^ B ^ G) per site for 1-form data (..., 3, dim); leading axes free."""
+    c = _epsilon_scale(T)
+    if c is not None:
+        out = _epsilon_wedge(A, B, G)
+        out *= c
+        return out
+    out = np.zeros(A.shape[:-2])
+    for (i, j, k), sign in _SLOT_PERMS:
+        out += sign * np.einsum("abc,...a,...b,...c->...",
+                                T, A[..., i, :], B[..., j, :], G[..., k, :])
+    return out
+
+
 def triple_trace_wedge(alpha, beta, gamma, trace_tensor):
     """tr(alpha ^ beta ^ gamma) as a scalar 3-form, trace via the pair tensor.
 
     A tensor c * epsilon takes the determinant kernel; any other tensor
     (su3_t2) the generic einsum contraction.
     """
-    grid = alpha.grid
-    T = trace_tensor
-    c = _epsilon_scale(T)
-    if c is not None:
-        out = _epsilon_wedge(alpha.data, beta.data, gamma.data)
-        out *= c
-        return LatticeField(grid, 3, out[..., None, None])
-    out = np.zeros((grid.n,) * 3)
-    for (i, j, k), sign in _SLOT_PERMS:
-        out += sign * np.einsum("abc,...a,...b,...c->...",
-                                T, alpha.slot(i), beta.slot(j), gamma.slot(k))
-    return LatticeField(grid, 3, out[..., None, None])
+    out = _trace_wedge_data(alpha.data, beta.data, gamma.data, trace_tensor)
+    return LatticeField(alpha.grid, 3, out[..., None, None])
+
+
+# x-planes per slab of the Chern-Simons integrand
+_CS_SLAB = 8
 
 
 def chern_simons_charge(a, pair=None, normalization=CHERN_SIMONS_SU_N):
@@ -150,25 +158,40 @@ def chern_simons_charge(a, pair=None, normalization=CHERN_SIMONS_SU_N):
     The four traces (par^3, 3 par^2 perp, 3 par perp^2, perp^3) are formed
     separately and summed; for the CP1 reference the first two vanish
     identically and the split reduces to the helicity-type cross terms.
+    The split and the traces are pointwise, so they run slab by slab along
+    x into four full-grid trace arrays: the split parts never exist for
+    the whole grid at once, and the sums equal the whole-grid ones.
     """
     pair = pair if pair is not None else a.pair
-    apar, aperp = a.split()
+    T = pair.trace_tensor
+    n = a.grid.n
     h3 = a.grid.h ** 3
     values = []
     for block in range(pair.n_blocks):
         idx = list(pair.simple_block_map[block])
-        T = pair.trace_tensor
-        par = LatticeField(a.grid, 1, _restrict(apar.data, idx))
-        perp = LatticeField(a.grid, 1, _restrict(aperp.data, idx))
-        terms = (
-            triple_trace_wedge(par, par, par, T),
-            3.0 * triple_trace_wedge(par, par, perp, T),
-            3.0 * triple_trace_wedge(par, perp, perp, T),
-            triple_trace_wedge(perp, perp, perp, T),
-        )
-        total = sum(float(np.sum(t.data)) for t in terms) * h3
+        terms = np.empty((4, n, n, n))
+        for lo in range(0, n, _CS_SLAB):
+            x = slice(lo, lo + _CS_SLAB)
+            apar, aperp = _split_slab(a, x)
+            par, perp = _restrict(apar, idx), _restrict(aperp, idx)
+            del apar, aperp
+            terms[0, x] = _trace_wedge_data(par, par, par, T)
+            np.multiply(3.0, _trace_wedge_data(par, par, perp, T), out=terms[1, x])
+            np.multiply(3.0, _trace_wedge_data(par, perp, perp, T), out=terms[2, x])
+            terms[3, x] = _trace_wedge_data(perp, perp, perp, T)
+        total = sum(float(np.sum(t)) for t in terms) * h3
         values.append(normalization * total)
     return ChargeReport(cs_value=np.array(values))
+
+
+def _split_slab(a, x):
+    """(par, perp) data of the potential a on the x-planes x, as split_form makes them."""
+    data = a.a.data[x]
+    if a.pair.dim_h == 0:
+        return np.zeros_like(data), data
+    if a.phi is None:
+        raise ValueError("isotropy split needs a reference map")
+    return alg.project_isotropy(a.pair, a.phi.values[x, :, :, None], data)
 
 
 def _restrict(data, idx):
@@ -227,9 +250,11 @@ def area_flux_2form(psi):
     if not psi.is_cp1:
         raise ValueError("area flux needs a CP1 map")
     # the plaquette area approximates h^2 times the 2-form component
-    slots = [area[..., None] / (4.0 * np.pi * psi.grid.h ** 2)
-             for _, area in alg.plaquette_areas(np.moveaxis(psi.values, -1, 0))]
-    return LatticeField.from_slots(psi.grid, 2, slots)
+    n = psi.grid.n
+    out = np.empty((n, n, n, len(SLOTS2), 1))
+    for slot, (_, area) in enumerate(alg.plaquette_areas(np.moveaxis(psi.values, -1, 0))):
+        np.divide(area, 4.0 * np.pi * psi.grid.h ** 2, out=out[:, :, :, slot, 0])
+    return LatticeField(psi.grid, 2, out)
 
 
 def _check_fluxes(F):
@@ -256,21 +281,20 @@ def solve_vector_potential(F):
     S = sum(np.abs(sm) ** 2 for sm in s)
     S[(0,) * 3] = 1.0  # zero mode handled separately
 
-    Fhat = np.zeros((3, 3, n, n, n), dtype=complex)
-    for slot, (mu, nu) in enumerate(SLOTS2):
-        f = np.fft.fftn(F.slot(slot)[..., 0])
-        Fhat[mu, nu] = f
-        Fhat[nu, mu] = -f
-    slots = []
+    # F_{nu mu} = -F_{mu nu}: one transform per slot, the sign applied at use
+    Fhat = [np.fft.fftn(F.slot(slot)[..., 0]) for slot in range(len(SLOTS2))]
+    out = np.empty((n, n, n, 3, 1))
     for nu in range(3):
         acc = np.zeros((n, n, n), dtype=complex)
         for mu in range(3):
-            if mu != nu:
-                acc += np.conj(s[mu]) * Fhat[mu, nu]
+            if mu < nu:
+                acc += np.conj(s[mu]) * Fhat[SLOTS2.index((mu, nu))]
+            elif mu > nu:
+                acc -= np.conj(s[mu]) * Fhat[SLOTS2.index((nu, mu))]
         acc /= S
         acc[(0,) * 3] = 0.0
-        slots.append(np.real(np.fft.ifftn(acc))[..., None])
-    return LatticeField.from_slots(grid, 1, slots)
+        out[:, :, :, nu, 0] = np.real(np.fft.ifftn(acc))
+    return LatticeField(grid, 1, out)
 
 
 def _whitehead_plain(psi, return_fields=False):
@@ -332,60 +356,73 @@ _FACE_PARITY = {0: 1.0, 1: -1.0, 2: 1.0}
 def _face_crossings(psi, p):
     """All transversal crossings of the preimage of p through cell faces.
 
-    Returns arrays: position (physical, may wrap), the cube the curve
-    enters, the cube it exits, one row per crossing.
+    Returns one (position (physical, may wrap), cube entered, cube exited)
+    triple per crossing.  The frame components stay separate arrays and
+    each face keeps two shifted copies of them at a time.
     """
     n = psi.grid.n
-    h = psi.grid.h
     p, e1, e2 = _orthonormal_frame(p)
-    f1 = psi.values @ e1
-    f2 = psi.values @ e2
-    f3 = psi.values @ p
+    f = [psi.values @ e1, psi.values @ e2, psi.values @ p]
     crossings = []
-
-    base = np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij"), axis=-1)
     for rho in range(3):
         mu, nu = _FACE_AXES[rho]
-        par = _FACE_PARITY[rho]
-        c00 = np.stack([f1, f2, f3], axis=-1)
-        c10 = np.roll(c00, -1, axis=mu)
-        c01 = np.roll(c00, -1, axis=nu)
-        c11 = np.roll(c10, -1, axis=nu)
+        c10 = [np.roll(x, -1, axis=mu) for x in f]
+        c11 = [np.roll(x, -1, axis=nu) for x in c10]
         # two triangles per face, diagonal 00-11
-        for (A, B, C), corners in (
-            ((c00, c10, c11), ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))),
-            ((c00, c11, c01), ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0))),
-        ):
-            d1 = B[..., :2] - A[..., :2]
-            d2 = C[..., :2] - A[..., :2]
-            det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lb = (-A[..., 0] * d2[..., 1] + A[..., 1] * d2[..., 0]) / det
-                lc = (-d1[..., 0] * A[..., 1] + d1[..., 1] * A[..., 0]) / det
-                hemi = (1.0 - lb - lc) * A[..., 2] + lb * B[..., 2] + lc * C[..., 2]
-                ok = ((np.abs(det) > 1e-14) & (lb >= 0) & (lc >= 0)
-                      & (lb + lc <= 1) & (hemi > 0))
-            if not np.any(ok):
-                continue
-            idx = np.argwhere(ok)
-            lbv = lb[ok]
-            lcv = lc[ok]
-            sgn = np.sign(det[ok]) * par
-            (a0, a1), (b0, b1), (cc0, cc1) = corners
-            o1 = (1 - lbv - lcv) * a0 + lbv * b0 + lcv * cc0
-            o2 = (1 - lbv - lcv) * a1 + lbv * b1 + lcv * cc1
-            pos = idx.astype(float)
-            pos[:, mu] += o1
-            pos[:, nu] += o2
-            for row, s, pp in zip(idx, sgn, pos):
-                enter = row.copy()
-                exit_ = row.copy()
-                exit_[rho] -= 1  # the cube below the face, curve leaves it when s > 0
-                if s > 0:
-                    crossings.append((pp * h, tuple(enter % n), tuple(exit_ % n)))
-                else:
-                    crossings.append((pp * h, tuple(exit_ % n), tuple(enter % n)))
+        _collect_crossings(crossings, psi.grid, rho, _triangle_hits(f, c10, c11),
+                           ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
+        del c10
+        c01 = [np.roll(x, -1, axis=nu) for x in f]
+        _collect_crossings(crossings, psi.grid, rho, _triangle_hits(f, c11, c01),
+                           ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
     return crossings
+
+
+def _triangle_hits(A, B, C):
+    """(ok, lb, lc, det): where the frame origin lies in the projected triangle ABC.
+
+    A, B, C are the corner values as component lists; lb and lc are the
+    barycentric weights of B and C, and ok also asks for the upper
+    hemisphere (third component positive at the hit).
+    """
+    d1x, d1y = B[0] - A[0], B[1] - A[1]
+    d2x, d2y = C[0] - A[0], C[1] - A[1]
+    det = d1x * d2y - d1y * d2x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lb = (-A[0] * d2y + A[1] * d2x) / det
+        lc = (-d1x * A[1] + d1y * A[0]) / det
+        del d1x, d1y, d2x, d2y
+        hemi = (1.0 - lb - lc) * A[2] + lb * B[2] + lc * C[2]
+        ok = ((np.abs(det) > 1e-14) & (lb >= 0) & (lc >= 0)
+              & (lb + lc <= 1) & (hemi > 0))
+    return ok, lb, lc, det
+
+
+def _collect_crossings(crossings, grid, rho, hits, corners):
+    """Append the crossings of one triangle family of the rho faces."""
+    ok, lb, lc, det = hits
+    if not np.any(ok):
+        return
+    n = grid.n
+    mu, nu = _FACE_AXES[rho]
+    idx = np.argwhere(ok)
+    lbv = lb[ok]
+    lcv = lc[ok]
+    up = np.sign(det[ok]) * _FACE_PARITY[rho] > 0
+    (a0, a1), (b0, b1), (cc0, cc1) = corners
+    pos = idx.astype(float)
+    pos[:, mu] += (1 - lbv - lcv) * a0 + lbv * b0 + lcv * cc0
+    pos[:, nu] += (1 - lbv - lcv) * a1 + lbv * b1 + lcv * cc1
+    pos *= grid.h
+    # the cube below the face: the curve leaves it when the sign is positive
+    below = idx.copy()
+    below[:, rho] -= 1
+    below %= n
+    for pp, face, under, s in zip(pos, idx.tolist(), below.tolist(), up.tolist()):
+        if s:
+            crossings.append((pp, tuple(face), tuple(under)))
+        else:
+            crossings.append((pp, tuple(under), tuple(face)))
 
 
 def preimage_curves(psi, p, max_attempts=4):

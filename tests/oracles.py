@@ -90,6 +90,14 @@ def gauss_integral_linking(c1, c2):
     return total / (4.0 * np.pi)
 
 
+def qmul(p, q):
+    """The Hamilton product as algebra.qmul computed it with np.sum and np.cross."""
+    p, q = np.asarray(p), np.asarray(q)
+    pw, pv, qw, qv = p[..., :1], p[..., 1:], q[..., :1], q[..., 1:]
+    return np.concatenate([pw * qw - np.sum(pv * qv, axis=-1, keepdims=True),
+                           pw * qv + qw * pv + np.cross(pv, qv)], axis=-1)
+
+
 def spherical_triangle_area(a, b, c, with_grads=False):
     """Signed area of the geodesic triangle (a, b, c) on the unit 2-sphere.
 
@@ -170,15 +178,19 @@ def area_flux_2form(psi):
 
 def triple_trace_wedge(alpha, beta, gamma, trace_tensor):
     """tr(alpha ^ beta ^ gamma) as a scalar 3-form, trace via the pair tensor."""
-    grid = alpha.grid
-    T = trace_tensor
-    out = np.zeros((grid.n,) * 3)
+    out = triple_trace_wedge_data(alpha.data, beta.data, gamma.data, trace_tensor)
+    return LatticeField(alpha.grid, 3, out[..., None, None])
+
+
+def triple_trace_wedge_data(A, B, G, T):
+    """The same trace on 1-form data (..., 3, dim), any leading axes."""
+    out = np.zeros(A.shape[:-2])
     perms = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
              ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0))
     for (i, j, k), sign in perms:
         out += sign * np.einsum("abc,...a,...b,...c->...",
-                                T, alpha.slot(i), beta.slot(j), gamma.slot(k))
-    return LatticeField(grid, 3, out[..., None, None])
+                                T, A[..., i, :], B[..., j, :], G[..., k, :])
+    return out
 
 
 def cp1_split_potential(a, phi):

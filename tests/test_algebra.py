@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hopfion import algebra as alg
+import oracles
 
 I = np.array([0.0, 1.0, 0.0, 0.0])
 J = np.array([0.0, 0.0, 1.0, 0.0])
@@ -32,6 +33,12 @@ class TestQuaternions:
         lhs = alg.qmul(alg.qmul(p, q), r)
         rhs = alg.qmul(p, alg.qmul(q, r))
         assert np.max(np.abs(lhs - rhs)) < 1e-14
+
+    def test_matches_sum_and_cross_formula_bitwise(self, rng):
+        # the component-wise product keeps the rounding of the array formula
+        p = rng.standard_normal((64, 4))
+        q = rng.standard_normal((5, 64, 4))
+        assert np.array_equal(alg.qmul(p, q), oracles.qmul(p, q))
 
     def test_exp_log_roundtrip(self, rng):
         v = rng.standard_normal((128, 3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,7 @@ class TestTripleTraceKernel:
     def test_chern_simons_from_lift_unmoved(self, q, monkeypatch):
         _, u = fl.make_ansatz("hopf", Grid(24), q)
         got = tp.chern_simons_from_lift(u).cs_value
-        monkeypatch.setattr(tp, "triple_trace_wedge", oracles.triple_trace_wedge)
+        monkeypatch.setattr(tp, "_trace_wedge_data", oracles.triple_trace_wedge_data)
         ref = tp.chern_simons_from_lift(u).cs_value
         assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -206,6 +208,36 @@ class TestOrientationAndAgreement:
             wh = tp.whitehead_charge(psi)
             lk = tp.linking_charge(psi)
             assert cs.rounded[0] == int(round(wh)) == lk == q
+
+
+class TestRouteMemory:
+    """Each charge route keeps its temporaries a few full-grid 1-forms deep.
+
+    Peaks above the inputs come from tracemalloc, which sees numpy's
+    buffers, in units of one (n, n, n, 3, 3) float array at n = 32.  Deep
+    whole-grid temporaries make the peak memory of a process that runs
+    the routes repeatedly depend on the heap layout.
+    """
+
+    @staticmethod
+    def _peak_in_forms(fn, field):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn(field)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        return peak / (field.grid.n ** 3 * 9 * 8)
+
+    @pytest.mark.parametrize("route, budget", [
+        ("chern_simons", 3.25), ("whitehead", 2.6), ("linking", 2.5)])
+    def test_transient_memory(self, route, budget):
+        psi, u = fl.make_ansatz("hopf", Grid(32), 1)
+        fn, field = {"chern_simons": (tp.chern_simons_from_lift, u),
+                     "whitehead": (tp.whitehead_charge, psi),
+                     "linking": (tp.linking_charge, psi)}[route]
+        assert self._peak_in_forms(fn, field) <= budget
 
 
 class TestSectors:
