@@ -98,8 +98,14 @@ class LatticeField:
         return LatticeField(self.grid, self.degree, fn(self.data))
 
     def norm2_density(self):
-        """Pointwise squared norm, summed over slots and components."""
-        return np.sum(self.data * self.data, axis=(3, 4))
+        """Pointwise squared norm, summed over slots and components.
+
+        One x-plane at a time, so the squares never fill a second field.
+        """
+        out = np.empty(self.data.shape[:3], dtype=self.data.dtype)
+        for x, plane in enumerate(self.data):
+            np.sum(plane * plane, axis=(2, 3), out=out[x])
+        return out
 
     # small linear algebra of fields
     def __add__(self, other):
@@ -156,7 +162,12 @@ def _prod_scalar(a, b):
 
 
 def _prod_cross(a, b):
-    return np.cross(a, b)
+    """np.cross on the last axis, component by component in its operation order."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[..., i], b[..., j], out=out[..., k])
+        out[..., k] -= a[..., j] * b[..., i]
+    return out
 
 
 def _prod_dot(a, b):
@@ -205,10 +216,14 @@ def wedge(alpha, beta, product):
             slots.append(p(o, s) if flip else p(s, o))
         return LatticeField.from_slots(g, other.degree, slots)
     if (ka, kb) == (1, 1):
-        slots = []
-        for mu, nu in SLOTS2:
-            slots.append(p(alpha.slot(mu), beta.slot(nu)) - p(alpha.slot(nu), beta.slot(mu)))
-        return LatticeField.from_slots(g, 2, slots)
+        data = None
+        for slot, (mu, nu) in enumerate(SLOTS2):
+            first = p(alpha.slot(mu), beta.slot(nu))
+            if data is None:
+                data = np.empty(first.shape[:3] + (len(SLOTS2),) + first.shape[3:],
+                                dtype=first.dtype)
+            np.subtract(first, p(alpha.slot(nu), beta.slot(mu)), out=data[:, :, :, slot])
+        return LatticeField(g, 2, data)
     if (ka, kb) == (1, 2):
         out = (p(alpha.slot(0), beta.slot(2))
                - p(alpha.slot(1), beta.slot(1))

@@ -111,6 +111,16 @@ class TestWedge:
         rhs = wedge(b, a, "dot")
         assert np.max(np.abs(lhs.data + rhs.data)) < 1e-12
 
+    def test_cross_and_norm_density_round_as_numpy(self, grid12, rng):
+        # component-wise kernels keep np.cross's and np.sum's rounding
+        a = random_field(grid12, 1, 3, rng)
+        b = random_field(grid12, 1, 3, rng)
+        w = wedge(a, b, "cross")
+        ref = np.stack([np.cross(a.slot(mu), b.slot(nu)) - np.cross(a.slot(nu), b.slot(mu))
+                        for mu, nu in ((0, 1), (0, 2), (1, 2))], axis=3)
+        assert np.array_equal(w.data, ref)
+        assert np.array_equal(w.norm2_density(), np.sum(ref * ref, axis=(3, 4)))
+
     def test_degree_overflow_rejected(self, grid12, rng):
         a = random_field(grid12, 2, 1, rng)
         b = random_field(grid12, 2, 1, rng)
