@@ -11,16 +11,22 @@ quaternions.
 A general pair (G, H) is represented by explicit anti-Hermitian basis
 matrices of g in the defining representation, with H selected by a subset
 of basis indices; group elements are then unitary matrices.
+
+The whole-grid kernels (qmul, qrotate, qconj, qembed, qexp, qlog, the su2
+bracket, the CP1 split, plaquette_areas) work component by component and
+round exactly as the np.sum / np.cross / np.sinc formulas they replaced;
+they take their last-axis cross and dot from lattice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import RoughFieldError
-from .lattice import SLOTS2
+from .lattice import SLOTS2, cross, dot
 
 UNIT_TOL = 1e-8
 
@@ -59,7 +65,10 @@ def qmul(p, q):
 
 def qconj(q):
     q = np.asarray(q)
-    return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
+    out = np.empty(q.shape, dtype=q.dtype)
+    out[..., 0] = q[..., 0]
+    np.negative(q[..., 1:], out=out[..., 1:])
+    return out
 
 
 def qnorm(q):
@@ -74,8 +83,10 @@ def qnormalize(q):
 def qembed(v):
     """Imaginary-part coefficients (..., 3) as full quaternions (..., 4)."""
     v = np.asarray(v)
-    w = np.zeros(v.shape[:-1] + (1,), dtype=v.dtype)
-    return np.concatenate([w, v], axis=-1)
+    out = np.empty(v.shape[:-1] + (4,), dtype=v.dtype)
+    out[..., 0] = 0
+    out[..., 1:] = v
+    return out
 
 
 def qim(q):
@@ -86,10 +97,11 @@ def qexp(v):
     """Exponential of an imaginary quaternion given by coefficients (..., 3)."""
     v = np.asarray(v, dtype=float)
     theta = np.linalg.norm(v, axis=-1)
+    out = np.empty(v.shape[:-1] + (4,))
+    np.cos(theta, out=out[..., 0])
     # sinc is sin(pi x)/(pi x); safe at theta = 0
-    s = np.sinc(theta / np.pi)
-    w = np.cos(theta)[..., None]
-    return np.concatenate([w, s[..., None] * v], axis=-1)
+    np.multiply(np.sinc(theta / np.pi)[..., None], v, out=out[..., 1:])
+    return out
 
 
 def qlog(q, cut=np.pi - 1e-6):
@@ -99,20 +111,55 @@ def qlog(q, cut=np.pi - 1e-6):
     for link variables this means the field varies too fast for the grid.
     """
     q = np.asarray(q, dtype=float)
-    w = np.clip(q[..., 0], -1.0, 1.0)
     v = q[..., 1:]
-    s = np.linalg.norm(v, axis=-1)
-    theta = np.arctan2(s, w)
+    theta = np.linalg.norm(v, axis=-1, keepdims=True)
+    np.arctan2(theta, np.clip(q[..., :1], -1.0, 1.0), out=theta)
     if np.any(theta >= cut):
         raise RoughFieldError("field too rough for grid")
-    # theta/sin(theta) without the 0/0: sinc(theta/pi) = sin(theta)/theta
-    factor = 1.0 / np.sinc(theta / np.pi)
-    return factor[..., None] * v
+    # theta/sin(theta) without the 0/0 as 1/np.sinc(theta/pi), in place and
+    # term for term: y = pi (theta/pi), 0 -> eps, sinc = sin(y)/y
+    y = theta
+    y /= np.pi
+    y *= np.pi
+    y[y == 0] = np.finfo(y.dtype).eps
+    factor = np.sin(y)
+    factor /= y
+    del theta, y
+    np.divide(1.0, factor, out=factor)
+    return factor * v
+
+
+# sites per slab of qrotate, so that its temporaries stay in a core's cache
+_SLAB_SITES = 1 << 13
 
 
 def qrotate(g, v):
-    """Adjoint action g v g^-1 on imaginary coefficients v (..., 3)."""
-    return qim(qmul(qmul(g, qembed(v)), qconj(g)))
+    """Adjoint action g v g^-1 on imaginary coefficients v (..., 3).
+
+    qim(qmul(qmul(g, qembed(v)), qconj(g))) fused, slab by slab along the
+    leading axis: t = g (0, v), then only the imaginary part of t g^-1,
+    each in qmul's operation order.  The terms with the embedded zero are
+    dropped (adding +-0 moves only the sign of a zero) and signs are taken
+    out of products (a (-b) = -(a b) exactly), so the values are the chain's.
+    """
+    g = np.asarray(g)
+    v = np.asarray(v)
+    shape = np.broadcast_shapes(g.shape[:-1], v.shape[:-1])
+    out = np.empty(shape + (3,), dtype=np.result_type(g, v))
+    lead = shape or (1,)
+    g = np.broadcast_to(g, lead + (4,))
+    v = np.broadcast_to(v, lead + (3,))
+    dest = out.reshape(lead + (3,))
+    rows = max(1, _SLAB_SITES // (math.prod(lead[1:]) or 1))
+    for x in range(0, lead[0], rows):
+        gw, gv, vx = g[x:x + rows, ..., :1], g[x:x + rows, ..., 1:], v[x:x + rows]
+        t = gw * vx                     # Im g (0, v); its real part is -(gv . v)
+        t += cross(gv, vx)
+        r = gw * t                      # Im (t g^-1)
+        r += dot(gv, vx)[..., None] * gv
+        r += cross(gv, t)
+        dest[x:x + rows] = r
+    return out
 
 
 def random_unit_quaternions(rng, shape=()):
@@ -129,16 +176,6 @@ _SU2_BASIS = np.array(
     ],
     dtype=complex,
 )
-
-
-def quat_to_matrix(q):
-    """Unit quaternion (..., 4) to the SU2 matrix z + w j -> [[z, w], [-w~, z~]]."""
-    q = np.asarray(q)
-    eye = np.eye(2, dtype=complex)
-    out = q[..., 0, None, None] * eye
-    for a in range(3):
-        out = out + q[..., 1 + a, None, None] * _SU2_BASIS[a]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +243,7 @@ class HomogeneousPair:
     def bracket(self, xi, eta):
         """[xi, eta] on coefficient arrays (..., dim_g)."""
         if self.group_kind == "quaternion":
-            return 2.0 * np.cross(xi, eta)
+            return 2.0 * cross(xi, eta)
         return np.einsum("...a,...b,abc->...c", xi, eta, self.structure_consts)
 
     def proj_h(self, xi):
@@ -348,7 +385,7 @@ def project_isotropy(pair, x, xi):
     if _is_cp1_point(pair, x):
         phi = np.asarray(x)
         check_unit(phi, "coset point")
-        par = np.sum(xi * phi, axis=-1, keepdims=True) * phi
+        par = dot(xi, phi)[..., None] * phi
         return par, xi - par
     g = np.asarray(x)
     down = pair.ad(pair.inverse(g), xi)
@@ -381,31 +418,6 @@ def cp1_point_of(g):
     i = np.zeros(np.asarray(g).shape[:-1] + (3,))
     i[..., 0] = 1.0
     return qrotate(g, i)
-
-
-def cp1_lift_of(point, tol=1e-12):
-    """One representative g with g i g^-1 = point (shortest rotation from i)."""
-    p = np.asarray(point, dtype=float)
-    check_unit(p, "coset point")
-    i = np.zeros_like(p)
-    i[..., 0] = 1.0
-    # rotation by angle arccos(i.p) about the normalized axis i x p
-    c = np.clip(p[..., 0], -1.0, 1.0)  # i . p
-    axis = np.cross(i, p)
-    s = np.linalg.norm(axis, axis=-1)
-    g = np.zeros(p.shape[:-1] + (4,))
-    reg = s > tol
-    half = 0.5 * np.arccos(c)
-    g[..., 0] = np.cos(half)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit_axis = np.where(reg[..., None], axis / np.where(reg, s, 1.0)[..., None], 0.0)
-    g[..., 1:] = np.sin(half)[..., None] * unit_axis
-    # antipode p = -i: rotate by pi about j
-    anti = (~reg) & (c < 0)
-    g[anti] = np.array([0.0, 0.0, 1.0, 0.0])
-    at_i = (~reg) & (c >= 0)
-    g[at_i] = np.array([1.0, 0.0, 0.0, 0.0])
-    return g
 
 
 def _dot(u, v):
@@ -482,17 +494,6 @@ def plaquette_areas(p, with_grads=False):
 # ---------------------------------------------------------------------------
 # exponentials / logarithms for matrix groups (near-identity regime)
 # ---------------------------------------------------------------------------
-
-def matrix_exp(X, terms=24):
-    """exp of anti-Hermitian matrices by plain series; meant for |X| <~ 1."""
-    X = np.asarray(X)
-    out = np.broadcast_to(np.eye(X.shape[-1], dtype=complex), X.shape).copy()
-    term = out.copy()
-    for k in range(1, terms + 1):
-        term = term @ X / k
-        out = out + term
-    return out
-
 
 def matrix_log_unitary(U, terms=48, radius=0.9):
     """Principal log of unitary matrices near the identity (Mercator series)."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import fields as fl
-from .lattice import LatticeField, SLOTS2, centered_diff, wedge
+from .lattice import LatticeField, SLOTS2, centered_diff, cross, dot, wedge
 
 # Site-wise ratio of the commutator-wedge Skyrme density to the literal
 # cross-product form on the half-scaled differential: |[x, y]| = 2 |x cross y|
@@ -48,7 +48,13 @@ def comm_wedge(omega, pair):
     """(w ^ w) under the matrix product: slot (mu, nu) equals [w_mu, w_nu]."""
     # antisymmetry doubles the single product: slot = 2 p(w_mu, w_nu)
     if pair.group_kind == "quaternion":
-        return wedge(omega, omega, "cross")
+        # one cross per slot: cross(w_nu, w_mu) is exactly -c, so the
+        # wedge's c - cross(w_nu, w_mu) is c + c
+        data = np.empty(omega.data.shape[:3] + (len(SLOTS2), omega.vdim))
+        for slot, (mu, nu) in enumerate(SLOTS2):
+            c = cross(omega.slot(mu), omega.slot(nu))
+            np.add(c, c, out=data[:, :, :, slot])
+        return LatticeField(omega.grid, 2, data)
     return wedge(omega, omega, lambda a, b: 0.5 * pair.bracket(a, b))
 
 
@@ -77,13 +83,13 @@ def energy_map(psi, variant="coisotropy", scale_dirichlet=1.0, scale_skyrme=1.0)
             raise ValueError("cross_product variant is defined for the CP1 pair only")
         halves = []
         for v in fl.map_tangents(psi):
-            vt = v - np.sum(v * psi.values, axis=-1, keepdims=True) * psi.values
+            vt = v - dot(v, psi.values)[..., None] * psi.values
             halves.append(0.5 * vt)
-        e2 = 0.5 * sum(np.sum(hm * hm, axis=-1) for hm in halves)
+        e2 = 0.5 * sum(dot(hm, hm) for hm in halves)
         e4 = np.zeros_like(e2)
         for mu, nu in SLOTS2:
-            c = np.cross(halves[mu], halves[nu])
-            e4 = e4 + np.sum(c * c, axis=-1)
+            c = cross(halves[mu], halves[nu])
+            e4 = e4 + dot(c, c)
         e4 = 0.25 * e4
         return _report(grid, e2, e4, "map/cross_product", scale_dirichlet, scale_skyrme)
 
@@ -195,21 +201,21 @@ def energy_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
     dEdv = [np.zeros_like(p) for _ in range(3)]
 
     for mu in range(3):
-        pv = np.sum(p * v[mu], axis=-1, keepdims=True)
-        vv = np.sum(v[mu] * v[mu], axis=-1, keepdims=True)
+        pv = dot(p, v[mu])[..., None]
+        vv = dot(v[mu], v[mu])[..., None]
         grad += (c2 / 4.0) * (vv * p - pv * v[mu])
         dEdv[mu] += (c2 / 4.0) * (v[mu] - pv * p)
 
     for mu, nu in SLOTS2:
-        cvv = np.cross(v[mu], v[nu])
-        s = np.sum(p * cvv, axis=-1, keepdims=True)
+        cvv = cross(v[mu], v[nu])
+        s = dot(p, cvv)[..., None]
         grad += (c4 / 8.0) * s * cvv
-        dEdv[mu] += (c4 / 8.0) * s * np.cross(v[nu], p)
-        dEdv[nu] += (c4 / 8.0) * s * np.cross(p, v[mu])
+        dEdv[mu] += (c4 / 8.0) * s * cross(v[nu], p)
+        dEdv[nu] += (c4 / 8.0) * s * cross(p, v[mu])
 
     for mu in range(3):
         grad -= centered_diff(dEdv[mu], mu, h)
 
     grad *= h ** 3
-    grad -= np.sum(grad * p, axis=-1, keepdims=True) * p
+    grad -= dot(grad, p)[..., None] * p
     return grad

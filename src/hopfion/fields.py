@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra as alg
-from .lattice import Grid, LatticeField, SLOTS2, centered_diff
+from .lattice import Grid, LatticeField, SLOTS2, centered_diff, cross
 
 def _unit_quat(values, renormalize, what):
     """Quaternion site values scaled to unit norm, or checked to be unit already."""
@@ -139,6 +139,7 @@ def pure_gauge_potential(u, phi=None):
             coeffs = u.pair.coeffs_of(alg.matrix_log_unitary(ell))
         del ell
         np.divide(coeffs, h, out=data[:, :, :, mu])
+        del coeffs  # before the next link is formed
     a = LatticeField(u.grid, 1, data)
     ref = phi if phi is not None else (
         constant_map(u.grid) if u.pair.name == "su2_u1" else None)
@@ -177,14 +178,6 @@ def map_tangents(psi):
     return [centered_diff(psi.values, mu, h) for mu in range(3)]
 
 
-def tangency_residual(psi):
-    """Smoothness diagnostic: max |psi . D_mu psi| over sites and axes."""
-    worst = 0.0
-    for v in map_tangents(psi):
-        worst = max(worst, float(np.max(np.abs(np.sum(v * psi.values, axis=-1)))))
-    return worst
-
-
 def pullback_coisotropy(psi):
     """psi^* omega-perp as a g-valued 1-form.
 
@@ -196,8 +189,11 @@ def pullback_coisotropy(psi):
     """
     g = psi.grid
     if psi.is_cp1:
-        slots = [0.5 * np.cross(psi.values, v) for v in map_tangents(psi)]
-        return LatticeField.from_slots(g, 1, slots)
+        data = np.empty(psi.values.shape[:3] + (3, 3))
+        for mu in range(3):
+            v = centered_diff(psi.values, mu, g.h)
+            np.multiply(0.5, cross(psi.values, v), out=data[:, :, :, mu])
+        return LatticeField(g, 1, data)
     if psi.pair.group_kind == "quaternion":
         # omega-perp = dg g^-1 for trivial H, on projected tangents
         slots = []

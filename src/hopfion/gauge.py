@@ -24,7 +24,7 @@ from . import algebra as alg
 from . import fields as fl
 from .energy import comm_wedge, energy_map, energy_potential
 from .errors import ConfigError
-from .lattice import SLOTS2, Grid, LatticeField, d, forward_diff, l2_norm, wedge
+from .lattice import SLOTS2, Grid, LatticeField, cross, d, dot, forward_diff, l2_norm, wedge
 from .minimize import descend
 
 ISOTROPY_TOL = 1e-10
@@ -140,8 +140,7 @@ def projector_derivative_wedge(phi, form):
     p = phi.values
 
     def dphi(mu, xi):
-        return (np.sum(xi * v[mu], axis=-1, keepdims=True) * p
-                + np.sum(xi * p, axis=-1, keepdims=True) * v[mu])
+        return dot(xi, v[mu])[..., None] * p + dot(xi, p)[..., None] * v[mu]
 
     if form.degree == 1:
         slots = []
@@ -393,11 +392,16 @@ def gauge_smooth(b, phi, iterations=200, step=0.2):
     grid = bfield.grid
     h = grid.h
     r = bfield + fl.pullback_coisotropy(phi)
+    last = [None, None]  # [theta, (stab, b^w)] of the latest point
 
     def transformed(theta):
-        stab = make_stabilizer(phi, theta)
-        return stab, gauge_transform_potential(fl.PotentialField(bfield, phi, phi.pair),
-                                               stab, phi, dw_scheme="exact").a
+        # descend evaluates the objective and then the gradient at each
+        # accepted point, on the same array: transform it once
+        if last[0] is not theta:
+            stab = make_stabilizer(phi, theta)
+            last[:] = theta, (stab, gauge_transform_potential(
+                fl.PotentialField(bfield, phi, phi.pair), stab, phi, dw_scheme="exact").a)
+        return last[1]
 
     def objective(theta):
         bw = transformed(theta)[1]
@@ -410,9 +414,9 @@ def gauge_smooth(b, phi, iterations=200, step=0.2):
         adr = ad_inverse_apply(stab.w, r)
         grad = np.zeros_like(theta)
         for mu in range(3):
-            cross_term = -2.0 * np.cross(phi.values, adr.slot(mu))
-            grad += 2.0 * np.sum(bw.slot(mu) * cross_term, axis=-1)
-            proj = np.sum(bw.slot(mu) * phi.values, axis=-1)
+            cross_term = -2.0 * cross(phi.values, adr.slot(mu))
+            grad += 2.0 * dot(bw.slot(mu), cross_term)
+            proj = dot(bw.slot(mu), phi.values)
             grad += 2.0 * (np.roll(proj, 1, axis=mu) - proj) / h
         return grad * h ** 3
 

@@ -7,6 +7,10 @@ d(d(f)) at roundoff and makes every integral of an exact form telescope
 to zero.  2-form slots are ordered (xy, xz, yz) and carry the single
 sum-over-i<j convention, so for Lie-algebra-valued 1-forms
 (a ^ a)_{ij} = [a_i, a_j].
+
+cross and dot are the package's one last-axis cross and dot product of
+3-vectors, in the operation order of np.cross and np.sum(a * b, axis=-1),
+whose rounding they keep; every whole-grid cross or dot product calls them.
 """
 
 from __future__ import annotations
@@ -161,12 +165,25 @@ def _prod_scalar(a, b):
     return a * b
 
 
-def _prod_cross(a, b):
+def cross(a, b):
     """np.cross on the last axis, component by component in its operation order."""
+    a, b = np.asarray(a), np.asarray(b)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
     for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[..., i], b[..., j], out=out[..., k])
         out[..., k] -= a[..., j] * b[..., i]
+    return out
+
+
+def dot(a, b):
+    """Dot product of 3-vectors on the last axis, x0 y0 + x1 y1 + x2 y2.
+
+    Summed in that order, as np.sum(a * b, axis=-1) sums a whole grid of
+    3-vectors, without the (..., 3) product array.
+    """
+    out = a[..., 0] * b[..., 0]
+    out += a[..., 1] * b[..., 1]
+    out += a[..., 2] * b[..., 2]
     return out
 
 
@@ -187,10 +204,10 @@ def _prod_quat(a, b):
 
 _PRODUCTS = {
     "scalar": _prod_scalar,
-    "cross": _prod_cross,
+    "cross": cross,
     "dot": _prod_dot,
     "quat": _prod_quat,
-    "bracket": lambda a, b: 2.0 * np.cross(a, b),  # su2 coefficient bracket
+    "bracket": lambda a, b: 2.0 * cross(a, b),  # su2 coefficient bracket
 }
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import algebra as alg
 from . import fields as fl
 from .gauge import IdentityResidual
-from .lattice import Grid, LatticeField, d, integrate_3form
+from .lattice import Grid, LatticeField, d, dot, integrate_3form
 
 ROUNDOFF = 1e-10
 
@@ -127,7 +127,7 @@ def invariant_suite(seed=0, samples=4096, n=16):
     rows.append(_entry("potential_split_reconstruction",
                        np.max(np.abs(apar.data + aperp.data - a.a.data)), budget=1e-12))
     rows.append(_entry("potential_split_orthogonality",
-                       np.max(np.abs(np.sum(apar.data * aperp.data, axis=-1))), budget=1e-12))
+                       np.max(np.abs(dot(apar.data, aperp.data))), budget=1e-12))
     return rows
 
 

@@ -17,7 +17,8 @@ carry the conversion.
 
 import numpy as np
 
-from hopfion.lattice import SLOTS2, LatticeField, centered_diff
+from hopfion.algebra import check_unit, su2_u1
+from hopfion.lattice import SLOTS2, LatticeField, centered_diff, wedge
 
 CHARGE_FROM_VOLUME = -1.0
 
@@ -96,6 +97,181 @@ def qmul(p, q):
     pw, pv, qw, qv = p[..., :1], p[..., 1:], q[..., :1], q[..., 1:]
     return np.concatenate([pw * qw - np.sum(pv * qv, axis=-1, keepdims=True),
                            pw * qv + qw * pv + np.cross(pv, qv)], axis=-1)
+
+
+def qconj(q):
+    """The quaternion conjugate as algebra.qconj computed it, by concatenation."""
+    q = np.asarray(q)
+    return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
+
+
+def qembed(v):
+    """Imaginary coefficients as full quaternions, as algebra.qembed computed it."""
+    v = np.asarray(v)
+    w = np.zeros(v.shape[:-1] + (1,), dtype=v.dtype)
+    return np.concatenate([w, v], axis=-1)
+
+
+def qexp(v):
+    """The quaternion exponential as algebra.qexp computed it."""
+    v = np.asarray(v, dtype=float)
+    theta = np.linalg.norm(v, axis=-1)
+    s = np.sinc(theta / np.pi)
+    w = np.cos(theta)[..., None]
+    return np.concatenate([w, s[..., None] * v], axis=-1)
+
+
+def qlog(q):
+    """The principal logarithm as algebra.qlog computed it, with np.sinc (no cut check)."""
+    q = np.asarray(q, dtype=float)
+    w = np.clip(q[..., 0], -1.0, 1.0)
+    v = q[..., 1:]
+    theta = np.arctan2(np.linalg.norm(v, axis=-1), w)
+    return (1.0 / np.sinc(theta / np.pi))[..., None] * v
+
+
+def qrotate(g, v):
+    """Ad(g) v as the chain qim(qmul(qmul(g, qembed(v)), qconj(g))) computed it.
+
+    The product is the library's qmul, which is held to the sum-and-cross
+    formula above bit for bit, so this is the chain as it ran before the
+    fused kernel, temporaries included.
+    """
+    from hopfion.algebra import qmul as component_qmul
+
+    return component_qmul(component_qmul(g, qembed(v)), qconj(g))[..., 1:]
+
+
+def cross(a, b):
+    """The last-axis cross product: numpy's own."""
+    return np.cross(a, b)
+
+
+def dot(a, b):
+    """The last-axis dot product as a numpy sum over the product array."""
+    return np.sum(np.asarray(a) * b, axis=-1)
+
+
+def comm_wedge(omega, pair):
+    """(w ^ w) as energy.comm_wedge computed it: the two-product wedge."""
+    if pair.group_kind == "quaternion":
+        return wedge(omega, omega, "cross")
+    return wedge(omega, omega, lambda a, b: 0.5 * pair.bracket(a, b))
+
+
+# library kernels that have an oracle above under the same name
+KERNELS = {"algebra": ("qconj", "qembed", "qexp", "qlog", "qrotate"),
+           "lattice": ("cross", "dot"),
+           "energy": ("comm_wedge",)}
+
+
+def patch_kernels(monkeypatch):
+    """Rebind each kernel of KERNELS to its oracle at every hopfion module
+    attribute and wedge product that holds it; returns the number rebound."""
+    import importlib
+    import pkgutil
+
+    import hopfion
+    from hopfion import lattice
+
+    swap = {}
+    for module, names in KERNELS.items():
+        mod = importlib.import_module(f"hopfion.{module}")
+        swap.update({getattr(mod, name): globals()[name] for name in names})
+    count = 0
+    for info in pkgutil.iter_modules(hopfion.__path__):
+        mod = importlib.import_module(f"hopfion.{info.name}")
+        for attr, obj in list(vars(mod).items()):
+            if callable(obj) and obj in swap:
+                monkeypatch.setattr(mod, attr, swap[obj])
+                count += 1
+    for key, fn in list(lattice._PRODUCTS.items()):
+        if fn in swap:
+            monkeypatch.setitem(lattice._PRODUCTS, key, swap[fn])
+            count += 1
+    return count
+
+
+def pullback_coisotropy_cp1(psi):
+    """psi^* omega-perp on CP1 as fields.pullback_coisotropy computed it with np.cross."""
+    slots = [0.5 * np.cross(psi.values, centered_diff(psi.values, mu, psi.grid.h))
+             for mu in range(3)]
+    return LatticeField.from_slots(psi.grid, 1, slots)
+
+
+def projector_derivative_wedge(phi, form):
+    """d Phi ^ form as gauge.projector_derivative_wedge computed it with np.sum."""
+    v = [centered_diff(phi.values, mu, phi.grid.h) for mu in range(3)]
+    p = phi.values
+
+    def dphi(mu, xi):
+        return (np.sum(xi * v[mu], axis=-1, keepdims=True) * p
+                + np.sum(xi * p, axis=-1, keepdims=True) * v[mu])
+
+    if form.degree == 1:
+        slots = [dphi(mu, form.slot(nu)) - dphi(nu, form.slot(mu)) for mu, nu in SLOTS2]
+        return LatticeField.from_slots(form.grid, 2, slots)
+    out = dphi(0, form.slot(2)) - dphi(1, form.slot(1)) + dphi(2, form.slot(0))
+    return LatticeField.from_slots(form.grid, 3, [out])
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers: references with no caller in the library
+# ---------------------------------------------------------------------------
+
+def quat_to_matrix(q):
+    """Unit quaternion (..., 4) to the SU2 matrix z + w j -> [[z, w], [-w~, z~]]."""
+    q = np.asarray(q)
+    basis = su2_u1().basis_matrices
+    out = q[..., 0, None, None] * np.eye(2, dtype=complex)
+    for a in range(3):
+        out = out + q[..., 1 + a, None, None] * basis[a]
+    return out
+
+
+def matrix_exp(X, terms=24):
+    """exp of anti-Hermitian matrices by plain series; meant for |X| <~ 1."""
+    X = np.asarray(X)
+    out = np.broadcast_to(np.eye(X.shape[-1], dtype=complex), X.shape).copy()
+    term = out.copy()
+    for k in range(1, terms + 1):
+        term = term @ X / k
+        out = out + term
+    return out
+
+
+def cp1_lift_of(point, tol=1e-12):
+    """One representative g with g i g^-1 = point (shortest rotation from i)."""
+    p = np.asarray(point, dtype=float)
+    check_unit(p, "coset point")
+    i = np.zeros_like(p)
+    i[..., 0] = 1.0
+    # rotation by angle arccos(i.p) about the normalized axis i x p
+    c = np.clip(p[..., 0], -1.0, 1.0)  # i . p
+    axis = np.cross(i, p)
+    s = np.linalg.norm(axis, axis=-1)
+    g = np.zeros(p.shape[:-1] + (4,))
+    reg = s > tol
+    half = 0.5 * np.arccos(c)
+    g[..., 0] = np.cos(half)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit_axis = np.where(reg[..., None], axis / np.where(reg, s, 1.0)[..., None], 0.0)
+    g[..., 1:] = np.sin(half)[..., None] * unit_axis
+    # antipode p = -i: rotate by pi about j
+    anti = (~reg) & (c < 0)
+    g[anti] = np.array([0.0, 0.0, 1.0, 0.0])
+    at_i = (~reg) & (c >= 0)
+    g[at_i] = np.array([1.0, 0.0, 0.0, 0.0])
+    return g
+
+
+def tangency_residual(psi):
+    """Smoothness diagnostic: max |psi . D_mu psi| over sites and axes."""
+    worst = 0.0
+    for mu in range(3):
+        v = centered_diff(psi.values, mu, psi.grid.h)
+        worst = max(worst, float(np.max(np.abs(np.sum(v * psi.values, axis=-1)))))
+    return worst
 
 
 def spherical_triangle_area(a, b, c, with_grads=False):

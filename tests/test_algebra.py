@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,8 +55,8 @@ class TestQuaternions:
     def test_matrix_representation(self, rng):
         p = alg.random_unit_quaternions(rng, (32,))
         q = alg.random_unit_quaternions(rng, (32,))
-        lhs = alg.quat_to_matrix(alg.qmul(p, q))
-        rhs = alg.quat_to_matrix(p) @ alg.quat_to_matrix(q)
+        lhs = oracles.quat_to_matrix(alg.qmul(p, q))
+        rhs = oracles.quat_to_matrix(p) @ oracles.quat_to_matrix(q)
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
@@ -90,6 +92,61 @@ class TestAdAction:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             SU2_U1.ad(2.0 * ONE, np.array([1.0, 0.0, 0.0]))
+
+
+class TestComponentKernels:
+    """The component kernels round exactly as the formulas they replaced."""
+
+    @pytest.mark.parametrize("g_shape, v_shape", [
+        ((), (3,)), ((64,), (64, 3)), ((), (7, 3)), ((6, 6, 6), (6, 6, 6, 3)),
+        ((6, 6, 6, 1), (6, 6, 6, 3, 3)), ((24, 24, 24, 1), (24, 24, 24, 3, 3))])
+    def test_qrotate_matches_chain(self, rng, g_shape, v_shape):
+        # unbroadcast and broadcast over the slot axis; 24^3 x 3 spans slabs
+        g = alg.random_unit_quaternions(rng, g_shape)
+        v = rng.standard_normal(v_shape)
+        got = alg.qrotate(g, v)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, oracles.qrotate(g, v))
+
+    def test_qrotate_peak_not_above_chain(self, rng):
+        g = alg.random_unit_quaternions(rng, (32, 32, 32, 1))
+        v = rng.standard_normal((32, 32, 32, 3, 3))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                fn(g, v)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        assert peak(alg.qrotate) <= peak(oracles.qrotate)
+
+    @pytest.mark.parametrize("shape", [(), (50,), (5, 4, 1)])
+    def test_qconj_qembed_qexp_match_concatenation(self, rng, shape):
+        q = rng.standard_normal(shape + (4,))
+        v = rng.standard_normal(shape + (3,))
+        assert np.array_equal(alg.qconj(q), oracles.qconj(q))
+        assert np.array_equal(alg.qembed(v), oracles.qembed(v))
+        assert np.array_equal(alg.qexp(v), oracles.qexp(v))
+        assert np.array_equal(alg.qexp(np.zeros(shape + (3,))), oracles.qexp(np.zeros(shape + (3,))))
+
+    def test_qlog_matches_sinc_formula(self, rng):
+        q = alg.qexp(rng.uniform(-1.0, 1.0, (4096, 3)))
+        q[:3] = [[1.0, 0.0, 0.0, 0.0], [1.0 + 1e-16, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+        assert np.array_equal(alg.qlog(q), oracles.qlog(q))
+        assert np.array_equal(alg.qlog(q[5]), oracles.qlog(q[5]))
+
+    def test_bracket_and_split_match_numpy(self, rng):
+        xi = rng.standard_normal((9, 9, 9, 3, 3))
+        eta = rng.standard_normal((9, 9, 9, 1, 3))
+        assert np.array_equal(SU2_U1.bracket(xi, eta), 2.0 * np.cross(xi, eta))
+        phi = alg.cp1_point_of(alg.random_unit_quaternions(rng, (9, 9, 9, 1)))
+        par, perp = alg.project_isotropy(SU2_U1, phi, xi)
+        ref = np.sum(xi * phi, axis=-1, keepdims=True) * phi
+        assert np.array_equal(par, ref)
+        assert np.array_equal(perp, xi - ref)
 
 
 class TestPairs:
@@ -146,7 +203,7 @@ class TestPairs:
 
     def test_su3_ad_isometry(self, rng):
         pair = alg.su3_t2()
-        g = alg.matrix_exp(pair.matrix_of(0.4 * rng.standard_normal((16, 8))))
+        g = oracles.matrix_exp(pair.matrix_of(0.4 * rng.standard_normal((16, 8))))
         xi = rng.standard_normal((16, 8))
         moved = pair.ad(g, xi)
         assert np.allclose(np.linalg.norm(moved, axis=-1),
@@ -268,10 +325,10 @@ class TestCoisotropyForm:
 
 def test_cp1_lift_roundtrip(rng):
     pt = alg.cp1_point_of(alg.random_unit_quaternions(rng, (256,)))
-    g = alg.cp1_lift_of(pt)
+    g = oracles.cp1_lift_of(pt)
     assert np.max(np.abs(alg.cp1_point_of(g) - pt)) < 1e-12
     poles = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    g = alg.cp1_lift_of(poles)
+    g = oracles.cp1_lift_of(poles)
     assert np.max(np.abs(alg.cp1_point_of(g) - poles)) < 1e-12
 
 

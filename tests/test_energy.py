@@ -7,6 +7,7 @@ from hopfion import algebra as alg
 from hopfion import fields as fl
 from hopfion.energy import (
     CROSS_VARIANT_SKYRME_RATIO,
+    comm_wedge,
     descent_energy,
     descent_gradient,
     energy_gradient,
@@ -255,7 +256,7 @@ def test_su3_energy_smoke(rng):
     grid = Grid(8)
     gen = 0.25 * np.stack([np.stack(
         [smooth_scalar(grid, rng, 0.5) for _ in range(8)], axis=-1)], axis=0)[0]
-    g = alg.matrix_exp(pair.matrix_of(gen))
+    g = oracles.matrix_exp(pair.matrix_of(gen))
     psi = fl.MapField(grid, pair, g, renormalize=False)
     e_coiso = energy_map(psi)
     e_iso = energy_map(psi, variant="isotropic_skyrme")
@@ -264,3 +265,26 @@ def test_su3_energy_smoke(rng):
     assert e_iso.skyrme < e_coiso.skyrme
     ident = fl.MapField(grid, pair, pair.identity_element((8,) * 3), renormalize=False)
     assert energy_map(ident).total == 0.0
+
+
+def test_comm_wedge_is_the_cross_wedge(rng):
+    # one cross per slot, doubled, rounds as cross(a_mu, a_nu) - cross(a_nu, a_mu)
+    psi = smooth_cp1_map(Grid(10), rng, amplitude=0.5)
+    omega = fl.pullback_coisotropy(psi)
+    for pair in (alg.su2_u1(), alg.su2_group()):
+        assert np.array_equal(comm_wedge(omega, pair).data, oracles.comm_wedge(omega, pair).data)
+
+
+def test_energies_unmoved_by_component_kernels(rng, monkeypatch):
+    # every energy_map variant and energy_gradient, with and without the oracles
+    psi = smooth_cp1_map(Grid(10), rng, amplitude=0.5)
+
+    def run():
+        maps = [energy_map(psi, variant).density.data
+                for variant in ("coisotropy", "cross_product", "isotropic_skyrme")]
+        return maps + [energy_gradient(psi, scale_dirichlet=0.7, scale_skyrme=1.3)]
+
+    fast = run()
+    assert oracles.patch_kernels(monkeypatch) > 0
+    for got, ref in zip(fast, run()):
+        assert np.array_equal(got, ref)

@@ -94,6 +94,11 @@ class TestPullback:
             rhs = 0.5 * np.linalg.norm(vt, axis=-1)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    def test_cp1_matches_cross_formula(self, grid12, rng):
+        psi = smooth_cp1_map(grid12, rng, amplitude=0.5)
+        got = fl.pullback_coisotropy(psi).data
+        assert np.array_equal(got, oracles.pullback_coisotropy_cp1(psi).data)
+
     def test_great_circle_closed_form(self):
         # discrete slot norm is sin(2 pi h / L) / (2 h), exactly
         grid = Grid(24)
@@ -106,10 +111,10 @@ class TestPullback:
         assert np.max(np.abs(omega.slot(2))) < 1e-13
 
     def test_tangency_residual_diagnostic(self, grid16, rng):
-        assert fl.tangency_residual(fl.constant_map(grid16)) == 0.0
+        assert oracles.tangency_residual(fl.constant_map(grid16)) == 0.0
         smooth = smooth_cp1_map(grid16, rng, amplitude=0.3)
         rough = smooth_cp1_map(grid16, rng, amplitude=1.5)
-        assert fl.tangency_residual(smooth) < fl.tangency_residual(rough)
+        assert oracles.tangency_residual(smooth) < oracles.tangency_residual(rough)
 
     def test_group_target_norm(self, rng):
         # For the group pair the pullback is dpsi psi^-1 on projected tangents
@@ -163,7 +168,7 @@ class TestMergedSplit:
         pair = alg.su3_t2()
         grid = Grid(6)
         gen = 0.3 * rng.standard_normal((6,) * 3 + (8,))
-        phi = fl.MapField(grid, pair, alg.matrix_exp(pair.matrix_of(gen)), renormalize=False)
+        phi = fl.MapField(grid, pair, oracles.matrix_exp(pair.matrix_of(gen)), renormalize=False)
         for degree, slots in ((1, 3), (2, 3), (3, 1)):
             form = LatticeField(grid, degree, rng.standard_normal((6,) * 3 + (slots, 8)))
             par, perp = fl.split_form(form, phi, pair)

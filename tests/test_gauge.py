@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import smooth_cp1_map, smooth_lift
 from hopfion import algebra as alg
 from hopfion import fields as fl
+from hopfion import gauge
 from hopfion.energy import comm_wedge
 from hopfion.gauge import (
     ad_inverse_apply,
@@ -12,6 +14,7 @@ from hopfion.gauge import (
     gauge_transform_potential,
     identity_suite,
     make_stabilizer,
+    projector_derivative_wedge,
     smooth_algebra_field,
     smooth_scalar,
     stabilizer_log_derivative,
@@ -161,6 +164,21 @@ class TestIdentitySuite:
             identity_suite(sizes=sizes)
 
 
+class TestComponentKernels:
+    def test_projector_derivative_wedge_matches_sum_formula(self, grid12, rng):
+        phi = smooth_cp1_map(grid12, rng, amplitude=0.4)
+        for degree in (1, 2):
+            form = LatticeField(grid12, degree, rng.standard_normal((12,) * 3 + (3, 3)))
+            assert np.array_equal(projector_derivative_wedge(phi, form).data,
+                                  oracles.projector_derivative_wedge(phi, form).data)
+
+    def test_suite_rows_unmoved_by_component_kernels(self, monkeypatch):
+        # the same process with the old formulas rebound at every module binding
+        fast = [row.as_dict() for row in identity_suite(sizes=(16, 32))]
+        assert oracles.patch_kernels(monkeypatch) >= 17
+        assert [row.as_dict() for row in identity_suite(sizes=(16, 32))] == fast
+
+
 class TestGaugeSmooth:
     def test_zero_stays(self, grid12):
         phi = fl.constant_map(grid12)
@@ -179,6 +197,41 @@ class TestGaugeSmooth:
         stab = gauge_smooth(b, phi, iterations=400, step=0.5)
         hist = stab.objective_history
         assert hist[-1] <= 0.1 * hist[0]
+
+    def test_one_transform_per_accepted_point(self, grid12, rng, monkeypatch):
+        phi = fl.constant_map(grid12)
+        b = isotropic_potential(grid12, phi, rng)
+        counts = {"transform": 0, "objective": 0, "gradient": 0}
+        transform, descend = gauge.gauge_transform_potential, gauge.descend
+
+        def counting_transform(*args, **kwargs):
+            counts["transform"] += 1
+            return transform(*args, **kwargs)
+
+        def counting_descend(objective, gradient, x, *, fresh_copies, **kwargs):
+            def obj(theta):
+                counts["objective"] += 1
+                return objective(theta)
+
+            def grad(theta):
+                counts["gradient"] += 1
+                return gradient(theta.copy() if fresh_copies else theta)
+
+            return descend(obj, grad, x, **kwargs)
+
+        monkeypatch.setattr(gauge, "gauge_transform_potential", counting_transform)
+        monkeypatch.setattr(gauge, "descend",
+                            lambda *a, **k: counting_descend(*a, fresh_copies=False, **k))
+        hist = gauge_smooth(b, phi, iterations=15).objective_history
+        assert counts["gradient"] > 1
+        assert counts["transform"] == counts["objective"]
+        # a gradient on a copy of the point misses the cache and recomputes it
+        # from scratch: the descent path is unchanged
+        counts.update(transform=0, objective=0, gradient=0)
+        monkeypatch.setattr(gauge, "descend",
+                            lambda *a, **k: counting_descend(*a, fresh_copies=True, **k))
+        assert gauge_smooth(b, phi, iterations=15).objective_history == hist
+        assert counts["transform"] == counts["objective"] + counts["gradient"]
 
     def test_monotone_objective(self, grid12, rng):
         phi = fl.constant_map(grid12)

@@ -4,7 +4,9 @@ import pytest
 from hopfion.lattice import (
     Grid,
     LatticeField,
+    cross,
     d,
+    dot,
     integrate_3form,
     l2_inner,
     l2_norm,
@@ -120,6 +122,23 @@ class TestWedge:
                         for mu, nu in ((0, 1), (0, 2), (1, 2))], axis=3)
         assert np.array_equal(w.data, ref)
         assert np.array_equal(w.norm2_density(), np.sum(ref * ref, axis=(3, 4)))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3,), (3,)), ((40, 3), (40, 3)), ((5, 5, 5, 3, 3), (5, 5, 5, 1, 3)),
+        ((5, 5, 5, 1, 3), (5, 5, 5, 3, 3))])
+    def test_cross_and_dot_helpers_round_as_numpy(self, rng, a_shape, b_shape):
+        a = rng.standard_normal(a_shape) * 10.0 ** rng.uniform(-6, 6, a_shape)
+        b = rng.standard_normal(b_shape)
+        assert np.array_equal(cross(a, b), np.cross(a, b))
+        assert np.array_equal(dot(a, b), np.sum(a * b, axis=-1))
+
+    def test_bracket_wedge_rounds_as_numpy(self, grid12, rng):
+        a = random_field(grid12, 1, 3, rng)
+        b = random_field(grid12, 1, 3, rng)
+        ref = np.stack([2.0 * np.cross(a.slot(mu), b.slot(nu))
+                        - 2.0 * np.cross(a.slot(nu), b.slot(mu))
+                        for mu, nu in ((0, 1), (0, 2), (1, 2))], axis=3)
+        assert np.array_equal(wedge(a, b, "bracket").data, ref)
 
     def test_degree_overflow_rejected(self, grid12, rng):
         a = random_field(grid12, 2, 1, rng)

@@ -231,7 +231,7 @@ class TestRouteMemory:
         return peak / (field.grid.n ** 3 * 9 * 8)
 
     @pytest.mark.parametrize("route, budget", [
-        ("chern_simons", 3.25), ("whitehead", 2.6), ("linking", 2.5)])
+        ("chern_simons", 2.9), ("whitehead", 2.6), ("linking", 2.5)])
     def test_transient_memory(self, route, budget):
         psi, u = fl.make_ansatz("hopf", Grid(32), 1)
         fn, field = {"chern_simons": (tp.chern_simons_from_lift, u),
