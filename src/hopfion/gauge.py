@@ -398,6 +398,7 @@ def gauge_smooth(b, phi, iterations=200, step=0.2):
         # descend evaluates the objective and then the gradient at each
         # accepted point, on the same array: transform it once
         if last[0] is not theta:
+            last[:] = None, None  # free the previous point's b^w first
             stab = make_stabilizer(phi, theta)
             last[:] = theta, (stab, gauge_transform_potential(
                 fl.PotentialField(bfield, phi, phi.pair), stab, phi, dw_scheme="exact").a)

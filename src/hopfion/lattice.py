@@ -10,7 +10,8 @@ sum-over-i<j convention, so for Lie-algebra-valued 1-forms
 
 cross and dot are the package's one last-axis cross and dot product of
 3-vectors, in the operation order of np.cross and np.sum(a * b, axis=-1),
-whose rounding they keep; every whole-grid cross or dot product calls them.
+whose rounding they keep; every whole-grid cross or dot product calls them
+but algebra.qmul's, which are written into its output slot by slot.
 """
 
 from __future__ import annotations
@@ -179,16 +180,13 @@ def dot(a, b):
     """Dot product of 3-vectors on the last axis, x0 y0 + x1 y1 + x2 y2.
 
     Summed in that order, as np.sum(a * b, axis=-1) sums a whole grid of
-    3-vectors, without the (..., 3) product array.
+    3-vectors, without the (..., 3) product array.  The values are equal;
+    where all three products are -0 this gives -0 and np.sum +0.
     """
     out = a[..., 0] * b[..., 0]
     out += a[..., 1] * b[..., 1]
     out += a[..., 2] * b[..., 2]
     return out
-
-
-def _prod_dot(a, b):
-    return np.sum(a * b, axis=-1, keepdims=True)
 
 
 def _prod_quat(a, b):
@@ -205,7 +203,7 @@ def _prod_quat(a, b):
 _PRODUCTS = {
     "scalar": _prod_scalar,
     "cross": cross,
-    "dot": _prod_dot,
+    "dot": lambda a, b: dot(a, b)[..., None],
     "quat": _prod_quat,
     "bracket": lambda a, b: 2.0 * cross(a, b),  # su2 coefficient bracket
 }

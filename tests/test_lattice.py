@@ -140,6 +140,19 @@ class TestWedge:
                         for mu, nu in ((0, 1), (0, 2), (1, 2))], axis=3)
         assert np.array_equal(wedge(a, b, "bracket").data, ref)
 
+    def test_dot_wedge_rounds_as_numpy(self, grid12, rng):
+        def ref_dot(x, y):
+            return np.sum(x * y, axis=-1, keepdims=True)
+
+        f = random_field(grid12, 0, 3, rng)
+        a = random_field(grid12, 1, 3, rng)
+        b = random_field(grid12, 1, 3, rng)
+        ref = np.stack([ref_dot(a.slot(mu), b.slot(nu)) - ref_dot(a.slot(nu), b.slot(mu))
+                        for mu, nu in ((0, 1), (0, 2), (1, 2))], axis=3)
+        assert np.array_equal(wedge(a, b, "dot").data, ref)
+        ref = np.stack([ref_dot(f.slot(0), a.slot(mu)) for mu in range(3)], axis=3)
+        assert np.array_equal(wedge(f, a, "dot").data, ref)
+
     def test_degree_overflow_rejected(self, grid12, rng):
         a = random_field(grid12, 2, 1, rng)
         b = random_field(grid12, 2, 1, rng)
