@@ -108,17 +108,17 @@ def qexp(v):
     return out
 
 
-def qlog(q, cut=np.pi - 1e-6):
+def qlog(q):
     """Principal logarithm of unit quaternions, returned as coefficients.
 
-    Raises RoughFieldError when the rotation angle reaches the cut locus;
+    Raises RoughFieldError when the rotation angle reaches pi - 1e-6;
     for link variables this means the field varies too fast for the grid.
     """
     q = np.asarray(q, dtype=float)
     v = q[..., 1:]
     theta = np.linalg.norm(v, axis=-1, keepdims=True)
     np.arctan2(theta, np.clip(q[..., :1], -1.0, 1.0), out=theta)
-    if np.any(theta >= cut):
+    if np.any(theta >= np.pi - 1e-6):
         raise RoughFieldError("field too rough for grid")
     # theta/sin(theta) without the 0/0 as 1/np.sinc(theta/pi), in place and
     # term for term: y = pi (theta/pi), 0 -> eps, sinc = sin(y)/y
@@ -207,7 +207,6 @@ class HomogeneousPair:
     basis_h: tuple
     symmetric: bool
     group_kind: str  # 'quaternion' or 'matrix'
-    simple_block_map: tuple = ((),)  # filled in __post_init__ when trivial
     structure_consts: np.ndarray = field(default=None, repr=False)
     trace_tensor: np.ndarray = field(default=None, repr=False)
     _frob_scale: float = field(default=None, repr=False)
@@ -225,8 +224,6 @@ class HomogeneousPair:
         T = np.real(np.einsum("aij,bjk,cki->abc", B, B, B))
         object.__setattr__(self, "structure_consts", f)
         object.__setattr__(self, "trace_tensor", T)
-        if self.simple_block_map == ((),):
-            object.__setattr__(self, "simple_block_map", (tuple(range(dim)),))
 
     # -- dimensions -----------------------------------------------------
     @property
@@ -240,10 +237,6 @@ class HomogeneousPair:
     @property
     def group_dim(self):
         return self.basis_matrices.shape[1]
-
-    @property
-    def n_blocks(self):
-        return len(self.simple_block_map)
 
     # -- linear structure ------------------------------------------------
     def bracket(self, xi, eta):
@@ -501,16 +494,16 @@ def plaquette_areas(p, with_grads=False):
 # exponentials / logarithms for matrix groups (near-identity regime)
 # ---------------------------------------------------------------------------
 
-def matrix_log_unitary(U, terms=48, radius=0.9):
-    """Principal log of unitary matrices near the identity (Mercator series)."""
+def matrix_log_unitary(U):
+    """Principal log of unitary matrices near the identity (48-term Mercator series)."""
     U = np.asarray(U)
     X = U - np.eye(U.shape[-1], dtype=complex)
     norms = np.linalg.norm(X, axis=(-2, -1))
-    if np.any(norms > radius):
+    if np.any(norms > 0.9):
         raise RoughFieldError("field too rough for grid")
     out = np.zeros_like(X)
     term = np.broadcast_to(np.eye(U.shape[-1], dtype=complex), U.shape).copy()
-    for k in range(1, terms + 1):
+    for k in range(1, 49):
         term = term @ X
         out = out + ((-1) ** (k + 1) / k) * term
     # clean to the Lie algebra: anti-Hermitian, traceless

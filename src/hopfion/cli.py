@@ -101,6 +101,16 @@ def _require_output_dir(path):
         raise ConfigError(f"output directory {directory} does not exist")
 
 
+def _read_field(path, kind):
+    """The field of the snapshot at path; a SnapshotError (exit 2) unless it is a kind."""
+    from . import io as hio
+
+    meta, obj = hio.read_snapshot(path)
+    if meta["kind"] != kind:
+        raise hio.SnapshotError(f"{path} holds a {meta['kind']} snapshot, not {kind}")
+    return obj
+
+
 def _initial_fields(kind, n, length, charge):
     """make_ansatz on Grid(n, length); a bad value is a ConfigError (exit 2)."""
     from .errors import ConfigError
@@ -131,7 +141,7 @@ def _dispatch(args):
     if args.command == "energy":
         from .energy import energy_map
 
-        _, psi = hio.read_snapshot(args.map)
+        psi = _read_field(args.map, "map_s2")
         report = energy_map(psi, variant=args.variant)
         print(report)
         if args.json:
@@ -146,10 +156,10 @@ def _dispatch(args):
             return 2
         report = ChargeReport()
         if args.lift:
-            _, u = hio.read_snapshot(args.lift)
+            u = _read_field(args.lift, "lift_su2")
             report.cs_value = chern_simons_from_lift(u).cs_value
         if args.map:
-            _, psi = hio.read_snapshot(args.map)
+            psi = _read_field(args.map, "map_s2")
             report.whitehead_value = whitehead_charge(psi)
             if not args.skip_linking:
                 report.linking_value = linking_charge(psi)
@@ -159,7 +169,7 @@ def _dispatch(args):
     if args.command == "degree":
         from .topology import chern_simons_from_lift
 
-        _, u = hio.read_snapshot(args.lift)
+        u = _read_field(args.lift, "lift_su2")
         report = chern_simons_from_lift(u)
         _print_charge(report, args.json)
         return 0

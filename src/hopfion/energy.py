@@ -58,17 +58,15 @@ def comm_wedge(omega, pair):
     return wedge(omega, omega, lambda a, b: 0.5 * pair.bracket(a, b))
 
 
-def _report(grid, e2, e4, tag, scale_dirichlet, scale_skyrme):
+def _report(grid, e2, e4, tag):
     h3 = grid.h ** 3
-    e2 = scale_dirichlet * e2
-    e4 = scale_skyrme * e4
     dirichlet = float(np.sum(e2) * h3)
     skyrme = float(np.sum(e4) * h3)
     density = LatticeField(grid, 0, (e2 + e4)[..., None, None])
     return EnergyReport(dirichlet, skyrme, dirichlet + skyrme, density, tag)
 
 
-def energy_map(psi, variant="coisotropy", scale_dirichlet=1.0, scale_skyrme=1.0):
+def energy_map(psi, variant="coisotropy"):
     """Energy of a coset-valued map.
 
     variant 'coisotropy' is the canonical form for every pair;
@@ -91,7 +89,7 @@ def energy_map(psi, variant="coisotropy", scale_dirichlet=1.0, scale_skyrme=1.0)
             c = cross(halves[mu], halves[nu])
             e4 = e4 + dot(c, c)
         e4 = 0.25 * e4
-        return _report(grid, e2, e4, "map/cross_product", scale_dirichlet, scale_skyrme)
+        return _report(grid, e2, e4, "map/cross_product")
 
     omega = fl.pullback_coisotropy(psi)
     e2 = 0.5 * omega.norm2_density()
@@ -104,7 +102,7 @@ def energy_map(psi, variant="coisotropy", scale_dirichlet=1.0, scale_skyrme=1.0)
     else:
         raise ValueError(f"unknown energy variant '{variant}'")
     e4 = 0.25 * W.norm2_density()
-    return _report(grid, e2, e4, tag, scale_dirichlet, scale_skyrme)
+    return _report(grid, e2, e4, tag)
 
 
 def covariant_potential(a, phi=None):
@@ -116,7 +114,7 @@ def covariant_potential(a, phi=None):
     return aperp + fl.pullback_coisotropy(phi)
 
 
-def energy_potential(a, phi=None, scale_dirichlet=1.0, scale_skyrme=1.0):
+def energy_potential(a, phi=None):
     """Energy of a potential relative to the reference map: E_phi(a)."""
     phi = phi if phi is not None else a.phi
     if phi is not None and phi.grid != a.grid:
@@ -125,7 +123,7 @@ def energy_potential(a, phi=None, scale_dirichlet=1.0, scale_skyrme=1.0):
     e2 = 0.5 * D.norm2_density()
     W = comm_wedge(D, a.pair)
     e4 = 0.25 * W.norm2_density()
-    return _report(a.grid, e2, e4, "potential", scale_dirichlet, scale_skyrme)
+    return _report(a.grid, e2, e4, "potential")
 
 
 def descent_energy(psi, scale_dirichlet=1.0, scale_skyrme=1.0, split=False):

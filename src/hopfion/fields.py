@@ -114,11 +114,10 @@ def split_form(form, phi, pair):
     return LatticeField(form.grid, form.degree, par), LatticeField(form.grid, form.degree, perp)
 
 
-def constant_map(grid, pair=None, point=(1.0, 0.0, 0.0)):
-    """The constant reference map; defaults to phi = i on CP1."""
+def constant_map(grid, pair=None):
+    """The constant reference map phi = i on CP1."""
     pair = pair if pair is not None else alg.su2_u1()
-    vals = np.broadcast_to(np.asarray(point, dtype=float), (grid.n,) * 3 + (len(point),)).copy()
-    return MapField(grid, pair, vals)
+    return MapField(grid, pair, np.broadcast_to([1.0, 0.0, 0.0], (grid.n,) * 3 + (3,)).copy())
 
 
 def links(u, axis):

@@ -24,7 +24,7 @@ from . import algebra as alg
 from . import fields as fl
 from .energy import comm_wedge, energy_map, energy_potential
 from .errors import ConfigError
-from .lattice import SLOTS2, Grid, LatticeField, cross, d, dot, forward_diff, l2_norm, wedge
+from .lattice import Grid, LatticeField, cross, d, dot, forward_diff, l2_norm, wedge
 from .minimize import descend
 
 ISOTROPY_TOL = 1e-10
@@ -123,34 +123,25 @@ def coset_curvature(b, phi=None):
         raise ValueError("coset curvature needs the reference map")
     pair = phi.pair
     omega = fl.pullback_coisotropy(phi)
-    bracket = "bracket" if pair.group_kind == "quaternion" else (lambda x, y: pair.bracket(x, y))
     par_oo = fl.split_form(comm_wedge(omega, pair), phi, pair)[0]
-    return d(b) + comm_wedge(b, pair) - wedge(b, omega, bracket) - par_oo
+    return d(b) + comm_wedge(b, pair) - wedge(b, omega, pair.bracket) - par_oo
 
 
 def projector_derivative_wedge(phi, form):
     """d Phi ^ form for Phi = pr_{h_phi}, assembled from the CP1 closed form.
 
     d Phi_mu (xi) = (xi . v_mu) phi + (xi . phi) v_mu with v the centered
-    differences of phi; no matrices are differentiated numerically twice.
+    differences of phi: the wedge of the 1-form v with form under that
+    product.  No matrices are differentiated numerically twice.
     """
     if not phi.is_cp1:
         raise ValueError("projector derivative uses the CP1 closed form")
-    v = fl.map_tangents(phi)
+    if form.degree not in (1, 2):
+        raise ValueError("projector derivative wedge expects a 1- or 2-form")
     p = phi.values
-
-    def dphi(mu, xi):
-        return dot(xi, v[mu])[..., None] * p + dot(xi, p)[..., None] * v[mu]
-
-    if form.degree == 1:
-        slots = []
-        for mu, nu in SLOTS2:
-            slots.append(dphi(mu, form.slot(nu)) - dphi(nu, form.slot(mu)))
-        return LatticeField.from_slots(form.grid, 2, slots)
-    if form.degree == 2:
-        out = dphi(0, form.slot(2)) - dphi(1, form.slot(1)) + dphi(2, form.slot(0))
-        return LatticeField.from_slots(form.grid, 3, [out])
-    raise ValueError("projector derivative wedge expects a 1- or 2-form")
+    tangents = LatticeField.from_slots(phi.grid, 1, fl.map_tangents(phi))
+    return wedge(tangents, form,
+                 lambda v, xi: dot(xi, v)[..., None] * p + dot(xi, p)[..., None] * v)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +186,12 @@ def _rel(residual_field, reference_field):
     return l2_norm(residual_field) / (ref if ref > 0 else 1.0)
 
 
-def smooth_scalar(grid, rng, amplitude=1.0, modes=1):
+def smooth_scalar(grid, rng, amplitude=1.0):
     """Random low-frequency trig polynomial sampled on the grid."""
     x = grid.site_coords() * (2.0 * np.pi / grid.length)
     out = np.zeros((grid.n,) * 3)
     for _ in range(3):
-        k = rng.integers(-modes, modes + 1, size=3)
+        k = rng.integers(-1, 2, size=3)
         phase = rng.uniform(0, 2 * np.pi)
         amp = rng.uniform(0.3, 1.0) * amplitude
         out += amp * np.sin(x @ k + phase)
@@ -211,7 +202,7 @@ def smooth_algebra_field(grid, rng, amplitude=1.0):
     return np.stack([smooth_scalar(grid, rng, amplitude) for _ in range(3)], axis=-1)
 
 
-def smooth_inputs(grid, rng, phi_amplitude=0.2, u_amplitude=0.4):
+def smooth_inputs(grid, rng):
     """Analytic smooth (phi, u, theta, a) sampled on one grid.
 
     The same low-mode coefficients produce matching fields at every size
@@ -219,22 +210,22 @@ def smooth_inputs(grid, rng, phi_amplitude=0.2, u_amplitude=0.4):
     studies need.  Amplitudes are kept small so the O(h) regime of the
     differential identities is visible from n = 16 on.
     """
-    phi_gen = fl.LiftField(grid, alg.su2_u1(), alg.qexp(smooth_algebra_field(grid, rng, phi_amplitude)))
+    phi_gen = fl.LiftField(grid, alg.su2_u1(), alg.qexp(smooth_algebra_field(grid, rng, 0.2)))
     phi = fl.act(phi_gen, fl.constant_map(grid))
-    u = fl.LiftField(grid, alg.su2_u1(), alg.qexp(smooth_algebra_field(grid, rng, u_amplitude)))
+    u = fl.LiftField(grid, alg.su2_u1(), alg.qexp(smooth_algebra_field(grid, rng, 0.4)))
     theta = smooth_scalar(grid, rng, 0.4)
     a_data = np.stack([smooth_algebra_field(grid, rng, 0.4) for _ in range(3)], axis=3)
     a = LatticeField(grid, 1, a_data)
     return phi, u, theta, a
 
 
-def identity_suite(sizes=(16, 32, 64), seed=0, length=2.0 * np.pi):
+def identity_suite(sizes=(16, 32, 64), seed=0):
     """Evaluate the gauge-calculus identities over two or more distinct grid sizes."""
     sizes = sorted(set(sizes))
     if len(sizes) < 2 or sizes[0] < 4:
         # a one-point order fit means nothing; Grid needs n >= 4
         raise ConfigError(f"sizes {sizes} must hold two or more distinct grid sizes >= 4")
-    grids = [Grid(n, length) for n in sizes]
+    grids = [Grid(n) for n in sizes]
     res = {}
 
     def record(name, kind, n, value):
@@ -294,7 +285,7 @@ def identity_suite(sizes=(16, 32, 64), seed=0, length=2.0 * np.pi):
         record("curvature_vs_projected_form", "differential", grid.n, _rel(lhs - rhs, lhs))
 
         # (db)_perp = [omega, b]
-        rhs = wedge(omega, b, "bracket")
+        rhs = wedge(omega, b, pair.bracket)
         record("isotropic_derivative_perp", "differential", grid.n, _rel(db_perp - rhs, rhs))
 
         # projector-derivative relations
@@ -314,14 +305,14 @@ def identity_suite(sizes=(16, 32, 64), seed=0, length=2.0 * np.pi):
         record("flat_curvature_i_symmetric", "differential", grid.n, _rel(lhs - rhs, lhs))
 
         lhs = d(aperp)
-        rhs = -dphi_par - dphi_perp - wedge(apar, aperp, "bracket") - fl.split_form(aa, phi, pair)[1]
+        rhs = -dphi_par - dphi_perp - wedge(apar, aperp, pair.bracket) - fl.split_form(aa, phi, pair)[1]
         record("flat_derivative_ii", "differential", grid.n, _rel(lhs - rhs, lhs))
 
-        rhs = -dphi_par - dphi_perp - wedge(apar, aperp, "bracket")
+        rhs = -dphi_par - dphi_perp - wedge(apar, aperp, pair.bracket)
         record("flat_derivative_ii_symmetric", "differential", grid.n, _rel(lhs - rhs, lhs))
 
         lhs = d(aa)
-        rhs = -wedge(dphi_par, aperp, "bracket") + projector_derivative_wedge(phi, aa)
+        rhs = -wedge(dphi_par, aperp, pair.bracket) + projector_derivative_wedge(phi, aa)
         record("flat_quartic_iii_symmetric", "differential", grid.n, _rel(lhs - rhs, lhs))
 
         # pure-gauge flatness and the map/potential correspondences

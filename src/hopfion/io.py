@@ -61,24 +61,22 @@ def _payload_sites(flat, n, ncomp):
     return np.ascontiguousarray(arr.transpose(2, 1, 0, 3))
 
 
-def write_snapshot(path, obj, kind=None, extra_meta=None):
+def write_snapshot(path, obj, extra_meta=None):
     """Write a MapField, LiftField or PotentialField to a snapshot file."""
     if isinstance(obj, fl.MapField):
-        kind = kind or "map_s2"
+        kind = "map_s2"
         values = obj.values
         grid = obj.grid
     elif isinstance(obj, fl.LiftField):
-        kind = kind or "lift_su2"
+        kind = "lift_su2"
         values = obj.values
         grid = obj.grid
     elif isinstance(obj, fl.PotentialField):
-        kind = kind or "potential"
+        kind = "potential"
         values = obj.a.data
         grid = obj.grid
     else:
         raise SnapshotError(f"cannot snapshot object of type {type(obj).__name__}")
-    if kind not in FIELD_KINDS:
-        raise SnapshotError(f"unknown field kind '{kind}'")
     ncomp = int(np.prod(values.shape[3:]))
     meta = {
         "n": grid.n,

@@ -59,10 +59,8 @@ class LatticeField:
 
     __slots__ = ("grid", "degree", "data")
 
-    def __init__(self, grid, degree, data, copy=False):
+    def __init__(self, grid, degree, data):
         data = np.asarray(data)
-        if copy:
-            data = data.copy()
         n = grid.n
         if degree not in (0, 1, 2, 3):
             raise ValueError("form degree must be 0..3")
@@ -87,9 +85,9 @@ class LatticeField:
         return self.data.shape[-1]
 
     @classmethod
-    def zeros(cls, grid, degree, vdim, dtype=float):
+    def zeros(cls, grid, degree, vdim):
         n = grid.n
-        return cls(grid, degree, np.zeros((n, n, n, SLOT_COUNT[degree], vdim), dtype=dtype))
+        return cls(grid, degree, np.zeros((n, n, n, SLOT_COUNT[degree], vdim)))
 
     @classmethod
     def from_slots(cls, grid, degree, slots):
@@ -162,10 +160,6 @@ def d(f):
 
 # bilinear products on value axes ------------------------------------------
 
-def _prod_scalar(a, b):
-    return a * b
-
-
 def cross(a, b):
     """np.cross on the last axis, component by component in its operation order."""
     a, b = np.asarray(a), np.asarray(b)
@@ -189,35 +183,16 @@ def dot(a, b):
     return out
 
 
-def _prod_quat(a, b):
-    """Quaternion product; imaginary (v=3) inputs are embedded with w=0."""
-    from .algebra import qembed, qmul
-
-    if a.shape[-1] == 3:
-        a = qembed(a)
-    if b.shape[-1] == 3:
-        b = qembed(b)
-    return qmul(a, b)
-
-
-_PRODUCTS = {
-    "scalar": _prod_scalar,
-    "cross": cross,
-    "dot": lambda a, b: dot(a, b)[..., None],
-    "quat": _prod_quat,
-    "bracket": lambda a, b: 2.0 * cross(a, b),  # su2 coefficient bracket
-}
-
-
 def wedge(alpha, beta, product):
-    """Wedge product with the given bilinear product on values.
+    """Wedge product with the bilinear function product(a, b) on values.
 
-    The i<j slot of a 1-wedge-1 is p(a_i, b_j) - p(a_j, b_i); mixed degrees
-    expand dx-monomials into the ordered basis with the usual signs.
+    product takes two value arrays: np.multiply, cross or a pair's bracket,
+    for instance.  The i<j slot of a 1-wedge-1 is product(a_i, b_j) -
+    product(a_j, b_i); mixed degrees expand dx-monomials into the ordered
+    basis with the usual signs.
     """
     if alpha.grid != beta.grid:
         raise ValueError("grids differ")
-    p = _PRODUCTS[product] if isinstance(product, str) else product
     ka, kb = alpha.degree, beta.degree
     if ka + kb > 3:
         raise ValueError("wedge degree exceeds 3")
@@ -228,26 +203,26 @@ def wedge(alpha, beta, product):
         slots = []
         for idx in range(SLOT_COUNT[other.degree]):
             o = other.slot(idx)
-            slots.append(p(o, s) if flip else p(s, o))
+            slots.append(product(o, s) if flip else product(s, o))
         return LatticeField.from_slots(g, other.degree, slots)
     if (ka, kb) == (1, 1):
         data = None
         for slot, (mu, nu) in enumerate(SLOTS2):
-            first = p(alpha.slot(mu), beta.slot(nu))
+            first = product(alpha.slot(mu), beta.slot(nu))
             if data is None:
                 data = np.empty(first.shape[:3] + (len(SLOTS2),) + first.shape[3:],
                                 dtype=first.dtype)
-            np.subtract(first, p(alpha.slot(nu), beta.slot(mu)), out=data[:, :, :, slot])
+            np.subtract(first, product(alpha.slot(nu), beta.slot(mu)), out=data[:, :, :, slot])
         return LatticeField(g, 2, data)
     if (ka, kb) == (1, 2):
-        out = (p(alpha.slot(0), beta.slot(2))
-               - p(alpha.slot(1), beta.slot(1))
-               + p(alpha.slot(2), beta.slot(0)))
+        out = (product(alpha.slot(0), beta.slot(2))
+               - product(alpha.slot(1), beta.slot(1))
+               + product(alpha.slot(2), beta.slot(0)))
         return LatticeField.from_slots(g, 3, [out])
     if (ka, kb) == (2, 1):
-        out = (p(alpha.slot(2), beta.slot(0))
-               - p(alpha.slot(1), beta.slot(1))
-               + p(alpha.slot(0), beta.slot(2)))
+        out = (product(alpha.slot(2), beta.slot(0))
+               - product(alpha.slot(1), beta.slot(1))
+               + product(alpha.slot(0), beta.slot(2)))
         return LatticeField.from_slots(g, 3, [out])
     raise ValueError(f"unsupported wedge degrees ({ka}, {kb})")
 

@@ -257,11 +257,11 @@ def _tangent(psi, v):
     return v - np.einsum("...i,...i->...", v, p)[..., None] * p
 
 
-def charge_guard(run, threshold=0.25):
-    """Iterations where adjacent charge estimates jump by more than threshold.
+def charge_guard(run):
+    """Iterations where adjacent charge estimates jump by more than 0.25.
 
     A flagged pair is evidence of lattice-scale topology change; it is a
     warning, not a failure.
     """
     charges = run.charges()   # monitored rows only
-    return [it1 for (_, c0), (it1, c1) in zip(charges, charges[1:]) if abs(c1 - c0) > threshold]
+    return [it1 for (_, c0), (it1, c1) in zip(charges, charges[1:]) if abs(c1 - c0) > 0.25]

@@ -22,7 +22,8 @@ def _entry(name, value, budget=ROUNDOFF):
         fitted_order=None, budget=f"<= {budget:g}", passed=float(value) <= budget)
 
 
-def invariant_suite(seed=0, samples=4096, n=16):
+def invariant_suite(seed=0):
+    samples, n = 4096, 16
     rng = np.random.default_rng(seed)
     rows = []
 

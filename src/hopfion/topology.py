@@ -37,7 +37,7 @@ FLUX_TOL = 1e-6
 
 @dataclass
 class ChargeReport:
-    """Charge values per route; cs_value has one entry per simple block."""
+    """Charge values per route; cs_value is a one-entry array."""
 
     cs_value: np.ndarray = None
     whitehead_value: float = None
@@ -152,8 +152,8 @@ def triple_trace_wedge(alpha, beta, gamma, trace_tensor):
 _CS_SLAB = 8
 
 
-def chern_simons_charge(a, pair=None, normalization=CHERN_SIMONS_SU_N):
-    """Blockwise c * integral tr(a ^ a ^ a) via the four-term isotropy split.
+def chern_simons_charge(a, pair=None):
+    """c * integral tr(a ^ a ^ a) via the four-term isotropy split.
 
     The four traces (par^3, 3 par^2 perp, 3 par perp^2, perp^3) are formed
     separately and summed; for the CP1 reference the first two vanish
@@ -165,23 +165,16 @@ def chern_simons_charge(a, pair=None, normalization=CHERN_SIMONS_SU_N):
     pair = pair if pair is not None else a.pair
     T = pair.trace_tensor
     n = a.grid.n
-    h3 = a.grid.h ** 3
-    values = []
-    for block in range(pair.n_blocks):
-        idx = list(pair.simple_block_map[block])
-        terms = np.empty((4, n, n, n))
-        for lo in range(0, n, _CS_SLAB):
-            x = slice(lo, lo + _CS_SLAB)
-            apar, aperp = _split_slab(a, x)
-            par, perp = _restrict(apar, idx), _restrict(aperp, idx)
-            del apar, aperp
-            terms[0, x] = _trace_wedge_data(par, par, par, T)
-            np.multiply(3.0, _trace_wedge_data(par, par, perp, T), out=terms[1, x])
-            np.multiply(3.0, _trace_wedge_data(par, perp, perp, T), out=terms[2, x])
-            terms[3, x] = _trace_wedge_data(perp, perp, perp, T)
-        total = sum(float(np.sum(t)) for t in terms) * h3
-        values.append(normalization * total)
-    return ChargeReport(cs_value=np.array(values))
+    terms = np.empty((4, n, n, n))
+    for lo in range(0, n, _CS_SLAB):
+        x = slice(lo, lo + _CS_SLAB)
+        par, perp = _split_slab(a, x)
+        terms[0, x] = _trace_wedge_data(par, par, par, T)
+        np.multiply(3.0, _trace_wedge_data(par, par, perp, T), out=terms[1, x])
+        np.multiply(3.0, _trace_wedge_data(par, perp, perp, T), out=terms[2, x])
+        terms[3, x] = _trace_wedge_data(perp, perp, perp, T)
+    total = sum(float(np.sum(t)) for t in terms) * a.grid.h ** 3
+    return ChargeReport(cs_value=np.array([CHERN_SIMONS_SU_N * total]))
 
 
 def _split_slab(a, x):
@@ -194,32 +187,24 @@ def _split_slab(a, x):
     return alg.project_isotropy(a.pair, a.phi.values[x, :, :, None], data)
 
 
-def _restrict(data, idx):
-    if len(idx) == data.shape[-1]:
-        return data
-    out = np.zeros_like(data)
-    out[..., idx] = data[..., idx]
-    return out
-
-
 def _subsample(field):
     """The stride-2 subsample of a MapField or LiftField: spacing 2h, same period."""
     coarse = Grid(field.grid.n // 2, field.grid.length)
     return type(field)(coarse, field.pair, field.values[::2, ::2, ::2], renormalize=False)
 
 
-def _richardson(fine, grid, extrapolated, coarse):
+def _richardson(fine, grid, coarse):
     """(4 fine - coarse()) / 3, the h^2 bias removed against the stride-2 subsample.
 
-    coarse is called only when extrapolated is set and the grid can be
-    halved; otherwise the plain fine value comes back.
+    coarse is called only when the grid can be halved; otherwise the plain
+    fine value comes back.
     """
-    if not extrapolated or grid.n % 2 or grid.n < 8:
+    if grid.n % 2 or grid.n < 8:
         return fine
     return (4.0 * fine - coarse()) / 3.0
 
 
-def chern_simons_from_lift(u, phi=None, extrapolated=True):
+def chern_simons_from_lift(u, phi=None):
     """Chern-Simons charge of a lift, with h^2 Richardson elimination.
 
     The four-term split is evaluated on the given grid and on its stride-2
@@ -232,7 +217,7 @@ def chern_simons_from_lift(u, phi=None, extrapolated=True):
         return chern_simons_charge(fl.pure_gauge_potential(_subsample(u), phi2)).cs_value
 
     fine = chern_simons_charge(fl.pure_gauge_potential(u, phi)).cs_value
-    return ChargeReport(cs_value=_richardson(fine, u.grid, extrapolated, coarse))
+    return ChargeReport(cs_value=_richardson(fine, u.grid, coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -305,27 +290,26 @@ def _whitehead_plain(psi, return_fields=False):
             "field not nullhomotopic on 2-skeleton; Whitehead integral "
             f"undefined on T^3 (flux {flux:.3e})")
     A = solve_vector_potential(F)
-    AF = wedge(A, F, "scalar")
+    AF = wedge(A, F, np.multiply)
     value = float(np.sum(AF.data) * psi.grid.h ** 3)
     if return_fields:
         return value, A, F
     return value
 
 
-def whitehead_charge(psi, return_fields=False, extrapolated=True):
+def whitehead_charge(psi, return_fields=False):
     """Integral of A ^ F with dA = F = psi^*(Omega / 4 pi).
 
     Requires zero flux through every coordinate 2-torus; raises
     FluxObstructionError otherwise.  As for the Chern-Simons route, the
     quadratic quadrature bias is removed against the stride-2 subsample
-    unless extrapolated=False or the grid cannot be halved.
+    unless the grid cannot be halved.
     """
     if return_fields:
         return _whitehead_plain(psi, return_fields=True)
     fine = _whitehead_plain(psi)
     try:
-        return _richardson(fine, psi.grid, extrapolated,
-                           lambda: _whitehead_plain(_subsample(psi)))
+        return _richardson(fine, psi.grid, lambda: _whitehead_plain(_subsample(psi)))
     except FluxObstructionError:
         # the halved field is too rough to carry its fluxes; keep the
         # unextrapolated fine-grid value
@@ -425,7 +409,7 @@ def _collect_crossings(crossings, grid, rho, hits, corners):
             crossings.append((pp, tuple(under), tuple(face)))
 
 
-def preimage_curves(psi, p, max_attempts=4):
+def preimage_curves(psi, p):
     """Closed preimage polylines of the regular value p, unwrapped to R^3.
 
     Cell marching with a deterministic tie-break: degenerate configurations
@@ -434,7 +418,7 @@ def preimage_curves(psi, p, max_attempts=4):
     if not psi.is_cp1:
         raise ValueError("preimage extraction needs a CP1 map")
     value = np.asarray(p, dtype=float)
-    for attempt in range(max_attempts):
+    for attempt in range(4):
         crossings = _face_crossings(psi, value)
         if not crossings:
             raise DegeneratePreimageError(
@@ -552,9 +536,9 @@ def _crossing_number(curve1, curve2, frame):
     return total
 
 
-def gauss_linking(curve1, curve2, max_attempts=8):
+def gauss_linking(curve1, curve2):
     """Gauss linking number of two closed polylines by signed crossing count."""
-    for attempt in range(max_attempts):
+    for attempt in range(8):
         frame = _project_frame(attempt)
         val = _crossing_number(curve1, curve2, frame)
         if val is not None:
@@ -577,12 +561,12 @@ def linking_charge(psi, p=(0.0, 1.0, 0.0), q=(0.0, 0.0, 1.0)):
 # sectors
 # ---------------------------------------------------------------------------
 
-def assign_sector(psi, phi, u, reference_id="reference", tol=1e-10):
+def assign_sector(psi, phi, u, reference_id="reference"):
     """Certify psi = u . phi and label its sector by the charge of the lift."""
     moved = fl.act(u, phi)
     defect = float(np.max(np.linalg.norm(moved.values - psi.values, axis=-1)))
-    if defect > tol:
-        raise ValueError(f"factorization residual {defect:.3e} exceeds {tol:g}")
+    if defect > 1e-10:
+        raise ValueError(f"factorization residual {defect:.3e} exceeds 1e-10")
     a = fl.pure_gauge_potential(u, phi)
     report = chern_simons_charge(a, phi.pair)
     note = ("charge is reported as raw integers; equality mod the stabilizer "

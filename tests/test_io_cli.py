@@ -428,3 +428,17 @@ def test_valid_forged_snapshot_reads(tmp_path):
     meta, psi = hio.read_snapshot(path)
     assert meta == _MAP_META
     assert np.array_equal(psi.values[..., 0], np.ones((4, 4, 4)))
+
+
+@pytest.mark.parametrize("argv", [["energy", "--map", "x.lift.hopf"],
+                                  ["hopf", "--map", "x.lift.hopf"],
+                                  ["hopf", "--lift", "x.psi.hopf"],
+                                  ["degree", "--lift", "x.psi.hopf"]],
+                         ids=["energy_map", "hopf_map", "hopf_lift", "degree_lift"])
+def test_wrong_kind_snapshot_exit_2(tmp_path, capsys, argv):
+    # each once died with an AttributeError traceback and exit 1
+    prefix = str(tmp_path / "x")
+    assert main(["ansatz", "--n", "8", "--out", prefix]) == 0
+    capsys.readouterr()
+    assert main(argv[:-1] + [str(tmp_path / argv[-1])]) == 2
+    assert "snapshot, not" in capsys.readouterr().err
