@@ -95,7 +95,7 @@ def energy_map(psi, variant="coisotropy"):
     e2 = 0.5 * omega.norm2_density()
     W = comm_wedge(omega, psi.pair)
     if variant == "isotropic_skyrme":
-        W = fl.split_form(W, psi, psi.pair)[0]
+        W = fl.split_form(W, psi)[0]
         tag = "map/isotropic_skyrme"
     elif variant == "coisotropy":
         tag = "map/coisotropy"
@@ -105,21 +105,17 @@ def energy_map(psi, variant="coisotropy"):
     return _report(grid, e2, e4, tag)
 
 
-def covariant_potential(a, phi=None):
-    """D_phi a = a_perp + phi^* omega-perp as a 1-form."""
-    phi = phi if phi is not None else a.phi
+def covariant_potential(a):
+    """D_phi a = a_perp + phi^* omega-perp as a 1-form, phi the reference map of a."""
     _, aperp = a.split()
-    if phi is None:
+    if a.phi is None:
         return aperp
-    return aperp + fl.pullback_coisotropy(phi)
+    return aperp + fl.pullback_coisotropy(a.phi)
 
 
-def energy_potential(a, phi=None):
-    """Energy of a potential relative to the reference map: E_phi(a)."""
-    phi = phi if phi is not None else a.phi
-    if phi is not None and phi.grid != a.grid:
-        raise ValueError("potential and reference map live on different grids")
-    D = covariant_potential(a, phi)
+def energy_potential(a):
+    """Energy of a potential relative to its reference map: E_phi(a)."""
+    D = covariant_potential(a)
     e2 = 0.5 * D.norm2_density()
     W = comm_wedge(D, a.pair)
     e4 = 0.25 * W.norm2_density()
@@ -176,12 +172,12 @@ def descent_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
     return np.ascontiguousarray(np.moveaxis(grad, 0, -1))
 
 
-def energy_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
+def energy_gradient(psi):
     """Exact gradient of the discretized coisotropy energy on a CP1 map.
 
     Returns per-site vectors tangent to the sphere, shape (n, n, n, 3).
     The energy as a function of raw site values is
-      sum_x h^3 [ c2/8 sum_mu |psi x v_mu|^2 + c4/16 sum_{mu<nu} s_mn^2 ]
+      sum_x h^3 [ 1/8 sum_mu |psi x v_mu|^2 + 1/16 sum_{mu<nu} s_mn^2 ]
     with v_mu the centered differences and s_mn = psi . (v_mu x v_nu);
     the chain rule contributions through the neighbors enter as the
     (negative) centered difference of d(density)/d(v_mu).
@@ -192,8 +188,6 @@ def energy_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
     h = grid.h
     p = psi.values
     v = [centered_diff(p, mu, h) for mu in range(3)]
-    c2 = scale_dirichlet
-    c4 = scale_skyrme
 
     grad = np.zeros_like(p)
     dEdv = [np.zeros_like(p) for _ in range(3)]
@@ -201,15 +195,15 @@ def energy_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
     for mu in range(3):
         pv = dot(p, v[mu])[..., None]
         vv = dot(v[mu], v[mu])[..., None]
-        grad += (c2 / 4.0) * (vv * p - pv * v[mu])
-        dEdv[mu] += (c2 / 4.0) * (v[mu] - pv * p)
+        grad += 0.25 * (vv * p - pv * v[mu])
+        dEdv[mu] += 0.25 * (v[mu] - pv * p)
 
     for mu, nu in SLOTS2:
         cvv = cross(v[mu], v[nu])
         s = dot(p, cvv)[..., None]
-        grad += (c4 / 8.0) * s * cvv
-        dEdv[mu] += (c4 / 8.0) * s * cross(v[nu], p)
-        dEdv[nu] += (c4 / 8.0) * s * cross(p, v[mu])
+        grad += 0.125 * s * cvv
+        dEdv[mu] += 0.125 * s * cross(v[nu], p)
+        dEdv[nu] += 0.125 * s * cross(p, v[mu])
 
     for mu in range(3):
         grad -= centered_diff(dEdv[mu], mu, h)

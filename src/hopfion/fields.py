@@ -81,43 +81,47 @@ class LiftField:
 
 
 class PotentialField:
-    """A g-valued 1-form with a cached isotropy split against a reference map."""
+    """A g-valued 1-form a with its reference map phi (on a's grid, giving the
+    pair), as in E_phi(a); a pair given without phi means there is no map."""
 
     def __init__(self, a, phi=None, pair=None):
         if a.degree != 1:
             raise ValueError("potential must be a 1-form")
+        if (phi is None) == (pair is None):
+            raise ValueError("a potential takes a reference map or, without one, a pair")
+        if phi is not None and phi.grid != a.grid:
+            raise ValueError("potential and reference map live on different grids")
         self.a = a
         self.phi = phi
-        self.pair = pair if pair is not None else (phi.pair if phi is not None else alg.su2_u1())
-        self._split = None
+        self.pair = pair if phi is None else phi.pair
 
     def split(self):
         """(a_par, a_perp) as 1-forms, pointwise in h_phi and its complement."""
-        if self._split is None:
-            self._split = split_form(self.a, self.phi, self.pair)
-        return self._split
+        if self.phi is not None:
+            return split_form(self.a, self.phi)
+        if self.pair.dim_h:
+            raise ValueError("isotropy split needs a reference map")
+        return LatticeField.zeros(self.grid, 1, self.a.vdim), self.a
 
     @property
     def grid(self):
         return self.a.grid
 
 
-def split_form(form, phi, pair):
+def split_form(form, phi):
     """(par, perp): a g-valued form of any degree split pointwise into h_phi
-    and its orthogonal complement along the map phi."""
-    if pair.dim_h == 0:
+    and its orthogonal complement along the map phi, in phi's pair."""
+    if phi.pair.dim_h == 0:
         return LatticeField.zeros(form.grid, form.degree, form.vdim), form
-    if phi is None:
-        raise ValueError("isotropy split needs a reference map")
     # phi broadcasts over the slot axis
-    par, perp = alg.project_isotropy(pair, phi.values[:, :, :, None], form.data)
+    par, perp = alg.project_isotropy(phi.pair, phi.values[:, :, :, None], form.data)
     return LatticeField(form.grid, form.degree, par), LatticeField(form.grid, form.degree, perp)
 
 
-def constant_map(grid, pair=None):
+def constant_map(grid):
     """The constant reference map phi = i on CP1."""
-    pair = pair if pair is not None else alg.su2_u1()
-    return MapField(grid, pair, np.broadcast_to([1.0, 0.0, 0.0], (grid.n,) * 3 + (3,)).copy())
+    values = np.broadcast_to([1.0, 0.0, 0.0], (grid.n,) * 3 + (3,)).copy()
+    return MapField(grid, alg.su2_u1(), values)
 
 
 def links(u, axis):
@@ -126,7 +130,8 @@ def links(u, axis):
 
 
 def pure_gauge_potential(u, phi=None):
-    """a = u^-1 du from principal logs of link variables, exactly g-valued."""
+    """a = u^-1 du from principal logs of link variables, exactly g-valued,
+    against phi (default: the constant map for su2_u1, none otherwise)."""
     h = u.grid.h
     inv = u.inverse_values()
     data = np.empty(u.values.shape[:3] + (3, u.pair.dim_g))
@@ -140,9 +145,9 @@ def pure_gauge_potential(u, phi=None):
         np.divide(coeffs, h, out=data[:, :, :, mu])
         del coeffs  # before the next link is formed
     a = LatticeField(u.grid, 1, data)
-    ref = phi if phi is not None else (
-        constant_map(u.grid) if u.pair.name == "su2_u1" else None)
-    return PotentialField(a, ref, u.pair)
+    if phi is None and u.pair.name != "su2_u1":
+        return PotentialField(a, pair=u.pair)
+    return PotentialField(a, phi if phi is not None else constant_map(u.grid))
 
 
 def plaquette_defect(u):
@@ -259,10 +264,10 @@ def make_ansatz(kind, grid, charge=0):
     pair = alg.su2_u1()
     if kind == "constant" or (kind == "hopf" and charge == 0):
         u = LiftField(grid, pair, pair.identity_element((grid.n,) * 3))
-        return constant_map(grid, pair), u
+        return constant_map(grid), u
     if kind in ("hopf", "ball_degree"):
         u = _suspension_lift(grid, int(charge))
-        return act(u, constant_map(grid, pair)), u
+        return act(u, constant_map(grid)), u
     if kind == "great_circle":
         x1 = grid.site_coords()[..., 0]
         alpha = np.pi * x1 / grid.length

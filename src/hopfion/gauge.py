@@ -88,43 +88,43 @@ def stabilizer_log_derivative(stab, scheme="log"):
     return LatticeField.from_slots(grid, 1, slots)
 
 
-def _require_isotropic(b, phi, tol=ISOTROPY_TOL):
-    par = fl.split_form(b, phi, phi.pair)[0]
+def _require_isotropic(b, phi):
+    par = fl.split_form(b, phi)[0]
     defect = float(np.max(np.abs(b.data - par.data)))
     scale = max(float(np.max(np.abs(b.data))), 1.0)
-    if defect > tol * scale:
+    if defect > ISOTROPY_TOL * scale:
         raise ValueError(f"potential is not isotropy-valued (defect {defect:.3e})")
 
 
-def gauge_transform_potential(b, stab, phi=None, dw_scheme="log"):
-    """b^w = Ad(w^-1) b + w^-1 dw - (Ad(w^-1) - I) phi^*omega.
+def gauge_transform_potential(b, stab, dw_scheme="log"):
+    """b^w = Ad(w^-1) b + w^-1 dw - (Ad(w^-1) - I) phi^*omega, phi = b.phi.
 
-    b must be isotropy-valued against phi.  The result is isotropy-valued
-    at roundoff for constant phi (or the 'exact' scheme) and up to O(h)
-    otherwise.
+    b must be isotropy-valued against phi, and stab built on phi.  The
+    result is isotropy-valued at roundoff for constant phi (or the 'exact'
+    scheme) and up to O(h) otherwise.
     """
-    phi = phi if phi is not None else stab.phi
-    bfield = b.a if isinstance(b, fl.PotentialField) else b
-    _require_isotropic(bfield, phi)
+    phi = b.phi
+    if stab.phi is not phi and (phi is None or stab.phi.grid != phi.grid
+                                or not np.array_equal(stab.phi.values, phi.values)):
+        raise ValueError("stabilizer and potential have different reference maps")
+    _require_isotropic(b.a, phi)
     omega = fl.pullback_coisotropy(phi)
     dw = stabilizer_log_derivative(stab, scheme=dw_scheme)
-    adb = ad_inverse_apply(stab.w, bfield)
+    adb = ad_inverse_apply(stab.w, b.a)
     ad_omega = ad_inverse_apply(stab.w, omega)
     out = adb + dw - (ad_omega - omega)
-    return fl.PotentialField(out, phi, phi.pair)
+    return fl.PotentialField(out, phi)
 
 
-def coset_curvature(b, phi=None):
-    """F(b) = db + b ^ b - [b, phi^*omega] - (phi^*omega ^ phi^*omega)_par."""
-    if isinstance(b, fl.PotentialField):
-        phi = phi if phi is not None else b.phi
-        b = b.a
+def coset_curvature(b):
+    """F(b) = db + b ^ b - [b, phi^*omega] - (phi^*omega ^ phi^*omega)_par, phi = b.phi."""
+    phi, a = b.phi, b.a
     if phi is None:
         raise ValueError("coset curvature needs the reference map")
     pair = phi.pair
     omega = fl.pullback_coisotropy(phi)
-    par_oo = fl.split_form(comm_wedge(omega, pair), phi, pair)[0]
-    return d(b) + comm_wedge(b, pair) - wedge(b, omega, pair.bracket) - par_oo
+    par_oo = fl.split_form(comm_wedge(omega, pair), phi)[0]
+    return d(a) + comm_wedge(a, pair) - wedge(a, omega, pair.bracket) - par_oo
 
 
 def projector_derivative_wedge(phi, form):
@@ -244,13 +244,13 @@ def identity_suite(sizes=(16, 32, 64), seed=0):
 
         apot = fl.pure_gauge_potential(u, phi)
         a = apot.a
-        apar, aperp = fl.split_form(a, phi, pair)
+        apar, aperp = fl.split_form(a, phi)
 
         # ---- pointwise-algebraic class ------------------------------
         # Dafi over shared discrete inputs, non-constant phi, exact dw
         a_w = ad_inverse_apply(stab.w, a_smooth) + stabilizer_log_derivative(stab, scheme="exact")
-        b, asperp = fl.split_form(a_smooth, phi, pair)
-        lhs = fl.split_form(a_w, phi, pair)[1] + omega
+        b, asperp = fl.split_form(a_smooth, phi)
+        lhs = fl.split_form(a_w, phi)[1] + omega
         rhs = ad_inverse_apply(stab.w, asperp + omega)
         record("dafi_shared_inputs", "pointwise", grid.n, _rel(lhs - rhs, rhs))
 
@@ -264,24 +264,23 @@ def identity_suite(sizes=(16, 32, 64), seed=0):
         # curvature equivariance with shared inputs (constant phi)
         b0 = LatticeField.from_slots(
             grid, 1, [smooth_scalar(grid, rng)[..., None] * phi0.values for _ in range(3)])
-        lhs = coset_curvature(
-            gauge_transform_potential(fl.PotentialField(b0, phi0, pair), stab0, phi0), phi0)
-        rhs = ad_inverse_apply(stab0.w, coset_curvature(fl.PotentialField(b0, phi0, pair), phi0))
+        lhs = coset_curvature(gauge_transform_potential(fl.PotentialField(b0, phi0), stab0))
+        rhs = ad_inverse_apply(stab0.w, coset_curvature(fl.PotentialField(b0, phi0)))
         record("curvature_equivariance_shared", "pointwise", grid.n, _rel(lhs - rhs, rhs))
 
         # symmetric-space cancellations
         aa = comm_wedge(aperp, pair)
         record("symmetric_fourth_term", "pointwise", grid.n,
-               l2_norm(fl.split_form(aa, phi, pair)[1]) / max(l2_norm(aa), 1e-30))
+               l2_norm(fl.split_form(aa, phi)[1]) / max(l2_norm(aa), 1e-30))
         oo = comm_wedge(omega, pair)
         record("refcurv_no_projection", "pointwise", grid.n,
-               l2_norm(fl.split_form(oo, phi, pair)[1]) / max(l2_norm(oo), 1e-30))
+               l2_norm(fl.split_form(oo, phi)[1]) / max(l2_norm(oo), 1e-30))
 
         # ---- differential class -------------------------------------
         # curvature formula vs its projected form (Theorem statement vs corollary)
-        lhs = coset_curvature(fl.PotentialField(b, phi, pair), phi)
-        db_par, db_perp = fl.split_form(d(b), phi, pair)
-        rhs = db_par + comm_wedge(b, pair) - fl.split_form(oo, phi, pair)[0]
+        lhs = coset_curvature(fl.PotentialField(b, phi))
+        db_par, db_perp = fl.split_form(d(b), phi)
+        rhs = db_par + comm_wedge(b, pair) - fl.split_form(oo, phi)[0]
         record("curvature_vs_projected_form", "differential", grid.n, _rel(lhs - rhs, lhs))
 
         # (db)_perp = [omega, b]
@@ -292,20 +291,20 @@ def identity_suite(sizes=(16, 32, 64), seed=0):
         dphi_par = projector_derivative_wedge(phi, apar)
         dphi_perp = projector_derivative_wedge(phi, aperp)
         record("dphi_wedge_par", "differential", grid.n,
-               _rel(dphi_par - fl.split_form(d(apar), phi, pair)[1], d(apar)))
+               _rel(dphi_par - fl.split_form(d(apar), phi)[1], d(apar)))
         record("dphi_wedge_perp", "differential", grid.n,
-               _rel(dphi_perp + fl.split_form(d(aperp), phi, pair)[0], d(aperp)))
+               _rel(dphi_perp + fl.split_form(d(aperp), phi)[0], d(aperp)))
 
         # flat-potential relations (pure-gauge a, smooth phi)
-        lhs = coset_curvature(fl.PotentialField(apar, phi, pair), phi)
-        rhs = dphi_perp - fl.split_form(aa, phi, pair)[0] - fl.split_form(oo, phi, pair)[0]
+        lhs = coset_curvature(fl.PotentialField(apar, phi))
+        rhs = dphi_perp - fl.split_form(aa, phi)[0] - fl.split_form(oo, phi)[0]
         record("flat_curvature_i", "differential", grid.n, _rel(lhs - rhs, lhs))
 
         rhs = dphi_perp - aa - oo
         record("flat_curvature_i_symmetric", "differential", grid.n, _rel(lhs - rhs, lhs))
 
         lhs = d(aperp)
-        rhs = -dphi_par - dphi_perp - wedge(apar, aperp, pair.bracket) - fl.split_form(aa, phi, pair)[1]
+        rhs = -dphi_par - dphi_perp - wedge(apar, aperp, pair.bracket) - fl.split_form(aa, phi)[1]
         record("flat_derivative_ii", "differential", grid.n, _rel(lhs - rhs, lhs))
 
         rhs = -dphi_par - dphi_perp - wedge(apar, aperp, pair.bracket)
@@ -335,14 +334,13 @@ def identity_suite(sizes=(16, 32, 64), seed=0):
             w=fl.LiftField(grid, pair, alg.qmul(stab0.w.values, stab0b.w.values)),
             phi=phi0, theta=stab0.theta + stab0b.theta)
         lhs = gauge_transform_potential(
-            gauge_transform_potential(fl.PotentialField(b0, phi0, pair), stab0, phi0),
-            stab0b, phi0)
-        rhs = gauge_transform_potential(fl.PotentialField(b0, phi0, pair), w12, phi0)
+            gauge_transform_potential(fl.PotentialField(b0, phi0), stab0), stab0b)
+        rhs = gauge_transform_potential(fl.PotentialField(b0, phi0), w12)
         record("gauge_action_composition", "pointwise", grid.n, _rel(lhs.a - rhs.a, rhs.a))
 
         # dual formulation of the energy
         e_map = energy_map(psi).total
-        e_pot = energy_potential(apot, phi).total
+        e_pot = energy_potential(apot).total
         record("dual_energy", "differential", grid.n, abs(e_map - e_pot) / max(abs(e_map), 1e-30))
 
     out = []
@@ -368,8 +366,8 @@ def identity_suite(sizes=(16, 32, 64), seed=0):
 # heuristic gauge smoothing
 # ---------------------------------------------------------------------------
 
-def gauge_smooth(b, phi, iterations=200, step=0.2):
-    """Descend theta -> |b^{w(theta)}|_{L2}^2 and return the best stabilizer.
+def gauge_smooth(b, iterations=200, step=0.2):
+    """Descend theta -> |b^{w(theta)}|_{L2}^2, w about b.phi, to the best stabilizer.
 
     minimize.descend on the Euclidean theta (retraction theta + v, no
     projection), with step as its initial inverse-Hessian scale and
@@ -377,12 +375,11 @@ def gauge_smooth(b, phi, iterations=200, step=0.2):
     history (start and accepted steps) decreases strictly by the Armijo
     test.  This is a heuristic smoothing pass, not a compactness statement.
     """
-    if not phi.is_cp1:
+    phi = b.phi
+    if phi is None or not phi.is_cp1:
         raise ValueError("gauge smoothing is implemented for the CP1 pair")
-    bfield = b.a if isinstance(b, fl.PotentialField) else b
-    grid = bfield.grid
-    h = grid.h
-    r = bfield + fl.pullback_coisotropy(phi)
+    h = b.grid.h
+    r = b.a + fl.pullback_coisotropy(phi)
     last = [None, None]  # [theta, (stab, b^w)] of the latest point
 
     def transformed(theta):
@@ -391,8 +388,7 @@ def gauge_smooth(b, phi, iterations=200, step=0.2):
         if last[0] is not theta:
             last[:] = None, None  # free the previous point's b^w first
             stab = make_stabilizer(phi, theta)
-            last[:] = theta, (stab, gauge_transform_potential(
-                fl.PotentialField(bfield, phi, phi.pair), stab, phi, dw_scheme="exact").a)
+            last[:] = theta, (stab, gauge_transform_potential(b, stab, dw_scheme="exact").a)
         return last[1]
 
     def objective(theta):
@@ -413,7 +409,7 @@ def gauge_smooth(b, phi, iterations=200, step=0.2):
         return grad * h ** 3
 
     history = []
-    theta, _ = descend(objective, gradient, np.zeros((grid.n,) * 3),
+    theta, _ = descend(objective, gradient, np.zeros((b.grid.n,) * 3),
                        retract=lambda theta, v: theta + v, project=lambda theta, v: v,
                        step_init=step, max_iters=iterations,
                        on_step=lambda it, theta, terms, grad, st: history.append(terms[0]))

@@ -166,7 +166,7 @@ def read_snapshot(path):
         raise SnapshotError(f"{kind} payload: {exc}") from exc
     data = values.reshape(n, n, n, 3, ncomp // 3)
     a = LatticeField(grid, 1, data)
-    return meta, fl.PotentialField(a, fl.constant_map(grid), alg.su2_u1())
+    return meta, fl.PotentialField(a, fl.constant_map(grid))
 
 
 # ---------------------------------------------------------------------------

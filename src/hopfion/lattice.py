@@ -97,9 +97,6 @@ class LatticeField:
     def slot(self, index):
         return self.data[:, :, :, index, :]
 
-    def map_values(self, fn):
-        return LatticeField(self.grid, self.degree, fn(self.data))
-
     def norm2_density(self):
         """Pointwise squared norm, summed over slots and components.
 

@@ -152,8 +152,8 @@ def triple_trace_wedge(alpha, beta, gamma, trace_tensor):
 _CS_SLAB = 8
 
 
-def chern_simons_charge(a, pair=None):
-    """c * integral tr(a ^ a ^ a) via the four-term isotropy split.
+def chern_simons_charge(a):
+    """c * integral tr(a ^ a ^ a) via the four-term isotropy split of a.
 
     The four traces (par^3, 3 par^2 perp, 3 par perp^2, perp^3) are formed
     separately and summed; for the CP1 reference the first two vanish
@@ -162,8 +162,7 @@ def chern_simons_charge(a, pair=None):
     x into four full-grid trace arrays: the split parts never exist for
     the whole grid at once, and the sums equal the whole-grid ones.
     """
-    pair = pair if pair is not None else a.pair
-    T = pair.trace_tensor
+    T = a.pair.trace_tensor
     n = a.grid.n
     terms = np.empty((4, n, n, n))
     for lo in range(0, n, _CS_SLAB):
@@ -204,19 +203,18 @@ def _richardson(fine, grid, coarse):
     return (4.0 * fine - coarse()) / 3.0
 
 
-def chern_simons_from_lift(u, phi=None):
+def chern_simons_from_lift(u):
     """Chern-Simons charge of a lift, with h^2 Richardson elimination.
 
-    The four-term split is evaluated on the given grid and on its stride-2
-    subsample (the same field at spacing 2h); the leading quadratic
-    quadrature bias cancels in (4 q_h - q_2h) / 3.  Falls back to the
-    plain value when the grid cannot be halved.
+    The four-term split of u^-1 du is evaluated on the given grid and on
+    its stride-2 subsample (the same field at spacing 2h); the leading
+    quadratic quadrature bias cancels in (4 q_h - q_2h) / 3.  Falls back
+    to the plain value when the grid cannot be halved.
     """
     def coarse():
-        phi2 = None if phi is None else _subsample(phi)
-        return chern_simons_charge(fl.pure_gauge_potential(_subsample(u), phi2)).cs_value
+        return chern_simons_charge(fl.pure_gauge_potential(_subsample(u))).cs_value
 
-    fine = chern_simons_charge(fl.pure_gauge_potential(u, phi)).cs_value
+    fine = chern_simons_charge(fl.pure_gauge_potential(u)).cs_value
     return ChargeReport(cs_value=_richardson(fine, u.grid, coarse))
 
 
@@ -287,8 +285,8 @@ def _whitehead_plain(psi, return_fields=False):
     flux = _check_fluxes(F)
     if flux > FLUX_TOL:
         raise FluxObstructionError(
-            "field not nullhomotopic on 2-skeleton; Whitehead integral "
-            f"undefined on T^3 (flux {flux:.3e})")
+            f"Whitehead integral undefined: flux {flux:.3e} through a coordinate 2-torus means "
+            f"a nonzero degree there or a grid (n = {psi.grid.n}) too coarse; refine the grid")
     A = solve_vector_potential(F)
     AF = wedge(A, F, np.multiply)
     value = float(np.sum(AF.data) * psi.grid.h ** 3)
@@ -568,7 +566,7 @@ def assign_sector(psi, phi, u, reference_id="reference"):
     if defect > 1e-10:
         raise ValueError(f"factorization residual {defect:.3e} exceeds 1e-10")
     a = fl.pure_gauge_potential(u, phi)
-    report = chern_simons_charge(a, phi.pair)
+    report = chern_simons_charge(a)
     note = ("charge is reported as raw integers; equality mod the stabilizer "
             "subgroup O_phi is decided only for constant references, where "
             "O_phi is trivial")

@@ -168,9 +168,8 @@ class TestEnergyPotential:
     def test_grid_mismatch_rejected(self, rng):
         from hopfion.lattice import LatticeField
 
-        a = fl.PotentialField(LatticeField.zeros(Grid(12), 1, 3), fl.constant_map(Grid(12)))
         with pytest.raises(ValueError):
-            energy_potential(a, fl.constant_map(Grid(16)))
+            fl.PotentialField(LatticeField.zeros(Grid(12), 1, 3), fl.constant_map(Grid(16)))
 
 
 class TestGradients:
@@ -282,7 +281,7 @@ def test_energies_unmoved_by_component_kernels(rng, monkeypatch):
     def run():
         maps = [energy_map(psi, variant).density.data
                 for variant in ("coisotropy", "cross_product", "isotropic_skyrme")]
-        return maps + [energy_gradient(psi, scale_dirichlet=0.7, scale_skyrme=1.3)]
+        return maps + [energy_gradient(psi)]
 
     fast = run()
     assert oracles.patch_kernels(monkeypatch) > 0

@@ -143,23 +143,25 @@ class TestSplit:
     def test_group_pair_has_no_isotropic_part(self, grid16, rng):
         u = smooth_lift(grid16, rng)
         psi = fl.MapField(grid16, alg.su2_group(), u.values)
-        a = fl.PotentialField(fl.pure_gauge_potential(u).a, psi, alg.su2_group())
-        par, perp = a.split()
-        assert np.max(np.abs(par.data)) == 0.0
-        assert np.max(np.abs(perp.data - a.a.data)) == 0.0
+        # with the map, and without one: h is trivial, so neither needs it
+        for a in (fl.PotentialField(fl.pure_gauge_potential(u).a, psi),
+                  fl.pure_gauge_potential(fl.LiftField(grid16, alg.su2_group(), u.values))):
+            par, perp = a.split()
+            assert np.max(np.abs(par.data)) == 0.0
+            assert np.max(np.abs(perp.data - a.a.data)) == 0.0
 
 
 class TestMergedSplit:
     def test_cp1_split_matches_old_formulas(self, grid12, rng):
         phi = smooth_cp1_map(grid12, rng, amplitude=0.4)
         a = LatticeField(grid12, 1, rng.standard_normal((12,) * 3 + (3, 3)))
-        par, perp = fl.split_form(a, phi, phi.pair)
+        par, perp = fl.split_form(a, phi)
         ref_par, ref_perp = oracles.cp1_split_potential(a, phi)
         assert np.array_equal(par.data, ref_par.data)
         assert np.array_equal(perp.data, ref_perp.data)
         W = comm_wedge(fl.pullback_coisotropy(phi), phi.pair) + LatticeField(
             grid12, 2, rng.standard_normal((12,) * 3 + (3, 3)))
-        par, perp = fl.split_form(W, phi, phi.pair)
+        par, perp = fl.split_form(W, phi)
         ref_par = oracles.cp1_isotropy_project_2form(W, phi)
         assert np.array_equal(par.data, ref_par.data)
         assert np.array_equal(perp.data, (W - ref_par).data)  # the old project_perp
@@ -171,15 +173,25 @@ class TestMergedSplit:
         phi = fl.MapField(grid, pair, oracles.matrix_exp(pair.matrix_of(gen)), renormalize=False)
         for degree, slots in ((1, 3), (2, 3), (3, 1)):
             form = LatticeField(grid, degree, rng.standard_normal((6,) * 3 + (slots, 8)))
-            par, perp = fl.split_form(form, phi, pair)
+            par, perp = fl.split_form(form, phi)
             ref_par, ref_perp = oracles.slotwise_ad_split(form, phi)
             assert np.max(np.abs(par.data - ref_par.data)) <= 1e-12
             assert np.max(np.abs(perp.data - ref_perp.data)) <= 1e-12
             assert np.max(np.abs(par.data + perp.data - form.data)) <= 1e-12
 
     def test_needs_reference_map(self, grid12):
+        # a potential without a map splits only when h is trivial
+        a = fl.PotentialField(LatticeField.zeros(grid12, 1, 3), pair=alg.su2_u1())
         with pytest.raises(ValueError):
-            fl.split_form(LatticeField.zeros(grid12, 2, 3), None, alg.su2_u1())
+            a.split()
+
+    @pytest.mark.parametrize("given", ["both", "neither"])
+    def test_map_or_pair(self, grid12, given):
+        # the pair comes from the map; one is given without the other
+        a = LatticeField.zeros(grid12, 1, 3)
+        args = (fl.constant_map(grid12), alg.su2_u1()) if given == "both" else ()
+        with pytest.raises(ValueError):
+            fl.PotentialField(a, *args)
 
 
 class TestFieldInvariants:

@@ -57,7 +57,7 @@ class TestGaugeAction:
         phi = fl.constant_map(grid16)
         b = isotropic_potential(grid16, phi, rng)
         stab = make_stabilizer(phi, 0.0)
-        bw = gauge_transform_potential(b, stab, phi)
+        bw = gauge_transform_potential(b, stab)
         assert np.max(np.abs(bw.a.data - b.a.data)) < 1e-14
 
     def test_requires_isotropic_input(self, grid16, rng):
@@ -66,13 +66,27 @@ class TestGaugeAction:
         bad = fl.PotentialField(LatticeField(grid16, 1, data), phi)
         stab = make_stabilizer(phi, smooth_scalar(grid16, rng, 0.5))
         with pytest.raises(ValueError):
-            gauge_transform_potential(bad, stab, phi)
+            gauge_transform_potential(bad, stab)
+
+    def test_stabilizer_on_another_map_rejected(self, grid16, rng):
+        # the zero potential is isotropic against any map, so only the map
+        # check can reject it
+        phi = fl.constant_map(grid16)
+        zero = fl.PotentialField(LatticeField.zeros(grid16, 1, 3), phi)
+        theta = smooth_scalar(grid16, rng, 0.5)
+        for other in (smooth_cp1_map(grid16, rng, amplitude=0.4), fl.constant_map(Grid(16, 1.0))):
+            with pytest.raises(ValueError, match="reference maps"):
+                gauge_transform_potential(zero, make_stabilizer(other, theta))
+        equal = fl.MapField(grid16, phi.pair, phi.values.copy())
+        bw = gauge_transform_potential(zero, make_stabilizer(equal, theta))
+        assert np.array_equal(bw.a.data, gauge_transform_potential(
+            zero, make_stabilizer(phi, theta)).a.data)
 
     def test_result_isotropic_for_constant_reference(self, grid16, rng):
         phi = fl.constant_map(grid16)
         b = isotropic_potential(grid16, phi, rng)
         stab = make_stabilizer(phi, smooth_scalar(grid16, rng, 0.7))
-        bw = gauge_transform_potential(b, stab, phi)
+        bw = gauge_transform_potential(b, stab)
         par, perp = bw.split()
         assert np.max(np.abs(perp.data)) < 1e-10 * max(np.max(np.abs(bw.a.data)), 1.0)
 
@@ -86,9 +100,9 @@ class TestGaugeAction:
             phi = smooth_cp1_map(grid, local, amplitude=0.25)
             stab = make_stabilizer(phi, smooth_scalar(grid, local, 0.5))
             zero = fl.PotentialField(LatticeField.zeros(grid, 1, 3), phi)
-            bw = gauge_transform_potential(zero, stab, phi)
+            bw = gauge_transform_potential(zero, stab)
             dw = stabilizer_log_derivative(stab, scheme="log")
-            par = fl.split_form(dw, phi, phi.pair)[0]
+            par = fl.split_form(dw, phi)[0]
             rel.append(l2_norm(bw.a - par) / l2_norm(par))
         assert rel[1] < 0.65 * rel[0]
 
@@ -109,31 +123,31 @@ class TestCosetCurvature:
     def test_flat_trivial(self, grid16):
         phi = fl.constant_map(grid16)
         zero = fl.PotentialField(LatticeField.zeros(grid16, 1, 3), phi)
-        F = coset_curvature(zero, phi)
+        F = coset_curvature(zero)
         assert np.max(np.abs(F.data)) == 0.0
 
     def test_reference_curvature(self, grid16, rng):
         # F(0) = -(omega ^ omega)_par, assembled independently
         phi = smooth_cp1_map(grid16, rng, amplitude=0.4)
         zero = fl.PotentialField(LatticeField.zeros(grid16, 1, 3), phi)
-        F = coset_curvature(zero, phi)
+        F = coset_curvature(zero)
         omega = fl.pullback_coisotropy(phi)
         oo = comm_wedge(omega, phi.pair)
-        expected = -fl.split_form(oo, phi, phi.pair)[0].data
+        expected = -fl.split_form(oo, phi)[0].data
         assert np.max(np.abs(F.data - expected)) < 1e-12
 
     def test_symmetric_pair_projection_free(self, grid16, rng):
         phi = smooth_cp1_map(grid16, rng, amplitude=0.4)
         omega = fl.pullback_coisotropy(phi)
         oo = comm_wedge(omega, phi.pair)
-        assert l2_norm(fl.split_form(oo, phi, phi.pair)[1]) < 1e-10 * l2_norm(oo)
+        assert l2_norm(fl.split_form(oo, phi)[1]) < 1e-10 * l2_norm(oo)
 
     def test_curvature_equivariance_shared_inputs(self, grid16, rng):
         phi = fl.constant_map(grid16)
         b = isotropic_potential(grid16, phi, rng)
         stab = make_stabilizer(phi, smooth_scalar(grid16, rng, 0.6))
-        lhs = coset_curvature(gauge_transform_potential(b, stab, phi), phi)
-        rhs = ad_inverse_apply(stab.w, coset_curvature(b, phi))
+        lhs = coset_curvature(gauge_transform_potential(b, stab))
+        rhs = ad_inverse_apply(stab.w, coset_curvature(b))
         assert l2_norm(lhs - rhs) < 1e-8 * l2_norm(rhs)
 
 
@@ -193,7 +207,7 @@ class TestGaugeSmooth:
     def test_zero_stays(self, grid12):
         phi = fl.constant_map(grid12)
         zero = fl.PotentialField(LatticeField.zeros(grid12, 1, 3), phi)
-        stab = gauge_smooth(zero, phi, iterations=20)
+        stab = gauge_smooth(zero, iterations=20)
         assert np.max(np.abs(stab.theta)) == 0.0
         assert stab.objective_history[-1] == 0.0
 
@@ -203,8 +217,8 @@ class TestGaugeSmooth:
         planted = make_stabilizer(phi, theta0)
         b = fl.PotentialField(stabilizer_log_derivative(planted, scheme="log"), phi)
         par, _ = b.split()
-        b = fl.PotentialField(par.map_values(lambda v: v), phi)
-        stab = gauge_smooth(b, phi, iterations=400, step=0.5)
+        b = fl.PotentialField(par, phi)
+        stab = gauge_smooth(b, iterations=400, step=0.5)
         hist = stab.objective_history
         assert hist[-1] <= 0.1 * hist[0]
 
@@ -232,7 +246,7 @@ class TestGaugeSmooth:
         monkeypatch.setattr(gauge, "gauge_transform_potential", counting_transform)
         monkeypatch.setattr(gauge, "descend",
                             lambda *a, **k: counting_descend(*a, fresh_copies=False, **k))
-        hist = gauge_smooth(b, phi, iterations=15).objective_history
+        hist = gauge_smooth(b, iterations=15).objective_history
         assert counts["gradient"] > 1
         assert counts["transform"] == counts["objective"]
         # a gradient on a copy of the point misses the cache and recomputes it
@@ -240,12 +254,12 @@ class TestGaugeSmooth:
         counts.update(transform=0, objective=0, gradient=0)
         monkeypatch.setattr(gauge, "descend",
                             lambda *a, **k: counting_descend(*a, fresh_copies=True, **k))
-        assert gauge_smooth(b, phi, iterations=15).objective_history == hist
+        assert gauge_smooth(b, iterations=15).objective_history == hist
         assert counts["transform"] == counts["objective"] + counts["gradient"]
 
     def test_monotone_objective(self, grid12, rng):
         phi = fl.constant_map(grid12)
         b = isotropic_potential(grid12, phi, rng)
-        stab = gauge_smooth(b, phi, iterations=60)
+        stab = gauge_smooth(b, iterations=60)
         hist = stab.objective_history
         assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))

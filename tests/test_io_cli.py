@@ -194,6 +194,16 @@ class TestCli:
         assert payload["rounded"] == [1]
         assert payload["linking"] == 1
 
+    def test_coarse_hopf_map_exit_3_names_grid(self, tmp_path, capsys):
+        # at n = 8 a plaquette of the charge-1 ansatz wraps the sphere, which
+        # the Whitehead route sees as flux through a coordinate 2-torus
+        prefix = str(tmp_path / "c")
+        assert main(["ansatz", "--n", "8", "--out", prefix]) == 0
+        capsys.readouterr()
+        assert main(["hopf", "--map", prefix + ".psi.hopf", "--skip-linking"]) == 3
+        err = capsys.readouterr().err
+        assert "grid (n = 8)" in err and "refine" in err
+
     def test_degree_route(self, tmp_path, capsys):
         prefix = str(tmp_path / "d")
         main(["ansatz", "--kind", "ball_degree", "--charge", "1", "--n", "24",
