@@ -84,6 +84,8 @@ class PotentialField:
     """A g-valued 1-form a with its reference map phi (on a's grid, giving the
     pair), as in E_phi(a); a pair given without phi means there is no map."""
 
+    __slots__ = ("a", "phi", "pair")
+
     def __init__(self, a, phi=None, pair=None):
         if a.degree != 1:
             raise ValueError("potential must be a 1-form")
@@ -91,9 +93,12 @@ class PotentialField:
             raise ValueError("a potential takes a reference map or, without one, a pair")
         if phi is not None and phi.grid != a.grid:
             raise ValueError("potential and reference map live on different grids")
-        self.a = a
-        self.phi = phi
-        self.pair = pair if phi is None else phi.pair
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "pair", pair if phi is None else phi.pair)
+
+    def __setattr__(self, *a):
+        raise AttributeError("PotentialField is immutable")
 
     def split(self):
         """(a_par, a_perp) as 1-forms, pointwise in h_phi and its complement."""

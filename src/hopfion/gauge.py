@@ -16,7 +16,7 @@ with forward differences on theta so that d d theta telescopes away).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -160,14 +160,7 @@ class IdentityResidual:
     passed: bool = False
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "residuals": {str(k): v for k, v in self.residuals.items()},
-            "fitted_order": self.fitted_order,
-            "budget": self.budget,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "residuals": {str(k): v for k, v in self.residuals.items()}}
 
 
 POINTWISE_BUDGET = 1e-8
@@ -219,6 +212,125 @@ def smooth_inputs(grid, rng):
     return phi, u, theta, a
 
 
+def _gauge_action_rows(grid, rng, theta):
+    """The gauge action on constant-map potentials, where it is exact: curvature
+    equivariance, and composition of same-axis stabilizers."""
+    phi0 = fl.constant_map(grid)
+    stab0 = make_stabilizer(phi0, theta)
+    b0 = fl.PotentialField(LatticeField.from_slots(
+        grid, 1, [smooth_scalar(grid, rng)[..., None] * phi0.values for _ in range(3)]), phi0)
+    b0w = gauge_transform_potential(b0, stab0)
+    curvature = ad_inverse_apply(stab0.w, coset_curvature(b0))
+    equivariance = _rel(coset_curvature(b0w) - curvature, curvature)
+    stab0b = make_stabilizer(phi0, smooth_scalar(grid, rng, 0.6))
+    w12 = StabilizerField(
+        w=fl.LiftField(grid, phi0.pair, alg.qmul(stab0.w.values, stab0b.w.values)),
+        phi=phi0, theta=stab0.theta + stab0b.theta)
+    composed = gauge_transform_potential(b0, w12).a
+    return [("curvature_equivariance_shared", "pointwise", equivariance),
+            ("gauge_action_composition", "pointwise",
+             _rel(gauge_transform_potential(b0w, stab0b).a - composed, composed))]
+
+
+def _dafi_rows(stab, omega, a, a_perp):
+    """D a = a_perp + phi^*omega goes to Ad(w^-1) D a under a -> a^w, with its
+    energy density, over shared discrete inputs (exact dw); dw's two routes."""
+    dw = stabilizer_log_derivative(stab, scheme="exact")
+    cov_w = fl.split_form(ad_inverse_apply(stab.w, a) + dw, stab.phi)[1] + omega
+    cov = a_perp + omega
+    rotated = ad_inverse_apply(stab.w, cov)
+    density = cov.norm2_density()
+    dw_log = stabilizer_log_derivative(stab, scheme="log")
+    return [("dafi_shared_inputs", "pointwise", _rel(cov_w - rotated, rotated)),
+            ("dafi_energy_density", "pointwise",
+             float(np.max(np.abs(cov_w.norm2_density() - density)))
+             / (float(np.max(np.abs(density))) or 1.0)),
+            ("stabilizer_derivative_e062", "differential", _rel(dw_log - dw, dw_log))]
+
+
+def _curvature_rows(b, omega, oo, oo_par):
+    """The coset curvature of an isotropy-valued b against its projected form,
+    and the symmetric-space reference curvature, which has no perp part."""
+    phi, pair = b.phi, b.pair
+    curvature = coset_curvature(b)
+    db_par, db_perp = fl.split_form(d(b.a), phi)
+    bracket = wedge(omega, b.a, pair.bracket)
+    return [("refcurv_no_projection", "pointwise",
+             l2_norm(fl.split_form(oo, phi)[1]) / max(l2_norm(oo), 1e-30)),
+            ("curvature_vs_projected_form", "differential",
+             _rel(curvature - (db_par + comm_wedge(b.a, pair) - oo_par), curvature)),
+            ("isotropic_derivative_perp", "differential", _rel(db_perp - bracket, bracket))]
+
+
+def _flat_par_rows(bpar, aa, dphi_par, dphi_perp, oo, oo_par):
+    """a_par of a flat potential: dPhi ^ a_par against d a_par, then relation
+    (i) for its curvature, with and without the isotropy projections."""
+    phi = bpar.phi
+    d_apar = d(bpar.a)  # first: the curvature's temporaries are about five forms deep
+    wedge_par = _rel(dphi_par - fl.split_form(d_apar, phi)[1], d_apar)
+    curvature = coset_curvature(bpar)
+    aa_par, aa_perp = fl.split_form(aa, phi)
+    return [("dphi_wedge_par", "differential", wedge_par),
+            ("symmetric_fourth_term", "pointwise", l2_norm(aa_perp) / max(l2_norm(aa), 1e-30)),
+            ("flat_curvature_i", "differential",
+             _rel(curvature - (dphi_perp - aa_par - oo_par), curvature)),
+            ("flat_curvature_i_symmetric", "differential",
+             _rel(curvature - (dphi_perp - aa - oo), curvature))]
+
+
+def _flat_perp_rows(phi, apar, aperp, aa, dphi_par, dphi_perp):
+    """a_perp of a flat potential: relation (iii) for d[a_perp ^ a_perp], then
+    dPhi ^ a_perp against d a_perp and relation (ii) for d a_perp."""
+    bracket = phi.pair.bracket
+    d_aa = d(aa)  # first, while fewer forms are bound
+    quartic = _rel(d_aa - (-wedge(dphi_par, aperp, bracket)
+                           + projector_derivative_wedge(phi, aa)), d_aa)
+    d_aperp = d(aperp)
+    flat_ii = -dphi_par - dphi_perp - wedge(apar, aperp, bracket)
+    aa_perp = fl.split_form(aa, phi)[1]
+    return [("flat_quartic_iii_symmetric", "differential", quartic),
+            ("dphi_wedge_perp", "differential",
+             _rel(dphi_perp + fl.split_form(d_aperp, phi)[0], d_aperp)),
+            ("flat_derivative_ii", "differential", _rel(d_aperp - (flat_ii - aa_perp), d_aperp)),
+            ("flat_derivative_ii_symmetric", "differential", _rel(d_aperp - flat_ii, d_aperp))]
+
+
+def _pure_gauge_rows(u, phi, omega, oo, oo_par):
+    """The pure-gauge potential a = u^-1 du against phi: the flat-potential
+    relations of its split, its flatness, and its match with the map u.phi."""
+    apot = fl.pure_gauge_potential(u, phi)
+    apar, aperp = apot.split()
+    aa = comm_wedge(aperp, phi.pair)
+    dphi_par = projector_derivative_wedge(phi, apar)
+    dphi_perp = projector_derivative_wedge(phi, aperp)
+    rows = (_flat_par_rows(fl.PotentialField(apar, phi), aa, dphi_par, dphi_perp, oo, oo_par)
+            + _flat_perp_rows(phi, apar, aperp, aa, dphi_par, dphi_perp))
+    d_a = d(apot.a)
+    psi = fl.act(u, phi)
+    e_map = energy_map(psi).total
+    return rows + [
+        ("pure_gauge_flatness", "differential", _rel(d_a + comm_wedge(apot.a, phi.pair), d_a)),
+        ("mapcon", "differential",
+         _rel(aperp - (ad_inverse_apply(u, fl.pullback_coisotropy(psi)) - omega), aperp)),
+        ("dual_energy", "differential",
+         abs(e_map - energy_potential(apot).total) / max(abs(e_map), 1e-30))]
+
+
+def _grid_rows(grid, seed):
+    """(name, kind, residual) of every identity on one grid, family by family;
+    only what later families share is bound here."""
+    rng = np.random.default_rng(seed)  # same modes on every grid
+    phi, u, theta, a = smooth_inputs(grid, rng)
+    rows = _gauge_action_rows(grid, rng, theta)  # the only draws after smooth_inputs
+    omega = fl.pullback_coisotropy(phi)
+    oo = comm_wedge(omega, phi.pair)
+    oo_par = fl.split_form(oo, phi)[0]
+    rows += _pure_gauge_rows(u, phi, omega, oo, oo_par)
+    b, a_perp = fl.split_form(a, phi)
+    rows += _dafi_rows(make_stabilizer(phi, theta), omega, a, a_perp)
+    return rows + _curvature_rows(fl.PotentialField(b, phi), omega, oo, oo_par)
+
+
 def identity_suite(sizes=(16, 32, 64), seed=0):
     """Evaluate the gauge-calculus identities over two or more distinct grid sizes."""
     sizes = sorted(set(sizes))
@@ -227,126 +339,11 @@ def identity_suite(sizes=(16, 32, 64), seed=0):
         raise ConfigError(f"sizes {sizes} must hold two or more distinct grid sizes >= 4")
     grids = [Grid(n) for n in sizes]
     res = {}
-
-    def record(name, kind, n, value):
-        res.setdefault(name, {"kind": kind, "vals": {}})["vals"][n] = value
-
-    # Single-use intermediates are inlined or reuse the names lhs and rhs: at
-    # n = 64 a form takes 19 MB, and a named one lives to the end of its grid.
     for grid in grids:
-        rng = np.random.default_rng(seed)  # same modes on every grid
-        phi, u, theta, a_smooth = smooth_inputs(grid, rng)
-        pair = phi.pair
-        omega = fl.pullback_coisotropy(phi)
-        stab = make_stabilizer(phi, theta)
-        phi0 = fl.constant_map(grid)
-        stab0 = make_stabilizer(phi0, theta)
-
-        apot = fl.pure_gauge_potential(u, phi)
-        a = apot.a
-        apar, aperp = fl.split_form(a, phi)
-
-        # ---- pointwise-algebraic class ------------------------------
-        # Dafi over shared discrete inputs, non-constant phi, exact dw
-        a_w = ad_inverse_apply(stab.w, a_smooth) + stabilizer_log_derivative(stab, scheme="exact")
-        b, asperp = fl.split_form(a_smooth, phi)
-        lhs = fl.split_form(a_w, phi)[1] + omega
-        rhs = ad_inverse_apply(stab.w, asperp + omega)
-        record("dafi_shared_inputs", "pointwise", grid.n, _rel(lhs - rhs, rhs))
-
-        # energy density invariance |D(a^w)|^2 = |D a|^2, same inputs
-        d_lhs = lhs.norm2_density()
-        d_rhs = (asperp + omega).norm2_density()
-        scale = float(np.max(np.abs(d_rhs))) or 1.0
-        record("dafi_energy_density", "pointwise", grid.n,
-               float(np.max(np.abs(d_lhs - d_rhs))) / scale)
-
-        # curvature equivariance with shared inputs (constant phi)
-        b0 = LatticeField.from_slots(
-            grid, 1, [smooth_scalar(grid, rng)[..., None] * phi0.values for _ in range(3)])
-        lhs = coset_curvature(gauge_transform_potential(fl.PotentialField(b0, phi0), stab0))
-        rhs = ad_inverse_apply(stab0.w, coset_curvature(fl.PotentialField(b0, phi0)))
-        record("curvature_equivariance_shared", "pointwise", grid.n, _rel(lhs - rhs, rhs))
-
-        # symmetric-space cancellations
-        aa = comm_wedge(aperp, pair)
-        record("symmetric_fourth_term", "pointwise", grid.n,
-               l2_norm(fl.split_form(aa, phi)[1]) / max(l2_norm(aa), 1e-30))
-        oo = comm_wedge(omega, pair)
-        record("refcurv_no_projection", "pointwise", grid.n,
-               l2_norm(fl.split_form(oo, phi)[1]) / max(l2_norm(oo), 1e-30))
-
-        # ---- differential class -------------------------------------
-        # curvature formula vs its projected form (Theorem statement vs corollary)
-        lhs = coset_curvature(fl.PotentialField(b, phi))
-        db_par, db_perp = fl.split_form(d(b), phi)
-        rhs = db_par + comm_wedge(b, pair) - fl.split_form(oo, phi)[0]
-        record("curvature_vs_projected_form", "differential", grid.n, _rel(lhs - rhs, lhs))
-
-        # (db)_perp = [omega, b]
-        rhs = wedge(omega, b, pair.bracket)
-        record("isotropic_derivative_perp", "differential", grid.n, _rel(db_perp - rhs, rhs))
-
-        # projector-derivative relations
-        dphi_par = projector_derivative_wedge(phi, apar)
-        dphi_perp = projector_derivative_wedge(phi, aperp)
-        record("dphi_wedge_par", "differential", grid.n,
-               _rel(dphi_par - fl.split_form(d(apar), phi)[1], d(apar)))
-        record("dphi_wedge_perp", "differential", grid.n,
-               _rel(dphi_perp + fl.split_form(d(aperp), phi)[0], d(aperp)))
-
-        # flat-potential relations (pure-gauge a, smooth phi)
-        lhs = coset_curvature(fl.PotentialField(apar, phi))
-        rhs = dphi_perp - fl.split_form(aa, phi)[0] - fl.split_form(oo, phi)[0]
-        record("flat_curvature_i", "differential", grid.n, _rel(lhs - rhs, lhs))
-
-        rhs = dphi_perp - aa - oo
-        record("flat_curvature_i_symmetric", "differential", grid.n, _rel(lhs - rhs, lhs))
-
-        lhs = d(aperp)
-        rhs = -dphi_par - dphi_perp - wedge(apar, aperp, pair.bracket) - fl.split_form(aa, phi)[1]
-        record("flat_derivative_ii", "differential", grid.n, _rel(lhs - rhs, lhs))
-
-        rhs = -dphi_par - dphi_perp - wedge(apar, aperp, pair.bracket)
-        record("flat_derivative_ii_symmetric", "differential", grid.n, _rel(lhs - rhs, lhs))
-
-        lhs = d(aa)
-        rhs = -wedge(dphi_par, aperp, pair.bracket) + projector_derivative_wedge(phi, aa)
-        record("flat_quartic_iii_symmetric", "differential", grid.n, _rel(lhs - rhs, lhs))
-
-        # pure-gauge flatness and the map/potential correspondences
-        record("pure_gauge_flatness", "differential", grid.n,
-               _rel(d(a) + comm_wedge(a, pair), d(a)))
-
-        psi = fl.act(u, phi)
-        rhs = ad_inverse_apply(u, fl.pullback_coisotropy(psi)) - omega
-        record("mapcon", "differential", grid.n, _rel(aperp - rhs, aperp))
-
-        # stabilizer derivative: log route vs calculus route
-        lhs = stabilizer_log_derivative(stab, scheme="log")
-        record("stabilizer_derivative_e062", "differential", grid.n,
-               _rel(lhs - stabilizer_log_derivative(stab, scheme="exact"), lhs))
-
-        # gauge action composition: exact for same-axis stabilizer products
-        theta2 = smooth_scalar(grid, rng, 0.6)
-        stab0b = make_stabilizer(phi0, theta2)
-        w12 = StabilizerField(
-            w=fl.LiftField(grid, pair, alg.qmul(stab0.w.values, stab0b.w.values)),
-            phi=phi0, theta=stab0.theta + stab0b.theta)
-        lhs = gauge_transform_potential(
-            gauge_transform_potential(fl.PotentialField(b0, phi0), stab0), stab0b)
-        rhs = gauge_transform_potential(fl.PotentialField(b0, phi0), w12)
-        record("gauge_action_composition", "pointwise", grid.n, _rel(lhs.a - rhs.a, rhs.a))
-
-        # dual formulation of the energy
-        e_map = energy_map(psi).total
-        e_pot = energy_potential(apot).total
-        record("dual_energy", "differential", grid.n, abs(e_map - e_pot) / max(abs(e_map), 1e-30))
-
+        for name, kind, value in _grid_rows(grid, seed):
+            res.setdefault(name, (kind, {}))[1][grid.n] = value
     out = []
-    for name, entry in res.items():
-        vals = entry["vals"]
-        kind = entry["kind"]
+    for name, (kind, vals) in res.items():
         residuals = [vals[g.n] for g in grids]
         if kind == "pointwise":
             passed = all(r <= POINTWISE_BUDGET for r in residuals)

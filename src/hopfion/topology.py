@@ -280,7 +280,7 @@ def solve_vector_potential(F):
     return LatticeField(grid, 1, out)
 
 
-def _whitehead_plain(psi, return_fields=False):
+def _whitehead_plain(psi):
     F = area_flux_2form(psi)
     flux = _check_fluxes(F)
     if flux > FLUX_TOL:
@@ -289,13 +289,10 @@ def _whitehead_plain(psi, return_fields=False):
             f"a nonzero degree there or a grid (n = {psi.grid.n}) too coarse; refine the grid")
     A = solve_vector_potential(F)
     AF = wedge(A, F, np.multiply)
-    value = float(np.sum(AF.data) * psi.grid.h ** 3)
-    if return_fields:
-        return value, A, F
-    return value
+    return float(np.sum(AF.data) * psi.grid.h ** 3)
 
 
-def whitehead_charge(psi, return_fields=False):
+def whitehead_charge(psi):
     """Integral of A ^ F with dA = F = psi^*(Omega / 4 pi).
 
     Requires zero flux through every coordinate 2-torus; raises
@@ -303,8 +300,6 @@ def whitehead_charge(psi, return_fields=False):
     quadratic quadrature bias is removed against the stride-2 subsample
     unless the grid cannot be halved.
     """
-    if return_fields:
-        return _whitehead_plain(psi, return_fields=True)
     fine = _whitehead_plain(psi)
     try:
         return _richardson(fine, psi.grid, lambda: _whitehead_plain(_subsample(psi)))

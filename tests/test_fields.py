@@ -193,6 +193,14 @@ class TestMergedSplit:
         with pytest.raises(ValueError):
             fl.PotentialField(a, *args)
 
+    @pytest.mark.parametrize("attr", ["a", "phi", "pair", "extra"])
+    def test_immutable(self, grid12, attr):
+        # the pair is checked against the map only where the potential is built
+        p = fl.PotentialField(LatticeField.zeros(grid12, 1, 3), fl.constant_map(grid12))
+        with pytest.raises(AttributeError):
+            setattr(p, attr, fl.constant_map(Grid(6)))
+        assert p.phi.grid == grid12
+
 
 class TestFieldInvariants:
     @pytest.mark.parametrize("scale", [3.0, 1.0 + 1e-6, np.nan, np.inf])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,9 +164,29 @@ class TestIdentitySuite:
 
     def test_classification(self):
         rows = identity_suite(sizes=(12, 16), seed=1)
-        kinds = {r.name: r.kind for r in rows}
-        assert kinds["dafi_shared_inputs"] == "pointwise"
-        assert kinds["flat_curvature_i"] == "differential"
+        # every identity, by name: check's exit code and pass fraction count
+        # only the rows present, so a dropped row must fail here
+        assert {r.name: r.kind for r in rows} == {
+            "curvature_equivariance_shared": "pointwise",
+            "gauge_action_composition": "pointwise",
+            "dafi_shared_inputs": "pointwise",
+            "dafi_energy_density": "pointwise",
+            "symmetric_fourth_term": "pointwise",
+            "refcurv_no_projection": "pointwise",
+            "stabilizer_derivative_e062": "differential",
+            "curvature_vs_projected_form": "differential",
+            "isotropic_derivative_perp": "differential",
+            "dphi_wedge_par": "differential",
+            "dphi_wedge_perp": "differential",
+            "flat_curvature_i": "differential",
+            "flat_curvature_i_symmetric": "differential",
+            "flat_derivative_ii": "differential",
+            "flat_derivative_ii_symmetric": "differential",
+            "flat_quartic_iii_symmetric": "differential",
+            "pure_gauge_flatness": "differential",
+            "mapcon": "differential",
+            "dual_energy": "differential",
+        }
         for r in rows:
             if r.kind == "pointwise":
                 assert r.fitted_order is None
@@ -176,6 +198,18 @@ class TestIdentitySuite:
     def test_needs_two_distinct_sizes_from_4(self, sizes):
         with pytest.raises(ValueError):
             identity_suite(sizes=sizes)
+
+    def test_peak_memory(self):
+        # each row family frees its forms when it returns; in units of one
+        # (n, n, n, 3, 3) float array at the largest n, seen by tracemalloc
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            identity_suite(sizes=(16, 32))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak / (32 ** 3 * 9 * 8) <= 20
 
 
 class TestComponentKernels:
