@@ -16,7 +16,7 @@ with forward differences on theta so that d d theta telescopes away).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from . import algebra as alg
 from . import fields as fl
 from .energy import comm_wedge, energy_map, energy_potential
 from .errors import ConfigError
-from .lattice import Grid, LatticeField, cross, d, dot, forward_diff, l2_norm, wedge
-from .minimize import descend
+from .lattice import (Grid, LatticeField, d, dot, forward_diff, forward_diff_symbols, l2_norm,
+                      wedge)
 
 ISOTROPY_TOL = 1e-10
 
@@ -37,11 +37,6 @@ class StabilizerField:
     w: fl.LiftField
     phi: fl.MapField
     theta: np.ndarray = None
-    objective_history: list = field(default=None, repr=False)
-
-    def stabilization_defect(self):
-        moved = fl.act(self.w, self.phi)
-        return float(np.max(np.linalg.norm(moved.values - self.phi.values, axis=-1)))
 
 
 def make_stabilizer(phi, theta):
@@ -96,12 +91,12 @@ def _require_isotropic(b, phi):
         raise ValueError(f"potential is not isotropy-valued (defect {defect:.3e})")
 
 
-def gauge_transform_potential(b, stab, dw_scheme="log"):
+def gauge_transform_potential(b, stab):
     """b^w = Ad(w^-1) b + w^-1 dw - (Ad(w^-1) - I) phi^*omega, phi = b.phi.
 
-    b must be isotropy-valued against phi, and stab built on phi.  The
-    result is isotropy-valued at roundoff for constant phi (or the 'exact'
-    scheme) and up to O(h) otherwise.
+    b must be isotropy-valued against phi, and stab built on phi; w^-1 dw is
+    the 'log' derivative.  The result is isotropy-valued at roundoff for
+    constant phi and up to O(h) otherwise.
     """
     phi = b.phi
     if stab.phi is not phi and (phi is None or stab.phi.grid != phi.grid
@@ -109,7 +104,7 @@ def gauge_transform_potential(b, stab, dw_scheme="log"):
         raise ValueError("stabilizer and potential have different reference maps")
     _require_isotropic(b.a, phi)
     omega = fl.pullback_coisotropy(phi)
-    dw = stabilizer_log_derivative(stab, scheme=dw_scheme)
+    dw = stabilizer_log_derivative(stab)
     adb = ad_inverse_apply(stab.w, b.a)
     ad_omega = ad_inverse_apply(stab.w, omega)
     out = adb + dw - (ad_omega - omega)
@@ -360,56 +355,24 @@ def identity_suite(sizes=(16, 32, 64), seed=0):
 
 
 # ---------------------------------------------------------------------------
-# heuristic gauge smoothing
+# exact gauge fixing
 # ---------------------------------------------------------------------------
 
-def gauge_smooth(b, iterations=200, step=0.2):
-    """Descend theta -> |b^{w(theta)}|_{L2}^2, w about b.phi, to the best stabilizer.
+def gauge_smooth(b):
+    """The stabilizer w = exp(theta phi) about phi = b.phi minimizing |b^w|_{L2}^2.
 
-    minimize.descend on the Euclidean theta (retraction theta + v, no
-    projection), with step as its initial inverse-Hessian scale and
-    gradient step; iterations bounds the accepted steps.  The objective
-    history (start and accepted steps) decreases strictly by the Armijo
-    test.  This is a heuristic smoothing pass, not a compactness statement.
+    Ad(w^-1) fixes phi, so an isotropy-valued b = beta phi goes to
+    b^w = (beta + d theta) phi, and the minimizer is the discrete Coulomb
+    gauge: forward-difference div(beta + d theta) = 0, solved exactly by
+    one FFT per axis with the zero mode of theta set to 0.
     """
     phi = b.phi
     if phi is None or not phi.is_cp1:
         raise ValueError("gauge smoothing is implemented for the CP1 pair")
-    h = b.grid.h
-    r = b.a + fl.pullback_coisotropy(phi)
-    last = [None, None]  # [theta, (stab, b^w)] of the latest point
-
-    def transformed(theta):
-        # descend evaluates the objective and then the gradient at each
-        # accepted point, on the same array: transform it once
-        if last[0] is not theta:
-            last[:] = None, None  # free the previous point's b^w first
-            stab = make_stabilizer(phi, theta)
-            last[:] = theta, (stab, gauge_transform_potential(b, stab, dw_scheme="exact").a)
-        return last[1]
-
-    def objective(theta):
-        bw = transformed(theta)[1]
-        return (float(np.sum(bw.data * bw.data)) * h ** 3,)
-
-    def gradient(theta):
-        # d/dtheta of Ad(w^-1)r is -2 phi x (Ad(w^-1) r); the dtheta.phi term
-        # contributes through the adjoint of the forward difference.
-        stab, bw = transformed(theta)
-        adr = ad_inverse_apply(stab.w, r)
-        grad = np.zeros_like(theta)
-        for mu in range(3):
-            cross_term = -2.0 * cross(phi.values, adr.slot(mu))
-            grad += 2.0 * dot(bw.slot(mu), cross_term)
-            proj = dot(bw.slot(mu), phi.values)
-            grad += 2.0 * (np.roll(proj, 1, axis=mu) - proj) / h
-        return grad * h ** 3
-
-    history = []
-    theta, _ = descend(objective, gradient, np.zeros((b.grid.n,) * 3),
-                       retract=lambda theta, v: theta + v, project=lambda theta, v: v,
-                       step_init=step, max_iters=iterations,
-                       on_step=lambda it, theta, terms, grad, st: history.append(terms[0]))
-    stab = make_stabilizer(phi, theta)
-    stab.objective_history = history
-    return stab
+    _require_isotropic(b.a, phi)
+    s, S = forward_diff_symbols(b.grid)
+    theta_hat = sum(np.conj(s[mu]) * np.fft.fftn(dot(b.a.slot(mu), phi.values))
+                    for mu in range(3))
+    theta_hat /= -S
+    theta_hat[(0,) * 3] = 0.0
+    return make_stabilizer(phi, np.real(np.fft.ifftn(theta_hat)))

@@ -133,6 +133,23 @@ def forward_diff(arr, axis, h):
     return (np.roll(arr, -1, axis=axis) - arr) / h
 
 
+def forward_diff_symbols(grid):
+    """Fourier symbols of forward_diff under np.fft.fftn, and their squared sum.
+
+    s[mu] = (exp(2 pi i k_mu / n) - 1) / h, broadcast along axis mu, and
+    S = sum_mu |s[mu]|^2, the symbol of minus the lattice Laplacian (the
+    backward-difference divergence of the forward-difference gradient),
+    with its zero mode set to 1 so that it divides.
+    """
+    n, h = grid.n, grid.h
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    sym = (np.exp(2j * np.pi * k / n) - 1.0) / h
+    s = [sym.reshape([-1 if ax == m else 1 for ax in range(3)]) for m in range(3)]
+    S = sum(np.abs(sm) ** 2 for sm in s)
+    S[(0,) * 3] = 1.0
+    return s, S
+
+
 def centered_diff(arr, axis, h):
     return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
 

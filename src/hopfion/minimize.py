@@ -15,8 +15,7 @@ Huang, Gallivan & Absil 2015): two-loop directions (Nocedal & Wright
 2006, ch. 7) projected onto the tangent space, retraction by pointwise
 renormalization, a per-site step cap and a monotone Armijo line search
 with halving, so every accepted step strictly decreases the objective.
-descend runs that loop for any objective; relax and gauge.gauge_smooth
-call it.
+descend runs that loop for any objective; relax is its one caller.
 """
 
 from __future__ import annotations

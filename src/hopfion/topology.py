@@ -27,7 +27,7 @@ import numpy as np
 from . import algebra as alg
 from . import fields as fl
 from .errors import DegeneratePreimageError, FluxObstructionError
-from .lattice import Grid, LatticeField, SLOTS2, wedge
+from .lattice import Grid, LatticeField, SLOTS2, forward_diff_symbols, wedge
 
 # Calibrated on the degree-1 ball ansatz and frozen; see README, conventions.
 CHERN_SIMONS_SU_N = 1.0 / (24.0 * np.pi ** 2)
@@ -257,12 +257,8 @@ def solve_vector_potential(F):
     set to zero.
     """
     grid = F.grid
-    n, h = grid.n, grid.h
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    sym = (np.exp(2j * np.pi * k / n) - 1.0) / h
-    s = [sym.reshape([-1 if ax == m else 1 for ax in range(3)]) for m in range(3)]
-    S = sum(np.abs(sm) ** 2 for sm in s)
-    S[(0,) * 3] = 1.0  # zero mode handled separately
+    n = grid.n
+    s, S = forward_diff_symbols(grid)
 
     # F_{nu mu} = -F_{mu nu}: one transform per slot, the sign applied at use
     Fhat = [np.fft.fftn(F.slot(slot)[..., 0]) for slot in range(len(SLOTS2))]

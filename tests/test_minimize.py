@@ -160,12 +160,28 @@ class TestRelax:
               checkpoint_cb=lambda it, psi: seen.append(it))
         assert seen == [4, 8]
 
-    def test_charge_monitor_cadence(self):
+    def test_charge_monitor_cadence(self, monkeypatch):
+        # the charge runs on the cadence rows only, and the gradient once per
+        # accepted point: the counts the benchmark's traced relax checks
+        counts = {"whitehead_charge": 0, "descent_gradient": 0}
+
+        def counting(name):
+            original = getattr(minimize, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(minimize, name, counting(name))
         psi0, _ = fl.make_ansatz("hopf", Grid(16), 1)
         run = relax(psi0, RelaxConfig(max_iters=20, grad_tol=1e-9,
                                       charge_check_every=10))
         iters = [it for it, _ in run.charges()]
         assert iters == [0, 10, 20]
+        assert len(run.history) == 21
+        assert counts == {"whitehead_charge": 3, "descent_gradient": 21}
 
 
 def _descend(objective, gradient, x0, project=lambda x, v: v, max_iters=100, tol=1e-10):
