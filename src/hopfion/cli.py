@@ -214,7 +214,7 @@ def _print_charge(report, as_json):
 
 def _run_relax(args):
     from . import io as hio
-    from .minimize import charge_guard, relax
+    from .minimize import _charge_estimate, charge_guard, relax
 
     cfgmap = hio.load_config(args.config)
     psi0, _ = _initial_fields(cfgmap["ansatz.kind"], cfgmap["grid.n"],
@@ -235,6 +235,8 @@ def _run_relax(args):
     last = run.history[-1]
     print(f"termination: {run.termination} after {last.iter} iterations; "
           f"energy {last.energy:.6f}; grad_norm {last.grad_norm:.3e}")
+    charge = _charge_estimate(run.final_psi)   # the monitor's cadence may skip the last row
+    print(f"final whitehead charge: {'undefined' if charge is None else f'{charge:.6f}'}")
     if flagged:
         print(f"warning: charge jumps flagged at iterations {flagged}")
     if run.termination == "diverged":

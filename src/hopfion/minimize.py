@@ -15,6 +15,8 @@ Huang, Gallivan & Absil 2015): two-loop directions (Nocedal & Wright
 2006, ch. 7) projected onto the tangent space, retraction by pointwise
 renormalization, a per-site step cap and a monotone Armijo line search
 with halving, so every accepted step strictly decreases the objective.
+relax starts L-BFGS from the Sobolev metric gamma (I - kappa Lap_h)^-1
+(Neuberger 1997, LNM 1670); from the flat gamma I its iterations grow with n.
 descend runs that loop for any objective; relax is its one caller.
 """
 
@@ -30,6 +32,7 @@ import numpy as np
 
 from .energy import descent_energy, descent_gradient
 from .errors import ConfigError, FluxObstructionError
+from .lattice import forward_diff_symbols
 from .topology import whitehead_charge
 
 ARMIJO_C = 1e-4
@@ -42,6 +45,10 @@ MEMORY = 5
 # more halvings only creep along the kink, and a step may cross it and
 # change the topology.
 MAX_HALVINGS = 10
+# kappa of relax's preconditioner (I - kappa Lap_h)^-1, a length^2 on the
+# default period 2 pi: sqrt(kappa) = 0.45, about 1.7 h at n = 24.  At 0.5 the
+# n = 16 barrier run stops at charge 0.82, at 1.0 it unwinds the charge
+SOBOLEV_KAPPA = 0.2
 
 
 @dataclass
@@ -50,7 +57,7 @@ class RelaxConfig:
 
     max_iters: int = 2000
     grad_tol: float = 1e-3          # relative to the initial gradient norm
-    step_init: float = 0.2          # initial inverse-Hessian scale, and the gradient-fallback step
+    step_init: float = 0.2          # H0 = step_init * P before any pair; gradient-fallback step
     checkpoint_every: int = 0       # 0 disables
     charge_check_every: int = 25    # 0 disables
     step_cap: float = 0.2           # max per-site displacement per step
@@ -112,7 +119,7 @@ def _charge_estimate(psi):
 
 
 def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
-            on_step, step_cap=0.0):
+            on_step, step_cap=0.0, precondition=None):
     """Riemannian L-BFGS with a monotone Armijo line search; returns (x, termination).
 
     objective(x) gives the terms whose sum is minimized and gradient(x) the
@@ -120,11 +127,13 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
     reached from x along the array v, and project(x, v) the part of v
     tangent at x.  on_step(it, x, terms, grad, step) sees the start (it 0,
     step 0) and every accepted step; a true return value ends the run as
-    that termination.
+    that termination.  precondition(v) applies a symmetric positive-definite
+    P to an array v shaped like the gradient (None: the identity).
 
     The direction is the two-loop product H grad over the last MEMORY pairs
     (s = the accepted step, y = the change of the gradient), projected at
-    x; a pair is kept only when s.y > 0, and with none H is step_init.  The
+    x; a pair is kept only when s.y > 0.  H0 is step_init * P with no pairs
+    and gamma P after, with gamma = s.y / y.Py of the newest pair.  The
     trial step along the direction starts at 1, capped so that no site
     (last array axis) moves by more than step_cap (0: no cap), and is halved
     up to MAX_HALVINGS times until the Armijo test on the slope grad.d
@@ -141,9 +150,10 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
     if stop:
         return x, stop
 
-    pairs = deque()    # (s, y, 1 / s.y), flat, oldest first
+    precondition = precondition or (lambda v: v)
+    pairs = deque()    # (s, y, 1 / s.y, s.y / y.Py), flat, oldest first
     for it in range(1, max_iters + 1):
-        d = project(x, _two_loop(g, pairs, step_init))
+        d = project(x, _two_loop(g, pairs, step_init, precondition))
         found = _line_search(objective, retract, x, f, g, d, step_cap)
         if found is None and pairs:
             pairs.clear()
@@ -164,7 +174,9 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
         s, y = d.ravel(), (g_new - g).ravel()
         sy = _inner(s, y)
         if sy > 0:
-            pairs.append((s, y, 1.0 / sy))
+            rho = 1.0 / sy
+            py = precondition(y.reshape(g.shape)).ravel()
+            pairs.append((s, y, rho, 1.0 / (rho * _inner(y, py))))
         g = g_new
         stop = on_step(it, x, terms, g, step)
         if stop:
@@ -181,19 +193,18 @@ def _inner(u, v):
     return float(np.einsum("i,i->", u, v))
 
 
-def _two_loop(g, pairs, scale):
-    """The L-BFGS product H g; H0 is scale times the identity with no pairs."""
+def _two_loop(g, pairs, scale, precondition):
+    """The L-BFGS product H g; H0 is scale * P with no pairs, the newest gamma * P after."""
     q = g.ravel().copy()
     alphas = []
-    for s, y, rho in reversed(pairs):
+    for s, y, rho, _ in reversed(pairs):
         a = rho * _inner(s, q)
         q -= a * y
         alphas.append(a)
     if pairs:
-        s, y, rho = pairs[-1]
-        scale = 1.0 / (rho * _inner(y, y))
-    q *= scale
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        scale = pairs[-1][3]
+    q = scale * precondition(q.reshape(g.shape)).ravel()
+    for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
         q += (a - rho * _inner(y, q)) * s
     return q.reshape(g.shape)
 
@@ -246,8 +257,18 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
         lambda psi: descent_gradient(psi, **scales),
         psi0, retract=lambda psi, v: psi.with_values(psi.values + v),
         project=_tangent, step_init=cfg.step_init, max_iters=cfg.max_iters,
-        on_step=on_step, step_cap=cfg.step_cap)
+        on_step=on_step, step_cap=cfg.step_cap, precondition=_sobolev(psi0.grid))
     return RelaxRun(history, psi, termination, cfg)
+
+
+def _sobolev(grid):
+    """v -> (I - SOBOLEV_KAPPA Lap_h)^-1 v per component, by a real FFT over the grid axes."""
+    _, S = forward_diff_symbols(grid)
+    S = S[:, :, :grid.n // 2 + 1]      # the rfftn half of the symbol
+    S[0, 0, 0] = 0.0
+    symbol = (1.0 / (1.0 + SOBOLEV_KAPPA * S))[..., None]
+    axes = (0, 1, 2)
+    return lambda v: np.fft.irfftn(np.fft.rfftn(v, axes=axes) * symbol, v.shape[:3], axes)
 
 
 def _tangent(psi, v):

@@ -16,6 +16,7 @@ from hopfion.energy import energy_map
 from hopfion.errors import ConfigError
 from hopfion.lattice import Grid, LatticeField
 from hopfion.minimize import HistoryRow, RelaxConfig, relax
+from hopfion.topology import whitehead_charge
 
 
 class TestSnapshots:
@@ -249,6 +250,19 @@ class TestCli:
             assert main(["relax", "--config", str(config)]) == 0
             csvs.append((outdir / "history.csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("n", [16, 12])
+    def test_relax_prints_final_charge(self, tmp_path, capsys, n):
+        # the charge monitor's cadence (25) samples only row 0 of a 3-iteration
+        # run; at n = 12 the hopf map has flux through a coordinate 2-torus
+        config = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        config.write_text(f"grid.n = {n}\nansatz.kind = hopf\nansatz.charge = 1\n"
+                          f"optimizer.max_iters = 3\noutput.dir = {outdir}\n")
+        assert main(["relax", "--config", str(config)]) == 0
+        _, final = hio.read_snapshot(outdir / "final.psi.hopf")
+        charge = "undefined" if n == 12 else f"{whitehead_charge(final):.6f}"
+        assert capsys.readouterr().out.splitlines()[1] == f"final whitehead charge: {charge}"
 
     def test_malformed_snapshot_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "junk.hopf"
