@@ -50,10 +50,6 @@ def _build_parser():
     p.add_argument("--skip-linking", action="store_true")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("degree", help="lift-degree route only")
-    p.add_argument("--lift", required=True)
-    p.add_argument("--json", action="store_true")
-
     p = sub.add_parser("relax", help="minimize from a config file")
     p.add_argument("--config", required=True)
 
@@ -166,14 +162,6 @@ def _dispatch(args):
         _print_charge(report, args.json)
         return 0
 
-    if args.command == "degree":
-        from .topology import chern_simons_from_lift
-
-        u = _read_field(args.lift, "lift_su2")
-        report = chern_simons_from_lift(u)
-        _print_charge(report, args.json)
-        return 0
-
     if args.command == "relax":
         return _run_relax(args)
 
@@ -237,6 +225,9 @@ def _run_relax(args):
           f"energy {last.energy:.6f}; grad_norm {last.grad_norm:.3e}")
     charge = _charge_estimate(run.final_psi)   # the monitor's cadence may skip the last row
     print(f"final whitehead charge: {'undefined' if charge is None else f'{charge:.6f}'}")
+    if charge is None:
+        print(f"warning: no Hopf charge is defined on the final map at n = {psi0.grid.n}; "
+              "refine the grid")
     if flagged:
         print(f"warning: charge jumps flagged at iterations {flagged}")
     if run.termination == "diverged":

@@ -62,25 +62,28 @@ def _payload_sites(flat, n, ncomp):
 
 
 def write_snapshot(path, obj, extra_meta=None):
-    """Write a MapField, LiftField or PotentialField to a snapshot file."""
+    """Write a MapField, LiftField or PotentialField to a snapshot file.
+
+    Only what read_snapshot gives back is written: an su2_u1 field and, for
+    a potential, one on the constant map; anything else is a SnapshotError
+    before a file is created.
+    """
     if isinstance(obj, fl.MapField):
-        kind = "map_s2"
-        values = obj.values
-        grid = obj.grid
+        kind, values = "map_s2", obj.values
     elif isinstance(obj, fl.LiftField):
-        kind = "lift_su2"
-        values = obj.values
-        grid = obj.grid
+        kind, values = "lift_su2", obj.values
     elif isinstance(obj, fl.PotentialField):
-        kind = "potential"
-        values = obj.a.data
-        grid = obj.grid
+        kind, values = "potential", obj.a.data
     else:
         raise SnapshotError(f"cannot snapshot object of type {type(obj).__name__}")
+    if obj.pair.name != "su2_u1":
+        raise SnapshotError(f"a snapshot holds an su2_u1 field, not {obj.pair.name}")
+    if kind == "potential" and (obj.phi is None or np.any(obj.phi.values != (1.0, 0.0, 0.0))):
+        raise SnapshotError("a potential snapshot holds a potential on the constant map only")
     ncomp = int(np.prod(values.shape[3:]))
     meta = {
-        "n": grid.n,
-        "length": grid.length,
+        "n": obj.grid.n,
+        "length": obj.grid.length,
         "kind": kind,
         "components": ncomp,
         "creator": "hopfion",

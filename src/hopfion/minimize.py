@@ -49,6 +49,10 @@ MAX_HALVINGS = 10
 # default period 2 pi: sqrt(kappa) = 0.45, about 1.7 h at n = 24.  At 0.5 the
 # n = 16 barrier run stops at charge 0.82, at 1.0 it unwinds the charge
 SOBOLEV_KAPPA = 0.2
+# relax's H0 = STEP_INIT * P before any pair, and its gradient-fallback step
+STEP_INIT = 0.2
+# max per-site move per step: without it 9 of 31 perturbed n = 16 hopf runs unwind
+STEP_CAP = 0.2
 
 
 @dataclass
@@ -57,10 +61,8 @@ class RelaxConfig:
 
     max_iters: int = 2000
     grad_tol: float = 1e-3          # relative to the initial gradient norm
-    step_init: float = 0.2          # H0 = step_init * P before any pair; gradient-fallback step
     checkpoint_every: int = 0       # 0 disables
     charge_check_every: int = 25    # 0 disables
-    step_cap: float = 0.2           # max per-site displacement per step
     scale_dirichlet: float = field(default=1.0, metadata={"section": "model"})
     scale_skyrme: float = field(default=1.0, metadata={"section": "model"})
 
@@ -69,9 +71,7 @@ class RelaxConfig:
             raise ConfigError("max_iters must be >= 1")
         if not (0.0 < self.grad_tol < 1.0):
             raise ConfigError("grad_tol must lie in (0, 1)")
-        if self.step_init <= 0:
-            raise ConfigError("step_init must be positive")
-        for name in ("step_cap", "scale_dirichlet", "scale_skyrme"):
+        for name in ("scale_dirichlet", "scale_skyrme"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0")
@@ -256,8 +256,8 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
         lambda psi: descent_energy(psi, split=True, **scales),
         lambda psi: descent_gradient(psi, **scales),
         psi0, retract=lambda psi, v: psi.with_values(psi.values + v),
-        project=_tangent, step_init=cfg.step_init, max_iters=cfg.max_iters,
-        on_step=on_step, step_cap=cfg.step_cap, precondition=_sobolev(psi0.grid))
+        project=_tangent, step_init=STEP_INIT, max_iters=cfg.max_iters,
+        on_step=on_step, step_cap=STEP_CAP, precondition=_sobolev(psi0.grid))
     return RelaxRun(history, psi, termination, cfg)
 
 

@@ -138,16 +138,6 @@ def _trace_wedge_data(A, B, G, T):
     return out
 
 
-def triple_trace_wedge(alpha, beta, gamma, trace_tensor):
-    """tr(alpha ^ beta ^ gamma) as a scalar 3-form, trace via the pair tensor.
-
-    A tensor c * epsilon takes the determinant kernel; any other tensor
-    (su3_t2) the generic einsum contraction.
-    """
-    out = _trace_wedge_data(alpha.data, beta.data, gamma.data, trace_tensor)
-    return LatticeField(alpha.grid, 3, out[..., None, None])
-
-
 # x-planes per slab of the Chern-Simons integrand
 _CS_SLAB = 8
 

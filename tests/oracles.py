@@ -348,14 +348,8 @@ def area_flux_2form(psi):
     return LatticeField.from_slots(psi.grid, 2, slots)
 
 
-def triple_trace_wedge(alpha, beta, gamma, trace_tensor):
-    """tr(alpha ^ beta ^ gamma) as a scalar 3-form, trace via the pair tensor."""
-    out = triple_trace_wedge_data(alpha.data, beta.data, gamma.data, trace_tensor)
-    return LatticeField(alpha.grid, 3, out[..., None, None])
-
-
 def triple_trace_wedge_data(A, B, G, T):
-    """The same trace on 1-form data (..., 3, dim), any leading axes."""
+    """tr(A ^ B ^ G) per site on 1-form data (..., 3, dim), trace via the pair tensor."""
     out = np.zeros(A.shape[:-2])
     perms = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
              ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0))

@@ -46,6 +46,22 @@ class TestSnapshots:
         assert meta["kind"] == "potential"
         assert back.a.data.tobytes() == a.a.data.tobytes()
 
+    @pytest.mark.parametrize("build", [
+        lambda psi, u: fl.pure_gauge_potential(u, psi),
+        lambda psi, u: fl.pure_gauge_potential(fl.LiftField(psi.grid, alg.su2_group(), u.values)),
+        lambda psi, u: fl.PotentialField(LatticeField.zeros(psi.grid, 1, 8), pair=alg.su3_t2()),
+        lambda psi, u: fl.MapField(psi.grid, alg.su2_group(), u.values),
+        lambda psi, u: fl.LiftField(psi.grid, alg.su3_t2(),
+                                    alg.su3_t2().identity_element((8,) * 3)),
+    ], ids=["potential_on_hopf_map", "su2_group_potential", "su3_t2_potential",
+            "su2_group_map", "su3_t2_lift"])
+    def test_unreadable_field_not_written(self, tmp_path, build):
+        # each was once written and then read back as another field, or not at all
+        psi, u = fl.make_ansatz("hopf", Grid(8), 1)
+        with pytest.raises(hio.SnapshotError):
+            hio.write_snapshot(tmp_path / "x.hopf", build(psi, u))
+        assert list(tmp_path.iterdir()) == []
+
     def test_double_roundtrip_identical_bytes(self, tmp_path, rng):
         psi = smooth_cp1_map(Grid(12), rng)
         p1 = tmp_path / "a.hopf"
@@ -75,7 +91,7 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = hio.parse_config("")
         assert cfg["grid.n"] == 32
-        assert cfg["optimizer.step_init"] == 0.2
+        assert cfg["optimizer.grad_tol"] == 1e-3
         assert cfg["model.scale_skyrme"] == 1.0
 
     def test_parse_values_and_comments(self):
@@ -209,7 +225,7 @@ class TestCli:
         prefix = str(tmp_path / "d")
         main(["ansatz", "--kind", "ball_degree", "--charge", "1", "--n", "24",
               "--out", prefix])
-        assert main(["degree", "--lift", prefix + ".lift.hopf", "--json"]) == 0
+        assert main(["hopf", "--lift", prefix + ".lift.hopf", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["rounded"] == [1]
 
@@ -262,7 +278,10 @@ class TestCli:
         assert main(["relax", "--config", str(config)]) == 0
         _, final = hio.read_snapshot(outdir / "final.psi.hopf")
         charge = "undefined" if n == 12 else f"{whitehead_charge(final):.6f}"
-        assert capsys.readouterr().out.splitlines()[1] == f"final whitehead charge: {charge}"
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == f"final whitehead charge: {charge}"
+        warning = f"warning: no Hopf charge is defined on the final map at n = {n}; refine the grid"
+        assert (warning in out) == (n == 12)
 
     def test_malformed_snapshot_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "junk.hopf"
@@ -276,12 +295,13 @@ class TestCli:
 
     def test_bad_optimizer_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"grid.n = 8\noptimizer.step_cap = -0.1\noutput.dir = {tmp_path}\n")
+        cfg.write_text(f"grid.n = 8\noptimizer.grad_tol = 1.5\noutput.dir = {tmp_path}\n")
         assert main(["relax", "--config", str(cfg)]) == 2
-        assert "step_cap" in capsys.readouterr().err
+        assert "grad_tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["model.pair = su3_t2", "model.variant = bogus", "seed = 7",
-                                      "optimizer.step_rule = fixed"])
+                                      "optimizer.step_rule = fixed", "optimizer.step_init = 0.2",
+                                      "optimizer.step_cap = 0.2"])
     def test_deleted_config_key_exit_2(self, tmp_path, capsys, line):
         # these keys were once accepted and ignored
         cfg = tmp_path / "old.cfg"
@@ -436,7 +456,7 @@ def test_missing_snapshot_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind, command, flag", [("map_s2", "energy", "--map"),
-                                                 ("lift_su2", "degree", "--lift")])
+                                                 ("lift_su2", "hopf", "--lift")])
 def test_non_unit_snapshot_exit_2(tmp_path, capsys, kind, command, flag):
     # the n = 8 hopf ansatz scaled by 3 once loaded and got an energy
     psi, u = fl.make_ansatz("hopf", Grid(8), 1)
@@ -456,9 +476,8 @@ def test_valid_forged_snapshot_reads(tmp_path):
 
 @pytest.mark.parametrize("argv", [["energy", "--map", "x.lift.hopf"],
                                   ["hopf", "--map", "x.lift.hopf"],
-                                  ["hopf", "--lift", "x.psi.hopf"],
-                                  ["degree", "--lift", "x.psi.hopf"]],
-                         ids=["energy_map", "hopf_map", "hopf_lift", "degree_lift"])
+                                  ["hopf", "--lift", "x.psi.hopf"]],
+                         ids=["energy_map", "hopf_map", "hopf_lift"])
 def test_wrong_kind_snapshot_exit_2(tmp_path, capsys, argv):
     # each once died with an AttributeError traceback and exit 1
     prefix = str(tmp_path / "x")

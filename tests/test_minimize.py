@@ -19,16 +19,13 @@ from hopfion.topology import whitehead_charge
 class TestConfig:
     def test_defaults_valid(self):
         cfg = RelaxConfig()
-        assert (cfg.max_iters, cfg.step_init, cfg.step_cap) == (2000, 0.2, 0.2)
+        assert cfg.max_iters == 2000
+        assert minimize.STEP_INIT == minimize.STEP_CAP == 0.2
 
     @pytest.mark.parametrize("kwargs", [
         dict(max_iters=0),
         dict(grad_tol=0.0),
         dict(grad_tol=1.5),
-        dict(step_init=-1.0),
-        dict(step_init=0.0),
-        dict(step_cap=-0.1),
-        dict(step_cap=float("inf")),
         dict(scale_dirichlet=-1.0),
         dict(scale_skyrme=float("nan")),
         dict(checkpoint_every=-1),
@@ -124,8 +121,7 @@ class TestRelax:
         psi0 = smooth_cp1_map(grid, rng, amplitude=0.4)
         g = alg.random_unit_quaternions(rng)
         rotated = psi0.with_values(alg.qrotate(g, psi0.values))
-        cfg = RelaxConfig(max_iters=50, step_init=0.05, grad_tol=1e-12,
-                          charge_check_every=0)
+        cfg = RelaxConfig(max_iters=50, grad_tol=1e-12, charge_check_every=0)
         run_a = relax(psi0, cfg)
         run_b = relax(rotated, cfg)
         moved = alg.qrotate(g, run_a.final_psi.values)
