@@ -17,6 +17,13 @@ bracket, the CP1 split, plaquette_areas) work component by component and
 round exactly as the np.sum / np.cross / np.sinc formulas they replaced;
 they take their last-axis cross and dot from lattice, except qmul, which
 writes its dot and cross term by term into the slots of its output.
+
+Storage: qmul, qconj, qrotate and the CP1 split allocate their results
+like their operand of full shape, so a component-major form (see lattice)
+gives a component-major result whose components are contiguous blocks,
+and C-order map and lift values give C-order results.  Where a C-order
+map broadcasts against a component-major form (qrotate's g, the split's
+coset point), it is copied component-major once per call.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RoughFieldError
-from .lattice import SLOTS2, cross, dot
+from .lattice import SLOTS2, component_major, cross, dot, empty_like_operands
 
 UNIT_TOL = 1e-8
 
@@ -47,7 +54,7 @@ def qmul(p, q):
     """
     p = np.asarray(p)
     q = np.asarray(q)
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape), dtype=np.result_type(p, q))
+    out = empty_like_operands(np.broadcast_shapes(p.shape, q.shape), np.result_type(p, q), p, q)
     p0, p1, p2, p3 = (p[..., k] for k in range(4))
     q0, q1, q2, q3 = (q[..., k] for k in range(4))
     w = out[..., 0]
@@ -69,7 +76,7 @@ def qmul(p, q):
 
 def qconj(q):
     q = np.asarray(q)
-    out = np.empty(q.shape, dtype=q.dtype)
+    out = np.empty_like(q)
     out[..., 0] = q[..., 0]
     np.negative(q[..., 1:], out=out[..., 1:])
     return out
@@ -134,8 +141,13 @@ def qlog(q):
 
 
 # sites per slab of qrotate.  Whole-grid temporaries would peak above the
-# qim(qmul(...)) chain it replaces (9.9 against 8.6 MiB at n = 32 over 3
-# slots); 2^11 to 2^13 sites give the lowest peak, and 2^13 ran fastest
+# qim(qmul(...)) chain it replaces.  Tracemalloc peak MiB / median ms on
+# component-major form data over 3 slots (2 cores, numpy 2.4.6):
+#   n = 32: chain 8.6 / 12.0, 2^11 3.6 / 13.2, 2^13 3.8 / 11.8,
+#           2^15 5.7 / 10.2, whole grid 10.8 / 10.3
+#   n = 64: chain 68.1 / 133, 2^11 27.0 / 61, 2^13 27.0 / 66,
+#           2^15 27.9 / 60, whole grid 86.1 / 86
+# so 2^11 to 2^13 sites keep the lowest peak at no measurable cost in time
 _SLAB_SITES = 1 << 13
 
 
@@ -151,7 +163,9 @@ def qrotate(g, v):
     g = np.asarray(g)
     v = np.asarray(v)
     shape = np.broadcast_shapes(g.shape[:-1], v.shape[:-1])
-    out = np.empty(shape + (3,), dtype=np.result_type(g, v))
+    out = empty_like_operands(shape + (3,), np.result_type(g, v), v)
+    if not out.flags.c_contiguous:
+        g = component_major(g)  # once, so that no slab reads a strided g
     lead = shape or (1,)
     g = np.broadcast_to(g, lead + (4,))
     v = np.broadcast_to(v, lead + (3,))
@@ -163,8 +177,7 @@ def qrotate(g, v):
         t += cross(gv, vx)
         r = gw * t                      # Im (t g^-1)
         r += dot(gv, vx)[..., None] * gv
-        r += cross(gv, t)
-        dest[x:x + rows] = r
+        np.add(r, cross(gv, t), out=dest[x:x + rows])
     return out
 
 
@@ -384,7 +397,11 @@ def project_isotropy(pair, x, xi):
     if _is_cp1_point(pair, x):
         phi = np.asarray(x)
         check_unit(phi, "coset point")
-        par = dot(xi, phi)[..., None] * phi
+        par = empty_like_operands(np.broadcast_shapes(xi.shape, phi.shape),
+                                  np.result_type(xi, phi), xi)
+        if not par.flags.c_contiguous:
+            phi = component_major(phi)
+        np.multiply(dot(xi, phi)[..., None], phi, out=par)
         return par, xi - par
     g = np.asarray(x)
     down = pair.ad(pair.inverse(g), xi)
@@ -419,41 +436,33 @@ def cp1_point_of(g):
     return qrotate(g, i)
 
 
-def _dot(u, v):
-    out = u[0] * v[0]
-    out += u[1] * v[1]
-    out += u[2] * v[2]
-    return out
-
-
-def _cross(u, v):
-    out = np.empty_like(u)
-    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(u[i], v[j], out=out[k])
-        out[k] -= u[j] * v[i]
-    return out
-
-
 def _triangle(a, b, c, with_grads):
-    """Signed area 2 atan2(a.(b x c), 1 + a.b + b.c + c.a) [, vertex gradients]."""
-    bxc = _cross(b, c)
-    n = _dot(a, bxc)
-    d = 1.0 + _dot(a, b)
-    d += _dot(b, c)
-    d += _dot(c, a)
+    """Signed area 2 atan2(a.(b x c), 1 + a.b + b.c + c.a) [, vertex gradients].
+
+    a, b and c are component-major (3, n, n, n); cross and dot see them as
+    np.moveaxis(x, 0, -1) views, whose components are the same contiguous
+    blocks (taken by transpose, which costs a twentieth of moveaxis's
+    call overhead; at n = 24 that overhead is measurable in relax).
+    """
+    a, b, c = (x.transpose(1, 2, 3, 0) for x in (a, b, c))
+    bxc = cross(b, c)
+    n = dot(a, bxc)
+    d = 1.0 + dot(a, b)
+    d += dot(b, c)
+    d += dot(c, a)
     area = 2.0 * np.arctan2(n, d)
     if not with_grads:
         return area
     denom = n * n + d * d
-    cn, cd = 2.0 * d / denom, -2.0 * n / denom
+    cn, cd = (2.0 * d / denom)[..., None], (-2.0 * n / denom)[..., None]
     out = [area]
-    for x, u, v in ((bxc, b, c), (_cross(c, a), a, c), (_cross(a, b), a, b)):
+    for x, u, v in ((bxc, b, c), (cross(c, a), a, c), (cross(a, b), a, b)):
         x *= cn
         uv = u + v
         uv *= cd
         x += uv
         del uv
-        out.append(x)
+        out.append(x.transpose(3, 0, 1, 2))
     return out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import fields as fl
-from .lattice import LatticeField, SLOTS2, centered_diff, cross, dot, wedge
+from .lattice import LatticeField, SLOTS2, centered_diff, cross, dot, empty_form, wedge
 
 # Site-wise ratio of the commutator-wedge Skyrme density to the literal
 # cross-product form on the half-scaled differential: |[x, y]| = 2 |x cross y|
@@ -50,7 +50,7 @@ def comm_wedge(omega, pair):
     if pair.group_kind == "quaternion":
         # one cross per slot: cross(w_nu, w_mu) is exactly -c, so the
         # wedge's c - cross(w_nu, w_mu) is c + c
-        data = np.empty(omega.data.shape[:3] + (len(SLOTS2), omega.vdim))
+        data = empty_form(omega.data.shape[:3] + (len(SLOTS2), omega.vdim))
         for slot, (mu, nu) in enumerate(SLOTS2):
             c = cross(omega.slot(mu), omega.slot(nu))
             np.add(c, c, out=data[:, :, :, slot])
@@ -139,8 +139,8 @@ def descent_energy(psi, scale_dirichlet=1.0, scale_skyrme=1.0, split=False):
     p = np.moveaxis(psi.values, -1, 0).copy()
     e2 = np.zeros(p.shape[1:])
     for mu in range(3):
-        delta = np.roll(p, -1, axis=mu + 1) - p
-        e2 += alg._dot(delta, delta)
+        delta = (np.roll(p, -1, axis=mu + 1) - p).transpose(1, 2, 3, 0)  # (n, n, n, 3) view
+        e2 += dot(delta, delta)
     e4 = np.zeros_like(e2)
     for _, area in alg.plaquette_areas(p):
         e4 += area * area
@@ -167,7 +167,7 @@ def descent_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
         grad += np.roll(w * g10, 1, axis=mu + 1)
         grad += np.roll(np.roll(w * g11, 1, axis=mu + 1), 1, axis=nu + 1)
         grad += np.roll(w * g01, 1, axis=nu + 1)
-    grad -= alg._dot(grad, p) * p
+    grad -= dot(grad.transpose(1, 2, 3, 0), p.transpose(1, 2, 3, 0)) * p
     # C order, so that reductions over the returned gradient run as before
     return np.ascontiguousarray(np.moveaxis(grad, 0, -1))
 

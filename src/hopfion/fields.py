@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra as alg
-from .lattice import Grid, LatticeField, SLOTS2, centered_diff, cross
+from .lattice import Grid, LatticeField, SLOTS2, centered_diff, component_major, cross, empty_form
 
 def _unit_quat(values, renormalize, what):
     """Quaternion site values scaled to unit norm, or checked to be unit already."""
@@ -27,14 +27,16 @@ class MapField:
 
     CP1 values: (n, n, n, 3) unit imaginary quaternions.  Group targets:
     (n, n, n, 4) unit quaternions.  Matrix pairs store coset representatives
-    (n, n, n, N, N).  Quaternion values are renormalized on construction, or
-    with renormalize=False checked to be finite and unit, and frozen.
+    (n, n, n, N, N).  Values are stored C-contiguous, copied so if need be;
+    quaternion values are renormalized on construction, or with
+    renormalize=False checked to be finite and unit, and frozen.
     """
 
     __slots__ = ("grid", "pair", "values")
 
     def __init__(self, grid, pair, values, renormalize=True):
-        values = np.asarray(values)
+        # C order before any norm is taken, so per-site norms sum as they always have
+        values = np.ascontiguousarray(values)
         if pair.group_kind == "quaternion":
             shape = (grid.n,) * 3 + ((3,) if pair.dim_h else (4,))
             if values.shape != shape:
@@ -59,12 +61,12 @@ class MapField:
 
 
 class LiftField:
-    """A map into the group G, stored per site."""
+    """A map into the group G, stored per site, C-contiguous like MapField's values."""
 
     __slots__ = ("grid", "pair", "values")
 
     def __init__(self, grid, pair, values, renormalize=True):
-        values = np.asarray(values)
+        values = np.ascontiguousarray(values)
         if pair.group_kind == "quaternion":
             values = _unit_quat(values, renormalize, "lift value")
         object.__setattr__(self, "grid", grid)
@@ -93,9 +95,12 @@ class PotentialField:
             raise ValueError("a potential takes a reference map or, without one, a pair")
         if phi is not None and phi.grid != a.grid:
             raise ValueError("potential and reference map live on different grids")
+        pair = pair if phi is None else phi.pair
+        if a.vdim != pair.dim_g:
+            raise ValueError(f"a {pair.name} potential has {pair.dim_g} components, not {a.vdim}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "pair", pair if phi is None else phi.pair)
+        object.__setattr__(self, "pair", pair)
 
     def __setattr__(self, *a):
         raise AttributeError("PotentialField is immutable")
@@ -139,7 +144,7 @@ def pure_gauge_potential(u, phi=None):
     against phi (default: the constant map for su2_u1, none otherwise)."""
     h = u.grid.h
     inv = u.inverse_values()
-    data = np.empty(u.values.shape[:3] + (3, u.pair.dim_g))
+    data = empty_form(u.values.shape[:3] + (3, u.pair.dim_g))
     for mu in range(3):
         ell = u.pair.mul(inv, np.roll(u.values, -1, axis=mu))
         if u.pair.group_kind == "quaternion":
@@ -182,9 +187,11 @@ def act(u, phi):
 
 
 def map_tangents(psi):
-    """Centered-difference tangents of a CP1 map, one per axis, unprojected."""
+    """Centered-difference tangents of a CP1 map, one per axis, unprojected,
+    component-major (see lattice) to meet forms without strided reads."""
     h = psi.grid.h
-    return [centered_diff(psi.values, mu, h) for mu in range(3)]
+    values = component_major(psi.values)
+    return [centered_diff(values, mu, h) for mu in range(3)]
 
 
 def pullback_coisotropy(psi):
@@ -198,10 +205,11 @@ def pullback_coisotropy(psi):
     """
     g = psi.grid
     if psi.is_cp1:
-        data = np.empty(psi.values.shape[:3] + (3, 3))
+        data = empty_form(psi.values.shape[:3] + (3, 3))
+        values = component_major(psi.values)
         for mu in range(3):
-            v = centered_diff(psi.values, mu, g.h)
-            np.multiply(0.5, cross(psi.values, v), out=data[:, :, :, mu])
+            v = centered_diff(values, mu, g.h)
+            np.multiply(0.5, cross(values, v), out=data[:, :, :, mu])
         return LatticeField(g, 1, data)
     if psi.pair.group_kind == "quaternion":
         # omega-perp = dg g^-1 for trivial H, on projected tangents

@@ -24,8 +24,8 @@ from . import algebra as alg
 from . import fields as fl
 from .energy import comm_wedge, energy_map, energy_potential
 from .errors import ConfigError
-from .lattice import (Grid, LatticeField, d, dot, forward_diff, forward_diff_symbols, l2_norm,
-                      wedge)
+from .lattice import (Grid, LatticeField, component_major, d, dot, empty_form, forward_diff,
+                      forward_diff_symbols, l2_norm, wedge)
 
 ISOTROPY_TOL = 1e-10
 
@@ -75,12 +75,13 @@ def stabilizer_log_derivative(stab, scheme="log"):
     h = grid.h
     omega = fl.pullback_coisotropy(stab.phi)
     ad_omega = ad_inverse_apply(stab.w, omega)
-    slots = []
+    phi = component_major(stab.phi.values)
+    data = empty_form(omega.data.shape)
     for mu in range(3):
-        dtheta = forward_diff(stab.theta, mu, h)
-        slots.append(dtheta[..., None] * stab.phi.values
-                     + ad_omega.slot(mu) - omega.slot(mu))
-    return LatticeField.from_slots(grid, 1, slots)
+        dest = np.multiply(forward_diff(stab.theta, mu, h)[..., None], phi, out=data[:, :, :, mu])
+        dest += ad_omega.slot(mu)
+        dest -= omega.slot(mu)
+    return LatticeField(grid, 1, data)
 
 
 def _require_isotropic(b, phi):
@@ -133,7 +134,7 @@ def projector_derivative_wedge(phi, form):
         raise ValueError("projector derivative uses the CP1 closed form")
     if form.degree not in (1, 2):
         raise ValueError("projector derivative wedge expects a 1- or 2-form")
-    p = phi.values
+    p = component_major(phi.values)
     tangents = LatticeField.from_slots(phi.grid, 1, fl.map_tangents(phi))
     return wedge(tangents, form,
                  lambda v, xi: dot(xi, v)[..., None] * p + dot(xi, p)[..., None] * v)
@@ -202,8 +203,7 @@ def smooth_inputs(grid, rng):
     phi = fl.act(phi_gen, fl.constant_map(grid))
     u = fl.LiftField(grid, alg.su2_u1(), alg.qexp(smooth_algebra_field(grid, rng, 0.4)))
     theta = smooth_scalar(grid, rng, 0.4)
-    a_data = np.stack([smooth_algebra_field(grid, rng, 0.4) for _ in range(3)], axis=3)
-    a = LatticeField(grid, 1, a_data)
+    a = LatticeField.from_slots(grid, 1, [smooth_algebra_field(grid, rng, 0.4) for _ in range(3)])
     return phi, u, theta, a
 
 

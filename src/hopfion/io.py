@@ -105,8 +105,8 @@ def validate_meta(meta):
     """Check a snapshot header against its kind before anything is allocated.
 
     Needs n (an integer >= 4), a positive finite length, a known kind, and
-    a component count that fits it: 3 for map_s2, 4 for lift_su2, a
-    positive multiple of 3 for potential.
+    a component count that fits it: 3 for map_s2, 4 for lift_su2 and 9,
+    three slots of su2 coefficients, for potential.
     """
     if not isinstance(meta, dict):
         raise SnapshotError("metadata is not a JSON object")
@@ -122,7 +122,7 @@ def validate_meta(meta):
     if not number or not 0 < length <= sys.float_info.max:
         raise SnapshotError(f"period length = {length!r} is not a positive number")
     fits = _is_count(ncomp) and {"map_s2": ncomp == 3, "lift_su2": ncomp == 4,
-                                 "potential": ncomp > 0 and ncomp % 3 == 0}[kind]
+                                 "potential": ncomp == 9}[kind]
     if not fits:
         raise SnapshotError(f"{kind} snapshot cannot have {ncomp!r} components")
 

@@ -8,10 +8,22 @@ to zero.  2-form slots are ordered (xy, xz, yz) and carry the single
 sum-over-i<j convention, so for Lie-algebra-valued 1-forms
 (a ^ a)_{ij} = [a_i, a_j].
 
+Storage is component-major.  A form's data has the logical shape
+(n, n, n, slots, v), but it is a transposed view of one C-contiguous
+(v, slots, n, n, n) buffer, so every data[:, :, :, s, k] is a single
+contiguous n^3 block and component arithmetic reads no strided views.
+empty_form allocates that layout; elementwise ufuncs, np.roll and
+np.empty_like keep it, so d, wedge and field arithmetic carry it through.
+LatticeField copies data of any other layout once, on construction.
+Reductions multiply or copy into a site-major buffer first, so every sum
+runs in the order it ran on site-major data.
+
 cross and dot are the package's one last-axis cross and dot product of
 3-vectors, in the operation order of np.cross and np.sum(a * b, axis=-1),
 whose rounding they keep; every whole-grid cross or dot product calls them
-but algebra.qmul's, which are written into its output slot by slot.
+but algebra.qmul's, which are written into its output slot by slot.  Their
+results, like algebra's quaternion kernels', are laid out like the operand
+of full shape: component-major in, component-major out.
 """
 
 from __future__ import annotations
@@ -51,10 +63,49 @@ class Grid:
         return np.stack([x, y, z], axis=-1)
 
 
+def empty_form(shape, dtype=float):
+    """Uninitialized form data of logical shape (n, n, n, slots, v), component-major."""
+    n0, n1, n2, slots, v = shape
+    return np.empty((v, slots, n0, n1, n2), dtype).transpose(2, 3, 4, 1, 0)
+
+
+def is_component_major(data):
+    """True when data (n, n, n, slots, v) is laid out as empty_form lays it out."""
+    return data.transpose(4, 3, 0, 1, 2).flags.c_contiguous
+
+
+def component_major(a):
+    """a, or a copy of it, with each component a[..., k] C-contiguous."""
+    a = np.asarray(a)
+    if a.ndim < 2 or a[..., 0].flags.c_contiguous:
+        return a
+    out = np.empty(a.shape[-1:] + a.shape[:-1], a.dtype)
+    out[...] = np.moveaxis(a, -1, 0)
+    return np.moveaxis(out, 0, -1)
+
+
+def _planes(data):
+    """Form data as x-planes of shape (v, slots, n, n): each component of a
+    component-major plane is one contiguous block.  Copying plane by plane
+    between layouts keeps both sides in cache."""
+    return data.transpose(0, 4, 3, 1, 2)
+
+
+def empty_like_operands(shape, dtype, *operands):
+    """An uninitialized result laid out like the first operand of that shape, else C order."""
+    for op in operands:
+        if op.shape == shape:
+            return np.empty_like(op, dtype=dtype)
+    return np.empty(shape, dtype)
+
+
 class LatticeField:
     """A degree-k form with value dimension v: data shape (n, n, n, slots, v).
 
-    Data buffers are frozen after construction; operations build new fields.
+    The data is stored component-major (see the module docstring); data of
+    any other layout, such as a site-major C-order array, is copied into
+    that layout once.  Data is frozen after construction; operations build
+    new fields.
     """
 
     __slots__ = ("grid", "degree", "data")
@@ -71,11 +122,15 @@ class LatticeField:
             raise ValueError("data must have shape (n, n, n, slots, v)")
         if not np.all(np.isfinite(data)):
             raise ValueError("field data contains NaN or Inf")
+        if not is_component_major(data):
+            copy = empty_form(data.shape, data.dtype)
+            for dest, plane in zip(_planes(copy), _planes(data)):
+                dest[...] = plane
+            data = copy
+        data.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "data", data)
-        if data.base is None and data.flags.owndata:
-            data.flags.writeable = False
 
     def __setattr__(self, *a):
         raise AttributeError("LatticeField is immutable")
@@ -87,12 +142,19 @@ class LatticeField:
     @classmethod
     def zeros(cls, grid, degree, vdim):
         n = grid.n
-        return cls(grid, degree, np.zeros((n, n, n, SLOT_COUNT[degree], vdim)))
+        data = empty_form((n, n, n, SLOT_COUNT[degree], vdim))
+        data[...] = 0.0
+        return cls(grid, degree, data)
 
     @classmethod
     def from_slots(cls, grid, degree, slots):
         """Build from a list of per-slot arrays shaped (n, n, n, v)."""
-        return cls(grid, degree, np.stack(slots, axis=3))
+        n = grid.n
+        data = empty_form((n, n, n, len(slots)) + np.shape(slots[0])[3:],
+                          np.result_type(*slots))
+        for index, values in enumerate(slots):
+            data[:, :, :, index] = values
+        return cls(grid, degree, data)
 
     def slot(self, index):
         return self.data[:, :, :, index, :]
@@ -100,11 +162,14 @@ class LatticeField:
     def norm2_density(self):
         """Pointwise squared norm, summed over slots and components.
 
-        One x-plane at a time, so the squares never fill a second field.
+        One x-plane at a time, squared into a site-major plane, so the
+        squares never fill a second field and sum as on site-major data.
         """
         out = np.empty(self.data.shape[:3], dtype=self.data.dtype)
-        for x, plane in enumerate(self.data):
-            np.sum(plane * plane, axis=(2, 3), out=out[x])
+        squares = np.empty(self.data.shape[1:], dtype=self.data.dtype)
+        for x, plane in enumerate(_planes(self.data)):
+            np.multiply(plane, plane, out=squares.transpose(3, 2, 0, 1))
+            np.sum(squares, axis=(2, 3), out=out[x])
         return out
 
     # small linear algebra of fields
@@ -129,8 +194,10 @@ class LatticeField:
             raise ValueError("incompatible fields")
 
 
-def forward_diff(arr, axis, h):
-    return (np.roll(arr, -1, axis=axis) - arr) / h
+def forward_diff(arr, axis, h, out=None):
+    out = np.subtract(np.roll(arr, -1, axis=axis), arr, out=out)
+    out /= h
+    return out
 
 
 def forward_diff_symbols(grid):
@@ -155,21 +222,28 @@ def centered_diff(arr, axis, h):
 
 
 def d(f):
-    """Forward-difference exterior derivative with periodic wrap."""
+    """Forward-difference exterior derivative with periodic wrap.
+
+    Each slot's difference is written straight into the new form's buffer.
+    """
     h = f.grid.h
+    n = f.grid.n
+    if f.degree == 3:
+        raise ValueError("cannot take d of a 3-form")
+    out = empty_form((n, n, n, SLOT_COUNT[f.degree + 1], f.vdim), f.data.dtype)
     if f.degree == 0:
-        v = f.slot(0)
-        return LatticeField.from_slots(f.grid, 1, [forward_diff(v, mu, h) for mu in range(3)])
-    if f.degree == 1:
-        slots = []
-        for mu, nu in SLOTS2:
-            slots.append(forward_diff(f.slot(nu), mu, h) - forward_diff(f.slot(mu), nu, h))
-        return LatticeField.from_slots(f.grid, 2, slots)
-    if f.degree == 2:
-        w_xy, w_xz, w_yz = (f.slot(i) for i in range(3))
-        out = forward_diff(w_yz, 0, h) - forward_diff(w_xz, 1, h) + forward_diff(w_xy, 2, h)
-        return LatticeField.from_slots(f.grid, 3, [out])
-    raise ValueError("cannot take d of a 3-form")
+        for mu in range(3):
+            forward_diff(f.slot(0), mu, h, out=out[:, :, :, mu])
+    elif f.degree == 1:
+        for slot, (mu, nu) in enumerate(SLOTS2):
+            dest = forward_diff(f.slot(nu), mu, h, out=out[:, :, :, slot])
+            dest -= forward_diff(f.slot(mu), nu, h)
+    else:
+        # slots (xy, xz, yz): d_x w_yz - d_y w_xz + d_z w_xy
+        dest = forward_diff(f.slot(2), 0, h, out=out[:, :, :, 0])
+        dest -= forward_diff(f.slot(1), 1, h)
+        dest += forward_diff(f.slot(0), 2, h)
+    return LatticeField(f.grid, f.degree + 1, out)
 
 
 # bilinear products on value axes ------------------------------------------
@@ -177,7 +251,7 @@ def d(f):
 def cross(a, b):
     """np.cross on the last axis, component by component in its operation order."""
     a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out = empty_like_operands(np.broadcast(a, b).shape, np.result_type(a, b), a, b)
     for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[..., i], b[..., j], out=out[..., k])
         out[..., k] -= a[..., j] * b[..., i]
@@ -224,8 +298,8 @@ def wedge(alpha, beta, product):
         for slot, (mu, nu) in enumerate(SLOTS2):
             first = product(alpha.slot(mu), beta.slot(nu))
             if data is None:
-                data = np.empty(first.shape[:3] + (len(SLOTS2),) + first.shape[3:],
-                                dtype=first.dtype)
+                data = empty_form(first.shape[:3] + (len(SLOTS2),) + first.shape[3:],
+                                  first.dtype)
             np.subtract(first, product(alpha.slot(nu), beta.slot(mu)), out=data[:, :, :, slot])
         return LatticeField(g, 2, data)
     if (ka, kb) == (1, 2):
@@ -245,7 +319,10 @@ def l2_inner(alpha, beta):
     """Discrete L2 pairing: sum over sites, slots, components times h^3."""
     if alpha.grid != beta.grid or alpha.data.shape != beta.data.shape:
         raise ValueError("shape mismatch in l2_inner")
-    return float(np.sum(alpha.data * beta.data) * alpha.grid.h ** 3)
+    products = np.empty(alpha.data.shape)  # site-major, so the sum runs as it always has
+    for dest, a, b in zip(_planes(products), _planes(alpha.data), _planes(beta.data)):
+        np.multiply(a, b, out=dest)
+    return float(np.sum(products) * alpha.grid.h ** 3)
 
 
 def l2_norm(alpha):
@@ -256,7 +333,8 @@ def integrate_3form(omega):
     """Integral over the torus; returns a scalar for v=1, else a vector."""
     if omega.degree != 3:
         raise ValueError("integrate_3form needs a 3-form")
-    total = np.sum(omega.data, axis=(0, 1, 2, 3)) * omega.grid.h ** 3
+    # summed site-major, in the order of a site-major form's sum
+    total = np.sum(np.ascontiguousarray(omega.data), axis=(0, 1, 2, 3)) * omega.grid.h ** 3
     if total.shape == (1,):
         return float(total[0])
     return total

@@ -27,7 +27,7 @@ import numpy as np
 from . import algebra as alg
 from . import fields as fl
 from .errors import DegeneratePreimageError, FluxObstructionError
-from .lattice import Grid, LatticeField, SLOTS2, forward_diff_symbols, wedge
+from .lattice import Grid, LatticeField, SLOTS2, empty_form, forward_diff_symbols, wedge
 
 # Calibrated on the degree-1 ball ansatz and frozen; see README, conventions.
 CHERN_SIMONS_SU_N = 1.0 / (24.0 * np.pi ** 2)
@@ -224,7 +224,7 @@ def area_flux_2form(psi):
         raise ValueError("area flux needs a CP1 map")
     # the plaquette area approximates h^2 times the 2-form component
     n = psi.grid.n
-    out = np.empty((n, n, n, len(SLOTS2), 1))
+    out = empty_form((n, n, n, len(SLOTS2), 1))
     for slot, (_, area) in enumerate(alg.plaquette_areas(np.moveaxis(psi.values, -1, 0))):
         np.divide(area, 4.0 * np.pi * psi.grid.h ** 2, out=out[:, :, :, slot, 0])
     return LatticeField(psi.grid, 2, out)
@@ -252,7 +252,7 @@ def solve_vector_potential(F):
 
     # F_{nu mu} = -F_{mu nu}: one transform per slot, the sign applied at use
     Fhat = [np.fft.fftn(F.slot(slot)[..., 0]) for slot in range(len(SLOTS2))]
-    out = np.empty((n, n, n, 3, 1))
+    out = empty_form((n, n, n, 3, 1))
     for nu in range(3):
         acc = np.zeros((n, n, n), dtype=complex)
         for mu in range(3):

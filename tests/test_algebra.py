@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hopfion import algebra as alg
+from hopfion.lattice import Grid, LatticeField
 import oracles
 
 I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -105,7 +106,17 @@ class TestComponentKernels:
         g = alg.random_unit_quaternions(rng, g_shape)
         v = rng.standard_normal(v_shape)
         got = alg.qrotate(g, v)
-        assert got.flags.c_contiguous
+        assert got.strides == np.empty_like(v).strides
+        assert np.array_equal(got, oracles.qrotate(g, v))
+
+    @pytest.mark.parametrize("g_shape", [(6, 6, 6, 1), (6, 6, 6, 3)])
+    def test_qrotate_follows_component_major_operand(self, rng, g_shape):
+        # a component-major v (as form data is stored) gives a component-major
+        # result with the chain's values; g is copied component-major once
+        g = alg.random_unit_quaternions(rng, g_shape)
+        v = LatticeField(Grid(6), 1, rng.standard_normal((6, 6, 6, 3, 3))).data
+        got = alg.qrotate(g, v)
+        assert got.strides == v.strides
         assert np.array_equal(got, oracles.qrotate(g, v))
 
     def test_qrotate_peak_not_above_chain(self, rng):

@@ -193,6 +193,16 @@ class TestMergedSplit:
         with pytest.raises(ValueError):
             fl.PotentialField(a, *args)
 
+    @pytest.mark.parametrize("with_map", [True, False])
+    def test_value_dimension_must_be_dim_g(self, grid12, with_map):
+        # an 8-component form is no su2 potential, with or without a reference map
+        a = LatticeField.zeros(grid12, 1, 8)
+        with pytest.raises(ValueError, match="components"):
+            if with_map:
+                fl.PotentialField(a, fl.constant_map(grid12))
+            else:
+                fl.PotentialField(a, pair=alg.su2_group())
+
     @pytest.mark.parametrize("attr", ["a", "phi", "pair", "extra"])
     def test_immutable(self, grid12, attr):
         # the pair is checked against the map only where the potential is built

@@ -435,6 +435,18 @@ def test_bad_snapshot_meta_exit_2(tmp_path, capsys, meta, payload):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["energy", "--map"], ["export", "--in"]])
+def test_potential_with_24_components_exit_2(tmp_path, capsys, command):
+    # 24 = 3 slots x 8 once read as an su2_u1 potential with 8 components:
+    # energy died on a broadcast ValueError and export wrote it with exit 0
+    meta = {"n": 4, "length": 1.0, "kind": "potential", "components": 24}
+    path = _forged_snapshot(tmp_path / "bad.hopf", meta, np.zeros(4 ** 3 * 24).astype("<f8").tobytes())
+    assert main(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "components" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.hopf"]
+
+
 @pytest.mark.parametrize("blob", [
     hio.MAGIC + b"\x01\x00",
     hio.MAGIC + struct.pack("<II", hio.FORMAT_VERSION, 500) + b"{}",

@@ -74,7 +74,7 @@ def test_roundtrip_bit_exact(tmp_path_factory, kind, seed, length):
 
 
 @PROPERTY
-@given(data=arrays(np.float64, (N,) * 3 + (3, 1),
+@given(data=arrays(np.float64, (N,) * 3 + (3, 3),
                    elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_potential_roundtrip_any_finite_floats(tmp_path_factory, data):
     # subnormals, -0.0 and the largest floats keep their bits
