@@ -1,10 +1,9 @@
 """Command-line surface.
 
-Heavy imports happen inside main() so that HOPF_THREADS can cap the BLAS
-and OpenMP pools before numpy comes up.  Exit codes: 0 success, 1 failed
-check budgets, 2 malformed input (snapshot, config, arguments) or an
-output path that cannot be written, 3 numerical failure.  Output
-directories are checked before the work starts.
+Exit codes: 0 success, 1 failed check budgets, 2 malformed input
+(snapshot, config, arguments) or an output path that cannot be written,
+3 numerical failure.  Output directories are checked before the work
+starts.
 """
 
 from __future__ import annotations
@@ -14,14 +13,17 @@ import json
 import os
 import sys
 
+import numpy as np
 
-def _cap_threads():
-    cap = os.environ.get("HOPF_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+from . import io as hio
+from .energy import energy_map
+from .errors import ConfigError, HopfionError
+from .fields import make_ansatz
+from .gauge import identity_suite
+from .lattice import Grid
+from .minimize import _charge_estimate, charge_guard, relax
+from .suites import invariant_suite
+from .topology import ChargeReport, chern_simons_from_lift, linking_charge, whitehead_charge
 
 
 def _build_parser():
@@ -68,11 +70,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    _cap_threads()
     args = _build_parser().parse_args(argv)
-
-    from . import io as hio
-    from .errors import ConfigError, HopfionError
 
     try:
         return _dispatch(args)
@@ -90,8 +88,6 @@ def _require_output_dir(path):
     A directory test only, with no trial write, so that it costs an export
     nothing.
     """
-    from .errors import ConfigError
-
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory {directory} does not exist")
@@ -99,8 +95,6 @@ def _require_output_dir(path):
 
 def _read_field(path, kind):
     """The field of the snapshot at path; a SnapshotError (exit 2) unless it is a kind."""
-    from . import io as hio
-
     meta, obj = hio.read_snapshot(path)
     if meta["kind"] != kind:
         raise hio.SnapshotError(f"{path} holds a {meta['kind']} snapshot, not {kind}")
@@ -109,10 +103,6 @@ def _read_field(path, kind):
 
 def _initial_fields(kind, n, length, charge):
     """make_ansatz on Grid(n, length); a bad value is a ConfigError (exit 2)."""
-    from .errors import ConfigError
-    from .fields import make_ansatz
-    from .lattice import Grid
-
     try:
         return make_ansatz(kind, Grid(n, length), charge)
     except ValueError as exc:
@@ -120,10 +110,6 @@ def _initial_fields(kind, n, length, charge):
 
 
 def _dispatch(args):
-    import numpy as np
-
-    from . import io as hio
-
     if args.command == "ansatz":
         _require_output_dir(args.out)
         length = args.length if args.length is not None else 2.0 * np.pi
@@ -135,8 +121,6 @@ def _dispatch(args):
         return 0
 
     if args.command == "energy":
-        from .energy import energy_map
-
         psi = _read_field(args.map, "map_s2")
         report = energy_map(psi, variant=args.variant)
         print(report)
@@ -145,8 +129,6 @@ def _dispatch(args):
         return 0
 
     if args.command == "hopf":
-        from .topology import ChargeReport, chern_simons_from_lift, linking_charge, whitehead_charge
-
         if args.map is None and args.lift is None:
             print("error: need --map and/or --lift", file=sys.stderr)
             return 2
@@ -182,12 +164,8 @@ def _dispatch(args):
         print(json.dumps(meta, indent=2, sort_keys=True))
         return 0
 
-    return 2
-
 
 def _print_charge(report, as_json):
-    import numpy as np
-
     if report.cs_value is not None:
         print(f"chern-simons: {np.array2string(report.cs_value, precision=6)}")
     if report.whitehead_value is not None:
@@ -201,9 +179,6 @@ def _print_charge(report, as_json):
 
 
 def _run_relax(args):
-    from . import io as hio
-    from .minimize import _charge_estimate, charge_guard, relax
-
     cfgmap = hio.load_config(args.config)
     psi0, _ = _initial_fields(cfgmap["ansatz.kind"], cfgmap["grid.n"],
                               cfgmap["grid.length"], cfgmap["ansatz.charge"])
@@ -236,14 +211,12 @@ def _run_relax(args):
 
 
 def _run_check(args):
-    from .errors import ConfigError
-    from .gauge import identity_suite
-    from .suites import invariant_suite
-
     try:
         sizes = tuple(int(s) for s in args.sizes.split(","))
     except ValueError:
         raise ConfigError(f"--sizes takes comma-separated integers, not {args.sizes!r}") from None
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, not {args.seed}")
     if args.json_out:
         _require_output_dir(args.json_out)
     rows = identity_suite(sizes=sizes, seed=args.seed) + invariant_suite(seed=args.seed)

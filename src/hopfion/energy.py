@@ -122,8 +122,8 @@ def energy_potential(a):
     return _report(a.grid, e2, e4, "potential")
 
 
-def descent_energy(psi, scale_dirichlet=1.0, scale_skyrme=1.0, split=False):
-    """The relaxation objective: a topology-protecting discretization.
+def descent_energy(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
+    """The relaxation objective, (dirichlet, skyrme): a topology-protecting discretization.
 
     Same continuum functional as energy_map, realized with the chordal
     nearest-neighbor Dirichlet term and the quartic term built from signed
@@ -146,9 +146,7 @@ def descent_energy(psi, scale_dirichlet=1.0, scale_skyrme=1.0, split=False):
         e4 += area * area
     dirichlet = scale_dirichlet * float(np.sum(e2)) * h / 8.0
     skyrme = scale_skyrme * float(np.sum(e4)) / (16.0 * h)
-    if split:
-        return dirichlet, skyrme
-    return dirichlet + skyrme
+    return dirichlet, skyrme
 
 
 def descent_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):

@@ -35,7 +35,7 @@ class MapField:
     __slots__ = ("grid", "pair", "values")
 
     def __init__(self, grid, pair, values, renormalize=True):
-        # C order before any norm is taken, so per-site norms sum as they always have
+        # C order: minimize._tangent's einsum rounds differently on other layouts
         values = np.ascontiguousarray(values)
         if pair.group_kind == "quaternion":
             shape = (grid.n,) * 3 + ((3,) if pair.dim_h else (4,))

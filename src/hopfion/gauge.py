@@ -95,9 +95,10 @@ def _require_isotropic(b, phi):
 def gauge_transform_potential(b, stab):
     """b^w = Ad(w^-1) b + w^-1 dw - (Ad(w^-1) - I) phi^*omega, phi = b.phi.
 
-    b must be isotropy-valued against phi, and stab built on phi; w^-1 dw is
-    the 'log' derivative.  The result is isotropy-valued at roundoff for
-    constant phi and up to O(h) otherwise.
+    Computed as Ad(w^-1)(b - phi^*omega) + phi^*omega + w^-1 dw, one Ad
+    action.  b must be isotropy-valued against phi, and stab built on phi;
+    w^-1 dw is the 'log' derivative.  The result is isotropy-valued at
+    roundoff for constant phi and up to O(h) otherwise.
     """
     phi = b.phi
     if stab.phi is not phi and (phi is None or stab.phi.grid != phi.grid
@@ -106,10 +107,7 @@ def gauge_transform_potential(b, stab):
     _require_isotropic(b.a, phi)
     omega = fl.pullback_coisotropy(phi)
     dw = stabilizer_log_derivative(stab)
-    adb = ad_inverse_apply(stab.w, b.a)
-    ad_omega = ad_inverse_apply(stab.w, omega)
-    out = adb + dw - (ad_omega - omega)
-    return fl.PotentialField(out, phi)
+    return fl.PotentialField(ad_inverse_apply(stab.w, b.a - omega) + omega + dw, phi)
 
 
 def coset_curvature(b):

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import fields as fl
+from .energy import energy_map
 from .errors import ConfigError
 from .lattice import Grid, LatticeField
 from .minimize import HistoryRow, RelaxConfig
@@ -291,8 +292,6 @@ def export_vtk(path, meta, obj):
 
 def export_density_csv(path, obj):
     """Energy density per site for maps; squared pointwise norm otherwise."""
-    from .energy import energy_map
-
     if isinstance(obj, fl.MapField):
         density = energy_map(obj).density.slot(0)[..., 0]
     elif isinstance(obj, fl.LiftField):

@@ -181,11 +181,6 @@ class LatticeField:
         self._compat(other)
         return LatticeField(self.grid, self.degree, self.data - other.data)
 
-    def __mul__(self, scalar):
-        return LatticeField(self.grid, self.degree, self.data * scalar)
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return LatticeField(self.grid, self.degree, -self.data)
 

@@ -49,7 +49,7 @@ MAX_HALVINGS = 10
 # default period 2 pi: sqrt(kappa) = 0.45, about 1.7 h at n = 24.  At 0.5 the
 # n = 16 barrier run stops at charge 0.82, at 1.0 it unwinds the charge
 SOBOLEV_KAPPA = 0.2
-# relax's H0 = STEP_INIT * P before any pair, and its gradient-fallback step
+# relax's H0 = STEP_INIT * P before any pair
 STEP_INIT = 0.2
 # max per-site move per step: without it 9 of 31 perturbed n = 16 hopf runs unwind
 STEP_CAP = 0.2
@@ -137,9 +137,11 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
     trial step along the direction starts at 1, capped so that no site
     (last array axis) moves by more than step_cap (0: no cap), and is halved
     up to MAX_HALVINGS times until the Armijo test on the slope grad.d
-    passes.  When it fails, the memory is cleared and the search repeated
-    along step_init * grad; when that fails too the run has "stalled".  A
-    non-finite objective ends it as "diverged" at the last finite point.
+    passes; when it fails the run has "stalled".  The direction always
+    descends, so there is nothing to retry: with P positive definite and
+    s.y > 0 for every kept pair H is positive definite, and the slope of
+    the tangent grad is grad.H grad > 0.  A non-finite objective ends the
+    run as "diverged" at the last finite point.
     """
     terms = objective(x)
     f = sum(terms)
@@ -155,10 +157,6 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
     for it in range(1, max_iters + 1):
         d = project(x, _two_loop(g, pairs, step_init, precondition))
         found = _line_search(objective, retract, x, f, g, d, step_cap)
-        if found is None and pairs:
-            pairs.clear()
-            d = step_init * g
-            found = _line_search(objective, retract, x, f, g, d, step_cap)
         if found is None:
             return x, "stalled"
         step, trial, trial_terms = found
@@ -253,7 +251,7 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
         return None
 
     psi, termination = descend(
-        lambda psi: descent_energy(psi, split=True, **scales),
+        lambda psi: descent_energy(psi, **scales),
         lambda psi: descent_gradient(psi, **scales),
         psi0, retract=lambda psi, v: psi.with_values(psi.values + v),
         project=_tangent, step_init=STEP_INIT, max_iters=cfg.max_iters,

@@ -77,6 +77,15 @@ class TestAction:
         u = fl.LiftField(grid16, phi.pair, u_vals.copy())
         assert np.max(np.abs(fl.act(u, phi).values - phi.values)) < 1e-15
 
+    def test_group_target_left_product(self, grid16, rng):
+        # on a group target the lift acts by the left product u phi
+        phi = fl.MapField(grid16, alg.su2_group(), smooth_lift(grid16, rng).values)
+        u = smooth_lift(grid16, rng)
+        moved = fl.act(u, phi)
+        assert moved.pair is phi.pair
+        assert np.max(np.abs(moved.values - alg.qmul(u.values, phi.values))) < 1e-15
+        assert np.max(np.abs(moved.values - alg.qmul(phi.values, u.values))) > 1e-3
+
 
 class TestPullback:
     def test_constant_map(self, grid16):

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import smooth_cp1_map, smooth_lift
 from hopfion import algebra as alg
+from hopfion import cli
 from hopfion import fields as fl
-from hopfion import gauge, minimize
 from hopfion import io as hio
 from hopfion.cli import main
 from hopfion.energy import energy_map
@@ -182,6 +182,43 @@ class TestExports:
         assert np.array_equal(got[:, :3], Grid(8).site_coords().reshape(-1, 3))
         assert np.array_equal(got[:, 3], energy_map(psi).density.slot(0)[..., 0].reshape(-1))
 
+    @staticmethod
+    def _snapshot_exports(tmp_path, field):
+        """Export the snapshot of field: (vtk lines, density csv rows as an (n^3, 4) array)."""
+        hio.write_snapshot(tmp_path / "f.hopf", field)
+        meta, obj = hio.read_snapshot(tmp_path / "f.hopf")
+        hio.export_vtk(tmp_path / "f.vtk", meta, obj)
+        hio.export_density_csv(tmp_path / "f.csv", obj)
+        lines = (tmp_path / "f.vtk").read_text().splitlines()
+        csv = (tmp_path / "f.csv").read_text().splitlines()
+        assert csv[0] == "x,y,z,density"
+        return lines, TestExports._tokens(csv[1:]).reshape(-1, 4)
+
+    def test_lift_snapshot_exports(self, tmp_path):
+        _, u = fl.make_ansatz("hopf", Grid(8), 1)
+        lines, rows = self._snapshot_exports(tmp_path, u)
+        vec = lines.index("VECTORS lift_im double")
+        sca = lines.index("SCALARS lift_re double 1")
+        assert sca == vec + 1 + 8 ** 3 and lines[sca + 1] == "LOOKUP_TABLE default"
+        assert len(lines) == sca + 2 + 8 ** 3
+        assert all(len(line.split()) == 3 for line in lines[vec + 1:sca])
+        assert all(len(line.split()) == 1 for line in lines[sca + 2:])
+        # a unit quaternion per site: density |u|^2 = 1
+        assert rows.shape == (8 ** 3, 4)
+        assert np.max(np.abs(rows[:, 3] - 1.0)) < 1e-15
+
+    def test_potential_snapshot_exports(self, tmp_path, rng):
+        a = fl.pure_gauge_potential(smooth_lift(Grid(8), rng))
+        lines, rows = self._snapshot_exports(tmp_path, a)
+        starts = [lines.index(f"VECTORS {label} double") for label in ("a_x", "a_y", "a_z")]
+        assert starts[1:] == [starts[0] + 1 + 8 ** 3, starts[0] + 2 * (1 + 8 ** 3)]
+        assert len(lines) == starts[2] + 1 + 8 ** 3
+        for mu, start in enumerate(starts):
+            got = self._tokens(lines[start + 1:start + 1 + 8 ** 3]).reshape(8, 8, 8, 3)
+            assert np.array_equal(got, a.a.slot(mu).transpose(2, 1, 0, 3))
+        assert np.array_equal(rows[:, :3], Grid(8).site_coords().reshape(-1, 3))
+        assert np.array_equal(rows[:, 3], a.a.norm2_density().reshape(-1))
+
 
 class TestCli:
     def test_constant_ansatz_energy_zero(self, tmp_path, capsys):
@@ -321,6 +358,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
+    def test_check_negative_seed_exit_2(self, capsys, monkeypatch):
+        # numpy's default_rng raises a ValueError on a negative seed: refuse it first
+        monkeypatch.setattr(cli, "identity_suite", lambda *a, **k: pytest.fail("suite ran"))
+        assert main(["check", "--sizes", "4,8", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--seed" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("config, argv", [
         (None, ["relax", "--config", "{cfg}"]),
         (b"grid.n = 8  # \xff\n", ["relax", "--config", "{cfg}"]),
@@ -347,7 +392,7 @@ class TestCli:
 
     @pytest.mark.parametrize("where", ["under_file", "is_file"])
     def test_relax_unwritable_dir_exit_2(self, tmp_path, capsys, monkeypatch, where):
-        monkeypatch.setattr(minimize, "relax", lambda *a, **k: pytest.fail("relax ran"))
+        monkeypatch.setattr(cli, "relax", lambda *a, **k: pytest.fail("relax ran"))
         outdir = _unwritable(tmp_path, where)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"grid.n = 8\noutput.dir = {outdir}\n")
@@ -357,7 +402,7 @@ class TestCli:
 
     @pytest.mark.parametrize("where", ["missing_parent", "under_file"])
     def test_check_unwritable_json_exit_2(self, tmp_path, capsys, monkeypatch, where):
-        monkeypatch.setattr(gauge, "identity_suite", lambda *a, **k: pytest.fail("suite ran"))
+        monkeypatch.setattr(cli, "identity_suite", lambda *a, **k: pytest.fail("suite ran"))
         out = _unwritable(tmp_path, where)
         assert main(["check", "--sizes", "16,32", "--json-out", str(out)]) == 2
         captured = capsys.readouterr()

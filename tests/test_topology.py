@@ -66,6 +66,13 @@ class TestChernSimons:
         assert abs(c_w) < 1e-10          # abelian-valued: integrand vanishes
         assert abs(c_uw - c_u - c_w) <= 0.03
 
+    def test_odd_grid_plain_value(self, rng, monkeypatch):
+        # n = 9 cannot be halved: no extrapolation, the plain four-term value
+        u = smooth_lift(Grid(9), rng)
+        plain = tp.chern_simons_charge(fl.pure_gauge_potential(u)).cs_value
+        monkeypatch.setattr(tp, "_subsample", lambda u: pytest.fail("subsampled"))
+        assert np.array_equal(tp.chern_simons_from_lift(u).cs_value, plain)
+
     def test_constant_gauge_invariance(self, rng):
         grid = Grid(24)
         _, u = fl.make_ansatz("hopf", grid, 1)
