@@ -175,13 +175,14 @@ def _rel(residual_field, reference_field):
 
 def smooth_scalar(grid, rng, amplitude=1.0):
     """Random low-frequency trig polynomial sampled on the grid."""
-    x = grid.site_coords() * (2.0 * np.pi / grid.length)
+    c = grid.axis_coords() * (2.0 * np.pi / grid.length)
+    x, y, z = c[:, None, None], c[None, :, None], c[None, None, :]
     out = np.zeros((grid.n,) * 3)
     for _ in range(3):
         k = rng.integers(-1, 2, size=3)
         phase = rng.uniform(0, 2 * np.pi)
         amp = rng.uniform(0.3, 1.0) * amplitude
-        out += amp * np.sin(x @ k + phase)
+        out += amp * np.sin((x * k[0] + y * k[1]) + z * k[2] + phase)
     return out
 
 

@@ -238,20 +238,24 @@ def write_history_csv(path, run):
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-# rows per `%` formatting call of the ASCII exports
-_BLOCK_ROWS = 4096
+# rows per `%` formatting call of the ASCII exports; a block holds the text
+# of each of its distinct values at once, which sets the exports' peak memory
+_BLOCK_ROWS = 1024
 
 
 def _text_chunks(head, rows, sep):
-    """head, then one line per row of the 2-d array rows, as byte chunks.
+    """head, then one line per row of the 2-d float64 array rows, as byte chunks.
 
-    Values go through %r on Python floats: shortest round-trip reprs.
+    Values go through repr on Python floats: shortest round-trip reprs, one
+    per distinct bit pattern of a block, so that -0.0 stays apart from 0.0.
     """
     yield (head + "\n").encode("utf-8")
-    fmt = sep.join(["%r"] * rows.shape[1]) + "\n"
+    fmt = sep.join(["%s"] * rows.shape[1]) + "\n"
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        yield ((fmt * len(block)) % tuple(block.ravel().tolist())).encode("utf-8")
+        keys, inverse = np.unique(block.ravel().view(np.int64), return_inverse=True)
+        texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+        yield ((fmt * len(block)) % tuple(texts[inverse].tolist())).encode("utf-8")
 
 
 def _vtk_header(grid, title):

@@ -366,6 +366,32 @@ class TestCli:
         assert captured.err.startswith("error: ") and "--seed" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["ansatz", "--n", "1000000", "--out", "{tmp}/a"],
+        ["relax", "--config", "{cfg}"],
+        ["check", "--sizes", "16,1000000"],
+    ], ids=["ansatz", "relax", "check"])
+    def test_huge_grid_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # numpy's refusal of a 6.94 EiB grid was a traceback and exit 1; the
+        # patched builders fail the test should a grid ever be made
+        monkeypatch.setattr(cli, "make_ansatz", lambda *a, **k: pytest.fail("grid made"))
+        monkeypatch.setattr(cli, "identity_suite", lambda *a, **k: pytest.fail("suite ran"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid.n = 1000000\noutput.dir = {tmp_path / 'out'}\n")
+        assert main([arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: a grid of n = 1000000 needs about")
+        assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_grid_memory_estimate_scales_with_n_cubed(self, tmp_path, capsys, monkeypatch):
+        # a machine with exactly 256 * 12^3 bytes: the ansatz fits at n = 12, not at n = 13
+        pages = {"SC_PAGE_SIZE": 256, "SC_PHYS_PAGES": 12 ** 3}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(cli, "make_ansatz", lambda *a, **k: pytest.fail("grid made"))
+        assert main(["ansatz", "--n", "13", "--out", str(tmp_path / "a")]) == 2
+        assert "n = 13" in capsys.readouterr().err
+        cli._require_memory(12, 256)
+
     @pytest.mark.parametrize("config, argv", [
         (None, ["relax", "--config", "{cfg}"]),
         (b"grid.n = 8  # \xff\n", ["relax", "--config", "{cfg}"]),

@@ -1,6 +1,6 @@
 """Property tests of the snapshot format: round trips are bit-exact, and
 truncated, bit-flipped or garbled bytes end in SnapshotError, never in
-another exception."""
+another exception.  The ASCII exporter writes the bytes of repr per value."""
 
 import json
 import struct
@@ -121,3 +121,28 @@ _METADATA = st.one_of(
 def test_garbled_metadata_reads_or_raises_snapshot_error(tmp_path_factory, meta, payload):
     header = hio.MAGIC + struct.pack("<II", hio.FORMAT_VERSION, len(meta))
     _read_or_snapshot_error(tmp_path_factory, header + meta + payload)
+
+
+# signed zeros, the smallest and largest subnormals, and the extremes
+_EXPORT_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308,
+                    1.7976931348623157e308]
+
+
+@PROPERTY
+@given(cols=st.sampled_from([1, 3, 4]), extra=st.sampled_from([-1, 0, 1]),
+       sep=st.sampled_from([" ", ","]), distinct=st.sampled_from([1, 3, 40, None]),
+       drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_text_chunks_match_per_value_repr(cols, extra, sep, distinct, drawn, seed):
+    """Block edges at _BLOCK_ROWS +- 1; heavy repeats from a small pool, or all distinct."""
+    rng = np.random.default_rng(seed)
+    nrows = hio._BLOCK_ROWS + extra
+    if distinct is None:
+        values = rng.standard_normal(nrows * cols) * 10.0 ** rng.integers(-320, 300, nrows * cols)
+    else:
+        pool = np.array(_EXPORT_SPECIALS + drawn + rng.standard_normal(distinct).tolist())
+        values = pool[rng.integers(len(pool), size=nrows * cols)]
+    values[rng.integers(nrows * cols, size=2 * len(_EXPORT_SPECIALS))] = _EXPORT_SPECIALS * 2
+    rows = values.reshape(nrows, cols)
+    oracle = "".join(sep.join(map(repr, row)) + "\n" for row in rows.tolist())
+    assert b"".join(hio._text_chunks("head", rows, sep)) == ("head\n" + oracle).encode("utf-8")
