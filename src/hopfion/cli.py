@@ -101,19 +101,23 @@ def _read_field(path, kind):
     return obj
 
 
-# peak bytes per grid site, measured at n = 48 to 96: about 170 for ansatz,
-# 820 for relax once its L-BFGS pairs are full and 1240 for check's largest grid
-def _require_memory(n, site_bytes):
-    """ConfigError (exit 2), before any array is made, unless site_bytes * n^3 fits in memory."""
-    need, have = site_bytes * n ** 3, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+# peak bytes per grid site, a margin over the measured peaks: ansatz about 170,
+# relax 870 with its L-BFGS pairs full (n = 48 to 80), check 1240 (largest n)
+_SITE_BYTES = {"ansatz": 256, "relax": 1024, "check": 1536}
+
+
+def _require_memory(command, n):
+    """ConfigError (exit 2), before any array is made, unless n^3 sites fit in memory."""
+    need = _SITE_BYTES[command] * n ** 3
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(f"a grid of n = {n} needs about {need / 2 ** 30:.3g} GiB, "
                           f"more than the {have / 2 ** 30:.3g} GiB of memory here")
 
 
-def _initial_fields(kind, n, length, charge, site_bytes):
+def _initial_fields(command, kind, n, length, charge):
     """make_ansatz on Grid(n, length); a bad value is a ConfigError (exit 2)."""
-    _require_memory(n, site_bytes)
+    _require_memory(command, n)
     try:
         return make_ansatz(kind, Grid(n, length), charge)
     except ValueError as exc:
@@ -124,7 +128,7 @@ def _dispatch(args):
     if args.command == "ansatz":
         _require_output_dir(args.out)
         length = args.length if args.length is not None else 2.0 * np.pi
-        psi, u = _initial_fields(args.kind, args.n, length, args.charge, 256)
+        psi, u = _initial_fields("ansatz", args.kind, args.n, length, args.charge)
         meta = {"ansatz": args.kind, "charge": args.charge}
         hio.write_snapshot(args.out + ".psi.hopf", psi, extra_meta=meta)
         hio.write_snapshot(args.out + ".lift.hopf", u, extra_meta=meta)
@@ -191,8 +195,8 @@ def _print_charge(report, as_json):
 
 def _run_relax(args):
     cfgmap = hio.load_config(args.config)
-    psi0, _ = _initial_fields(cfgmap["ansatz.kind"], cfgmap["grid.n"],
-                              cfgmap["grid.length"], cfgmap["ansatz.charge"], 1536)
+    psi0, _ = _initial_fields("relax", cfgmap["ansatz.kind"], cfgmap["grid.n"],
+                              cfgmap["grid.length"], cfgmap["ansatz.charge"])
     cfg = hio.relax_config(cfgmap)
     outdir = cfgmap["output.dir"]
     os.makedirs(outdir, exist_ok=True)   # before the relaxation: an OSError exits 2
@@ -228,7 +232,7 @@ def _run_check(args):
         raise ConfigError(f"--sizes takes comma-separated integers, not {args.sizes!r}") from None
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, not {args.seed}")
-    _require_memory(max(sizes), 1536)
+    _require_memory("check", max(sizes))
     if args.json_out:
         _require_output_dir(args.json_out)
     rows = identity_suite(sizes=sizes, seed=args.seed) + invariant_suite(seed=args.seed)

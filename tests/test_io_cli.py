@@ -383,14 +383,22 @@ class TestCli:
         assert captured.err.startswith("error: a grid of n = 1000000 needs about")
         assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
-    def test_grid_memory_estimate_scales_with_n_cubed(self, tmp_path, capsys, monkeypatch):
-        # a machine with exactly 256 * 12^3 bytes: the ansatz fits at n = 12, not at n = 13
-        pages = {"SC_PAGE_SIZE": 256, "SC_PHYS_PAGES": 12 ** 3}
+    @pytest.mark.parametrize("argv", [
+        ["ansatz", "--n", "13", "--out", "{tmp}/a"],
+        ["relax", "--config", "{cfg}"],
+        ["check", "--sizes", "4,13"],
+    ], ids=["ansatz", "relax", "check"])
+    def test_grid_memory_estimate_scales_with_n_cubed(self, tmp_path, capsys, monkeypatch, argv):
+        # a machine with exactly the command's bytes per site times 12^3: n = 12 fits, 13 does not
+        pages = {"SC_PAGE_SIZE": cli._SITE_BYTES[argv[0]], "SC_PHYS_PAGES": 12 ** 3}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(cli, "make_ansatz", lambda *a, **k: pytest.fail("grid made"))
-        assert main(["ansatz", "--n", "13", "--out", str(tmp_path / "a")]) == 2
+        monkeypatch.setattr(cli, "identity_suite", lambda *a, **k: pytest.fail("suite ran"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid.n = 13\noutput.dir = {tmp_path / 'out'}\n")
+        assert main([arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]) == 2
         assert "n = 13" in capsys.readouterr().err
-        cli._require_memory(12, 256)
+        cli._require_memory(argv[0], 12)
 
     @pytest.mark.parametrize("config, argv", [
         (None, ["relax", "--config", "{cfg}"]),

@@ -130,11 +130,11 @@ _EXPORT_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -
 
 @PROPERTY
 @given(cols=st.sampled_from([1, 3, 4]), extra=st.sampled_from([-1, 0, 1]),
-       sep=st.sampled_from([" ", ","]), distinct=st.sampled_from([1, 3, 40, None]),
+       sep=st.sampled_from([" ", ","]), distinct=st.sampled_from([1, 3, 40, 2048, 4096, None]),
        drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_text_chunks_match_per_value_repr(cols, extra, sep, distinct, drawn, seed):
-    """Block edges at _BLOCK_ROWS +- 1; heavy repeats from a small pool, or all distinct."""
+    """Block edges at _BLOCK_ROWS +- 1; repeats from a small or a large pool, or all distinct."""
     rng = np.random.default_rng(seed)
     nrows = hio._BLOCK_ROWS + extra
     if distinct is None:
