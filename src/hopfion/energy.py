@@ -122,7 +122,7 @@ def energy_potential(a):
     return _report(a.grid, e2, e4, "potential")
 
 
-def descent_energy(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
+def descent_energy(psi):
     """The relaxation objective, (dirichlet, skyrme): a topology-protecting discretization.
 
     Same continuum functional as energy_map, realized with the chordal
@@ -144,12 +144,12 @@ def descent_energy(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
     e4 = np.zeros_like(e2)
     for _, area in alg.plaquette_areas(p):
         e4 += area * area
-    dirichlet = scale_dirichlet * float(np.sum(e2)) * h / 8.0
-    skyrme = scale_skyrme * float(np.sum(e4)) / (16.0 * h)
+    dirichlet = float(np.sum(e2)) * h / 8.0
+    skyrme = float(np.sum(e4)) / (16.0 * h)
     return dirichlet, skyrme
 
 
-def descent_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
+def descent_gradient(psi):
     """Exact tangent gradient of descent_energy with respect to site values."""
     if not psi.is_cp1:
         raise ValueError("the descent objective is implemented for the CP1 target")
@@ -157,10 +157,10 @@ def descent_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
     p = np.moveaxis(psi.values, -1, 0).copy()
     grad = np.zeros_like(p)
     for mu in range(3):
-        grad += (scale_dirichlet / 4.0) * h * (
+        grad += 0.25 * h * (
             2.0 * p - np.roll(p, -1, axis=mu + 1) - np.roll(p, 1, axis=mu + 1))
     for (mu, nu), area, (g00, g10, g11, g01) in alg.plaquette_areas(p, with_grads=True):
-        w = (scale_skyrme / (8.0 * h)) * area
+        w = (1.0 / (8.0 * h)) * area
         grad += w * g00
         grad += np.roll(w * g10, 1, axis=mu + 1)
         grad += np.roll(np.roll(w * g11, 1, axis=mu + 1), 1, axis=nu + 1)

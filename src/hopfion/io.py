@@ -52,7 +52,6 @@ def _atomic_write(path, payload):
 
 def _site_payload(values):
     """Sites x-fastest, components innermost: transpose to (z, y, x, comps)."""
-    comps = values.shape[3:]
     flat = values.reshape(values.shape[:3] + (-1,))
     return np.ascontiguousarray(flat.transpose(2, 1, 0, 3)).astype("<f8")
 
@@ -177,17 +176,12 @@ def read_snapshot(path):
 # run configuration
 # ---------------------------------------------------------------------------
 
-def _relax_key(f):
-    """The config key of a RelaxConfig field: optimizer.<name> or model.<name>."""
-    return f"{f.metadata.get('section', 'optimizer')}.{f.name}"
-
-
 CONFIG_DEFAULTS = {
     "grid.n": 32,
     "grid.length": 2.0 * np.pi,
     "ansatz.kind": "hopf",
     "ansatz.charge": 1,
-    **{_relax_key(f): f.default for f in dataclasses.fields(RelaxConfig)},
+    **{f"optimizer.{f.name}": f.default for f in dataclasses.fields(RelaxConfig)},
     "output.dir": "hopfion-out",
 }
 
@@ -224,7 +218,8 @@ def load_config(path):
 
 def relax_config(values):
     """The RelaxConfig of parsed config values; an invalid value is a ConfigError."""
-    return RelaxConfig(**{f.name: values[_relax_key(f)] for f in dataclasses.fields(RelaxConfig)})
+    return RelaxConfig(**{f.name: values[f"optimizer.{f.name}"]
+                          for f in dataclasses.fields(RelaxConfig)})
 
 
 # ---------------------------------------------------------------------------

@@ -57,24 +57,18 @@ STEP_CAP = 0.2
 
 @dataclass
 class RelaxConfig:
-    """Each field is the config key optimizer.<name> (or model.<name>) and its default."""
+    """Each field is the config key optimizer.<name> and its default."""
 
     max_iters: int = 2000
     grad_tol: float = 1e-3          # relative to the initial gradient norm
     checkpoint_every: int = 0       # 0 disables
     charge_check_every: int = 25    # 0 disables
-    scale_dirichlet: float = field(default=1.0, metadata={"section": "model"})
-    scale_skyrme: float = field(default=1.0, metadata={"section": "model"})
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if not (0.0 < self.grad_tol < 1.0):
             raise ConfigError("grad_tol must lie in (0, 1)")
-        for name in ("scale_dirichlet", "scale_skyrme"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0")
         for name in ("checkpoint_every", "charge_check_every"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 0:
@@ -230,7 +224,6 @@ def _line_search(objective, retract, x, f, g, d, step_cap):
 def relax(psi0, cfg=None, checkpoint_cb=None):
     """Minimize the descent objective from psi0; returns the full run record."""
     cfg = cfg if cfg is not None else RelaxConfig()
-    scales = dict(scale_dirichlet=cfg.scale_dirichlet, scale_skyrme=cfg.scale_skyrme)
     history = []
     gnorm0 = 1.0
 
@@ -251,9 +244,8 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
         return None
 
     psi, termination = descend(
-        lambda psi: descent_energy(psi, **scales),
-        lambda psi: descent_gradient(psi, **scales),
-        psi0, retract=lambda psi, v: psi.with_values(psi.values + v),
+        descent_energy, descent_gradient, psi0,
+        retract=lambda psi, v: psi.with_values(psi.values + v),
         project=_tangent, step_init=STEP_INIT, max_iters=cfg.max_iters,
         on_step=on_step, step_cap=STEP_CAP, precondition=_sobolev(psi0.grid))
     return RelaxRun(history, psi, termination, cfg)

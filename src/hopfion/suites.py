@@ -10,7 +10,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import fields as fl
-from .gauge import IdentityResidual
+from .gauge import IdentityResidual, smooth_algebra_field
 from .lattice import Grid, LatticeField, d, dot, integrate_3form
 
 ROUNDOFF = 1e-10
@@ -120,8 +120,7 @@ def invariant_suite(seed=0):
                        abs(integrate_3form(d(beta))) / scale, budget=1e-10))
 
     # pure-gauge structure
-    u = fl.LiftField(grid, pair, alg.qexp(
-        np.stack([_smooth(grid, rng) for _ in range(3)], axis=-1)))
+    u = fl.LiftField(grid, pair, alg.qexp(smooth_algebra_field(grid, rng, 0.4)))
     rows.append(_entry("plaquette_triviality", fl.plaquette_defect(u), budget=1e-12))
     a = fl.pure_gauge_potential(u)
     apar, aperp = a.split()
@@ -130,12 +129,3 @@ def invariant_suite(seed=0):
     rows.append(_entry("potential_split_orthogonality",
                        np.max(np.abs(dot(apar.data, aperp.data))), budget=1e-12))
     return rows
-
-
-def _smooth(grid, rng):
-    x = grid.site_coords() * (2.0 * np.pi / grid.length)
-    out = np.zeros((grid.n,) * 3)
-    for _ in range(2):
-        k = rng.integers(-2, 3, size=3)
-        out += rng.uniform(0.2, 0.6) * np.sin(x @ k + rng.uniform(0, 2 * np.pi))
-    return out

@@ -13,8 +13,10 @@ the exact symbol of the forward-difference complex, and the charge is the
 integral of A ^ F.
 
 Linking route: preimage polylines of two regular values are extracted by
-marching through lattice cells and their Gauss linking number is counted
-from signed crossings in a generic plane projection.
+marching through lattice cells, and their linking number is the degree of
+the Gauss map on the periodic grid of vertex pairs: the sum of its signed
+plaquette areas over 4 pi, refused unless every plaquette area is below
+2 pi in magnitude.
 """
 
 from __future__ import annotations
@@ -474,66 +476,38 @@ def _unwrap(points, L):
     return out
 
 
-def _project_frame(attempt):
-    """A deterministic family of generic projection frames."""
-    rng = np.random.default_rng(1234 + attempt)
-    q = alg.qnormalize(rng.standard_normal(4))
-    basis = np.eye(3)
-    return np.stack([alg.qrotate(q, basis[i]) for i in range(3)])
-
-
-def _crossing_number(curve1, curve2, frame):
-    """Sum of signs over crossings where curve1 passes over curve2.
-
-    Returns None when the projection is degenerate for these polylines.
-    """
-    p1 = curve1 @ frame.T
-    p2 = curve2 @ frame.T
-    a = p1[:-1]
-    b = p1[1:]
-    c = p2[:-1]
-    e = p2[1:]
-    total = 0
-    for i in range(len(a)):
-        d1 = b[i, :2] - a[i, :2]
-        r = c[:, :2] - a[i, :2]
-        d2 = e[:, :2] - c[:, :2]
-        det = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
-            s = (r[:, 0] * d1[1] - r[:, 1] * d1[0]) / det
-        cand = np.nonzero((np.abs(det) > 1e-12) & (t > 0) & (t < 1) & (s > 0) & (s < 1))[0]
-        for j in cand:
-            if min(t[j], 1 - t[j], s[j], 1 - s[j]) < 1e-9:
-                return None  # endpoint graze: ask for another frame
-            z1 = p1[i, 2] + t[j] * (p1[i + 1, 2] - p1[i, 2])
-            z2 = p2[j, 2] + s[j] * (p2[j + 1, 2] - p2[j, 2])
-            if abs(z1 - z2) < 1e-12:
-                return None
-            if z1 > z2:
-                total += 1 if det[j] > 0 else -1
-    return total
+# the two regular values whose preimages linking_charge links
+LINK_P, LINK_Q = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
 
 def gauss_linking(curve1, curve2):
-    """Gauss linking number of two closed polylines by signed crossing count."""
-    for attempt in range(8):
-        frame = _project_frame(attempt)
-        val = _crossing_number(curve1, curve2, frame)
-        if val is not None:
-            return int(val)
-    raise DegeneratePreimageError("no generic projection found for linking count")
+    """Linking number of two closed polylines (last vertex = first) as a lattice degree.
+
+    The Gauss map of vertex pairs (i, j), the unit vector from curve1[i] to
+    curve2[j], lives on a periodic grid; its degree is the sum of the signed
+    plaquette areas over 4 pi (Berg & Luscher 1981).  A segment pair
+    subtends a solid angle below 2 pi, and its plaquette's area differs from
+    it by a multiple of 4 pi, so |area| < 2 pi everywhere proves the sum
+    exact; otherwise (touching curves give NaN) DegeneratePreimageError.
+    """
+    g = curve2[None, :-1] - curve1[:-1, None]
+    with np.errstate(invalid="ignore"):
+        g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    _, area = next(alg.plaquette_areas(np.moveaxis(g, -1, 0)[..., None]))
+    if not np.all(np.abs(area) < 2.0 * np.pi):
+        raise DegeneratePreimageError("preimage curves touch; linking number undefined")
+    return int(np.rint(np.sum(area) / (4.0 * np.pi)))
 
 
-def linking_charge(psi, p=(0.0, 1.0, 0.0), q=(0.0, 0.0, 1.0)):
-    """Hopf charge as the linking number of two preimage families."""
-    curves_p = preimage_curves(psi, p)
-    curves_q = preimage_curves(psi, q)
+def linking_charge(psi):
+    """Hopf charge as the linking number of the preimages of LINK_P and LINK_Q."""
+    curves_p = preimage_curves(psi, LINK_P)
+    curves_q = preimage_curves(psi, LINK_Q)
     total = 0
     for cp in curves_p:
         for cq in curves_q:
             total += gauss_linking(cp, cq)
-    return int(total)
+    return total
 
 
 # ---------------------------------------------------------------------------

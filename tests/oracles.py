@@ -298,7 +298,7 @@ def _corners(p, mu, nu):
     return p10, np.roll(p10, -1, axis=nu), p01
 
 
-def descent_energy(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
+def descent_energy(psi):
     """(dirichlet, skyrme) of the descent objective, site-major throughout."""
     h = psi.grid.h
     p = psi.values
@@ -311,23 +311,22 @@ def descent_energy(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
         p10, p11, p01 = _corners(p, mu, nu)
         area = spherical_triangle_area(p, p10, p11) + spherical_triangle_area(p, p11, p01)
         e4 += area * area
-    return (scale_dirichlet * float(np.sum(e2)) * h / 8.0,
-            scale_skyrme * float(np.sum(e4)) / (16.0 * h))
+    return float(np.sum(e2)) * h / 8.0, float(np.sum(e4)) / (16.0 * h)
 
 
-def descent_gradient(psi, scale_dirichlet=1.0, scale_skyrme=1.0):
+def descent_gradient(psi):
     """Tangent gradient of descent_energy, scattered as whole site vectors."""
     h = psi.grid.h
     p = psi.values
     grad = np.zeros_like(p)
     for mu in range(3):
-        grad += (scale_dirichlet / 4.0) * h * (
+        grad += 0.25 * h * (
             2.0 * p - np.roll(p, -1, axis=mu) - np.roll(p, 1, axis=mu))
     for mu, nu in SLOTS2:
         p10, p11, p01 = _corners(p, mu, nu)
         a1, g1a, g1b, g1c = spherical_triangle_area(p, p10, p11, with_grads=True)
         a2, g2a, g2b, g2c = spherical_triangle_area(p, p11, p01, with_grads=True)
-        w = (scale_skyrme / (8.0 * h)) * (a1 + a2)[..., None]
+        w = (1.0 / (8.0 * h)) * (a1 + a2)[..., None]
         grad += w * (g1a + g2a)
         grad += np.roll(w * g1b, 1, axis=mu)
         grad += np.roll(np.roll(w * (g1c + g2b), 1, axis=mu), 1, axis=nu)

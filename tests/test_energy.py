@@ -205,15 +205,17 @@ class TestGradients:
             assert abs(fd - an) <= 1e-6 * abs(an)
 
     def test_linear_part_is_compact_laplacian(self, rng):
-        # Dirichlet-only descent gradient on a weak perturbation of the
-        # constant map reduces to the nearest-neighbor Laplacian stencil.
+        # an in-plane perturbation of the constant map sweeps no plaquette
+        # area, so the descent gradient is the nearest-neighbor Laplacian stencil
         grid = Grid(12)
         eps = 1e-6
         delta = rng.standard_normal((12, 12, 12, 3))
-        delta[..., 0] = 0.0
+        delta[..., 2] = 0.0
         psi = fl.constant_map(grid).with_values(
             fl.constant_map(grid).values + eps * delta)
-        g = descent_gradient(psi, scale_skyrme=0.0)
+        assert all(not np.any(area) for _, area in
+                   alg.plaquette_areas(np.moveaxis(psi.values, -1, 0)))
+        g = descent_gradient(psi)
         lap = sum(np.roll(psi.values, s, axis=mu) for mu in range(3) for s in (1, -1))
         expected = (grid.h / 4.0) * (6.0 * psi.values - lap)
         expected -= np.sum(expected * psi.values, axis=-1, keepdims=True) * psi.values
@@ -229,11 +231,10 @@ def test_plaquette_kernel_bit_exact(start, rng):
         psi = psi.with_values(psi.values + 0.2 * rng.standard_normal(psi.values.shape))
     else:
         psi = smooth_cp1_map(grid, rng, amplitude=0.5)
-    scales = dict(scale_dirichlet=0.7, scale_skyrme=1.3)
-    assert descent_energy(psi, **scales) == oracles.descent_energy(psi, **scales)
-    grad = descent_gradient(psi, **scales)
+    assert descent_energy(psi) == oracles.descent_energy(psi)
+    grad = descent_gradient(psi)
     assert grad.flags.c_contiguous
-    assert np.array_equal(grad, oracles.descent_gradient(psi, **scales))
+    assert np.array_equal(grad, oracles.descent_gradient(psi))
     assert np.array_equal(area_flux_2form(psi).data, oracles.area_flux_2form(psi).data)
 
 

@@ -92,7 +92,7 @@ class TestRunConfig:
         cfg = hio.parse_config("")
         assert cfg["grid.n"] == 32
         assert cfg["optimizer.grad_tol"] == 1e-3
-        assert cfg["model.scale_skyrme"] == 1.0
+        assert cfg["optimizer.charge_check_every"] == 25
 
     def test_parse_values_and_comments(self):
         text = """
@@ -119,9 +119,9 @@ class TestRunConfig:
             hio.parse_config("grid.n 32")
 
     def test_defaults_match_relax_config(self):
-        # every optimizer.* and model.* key is a RelaxConfig field with the same default
+        # every optimizer.* key is a RelaxConfig field with the same default
         relax_keys = {key.partition(".")[2]: value for key, value in hio.CONFIG_DEFAULTS.items()
-                      if key.partition(".")[0] in ("optimizer", "model")}
+                      if key.partition(".")[0] == "optimizer"}
         assert relax_keys == dataclasses.asdict(RelaxConfig())
 
 
@@ -338,9 +338,11 @@ class TestCli:
 
     @pytest.mark.parametrize("line", ["model.pair = su3_t2", "model.variant = bogus", "seed = 7",
                                       "optimizer.step_rule = fixed", "optimizer.step_init = 0.2",
-                                      "optimizer.step_cap = 0.2"])
+                                      "optimizer.step_cap = 0.2", "model.scale_dirichlet = 1.0",
+                                      "model.scale_skyrme = 0.5"])
     def test_deleted_config_key_exit_2(self, tmp_path, capsys, line):
-        # these keys were once accepted and ignored
+        # keys that are gone: most were accepted and ignored; model.scale_* set
+        # what grid.length sets
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"grid.n = 8\noptimizer.max_iters = 1\n{line}\noutput.dir = {tmp_path}\n")
         assert main(["relax", "--config", str(cfg)]) == 2

@@ -26,8 +26,8 @@ class TestConfig:
         dict(max_iters=0),
         dict(grad_tol=0.0),
         dict(grad_tol=1.5),
-        dict(scale_dirichlet=-1.0),
-        dict(scale_skyrme=float("nan")),
+        dict(grad_tol=float("nan")),
+        dict(charge_check_every=0.5),
         dict(checkpoint_every=-1),
         dict(checkpoint_every=2.5),
         dict(charge_check_every=-25),

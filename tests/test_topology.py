@@ -193,6 +193,52 @@ class TestLinking:
             assert np.max(np.linalg.norm(base - p, axis=-1)) < 2.0 * link
 
 
+def _circle(center, e1, e2, m, radius=1.0):
+    """Closed m-gon on the circle about center in the plane (e1, e2), first vertex repeated."""
+    t = 2.0 * np.pi * np.arange(m) / m
+    pts = np.asarray(center) + radius * (np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2)
+    return np.vstack([pts, pts[:1]])
+
+
+class TestGaussLinking:
+    X, Y, Z = np.eye(3)
+
+    def _core(self):
+        return _circle((0.0, 0.0, 0.0), self.X, self.Y, 64)
+
+    def _hopf_partner(self, center=(1.0, 0.0, 0.0)):
+        # through the core's disk at the origin when centred at (1, 0, 0)
+        return _circle(center, self.X, -self.Z, 48)
+
+    def _check(self, c1, c2, expected):
+        assert tp.gauss_linking(c1, c2) == expected
+        assert tp.gauss_linking(c2, c1) == expected
+        assert round(gauss_integral_linking(c1, c2)) == expected
+
+    def test_hopf_link(self):
+        self._check(self._core(), self._hopf_partner(), 1)
+
+    def test_reversed_orientation(self):
+        self._check(self._core(), self._hopf_partner()[::-1], -1)
+
+    def test_pulled_apart(self):
+        self._check(self._core(), self._hopf_partner((3.0, 0.0, 0.0)), 0)
+
+    def test_winds_twice(self):
+        # a (1, 2) torus curve at tube radius 0.4 about the core circle
+        t = 2.0 * np.pi * np.arange(201) / 200
+        tube = 1.0 + 0.4 * np.cos(2.0 * t)
+        curve = np.stack([tube * np.cos(t), tube * np.sin(t), -0.4 * np.sin(2.0 * t)], axis=-1)
+        curve[-1] = curve[0]
+        self._check(self._core(), curve, 2)
+
+    def test_shared_point_refused(self):
+        core, partner = self._core(), self._hopf_partner()
+        touching = partner - partner[10] + core[5]
+        with pytest.raises(DegeneratePreimageError):
+            tp.gauss_linking(core, touching)
+
+
 class TestOrientationAndAgreement:
     def test_axis_reversal_negates_all_routes(self):
         grid = Grid(32)
