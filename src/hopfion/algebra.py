@@ -28,6 +28,7 @@ coset point), it is copied component-major once per call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -84,11 +85,6 @@ def qconj(q):
 
 def qnorm(q):
     return np.linalg.norm(np.asarray(q), axis=-1)
-
-
-def qnormalize(q):
-    q = np.asarray(q, dtype=float)
-    return q / qnorm(q)[..., None]
 
 
 def qembed(v):
@@ -183,7 +179,7 @@ def qrotate(g, v):
 
 def random_unit_quaternions(rng, shape=()):
     q = rng.standard_normal(tuple(shape) + (4,))
-    return qnormalize(q)
+    return q / qnorm(q)[..., None]
 
 
 # SU2 defining representation of the quaternion basis
@@ -247,10 +243,6 @@ class HomogeneousPair:
     def dim_h(self):
         return len(self.basis_h)
 
-    @property
-    def group_dim(self):
-        return self.basis_matrices.shape[1]
-
     # -- linear structure ------------------------------------------------
     def bracket(self, xi, eta):
         """[xi, eta] on coefficient arrays (..., dim_g)."""
@@ -304,7 +296,7 @@ class HomogeneousPair:
             e = np.zeros(tuple(shape) + (4,))
             e[..., 0] = 1.0
             return e
-        eye = np.eye(self.group_dim, dtype=complex)
+        eye = np.eye(self.basis_matrices.shape[1], dtype=complex)
         return np.broadcast_to(eye, tuple(shape) + eye.shape).copy()
 
 
@@ -326,54 +318,41 @@ def _su2_pair(name, h_indices, symmetric):
     )
 
 
-_GELL_MANN = None
-
-
 def _gell_mann():
-    global _GELL_MANN
-    if _GELL_MANN is None:
-        l = np.zeros((8, 3, 3), dtype=complex)
-        l[0, 0, 1] = l[0, 1, 0] = 1
-        l[1, 0, 1] = -1j; l[1, 1, 0] = 1j
-        l[2, 0, 0] = 1; l[2, 1, 1] = -1
-        l[3, 0, 2] = l[3, 2, 0] = 1
-        l[4, 0, 2] = -1j; l[4, 2, 0] = 1j
-        l[5, 1, 2] = l[5, 2, 1] = 1
-        l[6, 1, 2] = -1j; l[6, 2, 1] = 1j
-        l[7] = np.diag([1, 1, -2]) / np.sqrt(3.0)
-        _GELL_MANN = l
-    return _GELL_MANN
+    l = np.zeros((8, 3, 3), dtype=complex)
+    l[0, 0, 1] = l[0, 1, 0] = 1
+    l[1, 0, 1] = -1j; l[1, 1, 0] = 1j
+    l[2, 0, 0] = 1; l[2, 1, 1] = -1
+    l[3, 0, 2] = l[3, 2, 0] = 1
+    l[4, 0, 2] = -1j; l[4, 2, 0] = 1j
+    l[5, 1, 2] = l[5, 2, 1] = 1
+    l[6, 1, 2] = -1j; l[6, 2, 1] = 1j
+    l[7] = np.diag([1, 1, -2]) / np.sqrt(3.0)
+    return l
 
 
-_PAIR_CACHE = {}
-
-
+@functools.cache
 def su2_u1():
     """(SU2, U1): the 2-sphere, symmetric; h = span(i)."""
-    if "su2_u1" not in _PAIR_CACHE:
-        _PAIR_CACHE["su2_u1"] = _su2_pair("su2_u1", (0,), symmetric=True)
-    return _PAIR_CACHE["su2_u1"]
+    return _su2_pair("su2_u1", (0,), symmetric=True)
 
 
+@functools.cache
 def su2_group():
     """(SU2, {1}): the group itself as the target."""
-    if "su2_group" not in _PAIR_CACHE:
-        _PAIR_CACHE["su2_group"] = _su2_pair("su2_group", (), symmetric=False)
-    return _PAIR_CACHE["su2_group"]
+    return _su2_pair("su2_group", (), symmetric=False)
 
 
+@functools.cache
 def su3_t2():
     """(SU3, T^2): the full flag manifold, non-symmetric; h = the Cartan torus."""
-    if "su3_t2" not in _PAIR_CACHE:
-        basis = 1j * _gell_mann() / np.sqrt(2.0)
-        _PAIR_CACHE["su3_t2"] = HomogeneousPair(
-            name="su3_t2",
-            basis_matrices=basis,
-            basis_h=(2, 7),  # lambda_3, lambda_8 directions
-            symmetric=False,
-            group_kind="matrix",
-        )
-    return _PAIR_CACHE["su3_t2"]
+    return HomogeneousPair(
+        name="su3_t2",
+        basis_matrices=1j * _gell_mann() / np.sqrt(2.0),
+        basis_h=(2, 7),  # lambda_3, lambda_8 directions
+        symmetric=False,
+        group_kind="matrix",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -479,24 +458,25 @@ def plaquette_areas(p, with_grads=False):
     """
     p = np.ascontiguousarray(p)
     for mu, nu in SLOTS2:
+        # x+mu is freed before x+nu is made: two shifted copies at a time
         p10 = np.roll(p, -1, axis=mu + 1)
         p11 = np.roll(p10, -1, axis=nu + 1)
-        if not with_grads:
-            # x+mu is freed before x+nu is made: two shifted copies at a time
-            area = _triangle(p, p10, p11, False)
-            del p10
-            p01 = np.roll(p, -1, axis=nu + 1)
-            area += _triangle(p, p11, p01, False)
-            del p11, p01
-            yield (mu, nu), area
-            continue
+        first = _triangle(p, p10, p11, with_grads)
+        del p10
         p01 = np.roll(p, -1, axis=nu + 1)
-        a1, g00, g10, g11 = _triangle(p, p10, p11, True)
-        a2, g2a, g2b, g01 = _triangle(p, p11, p01, True)
-        g00 += g2a
-        g11 += g2b
-        del p10, p11, p01, g2a, g2b  # free them before the caller scatters
-        yield (mu, nu), a1 + a2, (g00, g10, g11, g01)
+        second = _triangle(p, p11, p01, with_grads)
+        del p11, p01
+        if not with_grads:
+            first += second
+            del second
+            yield (mu, nu), first
+        else:
+            a1, g00, g10, g11 = first
+            a2, g2a, g2b, g01 = second
+            g00 += g2a
+            g11 += g2b
+            del first, second, g2a, g2b  # free them before the caller scatters
+            yield (mu, nu), a1 + a2, (g00, g10, g11, g01)
 
 
 # ---------------------------------------------------------------------------

@@ -297,17 +297,14 @@ def wedge(alpha, beta, product):
                                   first.dtype)
             np.subtract(first, product(alpha.slot(nu), beta.slot(mu)), out=data[:, :, :, slot])
         return LatticeField(g, 2, data)
-    if (ka, kb) == (1, 2):
-        out = (product(alpha.slot(0), beta.slot(2))
-               - product(alpha.slot(1), beta.slot(1))
-               + product(alpha.slot(2), beta.slot(0)))
-        return LatticeField.from_slots(g, 3, [out])
-    if (ka, kb) == (2, 1):
-        out = (product(alpha.slot(2), beta.slot(0))
-               - product(alpha.slot(1), beta.slot(1))
-               + product(alpha.slot(0), beta.slot(2)))
-        return LatticeField.from_slots(g, 3, [out])
-    raise ValueError(f"unsupported wedge degrees ({ka}, {kb})")
+    if ka == 2:
+        # alpha ^ beta = beta ^ alpha here: the (1, 2) sum, factors exchanged
+        alpha, beta, fn = beta, alpha, product
+        product = lambda a, b: fn(b, a)
+    out = (product(alpha.slot(0), beta.slot(2))
+           - product(alpha.slot(1), beta.slot(1))
+           + product(alpha.slot(2), beta.slot(0)))
+    return LatticeField.from_slots(g, 3, [out])
 
 
 def l2_inner(alpha, beta):

@@ -65,14 +65,12 @@ class RelaxConfig:
     charge_check_every: int = 25    # 0 disables
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
         if not (0.0 < self.grad_tol < 1.0):
             raise ConfigError("grad_tol must lie in (0, 1)")
-        for name in ("checkpoint_every", "charge_check_every"):
+        for name, low in (("max_iters", 1), ("checkpoint_every", 0), ("charge_check_every", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 0:
-                raise ConfigError(f"{name} must be an integer >= 0")
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}")
 
 
 class HistoryRow(NamedTuple):
@@ -113,7 +111,7 @@ def _charge_estimate(psi):
 
 
 def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
-            on_step, step_cap=0.0, precondition=None):
+            on_step, step_cap, precondition):
     """Riemannian L-BFGS with a monotone Armijo line search; returns (x, termination).
 
     objective(x) gives the terms whose sum is minimized and gradient(x) the
@@ -122,14 +120,14 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
     tangent at x.  on_step(it, x, terms, grad, step) sees the start (it 0,
     step 0) and every accepted step; a true return value ends the run as
     that termination.  precondition(v) applies a symmetric positive-definite
-    P to an array v shaped like the gradient (None: the identity).
+    P to an array v shaped like the gradient.
 
     The direction is the two-loop product H grad over the last MEMORY pairs
     (s = the accepted step, y = the change of the gradient), projected at
     x; a pair is kept only when s.y > 0.  H0 is step_init * P with no pairs
     and gamma P after, with gamma = s.y / y.Py of the newest pair.  The
     trial step along the direction starts at 1, capped so that no site
-    (last array axis) moves by more than step_cap (0: no cap), and is halved
+    (last array axis) moves by more than step_cap, and is halved
     up to MAX_HALVINGS times until the Armijo test on the slope grad.d
     passes; when it fails the run has "stalled".  The direction always
     descends, so there is nothing to retry: with P positive definite and
@@ -146,7 +144,6 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
     if stop:
         return x, stop
 
-    precondition = precondition or (lambda v: v)
     pairs = deque()    # (s, y, 1 / s.y, s.y / y.Py), flat, oldest first
     for it in range(1, max_iters + 1):
         d = project(x, _two_loop(g, pairs, step_init, precondition))
@@ -206,9 +203,7 @@ def _line_search(objective, retract, x, f, g, d, step_cap):
     slope = _inner(g.ravel(), d.ravel())
     if not slope > 0:
         return None
-    step = 1.0
-    if step_cap:
-        step = min(step, step_cap / float(np.max(np.linalg.norm(d, axis=-1))))
+    step = min(1.0, step_cap / float(np.max(np.linalg.norm(d, axis=-1))))
     for _ in range(MAX_HALVINGS + 1):
         trial = retract(x, (-step) * d)
         terms = objective(trial)

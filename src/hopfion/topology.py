@@ -87,15 +87,17 @@ _DET_TERMS = (((0, 1, 2), 1.0), ((0, 2, 1), -1.0), ((1, 0, 2), -1.0),
               ((1, 2, 0), 1.0), ((2, 0, 1), 1.0), ((2, 1, 0), -1.0))
 
 
+_EPSILON = np.zeros((3, 3, 3))
+for _abc, _sign in _DET_TERMS:
+    _EPSILON[_abc] = _sign
+
+
 def _epsilon_scale(T):
     """c when the trace tensor is c * epsilon (the su2 pairs), else None."""
     if T.shape != (3, 3, 3):
         return None
-    epsilon = np.zeros((3, 3, 3))
-    for abc, sign in _DET_TERMS:
-        epsilon[abc] = sign
     c = T[0, 1, 2]
-    return c if np.array_equal(T, c * epsilon) else None
+    return c if np.array_equal(T, c * _EPSILON) else None
 
 
 def _epsilon_wedge(A, B, G):
@@ -394,7 +396,8 @@ def preimage_curves(psi, p):
     """Closed preimage polylines of the regular value p, unwrapped to R^3.
 
     Cell marching with a deterministic tie-break: degenerate configurations
-    retry with the regular value rotated by a fixed 1e-7 offset.
+    retry with the regular value rotated by a fixed 1e-7 offset, and the
+    error after the last retry names the last attempt's reason.
     """
     if not psi.is_cp1:
         raise ValueError("preimage extraction needs a CP1 map")
@@ -404,31 +407,31 @@ def preimage_curves(psi, p):
         if not crossings:
             raise DegeneratePreimageError(
                 "no preimage of the regular value; choose a different one")
-        by_entry = {}
-        by_exit = {}
-        for ci, (_, enter, exit_) in enumerate(crossings):
-            by_entry.setdefault(enter, []).append(ci)
-            by_exit.setdefault(exit_, []).append(ci)
-        if all(len(by_entry.get(cube, ())) == len(by_exit.get(cube, ()))
-               for cube in set(by_entry) | set(by_exit)):
-            try:
-                return _walk_loops(crossings, by_exit, psi.grid)
-            except DegeneratePreimageError:
-                pass
+        try:
+            return _walk_loops(crossings, psi.grid)
+        except DegeneratePreimageError as exc:
+            reason = exc
         tilt = alg.qexp(1e-7 * (attempt + 1) * np.array([1.0, 1.0, 1.0]))
         value = alg.qrotate(tilt, value)
     raise DegeneratePreimageError(
-        "preimage extraction degenerate; choose a different regular value")
+        f"preimage extraction failed at the regular value and 3 tilts of it: {reason}")
 
 
-def _walk_loops(crossings, by_exit, grid):
+def _walk_loops(crossings, grid):
     """Connect face crossings into closed loops.
 
-    Inside a multiply-traversed cube the exit continuing a strand is taken
-    to be the unused one nearest to the entry point (distances on the
-    torus); a clean strand separation makes this unambiguous.
+    A crossing continues with one that leaves the cube it enters: inside a
+    multiply-traversed cube, the unused one nearest to the entry point
+    (distances on the torus); a clean strand separation makes this
+    unambiguous.  Each step takes an unused crossing or the start (not at
+    the first step: no crossing leaves the cube it enters), so a walk
+    closes or dead-ends.  If every walk closes, each cube's entering and
+    leaving strands pair one to one: an unbalanced cube dead-ends a walk.
     """
     L = grid.length
+    by_exit = {}
+    for ci, (_, _, exit_) in enumerate(crossings):
+        by_exit.setdefault(exit_, []).append(ci)
     used = set()
     loops = []
 
@@ -441,39 +444,22 @@ def _walk_loops(crossings, by_exit, grid):
             continue
         loop = []
         ci = start
-        guard = 0
-        while True:
+        while not loop or ci != start:
             used.add(ci)
             pos, enter, _ = crossings[ci]
             loop.append(pos)
-            candidates = [c for c in by_exit.get(enter, ()) if c not in used]
-            if start in by_exit.get(enter, ()) and len(loop) > 1:
-                candidates.append(start)
+            candidates = [c for c in by_exit.get(enter, ()) if c not in used or c == start]
             if not candidates:
                 raise DegeneratePreimageError("preimage walk dead-ended")
             ci = min(candidates, key=lambda c: (torus_dist(crossings[c][0], pos), c))
-            guard += 1
-            if ci == start or guard > len(crossings) + 1:
-                break
-        if ci != start:
-            raise DegeneratePreimageError("preimage walk failed to close")
-        pts = _unwrap(loop, L)
-        if np.any(np.rint((pts[0] - pts[-1]) / L) != 0):
+        # unwrap the closed loop: undo each jump of a whole period
+        pts = np.array(loop + loop[:1], dtype=float)
+        pts[1:] -= L * np.cumsum(np.rint(np.diff(pts, axis=0) / L), axis=0)
+        if np.any(pts[-1] != pts[0]):
             raise DegeneratePreimageError(
                 "preimage loop winds the torus; linking in R^3 undefined")
-        pts.append(pts[0])
-        loops.append(np.array(pts))
+        loops.append(pts)
     return loops
-
-
-def _unwrap(points, L):
-    out = [np.asarray(points[0], dtype=float)]
-    for q in points[1:]:
-        q = np.asarray(q, dtype=float)
-        prev = out[-1]
-        shift = np.rint((q - prev) / L)
-        out.append(q - shift * L)
-    return out
 
 
 # the two regular values whose preimages linking_charge links

@@ -31,6 +31,8 @@ class TestConfig:
         dict(checkpoint_every=-1),
         dict(checkpoint_every=2.5),
         dict(charge_check_every=-25),
+        dict(max_iters=2.5),
+        dict(max_iters=float("nan")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -191,7 +193,7 @@ class TestRelax:
 
 
 def _descend(objective, gradient, x0, project=lambda x, v: v, max_iters=100, tol=1e-10,
-             precondition=None):
+             precondition=lambda v: v):
     """minimize.descend on R^n; returns (termination, objective values seen)."""
     seen = []
 
@@ -201,7 +203,8 @@ def _descend(objective, gradient, x0, project=lambda x, v: v, max_iters=100, tol
 
     _, termination = minimize.descend(objective, gradient, x0, retract=lambda x, v: x + v,
                                       project=project, step_init=0.2, max_iters=max_iters,
-                                      on_step=on_step, precondition=precondition)
+                                      on_step=on_step, step_cap=np.inf,
+                                      precondition=precondition)
     return termination, seen
 
 

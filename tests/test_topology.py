@@ -193,6 +193,39 @@ class TestLinking:
             assert np.max(np.linalg.norm(base - p, axis=-1)) < 2.0 * link
 
 
+class TestPreimageWalk:
+    def test_torus_winding_preimage_keeps_its_reason(self):
+        # degree 1 on every xy 2-torus, constant in z: each preimage is a
+        # line along z, and no tilt of the regular value closes it in R^3
+        grid = Grid(16)
+        L = grid.length
+        x = grid.site_coords() + grid.h / 2
+        theta = np.pi * np.maximum(np.abs(2 * x[..., 0] / L - 1), np.abs(2 * x[..., 1] / L - 1))
+        az = np.arctan2(x[..., 1] - L / 2, x[..., 0] - L / 2)
+        vals = np.stack([np.sin(theta) * np.cos(az), np.sin(theta) * np.sin(az),
+                         np.cos(theta)], axis=-1)
+        psi = fl.MapField(grid, alg.su2_u1(), vals)
+        with pytest.raises(DegeneratePreimageError, match="winds the torus"):
+            tp.linking_charge(psi)
+
+    # (position, cube entered, cube left), h = 1: a strand from A to B
+    # through their shared face and back through it closes
+    A, B, C = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+    PAIR = [(np.array([1.0, 0.3, 0.5]), B, A), (np.array([1.0, 0.7, 0.5]), A, B)]
+
+    def test_balanced_pair_closes(self):
+        loops = tp._walk_loops(self.PAIR, Grid(4, 4.0))
+        assert len(loops) == 1 and loops[0].shape == (3, 3)
+        assert np.array_equal(loops[0][0], loops[0][-1])
+
+    def test_unbalanced_cube_dead_ends(self):
+        # a second strand leaves A but none enters it: two exits, one entry
+        extra = (np.array([0.5, 1.0, 0.5]), self.C, self.A)
+        for crossings in (self.PAIR + [extra], [extra] + self.PAIR):
+            with pytest.raises(DegeneratePreimageError, match="dead-ended"):
+                tp._walk_loops(crossings, Grid(4, 4.0))
+
+
 def _circle(center, e1, e2, m, radius=1.0):
     """Closed m-gon on the circle about center in the plane (e1, e2), first vertex repeated."""
     t = 2.0 * np.pi * np.arange(m) / m
