@@ -104,21 +104,32 @@ def gauge_transform_potential(b, stab):
     if stab.phi is not phi and (phi is None or stab.phi.grid != phi.grid
                                 or not np.array_equal(stab.phi.values, phi.values)):
         raise ValueError("stabilizer and potential have different reference maps")
-    _require_isotropic(b.a, phi)
-    omega = fl.pullback_coisotropy(phi)
-    dw = stabilizer_log_derivative(stab)
-    return fl.PotentialField(ad_inverse_apply(stab.w, b.a - omega) + omega + dw, phi)
+    return _gauge_transform(b, stab, fl.pullback_coisotropy(phi))
+
+
+def _gauge_transform(b, stab, omega):
+    """gauge_transform_potential with omega = phi^*omega given, stab built on phi."""
+    _require_isotropic(b.a, b.phi)
+    return fl.PotentialField(
+        ad_inverse_apply(stab.w, b.a - omega) + omega + stabilizer_log_derivative(stab), b.phi)
 
 
 def coset_curvature(b):
     """F(b) = db + b ^ b - [b, phi^*omega] - (phi^*omega ^ phi^*omega)_par, phi = b.phi."""
-    phi, a = b.phi, b.a
+    phi = b.phi
     if phi is None:
         raise ValueError("coset curvature needs the reference map")
-    pair = phi.pair
     omega = fl.pullback_coisotropy(phi)
-    par_oo = fl.split_form(comm_wedge(omega, pair), phi)[0]
-    return d(a) + comm_wedge(a, pair) - wedge(a, omega, pair.bracket) - par_oo
+    return _coset_curvature(b, omega, fl.split_form(comm_wedge(omega, phi.pair), phi)[0])
+
+
+def _coset_curvature(b, omega, oo_par):
+    """coset_curvature with omega = phi^*omega and oo_par = (omega ^ omega)_par given."""
+    a, pair = b.a, b.pair
+    out = d(a).data + comm_wedge(a, pair).data
+    out -= wedge(a, omega, pair.bracket).data
+    out -= oo_par.data
+    return LatticeField(a.grid, 2, out)
 
 
 def projector_derivative_wedge(phi, form):
@@ -213,40 +224,50 @@ def _gauge_action_rows(grid, rng, theta):
     stab0 = make_stabilizer(phi0, theta)
     b0 = fl.PotentialField(LatticeField.from_slots(
         grid, 1, [smooth_scalar(grid, rng)[..., None] * phi0.values for _ in range(3)]), phi0)
-    b0w = gauge_transform_potential(b0, stab0)
-    curvature = ad_inverse_apply(stab0.w, coset_curvature(b0))
-    equivariance = _rel(coset_curvature(b0w) - curvature, curvature)
+    omega0 = fl.pullback_coisotropy(phi0)  # the constant map's forms, once for five uses
+    oo0_par = fl.split_form(comm_wedge(omega0, phi0.pair), phi0)[0]
+    b0w = _gauge_transform(b0, stab0, omega0)
+    curvature = ad_inverse_apply(stab0.w, _coset_curvature(b0, omega0, oo0_par))
+    equivariance = _rel(_coset_curvature(b0w, omega0, oo0_par) - curvature, curvature)
+    del curvature, oo0_par
     stab0b = make_stabilizer(phi0, smooth_scalar(grid, rng, 0.6))
     w12 = StabilizerField(
         w=fl.LiftField(grid, phi0.pair, alg.qmul(stab0.w.values, stab0b.w.values)),
         phi=phi0, theta=stab0.theta + stab0b.theta)
-    composed = gauge_transform_potential(b0, w12).a
+    composed = _gauge_transform(b0, w12, omega0).a
+    del b0, w12
     return [("curvature_equivariance_shared", "pointwise", equivariance),
             ("gauge_action_composition", "pointwise",
-             _rel(gauge_transform_potential(b0w, stab0b).a - composed, composed))]
+             _rel(_gauge_transform(b0w, stab0b, omega0).a - composed, composed))]
 
 
 def _dafi_rows(stab, omega, a, a_perp):
     """D a = a_perp + phi^*omega goes to Ad(w^-1) D a under a -> a^w, with its
     energy density, over shared discrete inputs (exact dw); dw's two routes."""
     dw = stabilizer_log_derivative(stab, scheme="exact")
-    cov_w = fl.split_form(ad_inverse_apply(stab.w, a) + dw, stab.phi)[1] + omega
+    dw_log = stabilizer_log_derivative(stab, scheme="log")
+    routes = _rel(dw_log - dw, dw_log)
+    del dw_log
+    moved = ad_inverse_apply(stab.w, a) + dw
+    del dw
+    cov_w = fl.split_form(moved, stab.phi)[1] + omega
+    del moved
     cov = a_perp + omega
     rotated = ad_inverse_apply(stab.w, cov)
     density = cov.norm2_density()
-    dw_log = stabilizer_log_derivative(stab, scheme="log")
+    del cov
     return [("dafi_shared_inputs", "pointwise", _rel(cov_w - rotated, rotated)),
             ("dafi_energy_density", "pointwise",
              float(np.max(np.abs(cov_w.norm2_density() - density)))
              / (float(np.max(np.abs(density))) or 1.0)),
-            ("stabilizer_derivative_e062", "differential", _rel(dw_log - dw, dw_log))]
+            ("stabilizer_derivative_e062", "differential", routes)]
 
 
 def _curvature_rows(b, omega, oo, oo_par):
     """The coset curvature of an isotropy-valued b against its projected form,
     and the symmetric-space reference curvature, which has no perp part."""
     phi, pair = b.phi, b.pair
-    curvature = coset_curvature(b)
+    curvature = _coset_curvature(b, omega, oo_par)
     db_par, db_perp = fl.split_form(d(b.a), phi)
     bracket = wedge(omega, b.a, pair.bracket)
     return [("refcurv_no_projection", "pointwise",
@@ -256,73 +277,105 @@ def _curvature_rows(b, omega, oo, oo_par):
             ("isotropic_derivative_perp", "differential", _rel(db_perp - bracket, bracket))]
 
 
-def _flat_par_rows(bpar, aa, dphi_par, dphi_perp, oo, oo_par):
+def _flat_par_rows(phi, apar, aperp, dphi_par, dphi_perp, omega, oo, oo_par):
     """a_par of a flat potential: dPhi ^ a_par against d a_par, then relation
     (i) for its curvature, with and without the isotropy projections."""
-    phi = bpar.phi
-    d_apar = d(bpar.a)  # first: the curvature's temporaries are about five forms deep
+    d_apar = d(apar)
     wedge_par = _rel(dphi_par - fl.split_form(d_apar, phi)[1], d_apar)
-    curvature = coset_curvature(bpar)
+    del d_apar
+    curvature = _coset_curvature(fl.PotentialField(apar, phi), omega, oo_par)
+    aa = comm_wedge(aperp, phi.pair)
+    aa_norm = l2_norm(aa)
+    flat_i_symmetric = _rel(_residual(curvature, dphi_perp, aa, oo), curvature)
     aa_par, aa_perp = fl.split_form(aa, phi)
+    del aa
+    fourth = l2_norm(aa_perp) / max(aa_norm, 1e-30)
+    del aa_perp
     return [("dphi_wedge_par", "differential", wedge_par),
-            ("symmetric_fourth_term", "pointwise", l2_norm(aa_perp) / max(l2_norm(aa), 1e-30)),
+            ("symmetric_fourth_term", "pointwise", fourth),
             ("flat_curvature_i", "differential",
-             _rel(curvature - (dphi_perp - aa_par - oo_par), curvature)),
-            ("flat_curvature_i_symmetric", "differential",
-             _rel(curvature - (dphi_perp - aa - oo), curvature))]
+             _rel(_residual(curvature, dphi_perp, aa_par, oo_par), curvature)),
+            ("flat_curvature_i_symmetric", "differential", flat_i_symmetric)]
 
 
-def _flat_perp_rows(phi, apar, aperp, aa, dphi_par, dphi_perp):
+def _flat_perp_rows(phi, forms):
     """a_perp of a flat potential: relation (iii) for d[a_perp ^ a_perp], then
-    dPhi ^ a_perp against d a_perp and relation (ii) for d a_perp."""
+    dPhi ^ a_perp against d a_perp and relation (ii) for d a_perp.
+
+    forms is the list [a_par, a_perp, dPhi ^ a_par, dPhi ^ a_perp], which
+    holds the only references to them: this family empties it, so that each
+    form is freed after its last use here.
+    """
+    apar, aperp, dphi_par, dphi_perp = forms
+    forms.clear()
     bracket = phi.pair.bracket
-    d_aa = d(aa)  # first, while fewer forms are bound
-    quartic = _rel(d_aa - (-wedge(dphi_par, aperp, bracket)
-                           + projector_derivative_wedge(phi, aa)), d_aa)
-    d_aperp = d(aperp)
     flat_ii = -dphi_par - dphi_perp - wedge(apar, aperp, bracket)
+    del apar
+    aa = comm_wedge(aperp, phi.pair)
+    dphi_aa = projector_derivative_wedge(phi, aa)
+    d_aa = d(aa)
+    quartic = _rel(d_aa - (-wedge(dphi_par, aperp, bracket) + dphi_aa), d_aa)
+    del dphi_par, dphi_aa, d_aa
     aa_perp = fl.split_form(aa, phi)[1]
+    del aa
+    d_aperp = d(aperp)
     return [("flat_quartic_iii_symmetric", "differential", quartic),
             ("dphi_wedge_perp", "differential",
              _rel(dphi_perp + fl.split_form(d_aperp, phi)[0], d_aperp)),
-            ("flat_derivative_ii", "differential", _rel(d_aperp - (flat_ii - aa_perp), d_aperp)),
+            ("flat_derivative_ii", "differential",
+             _rel(_residual(d_aperp, flat_ii, aa_perp), d_aperp)),
             ("flat_derivative_ii_symmetric", "differential", _rel(d_aperp - flat_ii, d_aperp))]
 
 
+def _residual(lhs, first, *rest):
+    """lhs - (first - rest[0] - rest[1] - ...), evaluated as written, in one new buffer."""
+    out = first.data - rest[0].data
+    for term in rest[1:]:
+        out -= term.data
+    np.subtract(lhs.data, out, out=out)
+    return LatticeField(lhs.grid, lhs.degree, out)
+
+
 def _pure_gauge_rows(u, phi, omega, oo, oo_par):
-    """The pure-gauge potential a = u^-1 du against phi: the flat-potential
-    relations of its split, its flatness, and its match with the map u.phi."""
+    """The pure-gauge potential a = u^-1 du against phi: its flatness, its match
+    with the map u.phi and its dual energy, then the flat-potential relations
+    of its split."""
     apot = fl.pure_gauge_potential(u, phi)
-    apar, aperp = apot.split()
-    aa = comm_wedge(aperp, phi.pair)
-    dphi_par = projector_derivative_wedge(phi, apar)
-    dphi_perp = projector_derivative_wedge(phi, aperp)
-    rows = (_flat_par_rows(fl.PotentialField(apar, phi), aa, dphi_par, dphi_perp, oo, oo_par)
-            + _flat_perp_rows(phi, apar, aperp, aa, dphi_par, dphi_perp))
     d_a = d(apot.a)
+    flatness = _rel(d_a + comm_wedge(apot.a, phi.pair), d_a)
+    del d_a
     psi = fl.act(u, phi)
     e_map = energy_map(psi).total
-    return rows + [
-        ("pure_gauge_flatness", "differential", _rel(d_a + comm_wedge(apot.a, phi.pair), d_a)),
-        ("mapcon", "differential",
-         _rel(aperp - (ad_inverse_apply(u, fl.pullback_coisotropy(psi)) - omega), aperp)),
-        ("dual_energy", "differential",
-         abs(e_map - energy_potential(apot).total) / max(abs(e_map), 1e-30))]
+    dual = abs(e_map - energy_potential(apot).total) / max(abs(e_map), 1e-30)
+    apar, aperp = apot.split()
+    mapcon = _rel(aperp - (ad_inverse_apply(u, fl.pullback_coisotropy(psi)) - omega), aperp)
+    del apot, psi
+    forms = [apar, aperp, projector_derivative_wedge(phi, apar),
+             projector_derivative_wedge(phi, aperp)]
+    del apar, aperp  # the list holds the only references, for _flat_perp_rows to free
+    rows = _flat_par_rows(phi, *forms, omega, oo, oo_par)
+    rows += _flat_perp_rows(phi, forms)
+    return rows + [("pure_gauge_flatness", "differential", flatness),
+                   ("mapcon", "differential", mapcon),
+                   ("dual_energy", "differential", dual)]
 
 
 def _grid_rows(grid, seed):
     """(name, kind, residual) of every identity on one grid, family by family;
-    only what later families share is bound here."""
+    only what later families share is bound here, and the pure-gauge family
+    runs last, once the Dafi and curvature families' inputs are freed."""
     rng = np.random.default_rng(seed)  # same modes on every grid
     phi, u, theta, a = smooth_inputs(grid, rng)
-    rows = _gauge_action_rows(grid, rng, theta)  # the only draws after smooth_inputs
+    gauge_action = _gauge_action_rows(grid, rng, theta)  # the only draws after smooth_inputs
     omega = fl.pullback_coisotropy(phi)
     oo = comm_wedge(omega, phi.pair)
     oo_par = fl.split_form(oo, phi)[0]
-    rows += _pure_gauge_rows(u, phi, omega, oo, oo_par)
     b, a_perp = fl.split_form(a, phi)
-    rows += _dafi_rows(make_stabilizer(phi, theta), omega, a, a_perp)
-    return rows + _curvature_rows(fl.PotentialField(b, phi), omega, oo, oo_par)
+    dafi = _dafi_rows(make_stabilizer(phi, theta), omega, a, a_perp)
+    del theta, a, a_perp
+    curvature = _curvature_rows(fl.PotentialField(b, phi), omega, oo, oo_par)
+    del b
+    return gauge_action + _pure_gauge_rows(u, phi, omega, oo, oo_par) + dafi + curvature
 
 
 def identity_suite(sizes=(16, 32, 64), seed=0):

@@ -19,7 +19,7 @@ import numpy as np
 
 from hopfion import lattice
 from hopfion.algebra import check_unit, su2_u1
-from hopfion.lattice import SLOTS2, LatticeField, centered_diff, wedge
+from hopfion.lattice import SLOTS2, LatticeField, centered_diff, d, wedge
 
 CHARGE_FROM_VOLUME = -1.0
 
@@ -209,6 +209,37 @@ def projector_derivative_wedge(phi, form):
         return LatticeField.from_slots(form.grid, 2, slots)
     out = dphi(0, form.slot(2)) - dphi(1, form.slot(1)) + dphi(2, form.slot(0))
     return LatticeField.from_slots(form.grid, 3, [out])
+
+
+def coset_curvature(b):
+    """F(b) as gauge.coset_curvature computed it when it rebuilt phi^*omega and
+    (phi^*omega ^ phi^*omega)_par itself, with LatticeField arithmetic."""
+    from hopfion import fields as fl
+    from hopfion.energy import comm_wedge
+
+    phi, a = b.phi, b.a
+    if phi is None:
+        raise ValueError("coset curvature needs the reference map")
+    pair = phi.pair
+    omega = fl.pullback_coisotropy(phi)
+    par_oo = fl.split_form(comm_wedge(omega, pair), phi)[0]
+    return d(a) + comm_wedge(a, pair) - wedge(a, omega, pair.bracket) - par_oo
+
+
+def gauge_transform_potential(b, stab):
+    """b^w as gauge.gauge_transform_potential computed it when it rebuilt
+    phi^*omega itself, with LatticeField arithmetic."""
+    from hopfion import fields as fl
+    from hopfion.gauge import _require_isotropic, ad_inverse_apply, stabilizer_log_derivative
+
+    phi = b.phi
+    if stab.phi is not phi and (phi is None or stab.phi.grid != phi.grid
+                                or not np.array_equal(stab.phi.values, phi.values)):
+        raise ValueError("stabilizer and potential have different reference maps")
+    _require_isotropic(b.a, phi)
+    omega = fl.pullback_coisotropy(phi)
+    dw = stabilizer_log_derivative(stab)
+    return fl.PotentialField(ad_inverse_apply(stab.w, b.a - omega) + omega + dw, phi)
 
 
 # ---------------------------------------------------------------------------

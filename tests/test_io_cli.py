@@ -237,6 +237,31 @@ class TestCli:
         meta = json.loads(capsys.readouterr().out)
         assert meta["n"] == 12
 
+    def test_closed_stdout_exits_0_quietly(self, tmp_path, capsys, monkeypatch):
+        # the reader went away (hopfion info x | head -1): no error line and exit
+        # 0, with the stdout descriptor pointed at devnull for the exit-time flush
+        prefix = str(tmp_path / "c")
+        main(["ansatz", "--kind", "constant", "--n", "4", "--out", prefix])
+        capsys.readouterr()
+        sink = tmp_path / "stdout"
+        with open(sink, "wb") as handle:
+
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def flush(self):
+                    pass
+
+                def fileno(self):
+                    return handle.fileno()
+
+            monkeypatch.setattr(cli.sys, "stdout", ClosedPipe())
+            assert main(["info", prefix + ".psi.hopf"]) == 0
+            os.write(handle.fileno(), b"late flush")
+        assert sink.read_bytes() == b""
+        assert capsys.readouterr().err == ""
+
     def test_hopf_report(self, tmp_path, capsys):
         prefix = str(tmp_path / "h")
         main(["ansatz", "--kind", "hopf", "--charge", "1", "--n", "24", "--out", prefix])
