@@ -40,8 +40,6 @@ from .lattice import Grid, LatticeField, d, integrate_3form, l2_inner, l2_norm, 
 from .minimize import HistoryRow, RelaxConfig, RelaxRun, charge_guard, relax
 from .topology import (
     ChargeReport,
-    SectorLabel,
-    assign_sector,
     chern_simons_charge,
     chern_simons_from_lift,
     linking_charge,

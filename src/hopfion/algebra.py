@@ -381,6 +381,7 @@ def project_isotropy(pair, x, xi):
         if not par.flags.c_contiguous:
             phi = component_major(phi)
         np.multiply(dot(xi, phi)[..., None], phi, out=par)
+        del phi  # a component-major copy is freed before perp is made
         return par, xi - par
     g = np.asarray(x)
     down = pair.ad(pair.inverse(g), xi)

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import io as hio
+from .algebra import qrotate
 from .energy import energy_map
 from .errors import ConfigError, HopfionError
 from .fields import make_ansatz
@@ -147,26 +148,21 @@ def _dispatch(args):
 
     if args.command == "energy":
         psi = _read_field(args.map, "map_s2")
-        report = energy_map(psi, variant=args.variant)
-        print(report)
-        if args.json:
-            print(json.dumps(report.as_dict()))
+        _print_report(energy_map(psi, variant=args.variant), args.json)
         return 0
 
     if args.command == "hopf":
         if args.map is None and args.lift is None:
-            print("error: need --map and/or --lift", file=sys.stderr)
-            return 2
-        report = ChargeReport()
-        if args.lift:
-            u = _read_field(args.lift, "lift_su2")
-            report.cs_value = chern_simons_from_lift(u).cs_value
-        if args.map:
-            psi = _read_field(args.map, "map_s2")
-            report.whitehead_value = whitehead_charge(psi)
-            if not args.skip_linking:
-                report.linking_value = linking_charge(psi)
-        _print_charge(report, args.json)
+            raise ConfigError("need --map and/or --lift")
+        u = None if args.lift is None else _read_field(args.lift, "lift_su2")
+        psi = None if args.map is None else _read_field(args.map, "map_s2")
+        if u is not None and psi is not None:
+            _require_lift_of(u, psi, args)
+        report = ChargeReport(
+            cs_value=None if u is None else chern_simons_from_lift(u).cs_value,
+            whitehead_value=None if psi is None else whitehead_charge(psi),
+            linking_value=None if psi is None or args.skip_linking else linking_charge(psi))
+        _print_report(report, args.json)
         return 0
 
     if args.command == "relax":
@@ -190,17 +186,22 @@ def _dispatch(args):
         return 0
 
 
-def _print_charge(report, as_json):
-    if report.cs_value is not None:
-        print(f"chern-simons: {np.array2string(report.cs_value, precision=6)}")
-    if report.whitehead_value is not None:
-        print(f"whitehead:    {report.whitehead_value:.6f}")
-    if report.linking_value is not None:
-        print(f"linking:      {report.linking_value}")
-    print(f"rounded:      {[int(v) for v in report.rounded]}   "
-          f"max deviation {report.max_deviation:.3e}")
+def _print_report(report, as_json):
+    print(report)
     if as_json:
-        print(report.to_json())
+        print(json.dumps(report.as_dict()))
+
+
+def _require_lift_of(u, psi, args):
+    """SnapshotError (exit 2) unless psi = u i u^-1 on one grid, to within 1e-10."""
+    if u.grid != psi.grid:
+        raise hio.SnapshotError(f"{args.lift} is on {u.grid} but {args.map} on {psi.grid}")
+    moved = qrotate(u.values, np.array([1.0, 0.0, 0.0]))
+    moved -= psi.values
+    residual = max(float(moved.max()), -float(moved.min()))
+    if residual > 1e-10:
+        raise hio.SnapshotError(f"{args.lift} is not a lift of {args.map}: "
+                                f"max |u i u^-1 - psi| = {residual:.3e} > 1e-10")
 
 
 def _run_relax(args):

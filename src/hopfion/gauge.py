@@ -85,9 +85,9 @@ def stabilizer_log_derivative(stab, scheme="log"):
 
 
 def _require_isotropic(b, phi):
-    par = fl.split_form(b, phi)[0]
-    defect = float(np.max(np.abs(b.data - par.data)))
-    scale = max(float(np.max(np.abs(b.data))), 1.0)
+    perp = fl.split_form(b, phi)[1].data
+    defect = max(float(perp.max()), -float(perp.min()))
+    scale = max(float(b.data.max()), -float(b.data.min()), 1.0)
     if defect > ISOTROPY_TOL * scale:
         raise ValueError(f"potential is not isotropy-valued (defect {defect:.3e})")
 

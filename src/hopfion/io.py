@@ -241,20 +241,16 @@ _BLOCK_ROWS = 2048
 def _text_chunks(head, rows, sep):
     """head, then one line per row of the 2-d float64 array rows, as byte chunks.
 
-    Values go through %s (= repr) on Python floats, once per distinct bit
-    pattern (-0.0 is not 0.0) where a block mostly repeats values.
+    Values go through repr on Python floats, once per distinct bit pattern
+    of a block (-0.0 is not 0.0).
     """
     yield (head + "\n").encode("utf-8")
     fmt = sep.join(["%s"] * rows.shape[1]) + "\n"
     for start in range(0, len(rows), _BLOCK_ROWS):
         values = rows[start:start + _BLOCK_ROWS].ravel()
-        bits = values.view(np.int64)
-        if 2 * np.count_nonzero(np.diff(np.sort(bits))) >= len(bits):   # mostly distinct
-            texts = values.tolist()
-        else:
-            keys, inverse = np.unique(bits, return_inverse=True)
-            reprs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-            texts = reprs[inverse].tolist()
+        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        reprs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+        texts = reprs[inverse].tolist()
         yield ((fmt * (len(values) // rows.shape[1])) % tuple(texts)).encode("utf-8")
 
 

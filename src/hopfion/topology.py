@@ -1,4 +1,4 @@
-"""Hopf charges by three independent routes, plus sector bookkeeping.
+"""Hopf charges by three independent routes and their one rounded verdict.
 
 Chern-Simons route: c * integral of tr(a ^ a ^ a) assembled from the
 four-term isotropy split of the integrand; the normalization constant for
@@ -21,14 +21,13 @@ plaquette areas over 4 pi, refused unless every plaquette area is below
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra as alg
 from . import fields as fl
-from .errors import DegeneratePreimageError, FluxObstructionError
+from .errors import DegeneratePreimageError, FluxObstructionError, HopfionError
 from .lattice import Grid, LatticeField, SLOTS2, empty_form, forward_diff_symbols, wedge
 
 # Calibrated on the degree-1 ball ansatz and frozen; see README, conventions.
@@ -39,44 +38,54 @@ FLUX_TOL = 1e-6
 
 @dataclass
 class ChargeReport:
-    """Charge values per route; cs_value is a one-entry array."""
+    """Charge values per route and their one verdict; cs_value is a one-entry array.
+
+    Every route that ran must round to the same integer; reading the
+    verdict of routes that round differently raises HopfionError.
+    """
 
     cs_value: np.ndarray = None
     whitehead_value: float = None
     linking_value: int = None
 
+    def _routes(self):
+        """(name, value) of each route that ran; linking, if it ran, is exact."""
+        cs = () if self.cs_value is None else self.cs_value
+        routes = [("chern-simons", v) for v in cs]
+        routes += [("whitehead", self.whitehead_value), ("linking", self.linking_value)]
+        return [(name, v) for name, v in routes if v is not None]
+
     @property
     def rounded(self):
-        if self.cs_value is not None:
-            return np.rint(self.cs_value).astype(int)
-        if self.whitehead_value is not None:
-            return np.array([int(np.rint(self.whitehead_value))])
-        return np.array([], dtype=int)
+        """[q], the integer every route rounds to; [] when no route ran."""
+        routes = self._routes()
+        verdict = {np.rint(v) for _, v in routes}
+        if len(verdict) > 1 or not np.all(np.isfinite(list(verdict))):
+            raise HopfionError("the charge routes do not round to one integer: "
+                               + ", ".join(f"{name} {v:.6g}" for name, v in routes))
+        return [int(q) for q in verdict]
 
     @property
     def max_deviation(self):
-        devs = []
-        if self.cs_value is not None:
-            devs.extend(np.abs(self.cs_value - np.rint(self.cs_value)))
-        if self.whitehead_value is not None:
-            devs.append(abs(self.whitehead_value - round(self.whitehead_value)))
-        return float(max(devs)) if devs else 0.0
+        """Largest distance of a floating-point route from its rounded value."""
+        return float(max((abs(v - np.rint(v)) for _, v in self._routes()), default=0.0))
 
-    def to_json(self):
-        return json.dumps({
+    def as_dict(self):
+        return {
             "cs": None if self.cs_value is None else list(map(float, self.cs_value)),
             "whitehead": self.whitehead_value,
             "linking": self.linking_value,
-            "rounded": list(map(int, self.rounded)),
+            "rounded": self.rounded,
             "deviation": self.max_deviation,
-        })
+        }
 
-
-@dataclass
-class SectorLabel:
-    reference_id: str
-    charge: tuple
-    modulus_note: str
+    def __str__(self):
+        verdict = f"{self.rounded}   max deviation {self.max_deviation:.3e}"
+        cs = None if self.cs_value is None else np.array2string(self.cs_value, precision=6)
+        wh = None if self.whitehead_value is None else f"{self.whitehead_value:.6f}"
+        rows = (("chern-simons", cs), ("whitehead", wh), ("linking", self.linking_value),
+                ("rounded", verdict))
+        return "\n".join(f"{name + ':':<14}{text}" for name, text in rows if text is not None)
 
 
 # slot permutations of the 3-form with their signs
@@ -494,23 +503,3 @@ def linking_charge(psi):
         for cq in curves_q:
             total += gauss_linking(cp, cq)
     return total
-
-
-# ---------------------------------------------------------------------------
-# sectors
-# ---------------------------------------------------------------------------
-
-def assign_sector(psi, phi, u, reference_id="reference"):
-    """Certify psi = u . phi and label its sector by the charge of the lift."""
-    moved = fl.act(u, phi)
-    defect = float(np.max(np.linalg.norm(moved.values - psi.values, axis=-1)))
-    if defect > 1e-10:
-        raise ValueError(f"factorization residual {defect:.3e} exceeds 1e-10")
-    a = fl.pure_gauge_potential(u, phi)
-    report = chern_simons_charge(a)
-    note = ("charge is reported as raw integers; equality mod the stabilizer "
-            "subgroup O_phi is decided only for constant references, where "
-            "O_phi is trivial")
-    return SectorLabel(reference_id=reference_id,
-                       charge=tuple(int(v) for v in report.rounded),
-                       modulus_note=note)

@@ -87,6 +87,22 @@ class TestGaugeAction:
         assert np.array_equal(bw.a.data, gauge_transform_potential(
             zero, make_stabilizer(phi, theta)).a.data)
 
+    def test_isotropy_test_memory(self, rng):
+        # the test keeps one split's perp part and reduces it without an
+        # abs temporary: par and perp at most, in units of one (n, n, n, 3, 3)
+        # float array at n = 32, seen by tracemalloc
+        grid = Grid(32)
+        phi = smooth_cp1_map(grid, rng, amplitude=0.4)
+        b = isotropic_potential(grid, phi, rng)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gauge._require_isotropic(b.a, phi)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak / (32 ** 3 * 9 * 8) <= 2.2
+
     def test_result_isotropic_for_constant_reference(self, grid16, rng):
         phi = fl.constant_map(grid16)
         b = isotropic_potential(grid16, phi, rng)

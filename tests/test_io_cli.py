@@ -14,6 +14,7 @@ from hopfion import io as hio
 from hopfion.cli import main
 from hopfion.energy import energy_map
 from hopfion.errors import ConfigError
+from hopfion.gauge import make_stabilizer, smooth_scalar
 from hopfion.lattice import Grid, LatticeField
 from hopfion.minimize import HistoryRow, RelaxConfig, relax
 from hopfion.topology import whitehead_charge
@@ -272,6 +273,58 @@ class TestCli:
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["rounded"] == [1]
         assert payload["linking"] == 1
+
+    def test_hopf_refuses_the_lift_of_another_map(self, tmp_path, capsys):
+        one, zero = str(tmp_path / "one"), str(tmp_path / "zero")
+        main(["ansatz", "--n", "16", "--out", one])
+        main(["ansatz", "--n", "16", "--charge", "0", "--out", zero])
+        capsys.readouterr()
+        assert main(["hopf", "--map", one + ".psi.hopf", "--lift", zero + ".lift.hopf"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        residual = float(err.split("max |u i u^-1 - psi| = ")[1].split()[0])
+        assert residual > 1.0
+
+    def test_hopf_refuses_a_lift_on_another_grid(self, tmp_path, capsys):
+        fine, coarse = str(tmp_path / "fine"), str(tmp_path / "coarse")
+        main(["ansatz", "--n", "16", "--out", fine])
+        main(["ansatz", "--n", "8", "--out", coarse])
+        capsys.readouterr()
+        assert main(["hopf", "--map", fine + ".psi.hopf", "--lift", coarse + ".lift.hopf"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "Grid(n=8," in err and "Grid(n=16," in err
+
+    def test_hopf_accepts_a_stabilizer_gauged_lift(self, tmp_path, capsys, rng):
+        # u w with w in the stabilizer of i lifts the same map: u w i w^-1 u^-1 = u i u^-1
+        grid = Grid(16)
+        psi, u = fl.make_ansatz("hopf", grid, 1)
+        w = make_stabilizer(fl.constant_map(grid), smooth_scalar(grid, rng, 0.5)).w
+        uw = fl.LiftField(grid, u.pair, alg.qmul(u.values, w.values))
+        hio.write_snapshot(tmp_path / "m.psi.hopf", psi)
+        for name, lift in (("u", u), ("uw", uw)):
+            hio.write_snapshot(tmp_path / f"{name}.lift.hopf", lift)
+            assert main(["hopf", "--map", str(tmp_path / "m.psi.hopf"), "--lift",
+                         str(tmp_path / f"{name}.lift.hopf"), "--skip-linking", "--json"]) == 0
+            assert json.loads(capsys.readouterr().out.splitlines()[-1])["rounded"] == [1]
+
+    def test_hopf_map_alone_rounds_to_linking(self, tmp_path, capsys):
+        prefix = str(tmp_path / "m")
+        main(["ansatz", "--n", "16", "--out", prefix])
+        capsys.readouterr()
+        assert main(["hopf", "--map", prefix + ".psi.hopf", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["rounded"] == [payload["linking"]] == [1]
+        assert payload["deviation"] == abs(payload["whitehead"] - 1)
+
+    def test_hopf_routes_that_round_differently_exit_3(self, tmp_path, capsys, monkeypatch):
+        prefix = str(tmp_path / "m")
+        main(["ansatz", "--n", "16", "--out", prefix])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "whitehead_charge", lambda psi: 0.25)
+        assert main(["hopf", "--map", prefix + ".psi.hopf"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "whitehead 0.25, linking 1" in err
 
     def test_coarse_hopf_map_exit_3_names_grid(self, tmp_path, capsys):
         # at n = 8 a plaquette of the charge-1 ansatz wraps the sphere, which
@@ -571,6 +624,15 @@ def test_malformed_snapshot_header_exit_2(tmp_path, capsys, blob):
 def test_missing_snapshot_exit_2(tmp_path, capsys):
     assert main(["energy", "--map", str(tmp_path / "absent.hopf")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["hopf"], ["hopf", "--lift", ""], ["hopf", "--map", ""]],
+                         ids=["no_snapshot", "empty_lift_path", "empty_map_path"])
+def test_hopf_without_a_snapshot_exit_2(capsys, argv):
+    # an empty path is a path that cannot be read, not an absent option
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
 
 
 @pytest.mark.parametrize("kind, command, flag", [("map_s2", "energy", "--map"),

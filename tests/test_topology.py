@@ -7,7 +7,7 @@ from conftest import smooth_lift
 from hopfion import algebra as alg
 from hopfion import fields as fl
 from hopfion import topology as tp
-from hopfion.errors import DegeneratePreimageError, FluxObstructionError
+from hopfion.errors import DegeneratePreimageError, FluxObstructionError, HopfionError
 from hopfion.gauge import make_stabilizer, smooth_scalar
 from hopfion.lattice import Grid, LatticeField, d, l2_norm
 import oracles
@@ -324,45 +324,27 @@ class TestRouteMemory:
         assert self._peak_in_forms(fn, field) <= budget
 
 
-class TestSectors:
-    def test_reference_itself(self, grid16):
-        phi = fl.constant_map(grid16)
-        e = fl.LiftField(grid16, phi.pair, phi.pair.identity_element((16,) * 3))
-        label = tp.assign_sector(phi, phi, e)
-        assert label.charge == (0,)
-
-    def test_hopf_lift_sector(self):
-        grid = Grid(32)
-        phi = fl.constant_map(grid)
-        psi, u = fl.make_ansatz("hopf", grid, 1)
-        label = tp.assign_sector(psi, phi, u, reference_id="constant_i")
-        assert label.charge == (1,)
-        assert label.reference_id == "constant_i"
-        assert "O_phi" in label.modulus_note
-
-    def test_stabilizer_composition_invariance(self, rng):
-        grid = Grid(32)
-        phi = fl.constant_map(grid)
-        psi, u = fl.make_ansatz("hopf", grid, 1)
-        w = make_stabilizer(phi, smooth_scalar(grid, rng, 0.5)).w
-        uw = fl.LiftField(grid, u.pair, alg.qmul(u.values, w.values))
-        label = tp.assign_sector(psi, phi, uw)
-        assert label.charge == (1,)
-
-    def test_factorization_residual_rejected(self, grid16, rng):
-        phi = fl.constant_map(grid16)
-        psi, u = fl.make_ansatz("hopf", grid16, 1)
-        other = smooth_lift(grid16, rng, amplitude=0.4)
-        with pytest.raises(ValueError):
-            tp.assign_sector(psi, phi, other)
-
-
 def test_charge_report_json():
     import json
 
     report = tp.ChargeReport(cs_value=np.array([0.98]), whitehead_value=1.01,
                              linking_value=1)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.as_dict()))
     assert set(payload) == {"cs", "whitehead", "linking", "rounded", "deviation"}
     assert payload["rounded"] == [1]
     assert np.isclose(payload["deviation"], 0.02)
+
+
+def test_routes_that_round_differently_have_no_verdict():
+    report = tp.ChargeReport(cs_value=[0.0], linking_value=1)
+    for read in (lambda r: r.rounded, tp.ChargeReport.as_dict, str):
+        with pytest.raises(HopfionError, match="chern-simons 0, linking 1"):
+            read(report)
+
+
+def test_linking_decides_the_verdict():
+    # the float routes round to the exact linking integer, which is the verdict
+    report = tp.ChargeReport(cs_value=np.array([-0.4]), whitehead_value=0.3, linking_value=0)
+    assert report.rounded == [0]
+    assert report.max_deviation == 0.4
+    assert tp.ChargeReport().rounded == []
