@@ -411,9 +411,7 @@ def coisotropy_form(pair, x, tangent):
 
 def cp1_point_of(g):
     """Coset point of a representative: q U1 -> q i q^-1 in Im H."""
-    i = np.zeros(np.asarray(g).shape[:-1] + (3,))
-    i[..., 0] = 1.0
-    return qrotate(g, i)
+    return qrotate(g, np.array([1.0, 0.0, 0.0]))
 
 
 def _triangle(a, b, c, with_grads):

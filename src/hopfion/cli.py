@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import io as hio
-from .algebra import qrotate
+from .algebra import cp1_point_of
 from .energy import energy_map
 from .errors import ConfigError, HopfionError
 from .fields import make_ansatz
@@ -196,7 +196,7 @@ def _require_lift_of(u, psi, args):
     """SnapshotError (exit 2) unless psi = u i u^-1 on one grid, to within 1e-10."""
     if u.grid != psi.grid:
         raise hio.SnapshotError(f"{args.lift} is on {u.grid} but {args.map} on {psi.grid}")
-    moved = qrotate(u.values, np.array([1.0, 0.0, 0.0]))
+    moved = cp1_point_of(u.values)
     moved -= psi.values
     residual = max(float(moved.max()), -float(moved.min()))
     if residual > 1e-10:

@@ -12,24 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra as alg
-from .lattice import Grid, LatticeField, SLOTS2, centered_diff, component_major, cross, empty_form
-
-def _unit_quat(values, renormalize, what):
-    """Quaternion site values scaled to unit norm, or checked to be unit already."""
-    if renormalize:
-        return values / np.linalg.norm(values, axis=-1, keepdims=True)
-    alg.check_unit(values, what)
-    return values
+from .lattice import LatticeField, SLOTS2, centered_diff, component_major, cross, empty_form
 
 
-class MapField:
-    """A map from the torus into the coset space of a pair.
+class _SiteField:
+    """Per-site values of a map or a lift on the torus, checked where built.
 
-    CP1 values: (n, n, n, 3) unit imaginary quaternions.  Group targets:
-    (n, n, n, 4) unit quaternions.  Matrix pairs store coset representatives
-    (n, n, n, N, N).  Values are stored C-contiguous, copied so if need be;
-    quaternion values are renormalized on construction, or with
-    renormalize=False checked to be finite and unit, and frozen.
+    Values must have shape (n, n, n) + the site shape: (3,) for a CP1 map,
+    (4,) for other quaternion values, (N, N) for matrix pairs.  They are
+    stored C-contiguous, copied so if need be; quaternion values are
+    renormalized, or with renormalize=False checked to be finite and unit;
+    matrix values are checked finite.  The values are frozen.
     """
 
     __slots__ = ("grid", "pair", "values")
@@ -37,12 +30,21 @@ class MapField:
     def __init__(self, grid, pair, values, renormalize=True):
         # C order: minimize._tangent's einsum rounds differently on other layouts
         values = np.ascontiguousarray(values)
-        if pair.group_kind == "quaternion":
-            shape = (grid.n,) * 3 + ((3,) if pair.dim_h else (4,))
-            if values.shape != shape:
-                raise ValueError(f"{pair.name} map values must have shape {shape}, "
-                                 f"not {values.shape}")
-            values = _unit_quat(values, renormalize, "map value")
+        if pair.group_kind == "matrix":
+            site = pair.basis_matrices.shape[1:]
+        else:
+            site = (3,) if self._kind == "map" and pair.dim_h else (4,)
+        shape = (grid.n,) * 3 + site
+        if values.shape != shape:
+            raise ValueError(f"{pair.name} {self._kind} values must have shape {shape}, "
+                             f"not {values.shape}")
+        if pair.group_kind == "matrix":
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{self._kind} values hold NaN or Inf")
+        elif renormalize:
+            values = values / np.linalg.norm(values, axis=-1, keepdims=True)
+        else:
+            alg.check_unit(values, f"{self._kind} value")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "values", values)
@@ -50,7 +52,21 @@ class MapField:
             values.flags.writeable = False
 
     def __setattr__(self, *a):
-        raise AttributeError("MapField is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def inverse_values(self):
+        return self.pair.inverse(self.values)
+
+
+class MapField(_SiteField):
+    """A map from the torus into the coset space of a pair.
+
+    CP1 values are unit imaginary quaternions, group targets unit
+    quaternions, and matrix pairs store coset representatives.
+    """
+
+    __slots__ = ()
+    _kind = "map"
 
     @property
     def is_cp1(self):
@@ -60,26 +76,11 @@ class MapField:
         return MapField(self.grid, self.pair, values, renormalize=renormalize)
 
 
-class LiftField:
-    """A map into the group G, stored per site, C-contiguous like MapField's values."""
+class LiftField(_SiteField):
+    """A map into the group G: unit quaternions or unitary matrices per site."""
 
-    __slots__ = ("grid", "pair", "values")
-
-    def __init__(self, grid, pair, values, renormalize=True):
-        values = np.ascontiguousarray(values)
-        if pair.group_kind == "quaternion":
-            values = _unit_quat(values, renormalize, "lift value")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "values", values)
-        if values.flags.owndata:
-            values.flags.writeable = False
-
-    def __setattr__(self, *a):
-        raise AttributeError("LiftField is immutable")
-
-    def inverse_values(self):
-        return self.pair.inverse(self.values)
+    __slots__ = ()
+    _kind = "lift"
 
 
 class PotentialField:
@@ -220,8 +221,7 @@ def pullback_coisotropy(psi):
             slots.append(alg.qim(alg.qmul(v, psi.pair.inverse(psi.values))))
         return LatticeField.from_slots(g, 1, slots)
     pair = psi.pair
-    u = LiftField(g, pair, psi.values, renormalize=False)
-    down = [pair.proj_perp(pair.coeffs_of(alg.matrix_log_unitary(links(u, mu))) / g.h)
+    down = [pair.proj_perp(pair.coeffs_of(alg.matrix_log_unitary(links(psi, mu))) / g.h)
             for mu in range(3)]
     return LatticeField(g, 1, pair.ad(psi.values[:, :, :, None], np.stack(down, axis=3)))
 

@@ -154,22 +154,18 @@ def read_snapshot(path):
     expected = n ** 3 * ncomp * 8
     if len(raw) != expected:
         raise SnapshotError(f"payload is {len(raw)} bytes, expected {expected}")
-    flat = np.frombuffer(raw, dtype="<f8")
-    if not np.all(np.isfinite(flat)):
-        raise SnapshotError("payload holds NaN or Inf")
-    values = _payload_sites(flat, n, ncomp)
+    values = _payload_sites(np.frombuffer(raw, dtype="<f8"), n, ncomp)
     grid = Grid(n, meta["length"])
     kind = meta["kind"]
-    try:
+    try:  # the constructors refuse NaN, Inf and non-unit values
         if kind == "map_s2":
             return meta, fl.MapField(grid, alg.su2_u1(), values, renormalize=False)
         if kind == "lift_su2":
             return meta, fl.LiftField(grid, alg.su2_u1(), values, renormalize=False)
+        a = LatticeField(grid, 1, values.reshape(n, n, n, 3, ncomp // 3))
+        return meta, fl.PotentialField(a, fl.constant_map(grid))
     except ValueError as exc:
         raise SnapshotError(f"{kind} payload: {exc}") from exc
-    data = values.reshape(n, n, n, 3, ncomp // 3)
-    a = LatticeField(grid, 1, data)
-    return meta, fl.PotentialField(a, fl.constant_map(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -235,13 +235,24 @@ class TestFieldInvariants:
         with pytest.raises(ValueError):
             fl.LiftField(grid12, alg.su2_u1(), vals, renormalize=False)
 
-    @pytest.mark.parametrize("pair, ncomp", [(alg.su2_u1(), 4), (alg.su2_group(), 3)])
-    def test_component_count_must_fit_pair(self, grid12, pair, ncomp):
-        vals = np.zeros((12,) * 3 + (ncomp,))
+    @pytest.mark.parametrize("field, pair, shape, fill", [
+        (fl.MapField, alg.su2_u1(), (12, 12, 12, 4), 0.0),
+        (fl.MapField, alg.su2_group(), (12, 12, 12, 3), 0.0),
+        (fl.LiftField, alg.su2_u1(), (12, 12, 12, 3), 0.0),
+        (fl.LiftField, alg.su2_u1(), (13, 12, 12, 4), 0.0),
+        (fl.MapField, alg.su3_t2(), (12, 12, 12, 2, 2), 0.0),
+        (fl.LiftField, alg.su3_t2(), (12, 12, 12, 2, 2), 0.0),
+        (fl.MapField, alg.su3_t2(), (12, 12, 12, 3, 3), np.nan),
+        (fl.LiftField, alg.su3_t2(), (12, 12, 12, 3, 3), np.nan),
+    ], ids=["pair0-4", "pair1-3", "su2_u1_lift_3", "lift_off_grid", "su3_t2_map_2x2",
+            "su3_t2_lift_2x2", "su3_t2_map_nan", "su3_t2_lift_nan"])
+    def test_component_count_must_fit_pair(self, grid12, field, pair, shape, fill):
+        # shape, finiteness and unit norm are checked by the one constructor
+        vals = np.full(shape, fill, dtype=complex if pair.group_kind == "matrix" else float)
         vals[..., 0] = 1.0
         for renormalize in (True, False):
             with pytest.raises(ValueError):
-                fl.MapField(grid12, pair, vals, renormalize=renormalize)
+                field(grid12, pair, vals, renormalize=renormalize)
 
 
 class TestAnsatz:

@@ -585,9 +585,12 @@ def _with(**changes):
     (_with(kind="potential", components=4), np.zeros(4 ** 4).astype("<f8").tobytes()),
     (_MAP_META, np.tile([np.nan, 0.0, 0.0], 4 ** 3).astype("<f8").tobytes()),
     (_MAP_META, np.tile([np.inf, 0.0, 0.0], 4 ** 3).astype("<f8").tobytes()),
+    (_with(kind="potential", components=9), np.full(4 ** 3 * 9, np.nan).astype("<f8").tobytes()),
+    (_with(kind="lift_su2", components=4),
+     np.tile([np.nan, 0.0, 0.0, 0.0], 4 ** 3).astype("<f8").tobytes()),
 ], ids=["missing_n", "n_zero", "n_negative", "n_float", "length_zero", "length_huge", "unknown_kind",
         "map_with_4_components", "lift_with_3_components", "potential_with_4_components",
-        "nan_payload", "inf_payload"])
+        "nan_payload", "inf_payload", "nan_potential_payload", "nan_lift_payload"])
 def test_bad_snapshot_meta_exit_2(tmp_path, capsys, meta, payload):
     path = _forged_snapshot(tmp_path / "bad.hopf", meta, payload)
     assert main(["energy", "--map", str(path)]) == 2
