@@ -19,11 +19,9 @@ they take their last-axis cross and dot from lattice, except qmul, which
 writes its dot and cross term by term into the slots of its output.
 
 Storage: qmul, qconj, qrotate and the CP1 split allocate their results
-like their operand of full shape, so a component-major form (see lattice)
-gives a component-major result whose components are contiguous blocks,
-and C-order map and lift values give C-order results.  Where a C-order
-map broadcasts against a component-major form (qrotate's g, the split's
-coset point), it is copied component-major once per call.
+like their operand of full shape, so component-major forms, maps and
+lifts (see lattice) give component-major results whose components are
+contiguous blocks.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RoughFieldError
-from .lattice import SLOTS2, component_major, cross, dot, empty_like_operands
+from .lattice import SLOTS2, cross, dot, empty_like_operands
 
 UNIT_TOL = 1e-8
 
@@ -160,8 +158,6 @@ def qrotate(g, v):
     v = np.asarray(v)
     shape = np.broadcast_shapes(g.shape[:-1], v.shape[:-1])
     out = empty_like_operands(shape + (3,), np.result_type(g, v), v)
-    if not out.flags.c_contiguous:
-        g = component_major(g)  # once, so that no slab reads a strided g
     lead = shape or (1,)
     g = np.broadcast_to(g, lead + (4,))
     v = np.broadcast_to(v, lead + (3,))
@@ -364,24 +360,27 @@ def _is_cp1_point(pair, x):
 
 
 def project_isotropy(pair, x, xi):
+    """isotropy_split, with a CP1 point x first checked finite and unit."""
+    if _is_cp1_point(pair, x):
+        check_unit(x, "coset point")
+    return isotropy_split(pair, x, xi)
+
+
+def isotropy_split(pair, x, xi):
     """Split xi into (isotropic, coisotropic) parts at the coset point x.
 
     The one pointwise split into h_x and its orthogonal complement.  x is
-    either a unit imaginary quaternion (CP1 fast path: par = (xi.phi) phi,
-    perp = xi - par) or a group representative g with x = gH, in which case
-    both parts route through Ad(g).  x broadcasts against xi, so a form
-    splits in one call with x = phi.values[:, :, :, None].
+    either a unit imaginary quaternion, not checked (CP1 fast path:
+    par = (xi.phi) phi, perp = xi - par), or a group representative g with
+    x = gH, in which case both parts route through Ad(g).  x broadcasts
+    against xi, so a form splits in one call with x = phi.values[:, :, :, None].
     """
     xi = np.asarray(xi)
     if _is_cp1_point(pair, x):
         phi = np.asarray(x)
-        check_unit(phi, "coset point")
         par = empty_like_operands(np.broadcast_shapes(xi.shape, phi.shape),
                                   np.result_type(xi, phi), xi)
-        if not par.flags.c_contiguous:
-            phi = component_major(phi)
         np.multiply(dot(xi, phi)[..., None], phi, out=par)
-        del phi  # a component-major copy is freed before perp is made
         return par, xi - par
     g = np.asarray(x)
     down = pair.ad(pair.inverse(g), xi)
@@ -455,7 +454,6 @@ def plaquette_areas(p, with_grads=False):
     for term (IEEE + and * commute), so results round as the site-major
     formula does; arithmetic runs in place to spare temporaries.
     """
-    p = np.ascontiguousarray(p)
     for mu, nu in SLOTS2:
         # x+mu is freed before x+nu is made: two shifted copies at a time
         p10 = np.roll(p, -1, axis=mu + 1)

@@ -136,7 +136,7 @@ def descent_energy(psi):
     if not psi.is_cp1:
         raise ValueError("the descent objective is implemented for the CP1 target")
     h = psi.grid.h
-    p = np.moveaxis(psi.values, -1, 0).copy()
+    p = np.moveaxis(psi.values, -1, 0)
     e2 = np.zeros(p.shape[1:])
     for mu in range(3):
         delta = (np.roll(p, -1, axis=mu + 1) - p).transpose(1, 2, 3, 0)  # (n, n, n, 3) view
@@ -154,7 +154,7 @@ def descent_gradient(psi):
     if not psi.is_cp1:
         raise ValueError("the descent objective is implemented for the CP1 target")
     h = psi.grid.h
-    p = np.moveaxis(psi.values, -1, 0).copy()
+    p = np.moveaxis(psi.values, -1, 0)
     grad = np.zeros_like(p)
     for mu in range(3):
         grad += 0.25 * h * (

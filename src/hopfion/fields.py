@@ -12,24 +12,25 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra as alg
-from .lattice import LatticeField, SLOTS2, centered_diff, component_major, cross, empty_form
+from .lattice import (LatticeField, SLOTS2, centered_diff, component_major, cross,
+                      empty_component_major, empty_form)
 
 
 class _SiteField:
     """Per-site values of a map or a lift on the torus, checked where built.
 
     Values must have shape (n, n, n) + the site shape: (3,) for a CP1 map,
-    (4,) for other quaternion values, (N, N) for matrix pairs.  They are
-    stored C-contiguous, copied so if need be; quaternion values are
-    renormalized, or with renormalize=False checked to be finite and unit;
-    matrix values are checked finite.  The values are frozen.
+    (4,) for other quaternion values, (N, N) for matrix pairs.  Quaternion
+    values are stored component-major like forms (see lattice): renormalized
+    into that layout, or with renormalize=False checked finite and unit and
+    copied into it if need be.  Matrix values, which @ reads as stacked
+    matrices, stay C-contiguous and are checked finite.  Values are frozen.
     """
 
     __slots__ = ("grid", "pair", "values")
 
     def __init__(self, grid, pair, values, renormalize=True):
-        # C order: minimize._tangent's einsum rounds differently on other layouts
-        values = np.ascontiguousarray(values)
+        values = np.asarray(values)
         if pair.group_kind == "matrix":
             site = pair.basis_matrices.shape[1:]
         else:
@@ -39,17 +40,19 @@ class _SiteField:
             raise ValueError(f"{pair.name} {self._kind} values must have shape {shape}, "
                              f"not {values.shape}")
         if pair.group_kind == "matrix":
+            values = np.ascontiguousarray(values)
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{self._kind} values hold NaN or Inf")
         elif renormalize:
-            values = values / np.linalg.norm(values, axis=-1, keepdims=True)
+            norm = np.linalg.norm(values, axis=-1, keepdims=True)
+            values = np.divide(values, norm, out=empty_component_major(shape, norm.dtype))
         else:
+            values = component_major(values)
             alg.check_unit(values, f"{self._kind} value")
+        values.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "values", values)
-        if values.flags.owndata:
-            values.flags.writeable = False
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -108,11 +111,7 @@ class PotentialField:
 
     def split(self):
         """(a_par, a_perp) as 1-forms, pointwise in h_phi and its complement."""
-        if self.phi is not None:
-            return split_form(self.a, self.phi)
-        if self.pair.dim_h:
-            raise ValueError("isotropy split needs a reference map")
-        return LatticeField.zeros(self.grid, 1, self.a.vdim), self.a
+        return _split_form(self.a, self.phi, self.pair)
 
     @property
     def grid(self):
@@ -122,17 +121,28 @@ class PotentialField:
 def split_form(form, phi):
     """(par, perp): a g-valued form of any degree split pointwise into h_phi
     and its orthogonal complement along the map phi, in phi's pair."""
-    if phi.pair.dim_h == 0:
-        return LatticeField.zeros(form.grid, form.degree, form.vdim), form
+    return _split_form(form, phi, phi.pair)
+
+
+def _split_form(form, phi, pair):
+    return tuple(LatticeField(form.grid, form.degree, x) for x in split_data(form.data, phi, pair))
+
+
+def split_data(data, phi, pair, planes=slice(None)):
+    """(par, perp) of g-valued form data on the x-planes `planes` along the map
+    phi (unit where it was built) of pair: zero and data when h is trivial,
+    a ValueError with no map (phi None) otherwise."""
+    if pair.dim_h == 0:
+        return np.zeros_like(data), data
+    if phi is None:
+        raise ValueError("isotropy split needs a reference map")
     # phi broadcasts over the slot axis
-    par, perp = alg.project_isotropy(phi.pair, phi.values[:, :, :, None], form.data)
-    return LatticeField(form.grid, form.degree, par), LatticeField(form.grid, form.degree, perp)
+    return alg.isotropy_split(pair, phi.values[planes, :, :, None], data)
 
 
 def constant_map(grid):
     """The constant reference map phi = i on CP1."""
-    values = np.broadcast_to([1.0, 0.0, 0.0], (grid.n,) * 3 + (3,)).copy()
-    return MapField(grid, alg.su2_u1(), values)
+    return MapField(grid, alg.su2_u1(), np.broadcast_to([1.0, 0.0, 0.0], (grid.n,) * 3 + (3,)))
 
 
 def links(u, axis):
@@ -188,11 +198,8 @@ def act(u, phi):
 
 
 def map_tangents(psi):
-    """Centered-difference tangents of a CP1 map, one per axis, unprojected,
-    component-major (see lattice) to meet forms without strided reads."""
-    h = psi.grid.h
-    values = component_major(psi.values)
-    return [centered_diff(values, mu, h) for mu in range(3)]
+    """Centered-difference tangents of a CP1 map, one per axis, unprojected."""
+    return [centered_diff(psi.values, mu, psi.grid.h) for mu in range(3)]
 
 
 def pullback_coisotropy(psi):
@@ -207,10 +214,9 @@ def pullback_coisotropy(psi):
     g = psi.grid
     if psi.is_cp1:
         data = empty_form(psi.values.shape[:3] + (3, 3))
-        values = component_major(psi.values)
         for mu in range(3):
-            v = centered_diff(values, mu, g.h)
-            np.multiply(0.5, cross(values, v), out=data[:, :, :, mu])
+            v = centered_diff(psi.values, mu, g.h)
+            np.multiply(0.5, cross(psi.values, v), out=data[:, :, :, mu])
         return LatticeField(g, 1, data)
     if psi.pair.group_kind == "quaternion":
         # omega-perp = dg g^-1 for trivial H, on projected tangents
@@ -292,9 +298,6 @@ def make_ansatz(kind, grid, charge=0):
                       np.zeros_like(alpha)], axis=-1),
         )
         u = LiftField(grid, pair, u_vals)
-        psi_vals = np.zeros(x1.shape + (3,))
-        psi_vals[..., 0] = np.cos(2.0 * alpha)
-        psi_vals[..., 1] = np.sin(2.0 * alpha)
-        psi = MapField(grid, pair, psi_vals)
-        return psi, u
+        psi = np.stack([np.cos(2.0 * alpha), np.sin(2.0 * alpha), np.zeros_like(alpha)], axis=-1)
+        return MapField(grid, pair, psi), u
     raise ValueError(f"unknown ansatz kind '{kind}'")

@@ -24,8 +24,8 @@ from . import algebra as alg
 from . import fields as fl
 from .energy import comm_wedge, energy_map, energy_potential
 from .errors import ConfigError
-from .lattice import (Grid, LatticeField, component_major, d, dot, empty_form, forward_diff,
-                      forward_diff_symbols, l2_norm, wedge)
+from .lattice import (Grid, LatticeField, d, dot, empty_form, forward_diff, forward_diff_symbols,
+                      l2_norm, wedge)
 
 ISOTROPY_TOL = 1e-10
 
@@ -75,10 +75,10 @@ def stabilizer_log_derivative(stab, scheme="log"):
     h = grid.h
     omega = fl.pullback_coisotropy(stab.phi)
     ad_omega = ad_inverse_apply(stab.w, omega)
-    phi = component_major(stab.phi.values)
     data = empty_form(omega.data.shape)
     for mu in range(3):
-        dest = np.multiply(forward_diff(stab.theta, mu, h)[..., None], phi, out=data[:, :, :, mu])
+        dest = np.multiply(forward_diff(stab.theta, mu, h)[..., None], stab.phi.values,
+                           out=data[:, :, :, mu])
         dest += ad_omega.slot(mu)
         dest -= omega.slot(mu)
     return LatticeField(grid, 1, data)
@@ -143,7 +143,7 @@ def projector_derivative_wedge(phi, form):
         raise ValueError("projector derivative uses the CP1 closed form")
     if form.degree not in (1, 2):
         raise ValueError("projector derivative wedge expects a 1- or 2-form")
-    p = component_major(phi.values)
+    p = phi.values
     tangents = LatticeField.from_slots(phi.grid, 1, fl.map_tangents(phi))
     return wedge(tangents, form,
                  lambda v, xi: dot(xi, v)[..., None] * p + dot(xi, p)[..., None] * v)

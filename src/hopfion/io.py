@@ -56,11 +56,6 @@ def _site_payload(values):
     return np.ascontiguousarray(flat.transpose(2, 1, 0, 3)).astype("<f8")
 
 
-def _payload_sites(flat, n, ncomp):
-    arr = flat.reshape(n, n, n, ncomp)
-    return np.ascontiguousarray(arr.transpose(2, 1, 0, 3))
-
-
 def write_snapshot(path, obj, extra_meta=None):
     """Write a MapField, LiftField or PotentialField to a snapshot file.
 
@@ -154,7 +149,8 @@ def read_snapshot(path):
     expected = n ** 3 * ncomp * 8
     if len(raw) != expected:
         raise SnapshotError(f"payload is {len(raw)} bytes, expected {expected}")
-    values = _payload_sites(np.frombuffer(raw, dtype="<f8"), n, ncomp)
+    # sites (x, y, z, comps), a view: the field constructors copy it once, into their layout
+    values = np.frombuffer(raw, dtype="<f8").reshape(n, n, n, ncomp).transpose(2, 1, 0, 3)
     grid = Grid(n, meta["length"])
     kind = meta["kind"]
     try:  # the constructors refuse NaN, Inf and non-unit values
@@ -234,20 +230,21 @@ def write_history_csv(path, run):
 _BLOCK_ROWS = 2048
 
 
-def _text_chunks(head, rows, sep):
-    """head, then one line per row of the 2-d float64 array rows, as byte chunks.
+def _text_chunks(head, blocks, sep):
+    """head, then one line per row of each 2-d float64 array in blocks, as byte chunks.
 
     Values go through repr on Python floats, once per distinct bit pattern
-    of a block (-0.0 is not 0.0).
+    of up to _BLOCK_ROWS rows (-0.0 is not 0.0).
     """
     yield (head + "\n").encode("utf-8")
-    fmt = sep.join(["%s"] * rows.shape[1]) + "\n"
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        values = rows[start:start + _BLOCK_ROWS].ravel()
-        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        reprs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-        texts = reprs[inverse].tolist()
-        yield ((fmt * (len(values) // rows.shape[1])) % tuple(texts)).encode("utf-8")
+    for rows in blocks:
+        fmt = sep.join(["%s"] * rows.shape[1]) + "\n"
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            values = rows[start:start + _BLOCK_ROWS].ravel()
+            keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            reprs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+            texts = reprs[inverse].tolist()
+            yield ((fmt * (len(values) // rows.shape[1])) % tuple(texts)).encode("utf-8")
 
 
 def _vtk_header(grid, title):
@@ -267,8 +264,10 @@ def _vtk_header(grid, title):
 def _vtk_chunks(grid, title, blocks):
     yield (_vtk_header(grid, title) + "\n").encode("utf-8")
     for head, values in blocks:
-        # VTK structured points iterate x fastest
-        rows = values.transpose(2, 1, 0, 3).reshape(-1, values.shape[3])
+        # VTK structured points iterate x fastest: z-planes, each transposed, so
+        # the whole field is never copied
+        rows = (values[:, :, z].transpose(1, 0, 2).reshape(-1, values.shape[3])
+                for z in range(grid.n))
         yield from _text_chunks(head, rows, " ")
 
 
@@ -294,5 +293,6 @@ def export_density_csv(path, obj):
         density = np.sum(obj.values * obj.values, axis=-1)
     else:
         density = obj.a.norm2_density()
-    rows = np.column_stack([obj.grid.site_coords().reshape(-1, 3), density.reshape(-1)])
+    rows = (np.column_stack([obj.grid.site_coords(x).reshape(-1, 3), density[x].reshape(-1)])
+            for x in range(obj.grid.n))
     _atomic_write(path, _text_chunks("x,y,z,density", rows, ","))

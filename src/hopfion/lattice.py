@@ -14,7 +14,8 @@ Storage is component-major.  A form's data has the logical shape
 contiguous n^3 block and component arithmetic reads no strided views.
 empty_form allocates that layout; elementwise ufuncs, np.roll and
 np.empty_like keep it, so d, wedge and field arithmetic carry it through.
-LatticeField copies data of any other layout once, on construction.
+LatticeField copies data of any other layout once, on construction; map
+and lift values (fields) are laid out alike, by empty_component_major.
 Reductions multiply or copy into a site-major buffer first, so every sum
 runs in the order it ran on site-major data.
 
@@ -56,10 +57,10 @@ class Grid:
     def axis_coords(self):
         return np.arange(self.n) * self.h
 
-    def site_coords(self):
-        """Array (n, n, n, 3) of site positions."""
+    def site_coords(self, planes=slice(None)):
+        """Array (n, n, n, 3) of site positions, or those of the x-planes `planes`."""
         c = self.axis_coords()
-        x, y, z = np.meshgrid(c, c, c, indexing="ij")
+        x, y, z = np.meshgrid(c[planes], c, c, indexing="ij")
         return np.stack([x, y, z], axis=-1)
 
 
@@ -74,14 +75,19 @@ def is_component_major(data):
     return data.transpose(4, 3, 0, 1, 2).flags.c_contiguous
 
 
+def empty_component_major(shape, dtype=float):
+    """Uninitialized (..., c) values, each component [..., k] one C-contiguous block."""
+    return np.moveaxis(np.empty(shape[-1:] + shape[:-1], dtype), 0, -1)
+
+
 def component_major(a):
-    """a, or a copy of it, with each component a[..., k] C-contiguous."""
+    """a, or a copy of it laid out as empty_component_major lays it out."""
     a = np.asarray(a)
     if a.ndim < 2 or a[..., 0].flags.c_contiguous:
         return a
-    out = np.empty(a.shape[-1:] + a.shape[:-1], a.dtype)
-    out[...] = np.moveaxis(a, -1, 0)
-    return np.moveaxis(out, 0, -1)
+    out = empty_component_major(a.shape, a.dtype)
+    out[...] = a
+    return out
 
 
 def _planes(data):

@@ -258,7 +258,9 @@ def _sobolev(grid):
 
 def _tangent(psi, v):
     """v minus its component along the unit site vectors of psi."""
-    p = psi.values
+    # a C-order copy: einsum rounds differently on the component-major
+    # values, and the relax history is pinned to its C-order rounding
+    p = np.ascontiguousarray(psi.values)
     return v - np.einsum("...i,...i->...", v, p)[..., None] * p
 
 

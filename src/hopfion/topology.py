@@ -28,7 +28,7 @@ import numpy as np
 from . import algebra as alg
 from . import fields as fl
 from .errors import DegeneratePreimageError, FluxObstructionError, HopfionError
-from .lattice import Grid, LatticeField, SLOTS2, empty_form, forward_diff_symbols, wedge
+from .lattice import Grid, LatticeField, SLOTS2, dot, empty_form, forward_diff_symbols, wedge
 
 # Calibrated on the degree-1 ball ansatz and frozen; see README, conventions.
 CHERN_SIMONS_SU_N = 1.0 / (24.0 * np.pi ** 2)
@@ -170,23 +170,13 @@ def chern_simons_charge(a):
     terms = np.empty((4, n, n, n))
     for lo in range(0, n, _CS_SLAB):
         x = slice(lo, lo + _CS_SLAB)
-        par, perp = _split_slab(a, x)
+        par, perp = fl.split_data(a.a.data[x], a.phi, a.pair, x)
         terms[0, x] = _trace_wedge_data(par, par, par, T)
         np.multiply(3.0, _trace_wedge_data(par, par, perp, T), out=terms[1, x])
         np.multiply(3.0, _trace_wedge_data(par, perp, perp, T), out=terms[2, x])
         terms[3, x] = _trace_wedge_data(perp, perp, perp, T)
     total = sum(float(np.sum(t)) for t in terms) * a.grid.h ** 3
     return ChargeReport(cs_value=np.array([CHERN_SIMONS_SU_N * total]))
-
-
-def _split_slab(a, x):
-    """(par, perp) data of the potential a on the x-planes x, as split_form makes them."""
-    data = a.a.data[x]
-    if a.pair.dim_h == 0:
-        return np.zeros_like(data), data
-    if a.phi is None:
-        raise ValueError("isotropy split needs a reference map")
-    return alg.project_isotropy(a.pair, a.phi.values[x, :, :, None], data)
 
 
 def _subsample(field):
@@ -338,7 +328,7 @@ def _face_crossings(psi, p):
     """
     n = psi.grid.n
     p, e1, e2 = _orthonormal_frame(p)
-    f = [psi.values @ e1, psi.values @ e2, psi.values @ p]
+    f = [dot(psi.values, e) for e in (e1, e2, p)]
     crossings = []
     for rho in range(3):
         mu, nu = _FACE_AXES[rho]

@@ -1,4 +1,4 @@
-"""Storage layout: forms are component-major, maps and lifts C-contiguous.
+"""Storage layout: forms, maps and lifts are component-major.
 
 Every form builder is checked against the same formula evaluated on
 site-major (C-order) copies of its inputs, with np.array_equal: the layout
@@ -15,6 +15,8 @@ from hopfion import algebra as alg
 from hopfion import fields as fl
 from hopfion import io as hio
 from hopfion.energy import comm_wedge
+from hopfion.gauge import (make_stabilizer, projector_derivative_wedge, smooth_scalar,
+                           stabilizer_log_derivative)
 from hopfion.lattice import (SLOTS2, Grid, LatticeField, centered_diff, component_major, cross, d,
                              empty_form, forward_diff, integrate_3form, is_component_major,
                              l2_inner, wedge)
@@ -71,6 +73,30 @@ def _built(name, psi, u, raw, a):
     if name == "pullback_coisotropy":
         return fl.pullback_coisotropy(psi), np.stack(
             [0.5 * np.cross(psi.values, centered_diff(psi.values, mu, h)) for mu in range(3)], axis=3)
+    if name == "map_tangents":
+        tangents = fl.map_tangents(psi)
+        assert all(components_contiguous(t) for t in tangents)
+        p = np.ascontiguousarray(psi.values)
+        return LatticeField.from_slots(psi.grid, 1, tangents), np.stack(
+            [centered_diff(p, mu, h) for mu in range(3)], axis=3)
+    if name == "projector_derivative_wedge":
+        p = np.ascontiguousarray(psi.values)
+        v = [centered_diff(p, mu, h) for mu in range(3)]
+
+        def product(v, xi):
+            return (np.sum(xi * v, axis=-1, keepdims=True) * p
+                    + np.sum(xi * p, axis=-1, keepdims=True) * v)
+        return projector_derivative_wedge(psi, a), np.stack(
+            [product(v[mu], raw[:, :, :, nu]) - product(v[nu], raw[:, :, :, mu])
+             for mu, nu in SLOTS2], axis=3)
+    if name == "stabilizer_log_derivative_exact":
+        stab = make_stabilizer(psi, smooth_scalar(psi.grid, np.random.default_rng(3)))
+        p, w = np.ascontiguousarray(psi.values), np.ascontiguousarray(stab.w.values)
+        omega = np.stack([0.5 * np.cross(p, centered_diff(p, mu, h)) for mu in range(3)], axis=3)
+        ad_omega = alg.qrotate(alg.qconj(w)[:, :, :, None], omega)
+        return stabilizer_log_derivative(stab, scheme="exact"), np.stack(
+            [forward_diff(stab.theta, mu, h)[..., None] * p + ad_omega[:, :, :, mu]
+             - omega[:, :, :, mu] for mu in range(3)], axis=3)
     if name == "pure_gauge_potential":
         inv = alg.qconj(u.values)
         return fl.pure_gauge_potential(u).a, np.stack(
@@ -85,7 +111,8 @@ def _built(name, psi, u, raw, a):
 
 @pytest.mark.parametrize("name", [
     "from_site_major", "d", "wedge", "comm_wedge", "split_par", "split_perp",
-    "pullback_coisotropy", "pure_gauge_potential", "add", "sub"])
+    "pullback_coisotropy", "pure_gauge_potential", "add", "sub", "map_tangents",
+    "projector_derivative_wedge", "stabilizer_log_derivative_exact"])
 def test_forms_component_major_with_site_major_values(inputs, name):
     form, reference = _built(name, *inputs)
     assert is_component_major(form.data)
@@ -117,19 +144,52 @@ def test_reductions_sum_site_major(grid, rng):
     assert np.array_equal(integrate_3form(top), np.sum(site_major(top), axis=(0, 1, 2, 3)) * h3)
 
 
+def _site_field(grid, rng, kind):
+    """A map or a lift, and the constructor of its type."""
+    if kind == "map":
+        return smooth_cp1_map(grid, rng, amplitude=0.5), fl.MapField
+    return smooth_lift(grid, rng, amplitude=0.4), fl.LiftField
+
+
 @pytest.mark.parametrize("kind", ["map", "lift"])
-def test_map_and_lift_values_c_contiguous(grid, rng, kind):
+def test_map_and_lift_values_component_major(grid, rng, kind):
+    field, build = _site_field(grid, rng, kind)
+    c_order = np.ascontiguousarray(field.values)
+    from_c = build(grid, field.pair, c_order, renormalize=False)
+    from_cm = build(grid, field.pair, component_major(c_order), renormalize=False)
+    assert np.array_equal(from_c.values, from_cm.values)
+    for values in (from_c.values, from_cm.values, build(grid, field.pair, c_order).values):
+        assert components_contiguous(values) and not values.flags.c_contiguous
+    assert c_order.flags.writeable  # the caller's C-order array is copied, not frozen
+    psi, u = smooth_cp1_map(grid, rng, amplitude=0.5), smooth_lift(grid, rng, amplitude=0.4)
+    assert components_contiguous(fl.act(u, psi).values)
+
+
+@pytest.mark.parametrize("renormalize", [True, False])
+@pytest.mark.parametrize("kind", ["map", "lift"])
+def test_map_and_lift_values_frozen(grid, rng, kind, renormalize):
+    field, build = _site_field(grid, rng, kind)
+    c_order = np.ascontiguousarray(field.values)
+    for given in (c_order, component_major(c_order)):
+        values = build(grid, field.pair, given, renormalize=renormalize).values
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0, 0, 0] = 0.5
+
+
+def test_split_form_trusts_the_map(grid, rng, monkeypatch):
+    # the map was checked unit where it was built; a raw point is checked per call
     psi = smooth_cp1_map(grid, rng, amplitude=0.5)
-    u = smooth_lift(grid, rng, amplitude=0.4)
-    # qrotate on a component-major operand returns a component-major array
-    rotated = alg.qrotate(u.values, component_major(psi.values))
-    assert components_contiguous(rotated) and not rotated.flags.c_contiguous
-    values = rotated if kind == "map" else component_major(u.values)
-    field = (fl.MapField(grid, psi.pair, values, renormalize=False) if kind == "map"
-             else fl.LiftField(grid, u.pair, values, renormalize=False))
-    assert field.values.flags.c_contiguous
-    assert np.array_equal(field.values, values)
-    assert fl.act(u, psi).values.flags.c_contiguous
+    a = LatticeField(grid, 2, rng.standard_normal((N,) * 3 + (3, 3)))
+    calls = []
+    check_unit = alg.check_unit
+    monkeypatch.setattr(alg, "check_unit",
+                        lambda q, what: calls.append(what) or check_unit(q, what))
+    par, perp = fl.split_form(a, psi)
+    assert calls == []
+    raw = alg.project_isotropy(psi.pair, psi.values[:, :, :, None], a.data)
+    assert len(calls) == 1
+    assert np.array_equal(par.data, raw[0]) and np.array_equal(perp.data, raw[1])
 
 
 def test_potential_snapshot_bytes_site_major(tmp_path, grid, rng):

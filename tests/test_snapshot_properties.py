@@ -145,4 +145,8 @@ def test_text_chunks_match_per_value_repr(cols, extra, sep, distinct, drawn, see
     values[rng.integers(nrows * cols, size=2 * len(_EXPORT_SPECIALS))] = _EXPORT_SPECIALS * 2
     rows = values.reshape(nrows, cols)
     oracle = "".join(sep.join(map(repr, row)) + "\n" for row in rows.tolist())
-    assert b"".join(hio._text_chunks("head", rows, sep)) == ("head\n" + oracle).encode("utf-8")
+    expected = ("head\n" + oracle).encode("utf-8")
+    assert b"".join(hio._text_chunks("head", [rows], sep)) == expected
+    # the rows cut into two blocks anywhere give the same bytes
+    cut = int(rng.integers(nrows + 1))
+    assert b"".join(hio._text_chunks("head", [rows[:cut], rows[cut:]], sep)) == expected

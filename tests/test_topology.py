@@ -13,8 +13,6 @@ from hopfion.lattice import Grid, LatticeField, d, l2_norm
 import oracles
 from oracles import gauss_integral_linking, signed_preimage_count, volume_degree
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestChernSimons:
     def test_zero_potential(self, grid16):
