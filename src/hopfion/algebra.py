@@ -18,10 +18,11 @@ round exactly as the np.sum / np.cross / np.sinc formulas they replaced;
 they take their last-axis cross and dot from lattice, except qmul, which
 writes its dot and cross term by term into the slots of its output.
 
-Storage: qmul, qconj, qrotate and the CP1 split allocate their results
-like their operand of full shape, so component-major forms, maps and
-lifts (see lattice) give component-major results whose components are
-contiguous blocks.
+Storage: every kernel takes per-site values as they are stored, on the
+last axis.  qmul, qconj, qrotate, the CP1 split and plaquette_areas'
+corner gradients allocate their results like their operand of full shape,
+so component-major forms, maps and lifts (see lattice) give
+component-major results whose components are contiguous blocks.
 """
 
 from __future__ import annotations
@@ -416,12 +417,9 @@ def cp1_point_of(g):
 def _triangle(a, b, c, with_grads):
     """Signed area 2 atan2(a.(b x c), 1 + a.b + b.c + c.a) [, vertex gradients].
 
-    a, b and c are component-major (3, n, n, n); cross and dot see them as
-    np.moveaxis(x, 0, -1) views, whose components are the same contiguous
-    blocks (taken by transpose, which costs a twentieth of moveaxis's
-    call overhead; at n = 24 that overhead is measurable in relax).
+    a, b and c hold 3-vectors on the last axis; the gradients are laid out
+    like them (lattice.cross allocates like its operands).
     """
-    a, b, c = (x.transpose(1, 2, 3, 0) for x in (a, b, c))
     bxc = cross(b, c)
     n = dot(a, bxc)
     d = 1.0 + dot(a, b)
@@ -439,28 +437,31 @@ def _triangle(a, b, c, with_grads):
         uv *= cd
         x += uv
         del uv
-        out.append(x.transpose(3, 0, 1, 2))
+        out.append(x)
     return out
 
 
 def plaquette_areas(p, with_grads=False):
     """Signed spherical areas swept by the lattice plaquettes of a CP1 map.
 
-    p holds unit vectors component-major, shape (3, n, n, n).  Yields
-    ((mu, nu), area) slot by slot in SLOTS2 order; area[x] sums the geodesic
-    triangles (x, x+mu, x+mu+nu) and (x, x+mu+nu, x+nu).  with_grads adds
-    the gradients of area[x] at the corners x, x+mu, x+mu+nu and x+nu.
-    Every product and sum matches np.cross and np.sum(..., axis=-1) term
-    for term (IEEE + and * commute), so results round as the site-major
-    formula does; arithmetic runs in place to spare temporaries.
+    p holds unit 3-vectors on its last axis, shape (n, n, n, 3), in any
+    layout: a map's component-major values as stored, or a C-order array.
+    Yields ((mu, nu), area) slot by slot in SLOTS2 order, rolling p along
+    grid axes mu and nu; area[x] sums the geodesic triangles
+    (x, x+mu, x+mu+nu) and (x, x+mu+nu, x+nu).  with_grads adds the
+    gradients of area[x] at the corners x, x+mu, x+mu+nu and x+nu, laid out
+    like p.  Every product and sum matches np.cross and
+    np.sum(..., axis=-1) term for term, so results round as the site-major
+    formula does, in either layout; arithmetic runs in place to spare
+    temporaries.
     """
     for mu, nu in SLOTS2:
         # x+mu is freed before x+nu is made: two shifted copies at a time
-        p10 = np.roll(p, -1, axis=mu + 1)
-        p11 = np.roll(p10, -1, axis=nu + 1)
+        p10 = np.roll(p, -1, axis=mu)
+        p11 = np.roll(p10, -1, axis=nu)
         first = _triangle(p, p10, p11, with_grads)
         del p10
-        p01 = np.roll(p, -1, axis=nu + 1)
+        p01 = np.roll(p, -1, axis=nu)
         second = _triangle(p, p11, p01, with_grads)
         del p11, p01
         if not with_grads:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import fields as fl
-from .lattice import LatticeField, SLOTS2, centered_diff, cross, dot, empty_form, wedge
+from .lattice import LatticeField, SLOTS2, centered_diff, cross, dot, empty_component_major, wedge
 
 # Site-wise ratio of the commutator-wedge Skyrme density to the literal
 # cross-product form on the half-scaled differential: |[x, y]| = 2 |x cross y|
@@ -50,7 +50,7 @@ def comm_wedge(omega, pair):
     if pair.group_kind == "quaternion":
         # one cross per slot: cross(w_nu, w_mu) is exactly -c, so the
         # wedge's c - cross(w_nu, w_mu) is c + c
-        data = empty_form(omega.data.shape[:3] + (len(SLOTS2), omega.vdim))
+        data = empty_component_major(omega.data.shape[:3] + (len(SLOTS2), omega.vdim))
         for slot, (mu, nu) in enumerate(SLOTS2):
             c = cross(omega.slot(mu), omega.slot(nu))
             np.add(c, c, out=data[:, :, :, slot])
@@ -136,10 +136,10 @@ def descent_energy(psi):
     if not psi.is_cp1:
         raise ValueError("the descent objective is implemented for the CP1 target")
     h = psi.grid.h
-    p = np.moveaxis(psi.values, -1, 0)
-    e2 = np.zeros(p.shape[1:])
+    p = psi.values
+    e2 = np.zeros(p.shape[:3])
     for mu in range(3):
-        delta = (np.roll(p, -1, axis=mu + 1) - p).transpose(1, 2, 3, 0)  # (n, n, n, 3) view
+        delta = np.roll(p, -1, axis=mu) - p
         e2 += dot(delta, delta)
     e4 = np.zeros_like(e2)
     for _, area in alg.plaquette_areas(p):
@@ -154,20 +154,19 @@ def descent_gradient(psi):
     if not psi.is_cp1:
         raise ValueError("the descent objective is implemented for the CP1 target")
     h = psi.grid.h
-    p = np.moveaxis(psi.values, -1, 0)
+    p = psi.values
     grad = np.zeros_like(p)
     for mu in range(3):
-        grad += 0.25 * h * (
-            2.0 * p - np.roll(p, -1, axis=mu + 1) - np.roll(p, 1, axis=mu + 1))
+        grad += 0.25 * h * (2.0 * p - np.roll(p, -1, axis=mu) - np.roll(p, 1, axis=mu))
     for (mu, nu), area, (g00, g10, g11, g01) in alg.plaquette_areas(p, with_grads=True):
-        w = (1.0 / (8.0 * h)) * area
+        w = ((1.0 / (8.0 * h)) * area)[..., None]
         grad += w * g00
-        grad += np.roll(w * g10, 1, axis=mu + 1)
-        grad += np.roll(np.roll(w * g11, 1, axis=mu + 1), 1, axis=nu + 1)
-        grad += np.roll(w * g01, 1, axis=nu + 1)
-    grad -= dot(grad.transpose(1, 2, 3, 0), p.transpose(1, 2, 3, 0)) * p
+        grad += np.roll(w * g10, 1, axis=mu)
+        grad += np.roll(np.roll(w * g11, 1, axis=mu), 1, axis=nu)
+        grad += np.roll(w * g01, 1, axis=nu)
+    grad -= dot(grad, p)[..., None] * p
     # C order, so that reductions over the returned gradient run as before
-    return np.ascontiguousarray(np.moveaxis(grad, 0, -1))
+    return np.ascontiguousarray(grad)
 
 
 def energy_gradient(psi):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import algebra as alg
 from .lattice import (LatticeField, SLOTS2, centered_diff, component_major, cross,
-                      empty_component_major, empty_form)
+                      empty_component_major)
 
 
 class _SiteField:
@@ -155,7 +155,7 @@ def pure_gauge_potential(u, phi=None):
     against phi (default: the constant map for su2_u1, none otherwise)."""
     h = u.grid.h
     inv = u.inverse_values()
-    data = empty_form(u.values.shape[:3] + (3, u.pair.dim_g))
+    data = empty_component_major(u.values.shape[:3] + (3, u.pair.dim_g))
     for mu in range(3):
         ell = u.pair.mul(inv, np.roll(u.values, -1, axis=mu))
         if u.pair.group_kind == "quaternion":
@@ -213,7 +213,7 @@ def pullback_coisotropy(psi):
     """
     g = psi.grid
     if psi.is_cp1:
-        data = empty_form(psi.values.shape[:3] + (3, 3))
+        data = empty_component_major(psi.values.shape[:3] + (3, 3))
         for mu in range(3):
             v = centered_diff(psi.values, mu, g.h)
             np.multiply(0.5, cross(psi.values, v), out=data[:, :, :, mu])

@@ -24,8 +24,8 @@ from . import algebra as alg
 from . import fields as fl
 from .energy import comm_wedge, energy_map, energy_potential
 from .errors import ConfigError
-from .lattice import (Grid, LatticeField, d, dot, empty_form, forward_diff, forward_diff_symbols,
-                      l2_norm, wedge)
+from .lattice import (Grid, LatticeField, d, dot, empty_component_major, forward_diff,
+                      forward_diff_symbols, l2_norm, wedge)
 
 ISOTROPY_TOL = 1e-10
 
@@ -75,7 +75,7 @@ def stabilizer_log_derivative(stab, scheme="log"):
     h = grid.h
     omega = fl.pullback_coisotropy(stab.phi)
     ad_omega = ad_inverse_apply(stab.w, omega)
-    data = empty_form(omega.data.shape)
+    data = empty_component_major(omega.data.shape)
     for mu in range(3):
         dest = np.multiply(forward_diff(stab.theta, mu, h)[..., None], stab.phi.values,
                            out=data[:, :, :, mu])

@@ -35,7 +35,7 @@ class SnapshotError(Exception):
 
 
 def _atomic_write(path, payload):
-    """Write bytes, or an iterable of byte chunks, to path in one rename."""
+    """Write bytes, or an iterable of bytes-like chunks, to path in one rename."""
     chunks = (payload,) if isinstance(payload, bytes) else payload
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hopf-tmp-")
@@ -51,9 +51,8 @@ def _atomic_write(path, payload):
 
 
 def _site_payload(values):
-    """Sites x-fastest, components innermost: transpose to (z, y, x, comps)."""
-    flat = values.reshape(values.shape[:3] + (-1,))
-    return np.ascontiguousarray(flat.transpose(2, 1, 0, 3)).astype("<f8")
+    """Sites x-fastest, components innermost: one little-endian copy in (z, y, x, comps) order."""
+    return np.ascontiguousarray(values.transpose(2, 1, 0, *range(3, values.ndim)), dtype="<f8")
 
 
 def write_snapshot(path, obj, extra_meta=None):
@@ -88,8 +87,7 @@ def write_snapshot(path, obj, extra_meta=None):
         meta.update(extra_meta)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     header = MAGIC + struct.pack("<II", FORMAT_VERSION, len(meta_bytes))
-    payload = _site_payload(values.reshape(values.shape[:3] + (ncomp,)))
-    _atomic_write(path, header + meta_bytes + payload.tobytes())
+    _atomic_write(path, (header + meta_bytes, _site_payload(values)))
 
 
 def _is_count(value):

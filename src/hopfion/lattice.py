@@ -8,16 +8,19 @@ to zero.  2-form slots are ordered (xy, xz, yz) and carry the single
 sum-over-i<j convention, so for Lie-algebra-valued 1-forms
 (a ^ a)_{ij} = [a_i, a_j].
 
-Storage is component-major.  A form's data has the logical shape
-(n, n, n, slots, v), but it is a transposed view of one C-contiguous
-(v, slots, n, n, n) buffer, so every data[:, :, :, s, k] is a single
-contiguous n^3 block and component arithmetic reads no strided views.
-empty_form allocates that layout; elementwise ufuncs, np.roll and
-np.empty_like keep it, so d, wedge and field arithmetic carry it through.
-LatticeField copies data of any other layout once, on construction; map
-and lift values (fields) are laid out alike, by empty_component_major.
-Reductions multiply or copy into a site-major buffer first, so every sum
-runs in the order it ran on site-major data.
+Storage is component-major, by one rule for every per-site array: data of
+logical shape (n, n, n) + value axes is a transposed view of one
+C-contiguous buffer that holds the value axes reversed, then the grid
+axes.  A form's (n, n, n, slots, v) data lives in a (v, slots, n, n, n)
+buffer and a map's (n, n, n, 3) values in a (3, n, n, n) one, so every
+component is a single contiguous n^3 block and component arithmetic reads
+no strided views.  empty_component_major allocates that layout,
+is_component_major tests for it and component_major copies other data
+into it, x-plane by x-plane; LatticeField and the map and lift fields
+(fields) call it once, on construction.  Elementwise ufuncs, np.roll and
+np.empty_like keep the layout, so d, wedge and field arithmetic carry it
+through.  Reductions multiply or copy into a site-major buffer first, so
+every sum runs in the order it ran on site-major data.
 
 cross and dot are the package's one last-axis cross and dot product of
 3-vectors, in the operation order of np.cross and np.sum(a * b, axis=-1),
@@ -64,37 +67,35 @@ class Grid:
         return np.stack([x, y, z], axis=-1)
 
 
-def empty_form(shape, dtype=float):
-    """Uninitialized form data of logical shape (n, n, n, slots, v), component-major."""
-    n0, n1, n2, slots, v = shape
-    return np.empty((v, slots, n0, n1, n2), dtype).transpose(2, 3, 4, 1, 0)
+def empty_component_major(shape, dtype=float):
+    """Uninitialized per-site data of shape (n, n, n) + value axes, component-major."""
+    k = len(shape) - 3
+    buffer = np.empty(shape[:2:-1] + shape[:3], dtype)
+    return buffer.transpose(*range(k, k + 3), *range(k - 1, -1, -1))
 
 
 def is_component_major(data):
-    """True when data (n, n, n, slots, v) is laid out as empty_form lays it out."""
-    return data.transpose(4, 3, 0, 1, 2).flags.c_contiguous
-
-
-def empty_component_major(shape, dtype=float):
-    """Uninitialized (..., c) values, each component [..., k] one C-contiguous block."""
-    return np.moveaxis(np.empty(shape[-1:] + shape[:-1], dtype), 0, -1)
-
-
-def component_major(a):
-    """a, or a copy of it laid out as empty_component_major lays it out."""
-    a = np.asarray(a)
-    if a.ndim < 2 or a[..., 0].flags.c_contiguous:
-        return a
-    out = empty_component_major(a.shape, a.dtype)
-    out[...] = a
-    return out
+    """True when per-site data is laid out as empty_component_major lays it out."""
+    return data.transpose(*range(data.ndim - 1, 2, -1), 0, 1, 2).flags.c_contiguous
 
 
 def _planes(data):
-    """Form data as x-planes of shape (v, slots, n, n): each component of a
-    component-major plane is one contiguous block.  Copying plane by plane
-    between layouts keeps both sides in cache."""
-    return data.transpose(0, 4, 3, 1, 2)
+    """Per-site data as x-planes of shape (value axes reversed, n, n): each
+    component of a component-major plane is one contiguous block.  Copying
+    plane by plane between layouts keeps both sides in cache."""
+    return data.transpose(0, *range(data.ndim - 1, 2, -1), 1, 2)
+
+
+def component_major(data):
+    """data, or a copy of it laid out as empty_component_major lays it out,
+    made x-plane by x-plane."""
+    data = np.asarray(data)
+    if is_component_major(data):
+        return data
+    copy = empty_component_major(data.shape, data.dtype)
+    for dest, plane in zip(_planes(copy), _planes(data)):
+        dest[...] = plane
+    return copy
 
 
 def empty_like_operands(shape, dtype, *operands):
@@ -128,11 +129,7 @@ class LatticeField:
             raise ValueError("data must have shape (n, n, n, slots, v)")
         if not np.all(np.isfinite(data)):
             raise ValueError("field data contains NaN or Inf")
-        if not is_component_major(data):
-            copy = empty_form(data.shape, data.dtype)
-            for dest, plane in zip(_planes(copy), _planes(data)):
-                dest[...] = plane
-            data = copy
+        data = component_major(data)
         data.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "degree", degree)
@@ -148,7 +145,7 @@ class LatticeField:
     @classmethod
     def zeros(cls, grid, degree, vdim):
         n = grid.n
-        data = empty_form((n, n, n, SLOT_COUNT[degree], vdim))
+        data = empty_component_major((n, n, n, SLOT_COUNT[degree], vdim))
         data[...] = 0.0
         return cls(grid, degree, data)
 
@@ -156,8 +153,8 @@ class LatticeField:
     def from_slots(cls, grid, degree, slots):
         """Build from a list of per-slot arrays shaped (n, n, n, v)."""
         n = grid.n
-        data = empty_form((n, n, n, len(slots)) + np.shape(slots[0])[3:],
-                          np.result_type(*slots))
+        data = empty_component_major((n, n, n, len(slots)) + np.shape(slots[0])[3:],
+                                     np.result_type(*slots))
         for index, values in enumerate(slots):
             data[:, :, :, index] = values
         return cls(grid, degree, data)
@@ -231,7 +228,7 @@ def d(f):
     n = f.grid.n
     if f.degree == 3:
         raise ValueError("cannot take d of a 3-form")
-    out = empty_form((n, n, n, SLOT_COUNT[f.degree + 1], f.vdim), f.data.dtype)
+    out = empty_component_major((n, n, n, SLOT_COUNT[f.degree + 1], f.vdim), f.data.dtype)
     if f.degree == 0:
         for mu in range(3):
             forward_diff(f.slot(0), mu, h, out=out[:, :, :, mu])
@@ -299,8 +296,8 @@ def wedge(alpha, beta, product):
         for slot, (mu, nu) in enumerate(SLOTS2):
             first = product(alpha.slot(mu), beta.slot(nu))
             if data is None:
-                data = empty_form(first.shape[:3] + (len(SLOTS2),) + first.shape[3:],
-                                  first.dtype)
+                data = empty_component_major(first.shape[:3] + (len(SLOTS2),) + first.shape[3:],
+                                             first.dtype)
             np.subtract(first, product(alpha.slot(nu), beta.slot(mu)), out=data[:, :, :, slot])
         return LatticeField(g, 2, data)
     if ka == 2:

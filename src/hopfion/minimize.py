@@ -32,7 +32,7 @@ import numpy as np
 
 from .energy import descent_energy, descent_gradient
 from .errors import ConfigError, FluxObstructionError
-from .lattice import forward_diff_symbols
+from .lattice import empty_component_major, forward_diff_symbols
 from .topology import whitehead_charge
 
 ARMIJO_C = 1e-4
@@ -240,7 +240,9 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
 
     psi, termination = descend(
         descent_energy, descent_gradient, psi0,
-        retract=lambda psi, v: psi.with_values(psi.values + v),
+        # the sum is laid out like the values, so the constructor's norm reads contiguous blocks
+        retract=lambda psi, v: psi.with_values(
+            np.add(psi.values, v, out=empty_component_major(psi.values.shape))),
         project=_tangent, step_init=STEP_INIT, max_iters=cfg.max_iters,
         on_step=on_step, step_cap=STEP_CAP, precondition=_sobolev(psi0.grid))
     return RelaxRun(history, psi, termination, cfg)

@@ -28,7 +28,8 @@ import numpy as np
 from . import algebra as alg
 from . import fields as fl
 from .errors import DegeneratePreimageError, FluxObstructionError, HopfionError
-from .lattice import Grid, LatticeField, SLOTS2, dot, empty_form, forward_diff_symbols, wedge
+from .lattice import (Grid, LatticeField, SLOTS2, dot, empty_component_major, forward_diff_symbols,
+                      wedge)
 
 # Calibrated on the degree-1 ball ansatz and frozen; see README, conventions.
 CHERN_SIMONS_SU_N = 1.0 / (24.0 * np.pi ** 2)
@@ -227,8 +228,8 @@ def area_flux_2form(psi):
         raise ValueError("area flux needs a CP1 map")
     # the plaquette area approximates h^2 times the 2-form component
     n = psi.grid.n
-    out = empty_form((n, n, n, len(SLOTS2), 1))
-    for slot, (_, area) in enumerate(alg.plaquette_areas(np.moveaxis(psi.values, -1, 0))):
+    out = empty_component_major((n, n, n, len(SLOTS2), 1))
+    for slot, (_, area) in enumerate(alg.plaquette_areas(psi.values)):
         np.divide(area, 4.0 * np.pi * psi.grid.h ** 2, out=out[:, :, :, slot, 0])
     return LatticeField(psi.grid, 2, out)
 
@@ -255,7 +256,7 @@ def solve_vector_potential(F):
 
     # F_{nu mu} = -F_{mu nu}: one transform per slot, the sign applied at use
     Fhat = [np.fft.fftn(F.slot(slot)[..., 0]) for slot in range(len(SLOTS2))]
-    out = empty_form((n, n, n, 3, 1))
+    out = empty_component_major((n, n, n, 3, 1))
     for nu in range(3):
         acc = np.zeros((n, n, n), dtype=complex)
         for mu in range(3):
@@ -478,7 +479,7 @@ def gauss_linking(curve1, curve2):
     g = curve2[None, :-1] - curve1[:-1, None]
     with np.errstate(invalid="ignore"):
         g /= np.linalg.norm(g, axis=-1, keepdims=True)
-    _, area = next(alg.plaquette_areas(np.moveaxis(g, -1, 0)[..., None]))
+    _, area = next(alg.plaquette_areas(g[:, :, None]))
     if not np.all(np.abs(area) < 2.0 * np.pi):
         raise DegeneratePreimageError("preimage curves touch; linking number undefined")
     return int(np.rint(np.sum(area) / (4.0 * np.pi)))

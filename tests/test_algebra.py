@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hopfion import algebra as alg
-from hopfion.lattice import Grid, LatticeField
+from hopfion.lattice import Grid, LatticeField, component_major, is_component_major
 import oracles
 
 I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -348,10 +348,10 @@ def test_plaquette_area_corner_gradients(rng):
     # triangle t lies on the (0, 1) plaquette anchored at (2i, 2j, k): a at
     # the anchor, b at +x, c at +x+y and a random fourth corner at +y; the
     # 2x2 blocks are disjoint, so each plaquette area sees only its corners
-    p = np.moveaxis(alg.cp1_point_of(alg.random_unit_quaternions(rng, (8, 8, 8))), -1, 0).copy()
+    p = alg.cp1_point_of(alg.random_unit_quaternions(rng, (8, 8, 8)))
     i, j, k = np.unravel_index(np.arange(32), (4, 4, 2))
     x, y = 2 * i, 2 * j
-    p[:, x, y, k], p[:, x + 1, y, k], p[:, x + 1, y + 1, k] = a.T, b.T, c.T
+    p[x, y, k], p[x + 1, y, k], p[x + 1, y + 1, k] = a, b, c
 
     def slot_xy(q, with_grads=False):
         return next(alg.plaquette_areas(q, with_grads))
@@ -362,8 +362,20 @@ def test_plaquette_area_corner_gradients(rng):
     for (dx, dy), grad in zip(((0, 0), (1, 0), (1, 1), (0, 1)), grads):
         d = rng.standard_normal((32, 3))
         p_p, p_m = p.copy(), p.copy()
-        p_p[:, x + dx, y + dy, k] += eps * d.T
-        p_m[:, x + dx, y + dy, k] -= eps * d.T
+        p_p[x + dx, y + dy, k] += eps * d
+        p_m[x + dx, y + dy, k] -= eps * d
         fd = (slot_xy(p_p)[1][x, y, k] - slot_xy(p_m)[1][x, y, k]) / (2 * eps)
-        an = np.sum(grad[:, x, y, k].T * d, axis=-1)
+        an = np.sum(grad[x, y, k] * d, axis=-1)
         assert np.max(np.abs(fd - an)) < 1e-6
+
+
+def test_plaquette_areas_read_either_layout(rng):
+    # values as a map stores them or as a C-order array: the same bits
+    p = alg.cp1_point_of(alg.random_unit_quaternions(rng, (8, 8, 8)))
+    stored = component_major(p)
+    assert p.flags.c_contiguous and is_component_major(stored)
+    for c_order, cm in zip(alg.plaquette_areas(p, with_grads=True),
+                           alg.plaquette_areas(stored, with_grads=True)):
+        assert c_order[0] == cm[0]
+        for x, y in zip((c_order[1], *c_order[2]), (cm[1], *cm[2])):
+            assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))

@@ -18,8 +18,8 @@ from hopfion.energy import comm_wedge
 from hopfion.gauge import (make_stabilizer, projector_derivative_wedge, smooth_scalar,
                            stabilizer_log_derivative)
 from hopfion.lattice import (SLOTS2, Grid, LatticeField, centered_diff, component_major, cross, d,
-                             empty_form, forward_diff, integrate_3form, is_component_major,
-                             l2_inner, wedge)
+                             empty_component_major, forward_diff, integrate_3form,
+                             is_component_major, l2_inner, wedge)
 
 N = 10
 
@@ -121,17 +121,34 @@ def test_forms_component_major_with_site_major_values(inputs, name):
     assert np.array_equal(form.data, reference)
 
 
-def test_empty_form_and_conversion(grid, rng):
-    data = empty_form((N,) * 3 + (3, 3))
+def _form_data(grid, x):
+    return LatticeField(grid, 1, x).data
+
+
+def _map_values(grid, x):
+    return fl.MapField(grid, alg.su2_u1(), x, renormalize=False).values
+
+
+@pytest.mark.parametrize("value_shape, buffer_axes, build", [
+    ((3, 3), (4, 3, 0, 1, 2), _form_data), ((3,), (3, 0, 1, 2), _map_values)],
+    ids=["form", "site"])
+def test_empty_component_major_and_conversion(grid, rng, value_shape, buffer_axes, build):
+    # one rule for a form's (slots, v) and a site's (c,) value axes
+    shape = (N,) * 3 + value_shape
+    data = empty_component_major(shape)
+    assert data.shape == shape
     assert is_component_major(data) and not data.flags.c_contiguous
-    assert data.transpose(4, 3, 0, 1, 2).flags.c_contiguous
-    raw = rng.standard_normal((N,) * 3 + (3, 3))
-    field = LatticeField(grid, 1, raw)
-    assert field.data is not raw and raw.flags.writeable  # the caller's array is copied, not frozen
-    assert not field.data.flags.writeable
+    assert data.transpose(buffer_axes).flags.c_contiguous
+    raw = rng.standard_normal(shape)
+    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)  # unit, as a map's values must be
+    copy = component_major(raw)
+    assert is_component_major(copy) and np.array_equal(copy, raw)
+    assert component_major(copy) is copy
+    built = build(grid, raw)
+    assert built is not raw and raw.flags.writeable  # the caller's array is copied, not frozen
+    assert not built.flags.writeable and np.array_equal(built, raw)
     # component-major data is taken as it is
-    again = LatticeField(grid, 1, field.data)
-    assert np.shares_memory(again.data, field.data)
+    assert np.shares_memory(build(grid, built), built)
 
 
 def test_reductions_sum_site_major(grid, rng):
@@ -202,6 +219,22 @@ def test_potential_snapshot_bytes_site_major(tmp_path, grid, rng):
     blob = path.read_bytes()
     assert blob[-len(payload):] == payload
     assert len(blob) == 12 + int.from_bytes(blob[8:12], "little") + len(payload)
+
+
+@pytest.mark.parametrize("kind", ["map", "lift", "potential"])
+def test_snapshot_write_holds_one_payload_copy(tmp_path, kind):
+    # the payload is copied once into file order and written as it is
+    psi, u = fl.make_ansatz("hopf", Grid(32), 1)
+    obj = {"map": psi, "lift": u, "potential": fl.pure_gauge_potential(u)}[kind]
+    values = obj.a.data if kind == "potential" else obj.values
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        hio.write_snapshot(tmp_path / "s.hopf", obj)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / values.nbytes <= 1.25
 
 
 def test_d_writes_into_one_form():
