@@ -24,8 +24,8 @@ from . import algebra as alg
 from . import fields as fl
 from .energy import comm_wedge, energy_map, energy_potential
 from .errors import ConfigError
-from .lattice import (Grid, LatticeField, d, dot, empty_component_major, forward_diff,
-                      forward_diff_symbols, l2_norm, wedge)
+from .lattice import (Grid, LatticeField, coulomb_solve, d, dot, empty_component_major, forward_diff,
+                      l2_norm, wedge)
 
 ISOTROPY_TOL = 1e-10
 
@@ -415,16 +415,13 @@ def gauge_smooth(b):
 
     Ad(w^-1) fixes phi, so an isotropy-valued b = beta phi goes to
     b^w = (beta + d theta) phi, and the minimizer is the discrete Coulomb
-    gauge: forward-difference div(beta + d theta) = 0, solved exactly by
-    one FFT per axis with the zero mode of theta set to 0.
+    gauge: backward-difference div(beta + d theta) = 0, solved exactly by
+    theta = -coulomb_solve(beta), whose zero mode is 0.
     """
     phi = b.phi
     if phi is None or not phi.is_cp1:
         raise ValueError("gauge smoothing is implemented for the CP1 pair")
     _require_isotropic(b.a, phi)
-    s, S = forward_diff_symbols(b.grid)
-    theta_hat = sum(np.conj(s[mu]) * np.fft.fftn(dot(b.a.slot(mu), phi.values))
-                    for mu in range(3))
-    theta_hat /= -S
-    theta_hat[(0,) * 3] = 0.0
-    return make_stabilizer(phi, np.real(np.fft.ifftn(theta_hat)))
+    beta = LatticeField.from_slots(b.grid, 1, [dot(b.a.slot(mu), phi.values)[..., None]
+                                               for mu in range(3)])
+    return make_stabilizer(phi, -coulomb_solve(beta).slot(0)[..., 0])

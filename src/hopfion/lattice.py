@@ -199,20 +199,51 @@ def forward_diff(arr, axis, h, out=None):
 
 
 def forward_diff_symbols(grid):
-    """Fourier symbols of forward_diff under np.fft.fftn, and their squared sum.
+    """Fourier symbols of forward_diff on the np.fft.rfftn half spectrum, and their squared sum.
 
-    s[mu] = (exp(2 pi i k_mu / n) - 1) / h, broadcast along axis mu, and
+    s[mu] = (exp(2 pi i k_mu / n) - 1) / h, broadcast along axis mu, where k_2
+    runs over the n // 2 + 1 frequencies rfftn keeps on the last axis, and
     S = sum_mu |s[mu]|^2, the symbol of minus the lattice Laplacian (the
     backward-difference divergence of the forward-difference gradient),
     with its zero mode set to 1 so that it divides.
     """
     n, h = grid.n, grid.h
     k = np.fft.fftfreq(n, d=1.0 / n)
-    sym = (np.exp(2j * np.pi * k / n) - 1.0) / h
-    s = [sym.reshape([-1 if ax == m else 1 for ax in range(3)]) for m in range(3)]
+    s = [(np.exp(2j * np.pi * km / n) - 1.0) / h
+         for km in (k[:, None, None], k[None, :, None], np.fft.rfftfreq(n, d=1.0 / n)[None, None])]
     S = sum(np.abs(sm) ** 2 for sm in s)
     S[(0,) * 3] = 1.0
     return s, S
+
+
+def coulomb_solve(form):
+    """P = L^-1 div(form), the inverse of d in Coulomb gauge: a form one degree lower.
+
+    div is the backward-difference adjoint of d: sum_mu conj(s_mu) b_mu on a
+    1-form b, and sum_mu conj(s_mu) F_{mu nu} in slot nu of a 2-form F.  L is
+    minus the lattice Laplacian.  So dP(F) = F for a closed F with zero flux
+    through every coordinate 2-torus, and b - dP(b) is divergence free.  div
+    has no zero mode, so P has zero mean.  Each input slot goes through one
+    rfftn, each output slot through one irfftn.
+    """
+    if form.degree not in (1, 2):
+        raise ValueError("coulomb_solve needs a 1-form or a 2-form")
+    n = form.grid.n
+    s, S = forward_diff_symbols(form.grid)
+    axes = (0, 1, 2)
+    out = empty_component_major((n, n, n, SLOT_COUNT[form.degree - 1], form.vdim))
+    for c in range(form.vdim):
+        hat = [np.fft.rfftn(form.data[:, :, :, slot, c], axes=axes)
+               for slot in range(SLOT_COUNT[form.degree])]
+        if form.degree == 1:
+            divs = [sum(np.conj(s[mu]) * hat[mu] for mu in range(3))]
+        else:   # F_{nu mu} = -F_{mu nu}: one transform per slot, the sign applied at use
+            divs = [sum(np.conj(s[mu]) * hat[SLOTS2.index((mu, nu))] if mu < nu
+                        else -np.conj(s[mu]) * hat[SLOTS2.index((nu, mu))]
+                        for mu in range(3) if mu != nu) for nu in range(3)]
+        for slot, acc in enumerate(divs):
+            out[:, :, :, slot, c] = np.fft.irfftn(acc / S, s=(n, n, n), axes=axes)
+    return LatticeField(form.grid, form.degree - 1, out)
 
 
 def centered_diff(arr, axis, h):

@@ -251,7 +251,6 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
 def _sobolev(grid):
     """v -> (I - SOBOLEV_KAPPA Lap_h)^-1 v per component, by a real FFT over the grid axes."""
     _, S = forward_diff_symbols(grid)
-    S = S[:, :, :grid.n // 2 + 1]      # the rfftn half of the symbol
     S[0, 0, 0] = 0.0
     symbol = (1.0 / (1.0 + SOBOLEV_KAPPA * S))[..., None]
     axes = (0, 1, 2)

@@ -8,9 +8,9 @@ conventions.
 
 Whitehead route: the pullback of the normalized area form is realized as
 the signed spherical area swept by each plaquette (quantized fluxes, so
-the form is exactly closed cell by cell), dA = F is solved spectrally with
-the exact symbol of the forward-difference complex, and the charge is the
-integral of A ^ F.
+the form is exactly closed cell by cell), dA = F is solved in Coulomb gauge
+by lattice.coulomb_solve, exact at every Fourier mode of the
+forward-difference complex, and the charge is the integral of A ^ F.
 
 Linking route: preimage polylines of two regular values are extracted by
 marching through lattice cells, and their linking number is the degree of
@@ -28,8 +28,7 @@ import numpy as np
 from . import algebra as alg
 from . import fields as fl
 from .errors import DegeneratePreimageError, FluxObstructionError, HopfionError
-from .lattice import (Grid, LatticeField, SLOTS2, dot, empty_component_major, forward_diff_symbols,
-                      wedge)
+from .lattice import Grid, LatticeField, SLOTS2, coulomb_solve, dot, empty_component_major, wedge
 
 # Calibrated on the degree-1 ball ansatz and frozen; see README, conventions.
 CHERN_SIMONS_SU_N = 1.0 / (24.0 * np.pi ** 2)
@@ -244,32 +243,6 @@ def _check_fluxes(F):
     return worst
 
 
-def solve_vector_potential(F):
-    """A with dA = F, Coulomb-type, via the exact forward-difference symbol.
-
-    Exact at every Fourier mode where F is closed; the zero modes of A are
-    set to zero.
-    """
-    grid = F.grid
-    n = grid.n
-    s, S = forward_diff_symbols(grid)
-
-    # F_{nu mu} = -F_{mu nu}: one transform per slot, the sign applied at use
-    Fhat = [np.fft.fftn(F.slot(slot)[..., 0]) for slot in range(len(SLOTS2))]
-    out = empty_component_major((n, n, n, 3, 1))
-    for nu in range(3):
-        acc = np.zeros((n, n, n), dtype=complex)
-        for mu in range(3):
-            if mu < nu:
-                acc += np.conj(s[mu]) * Fhat[SLOTS2.index((mu, nu))]
-            elif mu > nu:
-                acc -= np.conj(s[mu]) * Fhat[SLOTS2.index((nu, mu))]
-        acc /= S
-        acc[(0,) * 3] = 0.0
-        out[:, :, :, nu, 0] = np.real(np.fft.ifftn(acc))
-    return LatticeField(grid, 1, out)
-
-
 def _whitehead_plain(psi):
     F = area_flux_2form(psi)
     flux = _check_fluxes(F)
@@ -277,7 +250,7 @@ def _whitehead_plain(psi):
         raise FluxObstructionError(
             f"Whitehead integral undefined: flux {flux:.3e} through a coordinate 2-torus means "
             f"a nonzero degree there or a grid (n = {psi.grid.n}) too coarse; refine the grid")
-    A = solve_vector_potential(F)
+    A = coulomb_solve(F)
     AF = wedge(A, F, np.multiply)
     return float(np.sum(AF.data) * psi.grid.h ** 3)
 

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: the degree oracles
 work directly on the 4-component lift values, the linking oracle is the
 Gauss double sum over polyline segment pairs, and the plaquette
 references evaluate the spherical triangle formula on site-major values
-with np.cross and last-axis sums, one plaquette loop per consumer.
+with np.cross and last-axis sums, one plaquette loop per consumer.  The
+periodic solves keep their complex full-spectrum transforms.
 
 Orientation dictionary, frozen: with the package conventions (x-fastest
 site ordering, right-handed axes, quaternion basis i, j, k) the charge
@@ -417,3 +418,46 @@ def slotwise_ad_split(form, phi):
         perp_slots.append(pair.ad(g, pair.proj_perp(down)))
     return (LatticeField.from_slots(form.grid, form.degree, par_slots),
             LatticeField.from_slots(form.grid, form.degree, perp_slots))
+
+
+# the periodic solves with complex full-spectrum transforms -----------------
+
+def full_spectrum_symbols(grid):
+    """Symbols of the forward difference under np.fft.fftn, and their squared sum."""
+    n, h = grid.n, grid.h
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    sym = (np.exp(2j * np.pi * k / n) - 1.0) / h
+    s = [sym.reshape([-1 if ax == m else 1 for ax in range(3)]) for m in range(3)]
+    S = sum(np.abs(sm) ** 2 for sm in s)
+    S[(0,) * 3] = 1.0
+    return s, S
+
+
+def vector_potential(F):
+    """A with dA = F and zero mean, one complex fftn and ifftn per slot."""
+    n = F.grid.n
+    s, S = full_spectrum_symbols(F.grid)
+    Fhat = [np.fft.fftn(F.slot(slot)[..., 0]) for slot in range(len(SLOTS2))]
+    out = np.empty((n, n, n, 3, 1))
+    for nu in range(3):
+        acc = np.zeros((n, n, n), dtype=complex)
+        for mu in range(3):
+            if mu < nu:
+                acc += np.conj(s[mu]) * Fhat[SLOTS2.index((mu, nu))]
+            elif mu > nu:
+                acc -= np.conj(s[mu]) * Fhat[SLOTS2.index((nu, mu))]
+        acc /= S
+        acc[(0,) * 3] = 0.0
+        out[:, :, :, nu, 0] = np.real(np.fft.ifftn(acc))
+    return LatticeField(F.grid, 1, out)
+
+
+def gauge_smooth_theta(b):
+    """The Coulomb-gauge angle theta of gauge.gauge_smooth for b = beta phi,
+    by complex fftn and ifftn."""
+    s, S = full_spectrum_symbols(b.grid)
+    theta_hat = sum(np.conj(s[mu]) * np.fft.fftn(np.sum(b.a.slot(mu) * b.phi.values, axis=-1))
+                    for mu in range(3))
+    theta_hat /= -S
+    theta_hat[(0,) * 3] = 0.0
+    return np.real(np.fft.ifftn(theta_hat))

@@ -320,6 +320,12 @@ class TestGaugeSmooth:
         fixed = [beta[mu] + forward_diff(theta, mu, h) for mu in range(3)]
         assert np.max(np.abs(div(fixed))) <= 1e-12 * np.max(np.abs(div(beta)))
 
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_theta_matches_complex_fft_oracle(self, n, rng):
+        grid = Grid(n)
+        b = isotropic_potential(grid, smooth_cp1_map(grid, rng, amplitude=0.4), rng)
+        assert np.max(np.abs(gauge_smooth(b).theta - oracles.gauge_smooth_theta(b))) <= 1e-13
+
     def test_isotropic_potential_transforms_by_d_theta(self, grid12, rng):
         # Ad(w^-1) fixes phi, so the exact-scheme b^w of b = beta phi is
         # (beta + d+ theta) phi: the identity the Poisson solve rests on

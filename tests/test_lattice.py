@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import oracles
 from hopfion.algebra import qembed, qmul, su2_u1
 from hopfion.lattice import (
     Grid,
     LatticeField,
+    coulomb_solve,
     cross,
     d,
     dot,
+    forward_diff_symbols,
     integrate_3form,
     l2_inner,
     l2_norm,
@@ -201,6 +204,40 @@ class TestIntegration:
     def test_requires_3form(self, grid12, rng):
         with pytest.raises(ValueError):
             integrate_3form(random_field(grid12, 2, 1, rng))
+
+
+class TestCoulombSolve:
+    @staticmethod
+    def backward_div(beta):
+        h = beta.grid.h
+        return sum((beta.slot(mu) - np.roll(beta.slot(mu), 1, axis=mu)) / h for mu in range(3))
+
+    @pytest.mark.parametrize("n", [9, 24])
+    def test_one_form_leaves_divergence_free(self, n, rng):
+        beta = random_field(Grid(n), 1, 2, rng)
+        theta = coulomb_solve(beta)
+        assert theta.degree == 0 and theta.vdim == 2
+        assert np.max(np.abs(np.mean(theta.data, axis=(0, 1, 2)))) <= 1e-14
+        rest = self.backward_div(beta - d(theta))
+        assert np.max(np.abs(rest)) <= 1e-12 * np.max(np.abs(self.backward_div(beta)))
+
+    def test_two_form_inverts_d_per_component(self, rng):
+        F = d(random_field(Grid(9), 1, 2, rng))
+        A = coulomb_solve(F)
+        assert A.degree == 1 and A.vdim == 2
+        assert l2_norm(d(A) - F) < 1e-10 * l2_norm(F)
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_other_degrees_rejected(self, degree, grid12, rng):
+        with pytest.raises(ValueError):
+            coulomb_solve(random_field(grid12, degree, 1, rng))
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 16, 24, 32, 48, 64])
+    def test_symbols_are_the_half_of_the_full_spectrum(self, n):
+        # the Sobolev preconditioner divides by this S, so the relax history rests on it
+        _, S = forward_diff_symbols(Grid(n))
+        _, full = oracles.full_spectrum_symbols(Grid(n))
+        assert np.array_equal(S, full[:, :, :n // 2 + 1])
 
 
 def test_fields_immutable(grid12, rng):

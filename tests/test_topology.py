@@ -9,7 +9,7 @@ from hopfion import fields as fl
 from hopfion import topology as tp
 from hopfion.errors import DegeneratePreimageError, FluxObstructionError, HopfionError
 from hopfion.gauge import make_stabilizer, smooth_scalar
-from hopfion.lattice import Grid, LatticeField, d, l2_norm
+from hopfion.lattice import Grid, LatticeField, coulomb_solve, d, l2_norm
 import oracles
 from oracles import gauss_integral_linking, signed_preimage_count, volume_degree
 
@@ -134,12 +134,23 @@ class TestWhitehead:
         psi, _ = fl.make_ansatz("hopf", Grid(32), 1)
         assert abs(tp.whitehead_charge(psi) - 1.0) <= 0.02
 
-    def test_solver_exactness(self):
-        # dA = F holds at roundoff because the flux form is exactly closed
+    def test_solver_exactness(self, rng):
+        # dA = F holds at roundoff on the hopf flux form, which is exactly
+        # closed, and on an exact form at odd n, where an irfftn without its
+        # output shape returns n - 1 planes
         psi, _ = fl.make_ansatz("hopf", Grid(24), 1)
-        F = tp.area_flux_2form(psi)
-        A = tp.solve_vector_potential(F)
-        assert l2_norm(d(A) - F) < 1e-10 * l2_norm(F)
+        exact = d(LatticeField(Grid(9), 1, rng.standard_normal((9, 9, 9, 3, 1))))
+        for F in (tp.area_flux_2form(psi), exact):
+            A = coulomb_solve(F)
+            assert l2_norm(d(A) - F) < 1e-10 * l2_norm(F)
+
+    @pytest.mark.parametrize("n", [16, 24, 48])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_plain_value_matches_complex_fft_oracle(self, n, q, monkeypatch):
+        psi, _ = fl.make_ansatz("hopf", Grid(n), q)
+        got = tp._whitehead_plain(psi)
+        monkeypatch.setattr(tp, "coulomb_solve", oracles.vector_potential)
+        assert abs(got - tp._whitehead_plain(psi)) <= 1e-13
 
     def test_flux_obstruction_raises(self):
         # a 2d hedgehog extended along z has unit flux through (x, y) tori
