@@ -203,9 +203,9 @@ class HomogeneousPair:
     quaternion pairs these are the images of i, j, k).  The Frobenius gram
     must be a positive multiple of the identity so that coefficient
     extraction is a single contraction; the abstract inner product on g is
-    always the plain coefficient dot product.  structure_consts f[a, b, c]
-    satisfies [e_a, e_b] = f[a, b, c] e_c and trace_tensor
-    T[a, b, c] = Re tr(e_a e_b e_c) feeds the Chern-Simons integrand.
+    always the plain coefficient dot product.  frob_scale is that gram's
+    scale s, tr(e_a e_b) = -s delta_ab, and structure_consts f[a, b, c]
+    satisfies [e_a, e_b] = f[a, b, c] e_c.
     """
 
     name: str
@@ -214,8 +214,7 @@ class HomogeneousPair:
     symmetric: bool
     group_kind: str  # 'quaternion' or 'matrix'
     structure_consts: np.ndarray = field(default=None, repr=False)
-    trace_tensor: np.ndarray = field(default=None, repr=False)
-    _frob_scale: float = field(default=None, repr=False)
+    frob_scale: float = field(default=None, repr=False)
 
     def __post_init__(self):
         B = np.asarray(self.basis_matrices)
@@ -224,12 +223,10 @@ class HomogeneousPair:
         scale = gram[0, 0]
         if not np.allclose(gram, scale * np.eye(dim), atol=1e-12) or scale <= 0:
             raise ValueError("basis gram is not a positive multiple of the identity")
-        object.__setattr__(self, "_frob_scale", scale)
+        object.__setattr__(self, "frob_scale", scale)
         comm = np.einsum("aij,bjk->abik", B, B) - np.einsum("bij,ajk->abik", B, B)
         f = np.real(np.einsum("abij,cij->abc", comm, B.conj())) / scale
-        T = np.real(np.einsum("aij,bjk,cki->abc", B, B, B))
         object.__setattr__(self, "structure_consts", f)
-        object.__setattr__(self, "trace_tensor", T)
 
     # -- dimensions -----------------------------------------------------
     @property
@@ -263,7 +260,7 @@ class HomogeneousPair:
 
     def coeffs_of(self, X):
         out = np.real(np.einsum("...ij,aij->...a", X, self.basis_matrices.conj()))
-        return out / self._frob_scale
+        return out / self.frob_scale
 
     def ad(self, g, xi):
         """Ad(g) xi = g xi g^-1 on coefficients, g a group element.

@@ -125,19 +125,16 @@ def split_form(form, phi):
 
 
 def _split_form(form, phi, pair):
-    return tuple(LatticeField(form.grid, form.degree, x) for x in split_data(form.data, phi, pair))
-
-
-def split_data(data, phi, pair, planes=slice(None)):
-    """(par, perp) of g-valued form data on the x-planes `planes` along the map
-    phi (unit where it was built) of pair: zero and data when h is trivial,
-    a ValueError with no map (phi None) otherwise."""
+    """The split along phi (unit where it was built) of pair: zero and the form
+    when h is trivial, a ValueError with no map (phi None) otherwise."""
     if pair.dim_h == 0:
-        return np.zeros_like(data), data
-    if phi is None:
+        parts = np.zeros_like(form.data), form.data
+    elif phi is None:
         raise ValueError("isotropy split needs a reference map")
-    # phi broadcasts over the slot axis
-    return alg.isotropy_split(pair, phi.values[planes, :, :, None], data)
+    else:
+        # phi broadcasts over the slot axis
+        parts = alg.isotropy_split(pair, phi.values[:, :, :, None], form.data)
+    return tuple(LatticeField(form.grid, form.degree, x) for x in parts)
 
 
 def constant_map(grid):

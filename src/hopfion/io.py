@@ -284,13 +284,16 @@ def export_vtk(path, meta, obj):
 
 
 def export_density_csv(path, obj):
-    """Energy density per site for maps; squared pointwise norm otherwise."""
+    """Energy density per site for maps; squared pointwise norm otherwise.
+
+    A lift's norm is squared one x-plane at a time, as the rows are written.
+    """
     if isinstance(obj, fl.MapField):
-        density = energy_map(obj).density.slot(0)[..., 0]
+        planes = energy_map(obj).density.slot(0)[..., 0]
     elif isinstance(obj, fl.LiftField):
-        density = np.sum(obj.values * obj.values, axis=-1)
+        planes = (np.sum(v * v, axis=-1) for v in obj.values)
     else:
-        density = obj.a.norm2_density()
-    rows = (np.column_stack([obj.grid.site_coords(x).reshape(-1, 3), density[x].reshape(-1)])
-            for x in range(obj.grid.n))
+        planes = obj.a.norm2_density()
+    rows = (np.column_stack([obj.grid.site_coords(x).reshape(-1, 3), plane.reshape(-1)])
+            for x, plane in enumerate(planes))
     _atomic_write(path, _text_chunks("x,y,z,density", rows, ","))

@@ -22,8 +22,8 @@ np.empty_like keep the layout, so d, wedge and field arithmetic carry it
 through.  Reductions multiply or copy into a site-major buffer first, so
 every sum runs in the order it ran on site-major data.
 
-cross and dot are the package's one last-axis cross and dot product of
-3-vectors, in the operation order of np.cross and np.sum(a * b, axis=-1),
+cross and dot are the package's one last-axis cross product of 3-vectors
+and dot product, in the operation order of np.cross and np.sum(a * b, axis=-1),
 whose rounding they keep; every whole-grid cross or dot product calls them
 but algebra.qmul's, which are written into its output slot by slot.  Their
 results, like algebra's quaternion kernels', are laid out like the operand
@@ -288,15 +288,15 @@ def cross(a, b):
 
 
 def dot(a, b):
-    """Dot product of 3-vectors on the last axis, x0 y0 + x1 y1 + x2 y2.
+    """Dot product on the last axis, x0 y0 + x1 y1 + x2 y2 + ...
 
     Summed in that order, as np.sum(a * b, axis=-1) sums a whole grid of
-    3-vectors, without the (..., 3) product array.  The values are equal;
-    where all three products are -0 this gives -0 and np.sum +0.
+    3-vectors, without the (..., k) product array.  The values are equal;
+    where all products are -0 this gives -0 and np.sum +0.
     """
     out = a[..., 0] * b[..., 0]
-    out += a[..., 1] * b[..., 1]
-    out += a[..., 2] * b[..., 2]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
     return out
 
 

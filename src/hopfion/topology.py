@@ -1,10 +1,11 @@
 """Hopf charges by three independent routes and their one rounded verdict.
 
-Chern-Simons route: c * integral of tr(a ^ a ^ a) assembled from the
-four-term isotropy split of the integrand; the normalization constant for
-SU(N) in the defining representation is frozen from the degree-1
-calibration run, c = -1 / (24 pi^2) with this package's orientation
-conventions.
+Chern-Simons route: c * integral of tr(a ^ a ^ a) for the flat connection
+a = u^-1 du of a lift, taken pointwise as -3 s <a_x, [a_y, a_z]> with s the
+Frobenius scale of the pair's basis; it depends on G alone, not on H or a
+reference map.  The normalization constant for SU(N) in the defining
+representation is frozen from the degree-1 calibration run,
+c = +1 / (24 pi^2) with this package's orientation conventions.
 
 Whitehead route: the pullback of the normalized area form is realized as
 the signed spherical area swept by each plaquette (quantized fluxes, so
@@ -88,94 +89,26 @@ class ChargeReport:
         return "\n".join(f"{name + ':':<14}{text}" for name, text in rows if text is not None)
 
 
-# slot permutations of the 3-form with their signs
-_SLOT_PERMS = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-               ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0))
-# the six terms of x . (y x z) in the (a, b, c) order einsum sums them
-_DET_TERMS = (((0, 1, 2), 1.0), ((0, 2, 1), -1.0), ((1, 0, 2), -1.0),
-              ((1, 2, 0), 1.0), ((2, 0, 1), 1.0), ((2, 1, 0), -1.0))
+def triple_trace_wedge(data, pair):
+    """tr(a ^ a ^ a) per site of g-valued 1-form data (n, n, n, 3, dim_g).
 
-
-_EPSILON = np.zeros((3, 3, 3))
-for _abc, _sign in _DET_TERMS:
-    _EPSILON[_abc] = _sign
-
-
-def _epsilon_scale(T):
-    """c when the trace tensor is c * epsilon (the su2 pairs), else None."""
-    if T.shape != (3, 3, 3):
-        return None
-    c = T[0, 1, 2]
-    return c if np.array_equal(T, c * _EPSILON) else None
-
-
-def _epsilon_wedge(A, B, G):
-    """Sum over slot permutations of sign * det[A_i, B_j, G_k], per site.
-
-    Each determinant is summed term by term in einsum's order in one
-    scratch buffer, so c times the result equals the einsum contraction
-    with c * epsilon bit for bit.
+    The trace is cyclic, so the six slot permutations sum to
+    3 tr(a_x [a_y, a_z]); with tr(e_a e_b) = -s delta_ab for the pair's
+    Frobenius scale s, that is -3 s <a_x, [a_y, a_z]>.
     """
-    out = np.zeros(A.shape[:3])
-    det = np.empty_like(out)
-    tmp = np.empty_like(out)
-    for (i, j, k), sign in _SLOT_PERMS:
-        (a, b, e), _ = _DET_TERMS[0]
-        np.multiply(A[..., i, a], B[..., j, b], out=det)
-        det *= G[..., k, e]
-        for (a, b, e), term_sign in _DET_TERMS[1:]:
-            np.multiply(A[..., i, a], B[..., j, b], out=tmp)
-            tmp *= G[..., k, e]
-            if term_sign > 0:
-                det += tmp
-            else:
-                det -= tmp
-        if sign > 0:
-            out += det
-        else:
-            out -= det
+    out = dot(data[:, :, :, 0], pair.bracket(data[:, :, :, 1], data[:, :, :, 2]))
+    out *= -3.0 * pair.frob_scale
     return out
-
-
-def _trace_wedge_data(A, B, G, T):
-    """tr(A ^ B ^ G) per site for 1-form data (..., 3, dim); leading axes free."""
-    c = _epsilon_scale(T)
-    if c is not None:
-        out = _epsilon_wedge(A, B, G)
-        out *= c
-        return out
-    out = np.zeros(A.shape[:-2])
-    for (i, j, k), sign in _SLOT_PERMS:
-        out += sign * np.einsum("abc,...a,...b,...c->...",
-                                T, A[..., i, :], B[..., j, :], G[..., k, :])
-    return out
-
-
-# x-planes per slab of the Chern-Simons integrand
-_CS_SLAB = 8
 
 
 def chern_simons_charge(a):
-    """c * integral tr(a ^ a ^ a) via the four-term isotropy split of a.
+    """c * integral tr(a ^ a ^ a) of a potential, read from a.a.data alone.
 
-    The four traces (par^3, 3 par^2 perp, 3 par perp^2, perp^3) are formed
-    separately and summed; for the CP1 reference the first two vanish
-    identically and the split reduces to the helicity-type cross terms.
-    The split and the traces are pointwise, so they run slab by slab along
-    x into four full-grid trace arrays: the split parts never exist for
-    the whole grid at once, and the sums equal the whole-grid ones.
+    The integrand depends on G only: neither the reference map nor the
+    isotropy split enters, and the four-term split (par^3, 3 par^2 perp,
+    3 par perp^2, perp^3) resums to it pointwise.
     """
-    T = a.pair.trace_tensor
-    n = a.grid.n
-    terms = np.empty((4, n, n, n))
-    for lo in range(0, n, _CS_SLAB):
-        x = slice(lo, lo + _CS_SLAB)
-        par, perp = fl.split_data(a.a.data[x], a.phi, a.pair, x)
-        terms[0, x] = _trace_wedge_data(par, par, par, T)
-        np.multiply(3.0, _trace_wedge_data(par, par, perp, T), out=terms[1, x])
-        np.multiply(3.0, _trace_wedge_data(par, perp, perp, T), out=terms[2, x])
-        terms[3, x] = _trace_wedge_data(perp, perp, perp, T)
-    total = sum(float(np.sum(t)) for t in terms) * a.grid.h ** 3
+    total = float(np.sum(triple_trace_wedge(a.a.data, a.pair))) * a.grid.h ** 3
     return ChargeReport(cs_value=np.array([CHERN_SIMONS_SU_N * total]))
 
 
@@ -199,7 +132,7 @@ def _richardson(fine, grid, coarse):
 def chern_simons_from_lift(u):
     """Chern-Simons charge of a lift, with h^2 Richardson elimination.
 
-    The four-term split of u^-1 du is evaluated on the given grid and on
+    The integral of u^-1 du is evaluated on the given grid and on
     its stride-2 subsample (the same field at spacing 2h); the leading
     quadratic quadrature bias cancels in (4 q_h - q_2h) / 3.  Falls back
     to the plain value when the grid cannot be halved.

@@ -379,8 +379,14 @@ def area_flux_2form(psi):
     return LatticeField.from_slots(psi.grid, 2, slots)
 
 
+def trace_tensor(pair):
+    """T[a, b, c] = Re tr(e_a e_b e_c) of the pair's basis matrices."""
+    B = pair.basis_matrices
+    return np.real(np.einsum("aij,bjk,cki->abc", B, B, B))
+
+
 def triple_trace_wedge_data(A, B, G, T):
-    """tr(A ^ B ^ G) per site on 1-form data (..., 3, dim), trace via the pair tensor."""
+    """tr(A ^ B ^ G) per site on 1-form data (..., 3, dim), trace via the tensor T."""
     out = np.zeros(A.shape[:-2])
     perms = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
              ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0))

@@ -205,7 +205,7 @@ class TestPairs:
 
     def test_su2_trace_tensor(self):
         # tr(e_a e_b e_c) = -2 eps_abc in the quaternion basis
-        T = alg.su2_u1().trace_tensor
+        T = oracles.trace_tensor(alg.su2_u1())
         eps = np.zeros((3, 3, 3))
         for a, b, c, s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
                            (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):

@@ -237,6 +237,19 @@ def test_snapshot_write_holds_one_payload_copy(tmp_path, kind):
     assert peak / values.nbytes <= 1.25
 
 
+def test_lift_density_export_squares_one_plane(tmp_path):
+    # each x-plane is squared as its rows are written: no whole-grid square
+    _, u = fl.make_ansatz("hopf", Grid(32), 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        hio.export_density_csv(tmp_path / "u.csv", u)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / u.values.nbytes <= 0.5
+
+
 def test_d_writes_into_one_form():
     # each slot's difference goes into the new form's buffer: no stacked copy
     grid = Grid(32)
