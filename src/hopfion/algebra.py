@@ -412,11 +412,9 @@ def cp1_point_of(g):
 
 
 def _triangle(a, b, c, with_grads):
-    """Signed area 2 atan2(a.(b x c), 1 + a.b + b.c + c.a) [, vertex gradients].
-
-    a, b and c hold 3-vectors on the last axis; the gradients are laid out
-    like them (lattice.cross allocates like its operands).
-    """
+    """Signed area 2 atan2(n, d), n = a.(b x c), d = 1 + a.b + b.c + c.a, of
+    3-vectors on the last axis [, b x c, 2d / (n^2 + d^2), -2n / (n^2 + d^2)],
+    the last two (..., 1) weights for _vertex_gradient."""
     bxc = cross(b, c)
     n = dot(a, bxc)
     d = 1.0 + dot(a, b)
@@ -426,16 +424,41 @@ def _triangle(a, b, c, with_grads):
     if not with_grads:
         return area
     denom = n * n + d * d
-    cn, cd = (2.0 * d / denom)[..., None], (-2.0 * n / denom)[..., None]
-    out = [area]
-    for x, u, v in ((bxc, b, c), (cross(c, a), a, c), (cross(a, b), a, b)):
-        x *= cn
-        uv = u + v
-        uv *= cd
-        x += uv
-        del uv
-        out.append(x)
-    return out
+    return area, bxc, (2.0 * d / denom)[..., None], (-2.0 * n / denom)[..., None]
+
+
+def _vertex_gradient(x, u, v, cn, cd):
+    """cn x + cd (u + v) in place in x: the area gradient at a vertex, x being
+    the cross product of the other two, u and v, in cyclic order."""
+    x *= cn
+    uv = u + v
+    uv *= cd
+    x += uv
+    return x
+
+
+def _slot_gradients(p, mu, nu):
+    """The (mu, nu) plaquette areas, then their gradients at corners 00, 10,
+    11 and 01, each formed when asked for and dropped once handed out."""
+    p10 = np.roll(p, -1, axis=mu)
+    p11 = np.roll(p10, -1, axis=nu)
+    p01 = np.roll(p, -1, axis=nu)
+    a1, x1, *w1 = _triangle(p, p10, p11, True)
+    a2, x2, *w2 = _triangle(p, p11, p01, True)
+    yield a1 + a2
+    corner = _vertex_gradient(x1, p10, p11, *w1)
+    corner += _vertex_gradient(x2, p11, p01, *w2)
+    del x1, x2
+    yield corner
+    del corner
+    yield _vertex_gradient(cross(p11, p), p, p11, *w1)
+    corner = _vertex_gradient(cross(p, p10), p, p10, *w1)
+    del p10
+    corner += _vertex_gradient(cross(p01, p), p, p01, *w2)
+    del p01
+    yield corner
+    del corner
+    yield _vertex_gradient(cross(p, p11), p, p11, *w2)
 
 
 def plaquette_areas(p, with_grads=False):
@@ -445,33 +468,28 @@ def plaquette_areas(p, with_grads=False):
     layout: a map's component-major values as stored, or a C-order array.
     Yields ((mu, nu), area) slot by slot in SLOTS2 order, rolling p along
     grid axes mu and nu; area[x] sums the geodesic triangles
-    (x, x+mu, x+mu+nu) and (x, x+mu+nu, x+nu).  with_grads adds the
-    gradients of area[x] at the corners x, x+mu, x+mu+nu and x+nu, laid out
-    like p.  Every product and sum matches np.cross and
+    (x, x+mu, x+mu+nu) and (x, x+mu+nu, x+nu).  with_grads adds an
+    iterator over the gradients of area[x] at the corners x, x+mu, x+mu+nu
+    and x+nu, laid out like p, which forms each when asked for and keeps
+    none it has handed out.  Every product and sum matches np.cross and
     np.sum(..., axis=-1) term for term, so results round as the site-major
     formula does, in either layout; arithmetic runs in place to spare
     temporaries.
     """
     for mu, nu in SLOTS2:
+        if with_grads:
+            slot = _slot_gradients(p, mu, nu)
+            yield (mu, nu), next(slot), slot
+            continue
         # x+mu is freed before x+nu is made: two shifted copies at a time
         p10 = np.roll(p, -1, axis=mu)
         p11 = np.roll(p10, -1, axis=nu)
-        first = _triangle(p, p10, p11, with_grads)
+        area = _triangle(p, p10, p11, False)
         del p10
         p01 = np.roll(p, -1, axis=nu)
-        second = _triangle(p, p11, p01, with_grads)
+        area += _triangle(p, p11, p01, False)
         del p11, p01
-        if not with_grads:
-            first += second
-            del second
-            yield (mu, nu), first
-        else:
-            a1, g00, g10, g11 = first
-            a2, g2a, g2b, g01 = second
-            g00 += g2a
-            g11 += g2b
-            del first, second, g2a, g2b  # free them before the caller scatters
-            yield (mu, nu), a1 + a2, (g00, g10, g11, g01)
+        yield (mu, nu), area
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,8 @@ def _read_field(path, kind):
 
 
 # peak bytes per grid site, a margin over the measured peaks: ansatz about 170,
-# relax 870 with its L-BFGS pairs full (n = 48 to 80), check 876 (n = 64, traced)
-_SITE_BYTES = {"ansatz": 256, "relax": 1024, "check": 1088}
+# relax 551 with its L-BFGS pairs full (n = 48, 64), check 876 (n = 64), traced
+_SITE_BYTES = {"ansatz": 256, "relax": 768, "check": 1088}
 
 
 def _require_memory(command, n):
@@ -206,8 +206,9 @@ def _require_lift_of(u, psi, args):
 
 def _run_relax(args):
     cfgmap = hio.load_config(args.config)
-    psi0, _ = _initial_fields("relax", cfgmap["ansatz.kind"], cfgmap["grid.n"],
-                              cfgmap["grid.length"], cfgmap["ansatz.charge"])
+    # the lift is not kept: relax needs only the map
+    psi0 = _initial_fields("relax", cfgmap["ansatz.kind"], cfgmap["grid.n"],
+                           cfgmap["grid.length"], cfgmap["ansatz.charge"])[0]
     cfg = hio.relax_config(cfgmap)
     outdir = cfgmap["output.dir"]
     os.makedirs(outdir, exist_ok=True)   # before the relaxation: an OSError exits 2

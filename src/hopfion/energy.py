@@ -158,12 +158,15 @@ def descent_gradient(psi):
     grad = np.zeros_like(p)
     for mu in range(3):
         grad += 0.25 * h * (2.0 * p - np.roll(p, -1, axis=mu) - np.roll(p, 1, axis=mu))
-    for (mu, nu), area, (g00, g10, g11, g01) in alg.plaquette_areas(p, with_grads=True):
+    for (mu, nu), area, corners in alg.plaquette_areas(p, with_grads=True):
         w = ((1.0 / (8.0 * h)) * area)[..., None]
-        grad += w * g00
-        grad += np.roll(w * g10, 1, axis=mu)
-        grad += np.roll(np.roll(w * g11, 1, axis=mu), 1, axis=nu)
-        grad += np.roll(w * g01, 1, axis=nu)
+        # corners 00, 10, 11 and 01, each weighted and scattered before the next is formed
+        for corner, axes in zip(corners, ((), (mu,), (mu, nu), (nu,))):
+            corner *= w
+            for axis in axes:
+                corner = np.roll(corner, 1, axis=axis)
+            grad += corner
+            del corner
     grad -= dot(grad, p)[..., None] * p
     # C order, so that reductions over the returned gradient run as before
     return np.ascontiguousarray(grad)

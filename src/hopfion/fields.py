@@ -148,8 +148,15 @@ def links(u, axis):
 
 
 def pure_gauge_potential(u, phi=None):
-    """a = u^-1 du from principal logs of link variables, exactly g-valued,
-    against phi (default: the constant map for su2_u1, none otherwise)."""
+    """a = maurer_cartan_form(u) against phi (default: the constant map for
+    su2_u1, none otherwise)."""
+    if phi is None and u.pair.name != "su2_u1":
+        return PotentialField(maurer_cartan_form(u), pair=u.pair)
+    return PotentialField(maurer_cartan_form(u), phi if phi is not None else constant_map(u.grid))
+
+
+def maurer_cartan_form(u):
+    """u^-1 du as a 1-form, from principal logs of link variables, exactly g-valued."""
     h = u.grid.h
     inv = u.inverse_values()
     data = empty_component_major(u.values.shape[:3] + (3, u.pair.dim_g))
@@ -162,10 +169,7 @@ def pure_gauge_potential(u, phi=None):
         del ell
         np.divide(coeffs, h, out=data[:, :, :, mu])
         del coeffs  # before the next link is formed
-    a = LatticeField(u.grid, 1, data)
-    if phi is None and u.pair.name != "su2_u1":
-        return PotentialField(a, pair=u.pair)
-    return PotentialField(a, phi if phi is not None else constant_map(u.grid))
+    return LatticeField(u.grid, 1, data)
 
 
 def plaquette_defect(u):

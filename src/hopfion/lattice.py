@@ -127,8 +127,10 @@ class LatticeField:
             raise ValueError(f"data shape {data.shape} does not match {expected} + (v,)")
         if data.ndim != 5:
             raise ValueError("data must have shape (n, n, n, slots, v)")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("field data contains NaN or Inf")
+        # a finite sum has finite terms: no boolean copy unless the sum overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not (np.isfinite(np.sum(data)) or np.all(np.isfinite(data))):
+                raise ValueError("field data contains NaN or Inf")
         data = component_major(data)
         data.flags.writeable = False
         object.__setattr__(self, "grid", grid)

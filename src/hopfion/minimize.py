@@ -249,12 +249,13 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
 
 
 def _sobolev(grid):
-    """v -> (I - SOBOLEV_KAPPA Lap_h)^-1 v per component, by a real FFT over the grid axes."""
+    """v -> (I - SOBOLEV_KAPPA Lap_h)^-1 v, C order, by a real FFT of each component's view."""
     _, S = forward_diff_symbols(grid)
     S[0, 0, 0] = 0.0
-    symbol = (1.0 / (1.0 + SOBOLEV_KAPPA * S))[..., None]
+    symbol = 1.0 / (1.0 + SOBOLEV_KAPPA * S)
     axes = (0, 1, 2)
-    return lambda v: np.fft.irfftn(np.fft.rfftn(v, axes=axes) * symbol, v.shape[:3], axes)
+    return lambda v: np.stack([np.fft.irfftn(np.fft.rfftn(v[..., k]) * symbol, v.shape[:3], axes)
+                               for k in range(v.shape[-1])], axis=-1)
 
 
 def _tangent(psi, v):

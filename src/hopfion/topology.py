@@ -135,13 +135,14 @@ def chern_simons_from_lift(u):
     The integral of u^-1 du is evaluated on the given grid and on
     its stride-2 subsample (the same field at spacing 2h); the leading
     quadratic quadrature bias cancels in (4 q_h - q_2h) / 3.  Falls back
-    to the plain value when the grid cannot be halved.
+    to the plain value when the grid cannot be halved.  The potentials
+    carry no reference map: the integrand never reads one.
     """
-    def coarse():
-        return chern_simons_charge(fl.pure_gauge_potential(_subsample(u))).cs_value
+    def plain(lift):
+        a = fl.PotentialField(fl.maurer_cartan_form(lift), pair=lift.pair)
+        return chern_simons_charge(a).cs_value
 
-    fine = chern_simons_charge(fl.pure_gauge_potential(u)).cs_value
-    return ChargeReport(cs_value=_richardson(fine, u.grid, coarse))
+    return ChargeReport(cs_value=_richardson(plain(u), u.grid, lambda: plain(_subsample(u))))
 
 
 # ---------------------------------------------------------------------------

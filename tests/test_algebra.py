@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -356,10 +357,11 @@ def test_plaquette_area_corner_gradients(rng):
     def slot_xy(q, with_grads=False):
         return next(alg.plaquette_areas(q, with_grads))
 
-    (mu, nu), _, grads = slot_xy(p, with_grads=True)
-    assert (mu, nu) == (0, 1)
+    # the corners come one at a time, in the order 00, 10, 11, 01
+    (mu, nu), _, corners = slot_xy(p, with_grads=True)
+    assert (mu, nu) == (0, 1) and iter(corners) is corners
     eps = 1e-7
-    for (dx, dy), grad in zip(((0, 0), (1, 0), (1, 1), (0, 1)), grads):
+    for (dx, dy), grad in zip(((0, 0), (1, 0), (1, 1), (0, 1)), corners):
         d = rng.standard_normal((32, 3))
         p_p, p_m = p.copy(), p.copy()
         p_p[x + dx, y + dy, k] += eps * d
@@ -367,6 +369,19 @@ def test_plaquette_area_corner_gradients(rng):
         fd = (slot_xy(p_p)[1][x, y, k] - slot_xy(p_m)[1][x, y, k]) / (2 * eps)
         an = np.sum(grad[x, y, k] * d, axis=-1)
         assert np.max(np.abs(fd - an)) < 1e-6
+    assert next(corners, None) is None
+
+
+def test_plaquette_areas_drop_handed_out_corners(rng):
+    # the kernel holds no corner it has handed out: once the caller lets a
+    # corner go, asking for the next frees it
+    p = alg.cp1_point_of(alg.random_unit_quaternions(rng, (8, 8, 8)))
+    for _, _, corners in alg.plaquette_areas(p, with_grads=True):
+        held = weakref.ref(next(corners))
+        for corner in corners:
+            assert held() is None
+            held = weakref.ref(corner)
+            del corner
 
 
 def test_plaquette_areas_read_either_layout(rng):
@@ -374,8 +389,11 @@ def test_plaquette_areas_read_either_layout(rng):
     p = alg.cp1_point_of(alg.random_unit_quaternions(rng, (8, 8, 8)))
     stored = component_major(p)
     assert p.flags.c_contiguous and is_component_major(stored)
-    for c_order, cm in zip(alg.plaquette_areas(p, with_grads=True),
-                           alg.plaquette_areas(stored, with_grads=True)):
-        assert c_order[0] == cm[0]
-        for x, y in zip((c_order[1], *c_order[2]), (cm[1], *cm[2])):
+    for (slot, area, corners), (cm_slot, cm_area, cm_corners) in zip(
+            alg.plaquette_areas(p, with_grads=True),
+            alg.plaquette_areas(stored, with_grads=True)):
+        assert slot == cm_slot
+        pairs = [(area, cm_area), *zip(corners, cm_corners)]
+        assert len(pairs) == 5
+        for x, y in pairs:
             assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))

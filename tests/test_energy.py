@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -288,3 +290,19 @@ def test_energies_unmoved_by_component_kernels(rng, monkeypatch):
     assert oracles.patch_kernels(monkeypatch) > 0
     for got, ref in zip(fast, run()):
         assert np.array_equal(got, ref)
+
+
+def test_descent_gradient_memory():
+    # each plaquette corner is weighted and scattered before the next is
+    # formed: at most 11 (n, n, n, 3) float arrays at n = 32, the returned
+    # gradient included, seen by tracemalloc (9.7 measured; 17.7 while a
+    # slot's four corners were formed together)
+    psi, _ = fl.make_ansatz("hopf", Grid(32), 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        descent_gradient(psi)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / psi.values.nbytes <= 11.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,30 @@ def test_field_rejects_nan(grid12):
     data[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         LatticeField(grid12, 0, data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_rejects_one_non_finite_entry(grid12, rng, bad):
+    data = rng.standard_normal((12, 12, 12, 3, 3))
+    data[5, 7, 2, 1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        LatticeField(grid12, 1, data)
+
+
+def test_field_accepts_finite_data_whose_sum_overflows(grid12):
+    data = np.full((12, 12, 12, 3, 3), 1e308)
+    assert np.array_equal(LatticeField(grid12, 1, data).data, data)
+
+
+def test_finiteness_check_makes_no_boolean_copy():
+    # the boolean test of every entry would take an eighth of the form
+    grid = Grid(32)
+    data = LatticeField.zeros(grid, 1, 3).data.copy(order="K")  # no layout copy either
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        LatticeField(grid, 1, data)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < data.nbytes / 64
