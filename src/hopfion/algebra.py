@@ -401,7 +401,7 @@ def coisotropy_form(pair, x, tangent):
         scale = np.maximum(np.linalg.norm(eta, axis=-1), 1.0)
         if np.any(off > 1e-8 * scale):
             raise ValueError("tangent is not tangent to the sphere at x")
-        return qim(qmul(qembed(q), qembed(eta))) * 0.5
+        return 0.5 * cross(q, eta)
     _, perp = project_isotropy(pair, x, tangent)
     return perp
 
@@ -493,23 +493,25 @@ def plaquette_areas(p, with_grads=False):
 
 
 # ---------------------------------------------------------------------------
-# exponentials / logarithms for matrix groups (near-identity regime)
+# logarithm for matrix groups
 # ---------------------------------------------------------------------------
 
 def matrix_log_unitary(U):
-    """Principal log of unitary matrices near the identity (48-term Mercator series)."""
-    U = np.asarray(U)
-    X = U - np.eye(U.shape[-1], dtype=complex)
-    norms = np.linalg.norm(X, axis=(-2, -1))
-    if np.any(norms > 0.9):
+    """Principal log of SU(N) matrices in closed form.
+
+    C = (U + 1)^-1 (U - 1) has the eigenvalue i tan(theta / 2) where U has
+    e^(i theta): with -iC = V diag(t) V^H (eigh), log U = V diag(2i arctan t) V^H.
+    Raises RoughFieldError for an angle of pi - 1e-6 or more (qlog's cut), a
+    singular U + 1, or a log outside su(N) (|sum theta| > 1e-8).
+    """
+    eye = np.eye(np.shape(U)[-1])
+    try:
+        H = -1j * np.linalg.solve(U + eye, U - eye)
+        t, V = np.linalg.eigh(0.5 * (H + np.swapaxes(H, -1, -2).conj()))
+    except np.linalg.LinAlgError:  # U + 1 singular
+        raise RoughFieldError("field too rough for grid") from None
+    theta = 2.0 * np.arctan(t)
+    if not (np.all(np.abs(theta) < np.pi - 1e-6)
+            and np.all(np.abs(np.sum(theta, axis=-1)) <= 1e-8)):
         raise RoughFieldError("field too rough for grid")
-    out = np.zeros_like(X)
-    term = np.broadcast_to(np.eye(U.shape[-1], dtype=complex), U.shape).copy()
-    for k in range(1, 49):
-        term = term @ X
-        out = out + ((-1) ** (k + 1) / k) * term
-    # clean to the Lie algebra: anti-Hermitian, traceless
-    out = 0.5 * (out - np.swapaxes(out, -1, -2).conj())
-    tr = np.trace(out, axis1=-2, axis2=-1) / U.shape[-1]
-    out = out - tr[..., None, None] * np.eye(U.shape[-1])
-    return out
+    return (V * (1j * theta)[..., None, :]) @ np.swapaxes(V, -1, -2).conj()

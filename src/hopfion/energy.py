@@ -79,10 +79,8 @@ def energy_map(psi, variant="coisotropy"):
     if variant == "cross_product":
         if not psi.is_cp1:
             raise ValueError("cross_product variant is defined for the CP1 pair only")
-        halves = []
-        for v in fl.map_tangents(psi):
-            vt = v - dot(v, psi.values)[..., None] * psi.values
-            halves.append(0.5 * vt)
+        halves = [0.5 * alg.isotropy_split(psi.pair, psi.values, v)[1]
+                  for v in fl.map_tangents(psi)]
         e2 = 0.5 * sum(dot(hm, hm) for hm in halves)
         e4 = np.zeros_like(e2)
         for mu, nu in SLOTS2:
@@ -209,5 +207,4 @@ def energy_gradient(psi):
         grad -= centered_diff(dEdv[mu], mu, h)
 
     grad *= h ** 3
-    grad -= dot(grad, p)[..., None] * p
-    return grad
+    return alg.isotropy_split(psi.pair, p, grad)[1]

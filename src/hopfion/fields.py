@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra as alg
-from .lattice import (LatticeField, SLOTS2, centered_diff, component_major, cross,
+from .lattice import (LatticeField, SLOTS2, centered_diff, component_major, cross, dot,
                       empty_component_major)
 
 
@@ -158,10 +158,9 @@ def pure_gauge_potential(u, phi=None):
 def maurer_cartan_form(u):
     """u^-1 du as a 1-form, from principal logs of link variables, exactly g-valued."""
     h = u.grid.h
-    inv = u.inverse_values()
     data = empty_component_major(u.values.shape[:3] + (3, u.pair.dim_g))
     for mu in range(3):
-        ell = u.pair.mul(inv, np.roll(u.values, -1, axis=mu))
+        ell = links(u, mu)
         if u.pair.group_kind == "quaternion":
             coeffs = alg.qlog(ell)
         else:
@@ -224,7 +223,7 @@ def pullback_coisotropy(psi):
         slots = []
         for mu in range(3):
             v = centered_diff(psi.values, mu, g.h)
-            v = v - np.sum(v * psi.values, axis=-1, keepdims=True) * psi.values
+            v = v - dot(v, psi.values)[..., None] * psi.values
             slots.append(alg.qim(alg.qmul(v, psi.pair.inverse(psi.values))))
         return LatticeField.from_slots(g, 1, slots)
     pair = psi.pair

@@ -67,7 +67,7 @@ def stabilizer_log_derivative(stab, scheme="log"):
     """
     grid = stab.w.grid
     if scheme == "log":
-        return fl.pure_gauge_potential(stab.w, stab.phi).a
+        return fl.maurer_cartan_form(stab.w)
     if scheme != "exact":
         raise ValueError("scheme must be 'log' or 'exact'")
     if stab.theta is None:

@@ -19,8 +19,9 @@ is_component_major tests for it and component_major copies other data
 into it, x-plane by x-plane; LatticeField and the map and lift fields
 (fields) call it once, on construction.  Elementwise ufuncs, np.roll and
 np.empty_like keep the layout, so d, wedge and field arithmetic carry it
-through.  Reductions multiply or copy into a site-major buffer first, so
-every sum runs in the order it ran on site-major data.
+through.  Reductions (l2_inner, norm2_density, integrate_3form) read the
+buffer as stored, with no copy, so their sums run in storage order: within
+about 1e-14 relative of the same sums over site-major data.
 
 cross and dot are the package's one last-axis cross product of 3-vectors
 and dot product, in the operation order of np.cross and np.sum(a * b, axis=-1),
@@ -74,9 +75,14 @@ def empty_component_major(shape, dtype=float):
     return buffer.transpose(*range(k, k + 3), *range(k - 1, -1, -1))
 
 
+def _buffer(data):
+    """Per-site data in storage order: value axes reversed, then the grid axes."""
+    return data.transpose(*range(data.ndim - 1, 2, -1), 0, 1, 2)
+
+
 def is_component_major(data):
     """True when per-site data is laid out as empty_component_major lays it out."""
-    return data.transpose(*range(data.ndim - 1, 2, -1), 0, 1, 2).flags.c_contiguous
+    return _buffer(data).flags.c_contiguous
 
 
 def _planes(data):
@@ -165,17 +171,9 @@ class LatticeField:
         return self.data[:, :, :, index, :]
 
     def norm2_density(self):
-        """Pointwise squared norm, summed over slots and components.
-
-        One x-plane at a time, squared into a site-major plane, so the
-        squares never fill a second field and sum as on site-major data.
-        """
-        out = np.empty(self.data.shape[:3], dtype=self.data.dtype)
-        squares = np.empty(self.data.shape[1:], dtype=self.data.dtype)
-        for x, plane in enumerate(_planes(self.data)):
-            np.multiply(plane, plane, out=squares.transpose(3, 2, 0, 1))
-            np.sum(squares, axis=(2, 3), out=out[x])
-        return out
+        """Pointwise squared norm, summed over the stored component blocks in order."""
+        blocks = _buffer(self.data)
+        return np.einsum("csxyz,csxyz->xyz", blocks, blocks)
 
     # small linear algebra of fields
     def __add__(self, other):
@@ -347,10 +345,10 @@ def l2_inner(alpha, beta):
     """Discrete L2 pairing: sum over sites, slots, components times h^3."""
     if alpha.grid != beta.grid or alpha.data.shape != beta.data.shape:
         raise ValueError("shape mismatch in l2_inner")
-    products = np.empty(alpha.data.shape)  # site-major, so the sum runs as it always has
-    for dest, a, b in zip(_planes(products), _planes(alpha.data), _planes(beta.data)):
-        np.multiply(a, b, out=dest)
-    return float(np.sum(products) * alpha.grid.h ** 3)
+    # numpy's own fixed-order loop over the stored buffers, not a BLAS dot,
+    # whose sum would change with the thread count
+    return float(np.einsum("i,i->", _buffer(alpha.data).ravel(), _buffer(beta.data).ravel())
+                 * alpha.grid.h ** 3)
 
 
 def l2_norm(alpha):
@@ -361,8 +359,7 @@ def integrate_3form(omega):
     """Integral over the torus; returns a scalar for v=1, else a vector."""
     if omega.degree != 3:
         raise ValueError("integrate_3form needs a 3-form")
-    # summed site-major, in the order of a site-major form's sum
-    total = np.sum(np.ascontiguousarray(omega.data), axis=(0, 1, 2, 3)) * omega.grid.h ** 3
+    total = np.sum(_buffer(omega.data).reshape(omega.vdim, -1), axis=1) * omega.grid.h ** 3
     if total.shape == (1,):
         return float(total[0])
     return total

@@ -79,7 +79,7 @@ def invariant_suite(seed=0):
     g = alg.random_unit_quaternions(rng, (samples,))
     pt = alg.cp1_point_of(g)
     xi = rng.standard_normal((samples, 3))
-    tangent = 2.0 * np.cross(xi, pt)  # [xi, pt], the action tangent
+    tangent = pair.bracket(xi, pt)  # the action tangent
     w_fast = alg.coisotropy_form(pair, pt, tangent)
     w_gen = alg.coisotropy_form(pair, g, xi)
     rows.append(_entry("coisotropy_paths_agree", np.max(np.abs(w_fast - w_gen)), budget=1e-12))

@@ -221,6 +221,25 @@ class TestPairs:
         assert np.allclose(np.linalg.norm(moved, axis=-1),
                            np.linalg.norm(xi, axis=-1), atol=1e-10)
 
+    def test_matrix_log_domain(self, rng):
+        # every angle below qlog's cut pi - 1e-6 round-trips; the cut, a
+        # singular U + 1 and a log that leaves su(3), at a nontrivial central
+        # element, are refused
+        V = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+
+        def conj(diagonal):
+            return (V * diagonal) @ V.conj().T
+
+        angles = np.array([2.5, -1.0, -1.5])
+        X = conj(1j * angles)
+        assert np.max(np.abs(alg.matrix_log_unitary(conj(np.exp(1j * angles))) - X)) < 1e-12
+        near_cut = np.array([np.pi - 1e-9, -1.0, 1.0 - np.pi + 1e-9])
+        with pytest.raises(alg.RoughFieldError):
+            alg.matrix_log_unitary(conj(np.exp(1j * near_cut)))
+        for refused in (np.diag([-1.0, -1.0, 1.0]), np.exp(2j * np.pi / 3) * np.eye(3)):
+            with pytest.raises(alg.RoughFieldError):
+                alg.matrix_log_unitary(refused)
+
     def test_coeff_matrix_roundtrip(self, rng):
         for pair in (alg.su2_u1(), alg.su3_t2()):
             xi = rng.standard_normal((32, pair.dim_g))

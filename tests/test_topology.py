@@ -14,6 +14,14 @@ import oracles
 from oracles import gauss_integral_linking, signed_preimage_count, volume_degree
 
 
+def _su3_lift(u):
+    """An su2_u1 lift embedded in SU(3), in the upper-left 2 x 2 block."""
+    su3 = np.zeros(u.values.shape[:3] + (3, 3), dtype=complex)
+    su3[..., :2, :2] = u.values[..., :1, None] * np.eye(2) + u.pair.matrix_of(u.values[..., 1:])
+    su3[..., 2, 2] = 1.0
+    return fl.LiftField(u.grid, alg.su3_t2(), su3)
+
+
 class TestChernSimons:
     def test_zero_potential(self, grid16):
         a = fl.PotentialField(LatticeField.zeros(grid16, 1, 3), fl.constant_map(grid16))
@@ -106,16 +114,20 @@ class TestChernSimons:
         assert group.phi is None
         assert np.array_equal(tp.chern_simons_charge(group).cs_value,
                               tp.chern_simons_charge(a).cs_value)
-        su3 = np.zeros(u.values.shape[:3] + (3, 3), dtype=complex)
-        su3[..., :2, :2] = u.values[..., :1, None] * np.eye(2) + u.pair.matrix_of(u.values[..., 1:])
-        su3[..., 2, 2] = 1.0
-        b = fl.pure_gauge_potential(fl.LiftField(grid, alg.su3_t2(), su3))
+        b = fl.pure_gauge_potential(_su3_lift(u))
         want = tp.triple_trace_wedge(a.a.data, a.pair)
         got = tp.triple_trace_wedge(b.a.data, b.pair)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         cs_a, cs_b = tp.chern_simons_charge(a).cs_value, tp.chern_simons_charge(b).cs_value
         bound = 1e-12 * tp.CHERN_SIMONS_SU_N * np.sum(np.abs(want)) * grid.h ** 3
         assert np.abs(cs_b - cs_a) <= bound
+
+    def test_su3_lift_extrapolates_as_su2(self):
+        # the matrix log takes the link angles qlog takes, so the embedded
+        # lift's stride-2 subsample is logged too and the value extrapolates
+        _, u = fl.make_ansatz("hopf", Grid(16), 1)
+        want = tp.chern_simons_from_lift(u).cs_value
+        assert np.max(np.abs(tp.chern_simons_from_lift(_su3_lift(u)).cs_value - want)) <= 1e-12
 
 
 class TestTripleTraceKernel:
