@@ -17,7 +17,12 @@ Linking route: preimage polylines of two regular values are extracted by
 marching through lattice cells, and their linking number is the degree of
 the Gauss map on the periodic grid of vertex pairs: the sum of its signed
 plaquette areas over 4 pi, refused unless every plaquette area is below
-2 pi in magnitude.
+2 pi in magnitude.  The face crossings are watertight (Woop, Benthin &
+Wald, JCGT 2, 2013): each lattice edge carries one orientation sign, read
+negated by the triangle that runs it backwards, and exact zeros are broken
+by Simulation of Simplicity (Edelsbrunner & Muecke, ACM TOG 9, 1990), so a
+preimage through an edge or a vertex is counted once and the regular value
+is never tilted.  A map that misses a regular value links nothing: 0.
 """
 
 from __future__ import annotations
@@ -223,105 +228,92 @@ def _orthonormal_frame(p):
 
 
 _FACE_AXES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-# parity of (mu, nu, rho) against (x, y, z) for rho the face normal
-_FACE_PARITY = {0: 1.0, 1: -1.0, 2: 1.0}
+
+
+def _edge_sign(x, y):
+    """Sign of o(x, y) = x1 y2 - x2 y1 on each lattice edge x -> y, as int8 +-1.
+
+    x and y hold the frame components (f1, f2, ...) at the edge's two ends;
+    the products commute and a difference negates exactly, so the reversed
+    edge reads the negated sign.  An exact zero takes the sign the origin
+    gives when moved by (eps, eps^2): sign(x2 - y2), then sign(y1 - x1).
+    Corners that coincide in projection read +1; a triangle with two such
+    corners never has three equal signs.
+    """
+    o = x[0] * y[1]
+    o -= x[1] * y[0]
+    np.copyto(o, x[1] - y[1], where=o == 0)
+    np.copyto(o, y[0] - x[0], where=o == 0)
+    np.copyto(o, 1.0, where=o == 0)
+    return np.sign(o).astype(np.int8)
 
 
 def _face_crossings(psi, p):
-    """All transversal crossings of the preimage of p through cell faces.
+    """All crossings of the preimage of p through cell faces, each counted once.
 
     Returns one (position (physical, may wrap), cube entered, cube exited)
-    triple per crossing.  The frame components stay separate arrays and
-    each face keeps two shifted copies of them at a time.
+    triple per crossing.  Each face splits into the plaquette kernel's two
+    triangles (diagonal 00-11).  Each axis edge and face diagonal carries
+    one _edge_sign, which a triangle negates where it runs the edge
+    backwards; a triangle holds +-p exactly when its three signs agree.
     """
-    n = psi.grid.n
     p, e1, e2 = _orthonormal_frame(p)
     f = [dot(psi.values, e) for e in (e1, e2, p)]
+    axis = [_edge_sign(f, [np.roll(x, -1, axis=mu) for x in f[:2]]) for mu in range(3)]
+    unit = np.eye(3, dtype=int)
     crossings = []
-    for rho in range(3):
-        mu, nu = _FACE_AXES[rho]
-        c10 = [np.roll(x, -1, axis=mu) for x in f]
-        c11 = [np.roll(x, -1, axis=nu) for x in c10]
-        # two triangles per face, diagonal 00-11
-        _collect_crossings(crossings, psi.grid, rho, _triangle_hits(f, c10, c11),
-                           ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
-        del c10
-        c01 = [np.roll(x, -1, axis=nu) for x in f]
-        _collect_crossings(crossings, psi.grid, rho, _triangle_hits(f, c11, c01),
-                           ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+    for rho, (mu, nu) in _FACE_AXES.items():
+        diag = _edge_sign(f, [np.roll(np.roll(x, -1, axis=mu), -1, axis=nu) for x in f[:2]])
+        # (00, 10, 11) runs 00->10 and 10->11 forward and 11->00 backward
+        a, b = axis[mu], np.roll(axis[nu], -1, axis=mu)
+        _collect_crossings(crossings, psi.grid, rho, f, a, (a == b) & (a == -diag),
+                           unit[mu], unit[mu] + unit[nu])
+        # (00, 11, 01) runs 00->11 forward and 11->01 and 01->00 backward
+        a, b = np.roll(axis[mu], -1, axis=nu), axis[nu]
+        _collect_crossings(crossings, psi.grid, rho, f, diag, (diag == -a) & (diag == -b),
+                           unit[mu] + unit[nu], unit[nu])
     return crossings
 
 
-def _triangle_hits(A, B, C):
-    """(ok, lb, lc, det): where the frame origin lies in the projected triangle ABC.
+def _collect_crossings(crossings, grid, rho, f, sign, hit, b, c):
+    """Append the crossings of p through the rho-face triangles (00, b, c) that hold +-p.
 
-    A, B, C are the corner values as component lists; lb and lc are the
-    barycentric weights of B and C, and ok also asks for the upper
-    hemisphere (third component positive at the hit).
+    At the hits only, the barycentric weights of the corners b and c give
+    the hemisphere (third frame component positive) and the position; the
+    common edge sign gives the orientation.
     """
+    idx = np.argwhere(hit)
+    A, B, C = ([x[tuple(((idx + corner) % grid.n).T)] for x in f] for corner in (0, b, c))
     d1x, d1y = B[0] - A[0], B[1] - A[1]
     d2x, d2y = C[0] - A[0], C[1] - A[1]
     det = d1x * d2y - d1y * d2x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lb = (-A[0] * d2y + A[1] * d2x) / det
-        lc = (-d1x * A[1] + d1y * A[0]) / det
-        del d1x, d1y, d2x, d2y
-        hemi = (1.0 - lb - lc) * A[2] + lb * B[2] + lc * C[2]
-        ok = ((np.abs(det) > 1e-14) & (lb >= 0) & (lc >= 0)
-              & (lb + lc <= 1) & (hemi > 0))
-    return ok, lb, lc, det
-
-
-def _collect_crossings(crossings, grid, rho, hits, corners):
-    """Append the crossings of one triangle family of the rho faces."""
-    ok, lb, lc, det = hits
-    if not np.any(ok):
-        return
-    n = grid.n
-    mu, nu = _FACE_AXES[rho]
-    idx = np.argwhere(ok)
-    lbv = lb[ok]
-    lcv = lc[ok]
-    up = np.sign(det[ok]) * _FACE_PARITY[rho] > 0
-    (a0, a1), (b0, b1), (cc0, cc1) = corners
-    pos = idx.astype(float)
-    pos[:, mu] += (1 - lbv - lcv) * a0 + lbv * b0 + lcv * cc0
-    pos[:, nu] += (1 - lbv - lcv) * a1 + lbv * b1 + lcv * cc1
-    pos *= grid.h
+    lb = (-A[0] * d2y + A[1] * d2x) / det
+    lc = (-d1x * A[1] + d1y * A[0]) / det
+    upper = (1.0 - lb - lc) * A[2] + lb * B[2] + lc * C[2] > 0
+    idx, lb, lc = idx[upper], lb[upper, None], lc[upper, None]
+    # the weighted offset is summed before the site index is added, as the
+    # per-triangle reference in tests/oracles.py sums it, bit for bit
+    pos = (idx + (lb * b + lc * c)) * grid.h
+    # (-1)^rho is the parity of (mu, nu, rho) against (x, y, z)
+    up = sign[tuple(idx.T)] * (-1) ** rho > 0
     # the cube below the face: the curve leaves it when the sign is positive
-    below = idx.copy()
-    below[:, rho] -= 1
-    below %= n
-    for pp, face, under, s in zip(pos, idx.tolist(), below.tolist(), up.tolist()):
-        if s:
-            crossings.append((pp, tuple(face), tuple(under)))
-        else:
-            crossings.append((pp, tuple(under), tuple(face)))
+    below = (idx - np.eye(3, dtype=int)[rho]) % grid.n
+    for pp, face, under, s in zip(pos, map(tuple, idx.tolist()), map(tuple, below.tolist()),
+                                  up.tolist()):
+        crossings.append((pp, face, under) if s else (pp, under, face))
 
 
 def preimage_curves(psi, p):
     """Closed preimage polylines of the regular value p, unwrapped to R^3.
 
-    Cell marching with a deterministic tie-break: degenerate configurations
-    retry with the regular value rotated by a fixed 1e-7 offset, and the
-    error after the last retry names the last attempt's reason.
+    One extraction at p itself: the edge signs of _face_crossings count a
+    preimage through a lattice edge or vertex once, with exact zeros broken
+    by Simulation of Simplicity, so no tilt of p is needed.  A map that
+    misses p has the empty preimage, [].
     """
     if not psi.is_cp1:
         raise ValueError("preimage extraction needs a CP1 map")
-    value = np.asarray(p, dtype=float)
-    for attempt in range(4):
-        crossings = _face_crossings(psi, value)
-        if not crossings:
-            raise DegeneratePreimageError(
-                "no preimage of the regular value; choose a different one")
-        try:
-            return _walk_loops(crossings, psi.grid)
-        except DegeneratePreimageError as exc:
-            reason = exc
-        tilt = alg.qexp(1e-7 * (attempt + 1) * np.array([1.0, 1.0, 1.0]))
-        value = alg.qrotate(tilt, value)
-    raise DegeneratePreimageError(
-        f"preimage extraction failed at the regular value and 3 tilts of it: {reason}")
+    return _walk_loops(_face_crossings(psi, p), psi.grid)
 
 
 def _walk_loops(crossings, grid):

@@ -467,3 +467,51 @@ def gauge_smooth_theta(b):
     theta_hat /= -S
     theta_hat[(0,) * 3] = 0.0
     return np.real(np.fft.ifftn(theta_hat))
+
+
+def face_crossings_per_triangle(psi, p):
+    """Preimage crossings of p through cell faces, each face triangle tested on its own.
+
+    The per-triangle finder topology._face_crossings replaced: barycentric
+    weights by whole-grid division, a |det| > 1e-14 cut and the hemisphere
+    test, on the triangles (00, 10, 11) and (00, 11, 01) of each face.  A
+    preimage through a lattice edge can come back from two or three of the
+    triangles around it, or from none.  Returns (position, cube entered,
+    cube left) triples in topology's order, frame and dot product included.
+    """
+    from hopfion.topology import _FACE_AXES, _orthonormal_frame
+
+    n = psi.grid.n
+    p, e1, e2 = _orthonormal_frame(p)
+    f = [lattice.dot(psi.values, e) for e in (e1, e2, p)]
+    crossings = []
+    for rho, (mu, nu) in _FACE_AXES.items():
+        c10 = [np.roll(x, -1, axis=mu) for x in f]
+        c11 = [np.roll(x, -1, axis=nu) for x in c10]
+        c01 = [np.roll(x, -1, axis=nu) for x in f]
+        for (A, B, C), corners in (((f, c10, c11), ((0, 0), (1, 0), (1, 1))),
+                                   ((f, c11, c01), ((0, 0), (1, 1), (0, 1)))):
+            d1x, d1y = B[0] - A[0], B[1] - A[1]
+            d2x, d2y = C[0] - A[0], C[1] - A[1]
+            det = d1x * d2y - d1y * d2x
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lb = (-A[0] * d2y + A[1] * d2x) / det
+                lc = (-d1x * A[1] + d1y * A[0]) / det
+                hemi = (1.0 - lb - lc) * A[2] + lb * B[2] + lc * C[2]
+                ok = ((np.abs(det) > 1e-14) & (lb >= 0) & (lc >= 0)
+                      & (lb + lc <= 1) & (hemi > 0))
+            idx = np.argwhere(ok)
+            lbv, lcv = lb[ok], lc[ok]
+            up = np.sign(det[ok]) * (-1) ** rho > 0
+            (a0, a1), (b0, b1), (c0, c1) = corners
+            pos = idx.astype(float)
+            pos[:, mu] += (1 - lbv - lcv) * a0 + lbv * b0 + lcv * c0
+            pos[:, nu] += (1 - lbv - lcv) * a1 + lbv * b1 + lcv * c1
+            pos *= psi.grid.h
+            below = idx.copy()
+            below[:, rho] -= 1
+            below %= n
+            for pp, face, under, s in zip(pos, map(tuple, idx.tolist()),
+                                          map(tuple, below.tolist()), up.tolist()):
+                crossings.append((pp, face, under) if s else (pp, under, face))
+    return crossings

@@ -317,6 +317,23 @@ class TestCli:
         assert payload["rounded"] == [payload["linking"]] == [1]
         assert payload["deviation"] == abs(payload["whitehead"] - 1)
 
+    def test_hopf_map_of_the_vacuum_links_nothing(self, tmp_path, capsys):
+        # the charge-0 map misses both regular values: the empty link
+        prefix = str(tmp_path / "vac")
+        main(["ansatz", "--n", "16", "--charge", "0", "--out", prefix])
+        capsys.readouterr()
+        assert main(["hopf", "--map", prefix + ".psi.hopf", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["linking"] == 0 and payload["rounded"] == [0]
+
+    def test_charged_map_whose_linking_reads_0_exits_3(self, tmp_path, capsys, monkeypatch):
+        prefix = str(tmp_path / "m")
+        main(["ansatz", "--n", "16", "--out", prefix])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "linking_charge", lambda psi: 0)
+        assert main(["hopf", "--map", prefix + ".psi.hopf"]) == 3
+        assert "linking 0" in capsys.readouterr().err
+
     def test_hopf_routes_that_round_differently_exit_3(self, tmp_path, capsys, monkeypatch):
         prefix = str(tmp_path / "m")
         main(["ansatz", "--n", "16", "--out", prefix])
