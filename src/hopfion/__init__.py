@@ -37,7 +37,7 @@ from .gauge import (
     make_stabilizer,
 )
 from .lattice import Grid, LatticeField, d, integrate_3form, l2_inner, l2_norm, wedge
-from .minimize import HistoryRow, RelaxConfig, RelaxRun, charge_guard, relax
+from .minimize import HistoryRow, RelaxConfig, RelaxRun, relax
 from .topology import (
     ChargeReport,
     chern_simons_charge,

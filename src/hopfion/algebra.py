@@ -466,15 +466,17 @@ def plaquette_areas(p, with_grads=False):
 
     p holds unit 3-vectors on its last axis, shape (n, n, n, 3), in any
     layout: a map's component-major values as stored, or a C-order array.
-    Yields ((mu, nu), area) slot by slot in SLOTS2 order, rolling p along
-    grid axes mu and nu; area[x] sums the geodesic triangles
-    (x, x+mu, x+mu+nu) and (x, x+mu+nu, x+nu).  with_grads adds an
-    iterator over the gradients of area[x] at the corners x, x+mu, x+mu+nu
-    and x+nu, laid out like p, which forms each when asked for and keeps
-    none it has handed out.  Every product and sum matches np.cross and
-    np.sum(..., axis=-1) term for term, so results round as the site-major
-    formula does, in either layout; arithmetic runs in place to spare
-    temporaries.
+    Yields ((mu, nu), area, peak) slot by slot in SLOTS2 order, rolling p
+    along grid axes mu and nu; area[x] sums the geodesic triangles
+    (x, x+mu, x+mu+nu) and (x, x+mu+nu, x+nu), and peak is the largest
+    |area| of a single triangle in the slot, read off the two triangles
+    before they are summed.  with_grads yields ((mu, nu), area, corners)
+    instead: corners iterates over the gradients of area[x] at the corners
+    x, x+mu, x+mu+nu and x+nu, laid out like p, forming each when asked for
+    and keeping none it has handed out.  Every product and sum matches
+    np.cross and np.sum(..., axis=-1) term for term, so results round as the
+    site-major formula does, in either layout; arithmetic runs in place to
+    spare temporaries.
     """
     for mu, nu in SLOTS2:
         if with_grads:
@@ -487,9 +489,11 @@ def plaquette_areas(p, with_grads=False):
         area = _triangle(p, p10, p11, False)
         del p10
         p01 = np.roll(p, -1, axis=nu)
-        area += _triangle(p, p11, p01, False)
+        second = _triangle(p, p11, p01, False)
         del p11, p01
-        yield (mu, nu), area
+        peak = max(float(np.max(np.abs(area))), float(np.max(np.abs(second))))
+        area += second
+        yield (mu, nu), area, peak
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import ConfigError, HopfionError
 from .fields import make_ansatz
 from .gauge import identity_suite
 from .lattice import Grid
-from .minimize import _charge_estimate, charge_guard, relax
+from .minimize import _charge_estimate, relax
 from .suites import invariant_suite
 from .topology import ChargeReport, chern_simons_from_lift, linking_charge, whitehead_charge
 
@@ -217,11 +217,10 @@ def _run_relax(args):
         hio.write_snapshot(os.path.join(outdir, f"checkpoint-{it:06d}.hopf"),
                            psi, extra_meta={"iteration": it})
 
-    run = relax(psi0, cfg, checkpoint_cb=checkpoint if cfg.checkpoint_every else None)
+    run = relax(psi0, cfg, checkpoint_cb=checkpoint)
     hio.write_history_csv(os.path.join(outdir, "history.csv"), run)
     hio.write_snapshot(os.path.join(outdir, "final.psi.hopf"), run.final_psi,
                        extra_meta={"termination": run.termination})
-    flagged = charge_guard(run)
     last = run.history[-1]
     print(f"termination: {run.termination} after {last.iter} iterations; "
           f"energy {last.energy:.6f}; grad_norm {last.grad_norm:.3e}")
@@ -230,8 +229,6 @@ def _run_relax(args):
     if charge is None:
         print(f"warning: no Hopf charge is defined on the final map at n = {psi0.grid.n}; "
               "refine the grid")
-    if flagged:
-        print(f"warning: charge jumps flagged at iterations {flagged}")
     if run.termination == "diverged":
         return 3
     return 0

@@ -17,6 +17,11 @@ from . import algebra as alg
 from . import fields as fl
 from .lattice import LatticeField, SLOTS2, centered_diff, cross, dot, empty_component_major, wedge
 
+# descent_energy's admissibility wall in radians: relaxed hopf maps (charges
+# 1, 2; n >= 24) reach |triangle| 0.61, the n = 16 charge-2 start 1.75 and the
+# n = 8 and 12 starts, which relax refuses, 5.5 to 6.3
+A_MAX = 2.0
+
 # Site-wise ratio of the commutator-wedge Skyrme density to the literal
 # cross-product form on the half-scaled differential: |[x, y]| = 2 |x cross y|
 # on su2, squared.  Frozen as a regression value.
@@ -129,7 +134,10 @@ def descent_energy(psi):
     charge).  Centered differences admit lattice null modes (checkerboard
     and antipodal-flip patterns cost nothing) through which descent can
     drain topology; here any lattice-scale topology change pays the full
-    quartic price of a wrapped plaquette, of order 1/h.
+    quartic price of a wrapped plaquette, of order 1/h.  The skyrme term is
+    +inf once a triangle reaches |area| = A_MAX, short of the +-2 pi branch,
+    so no path on which it stays finite changes the lattice charge (Berg &
+    Luscher 1981).
     """
     if not psi.is_cp1:
         raise ValueError("the descent objective is implemented for the CP1 target")
@@ -139,10 +147,12 @@ def descent_energy(psi):
     for mu in range(3):
         delta = np.roll(p, -1, axis=mu) - p
         e2 += dot(delta, delta)
-    e4 = np.zeros_like(e2)
-    for _, area in alg.plaquette_areas(p):
-        e4 += area * area
     dirichlet = float(np.sum(e2)) * h / 8.0
+    e4 = np.zeros_like(e2)
+    for _, area, peak in alg.plaquette_areas(p):
+        if peak >= A_MAX:
+            return dirichlet, np.inf
+        e4 += area * area
     skyrme = float(np.sum(e4)) / (16.0 * h)
     return dirichlet, skyrme
 
@@ -165,9 +175,8 @@ def descent_gradient(psi):
                 corner = np.roll(corner, 1, axis=axis)
             grad += corner
             del corner
-    grad -= dot(grad, p)[..., None] * p
     # C order, so that reductions over the returned gradient run as before
-    return np.ascontiguousarray(grad)
+    return np.ascontiguousarray(alg.isotropy_split(psi.pair, p, grad)[1])
 
 
 def energy_gradient(psi):

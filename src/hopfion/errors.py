@@ -6,7 +6,7 @@ class HopfionError(Exception):
 
 
 class RoughFieldError(HopfionError):
-    """A link angle reached the cut locus of the principal logarithm."""
+    """A link angle at the logarithm's cut, or a relax start beyond the admissibility wall."""
 
 
 class FluxObstructionError(HopfionError):

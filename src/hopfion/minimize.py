@@ -1,20 +1,16 @@
 """Constrained relaxation of CP1-valued maps with charge monitoring.
 
 The optimizer moves the map itself, a point of the product of spheres
-(one per site).  Optimizing over the map rather than over a lift
-sidesteps the gauge degeneracy of lift representations entirely;
-topological diagnostics for lifts remain available in the topology
-module.
-
-The objective is the topology-protecting discretization of the energy
-(descent_energy): chordal Dirichlet term plus the plaquette-area quartic
-term, which charges lattice-scale topology changes their full continuum
-price and keeps the monitored charge stable at moderate resolution.  The
+(one per site), not a lift, so the gauge degeneracy of lifts never enters.
+The objective is descent_energy: the chordal Dirichlet term plus the
+plaquette-area quartic term, +inf beyond its admissibility wall
+(energy.A_MAX), so no accepted point changes the lattice charge; relax
+refuses a start beyond the wall with RoughFieldError.  The
 method is Riemannian L-BFGS (Absil, Mahony & Sepulchre 2008, ch. 4 and 8;
 Huang, Gallivan & Absil 2015): two-loop directions (Nocedal & Wright
 2006, ch. 7) projected onto the tangent space, retraction by pointwise
-renormalization, a per-site step cap and a monotone Armijo line search
-with halving, so every accepted step strictly decreases the objective.
+renormalization and a monotone Armijo line search with halving, so every
+accepted step strictly decreases the objective.
 relax starts L-BFGS from the Sobolev metric gamma (I - kappa Lap_h)^-1
 (Neuberger 1997, LNM 1670); from the flat gamma I its iterations grow with n.
 descend runs that loop for any objective; relax is its one caller.
@@ -30,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import descent_energy, descent_gradient
-from .errors import ConfigError, FluxObstructionError
+from .energy import A_MAX, descent_energy, descent_gradient
+from .errors import ConfigError, FluxObstructionError, RoughFieldError
 from .lattice import empty_component_major, forward_diff_symbols
 from .topology import whitehead_charge
 
@@ -40,19 +36,16 @@ ARMIJO_C = 1e-4
 MEMORY = 5
 # A line search gives up after this many halvings of its first trial step.
 # The converging hopf relaxations (n = 24, 32; charge 1, 2) halve at most
-# once; ten means the quasi-Newton model misses the objective by three
-# orders of magnitude, as next to a wrapped plaquette (area +-pi), where
-# more halvings only creep along the kink, and a step may cross it and
-# change the topology.
+# once; ten means the model misses the objective by three orders of
+# magnitude, as where every longer step meets the admissibility wall.
 MAX_HALVINGS = 10
 # kappa of relax's preconditioner (I - kappa Lap_h)^-1, a length^2 on the
-# default period 2 pi: sqrt(kappa) = 0.45, about 1.7 h at n = 24.  At 0.5 the
-# n = 16 barrier run stops at charge 0.82, at 1.0 it unwinds the charge
+# default period 2 pi (sqrt = 0.45, 1.7 h at n = 24).  The hopf ansatz at n = 24
+# / 32 / 48 converges in 33 / 36 / 40 iterations, in 31 / 32 / 36 at 0.3 and 28 /
+# 30 / 32 at 0.4 (energies equal to 1e-5); 0.2 keeps the pinned relax histories.
 SOBOLEV_KAPPA = 0.2
 # relax's H0 = STEP_INIT * P before any pair
 STEP_INIT = 0.2
-# max per-site move per step: without it 9 of 31 perturbed n = 16 hopf runs unwind
-STEP_CAP = 0.2
 
 
 @dataclass
@@ -111,7 +104,7 @@ def _charge_estimate(psi):
 
 
 def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
-            on_step, step_cap, precondition):
+            on_step, precondition):
     """Riemannian L-BFGS with a monotone Armijo line search; returns (x, termination).
 
     objective(x) gives the terms whose sum is minimized and gradient(x) the
@@ -126,14 +119,14 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
     (s = the accepted step, y = the change of the gradient), projected at
     x; a pair is kept only when s.y > 0.  H0 is step_init * P with no pairs
     and gamma P after, with gamma = s.y / y.Py of the newest pair.  The
-    trial step along the direction starts at 1, capped so that no site
-    (last array axis) moves by more than step_cap, and is halved
-    up to MAX_HALVINGS times until the Armijo test on the slope grad.d
-    passes; when it fails the run has "stalled".  The direction always
-    descends, so there is nothing to retry: with P positive definite and
-    s.y > 0 for every kept pair H is positive definite, and the slope of
-    the tangent grad is grad.H grad > 0.  A non-finite objective ends the
-    run as "diverged" at the last finite point.
+    trial step along the direction starts at 1 and is halved up to
+    MAX_HALVINGS times until the Armijo test on the slope grad.d passes;
+    when it fails the run has "stalled"; a trial objective of +inf fails it.
+    The direction always descends, so there is nothing to retry: with P
+    positive definite and s.y > 0 for every kept pair H is positive
+    definite, and the slope of the tangent grad is grad.H grad > 0.  A NaN
+    objective, or a non-finite one at x, ends the run as "diverged" at the
+    last finite point.
     """
     terms = objective(x)
     f = sum(terms)
@@ -147,7 +140,7 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
     pairs = deque()    # (s, y, 1 / s.y, s.y / y.Py), flat, oldest first
     for it in range(1, max_iters + 1):
         d = project(x, _two_loop(g, pairs, step_init, precondition))
-        found = _line_search(objective, retract, x, f, g, d, step_cap)
+        found = _line_search(objective, retract, x, f, g, d)
         if found is None:
             return x, "stalled"
         step, trial, trial_terms = found
@@ -198,19 +191,19 @@ def _two_loop(g, pairs, scale, precondition):
     return q.reshape(g.shape)
 
 
-def _line_search(objective, retract, x, f, g, d, step_cap):
-    """Armijo halving from step 1 (capped) along -d: (step, point, terms), or None."""
+def _line_search(objective, retract, x, f, g, d):
+    """Armijo halving from step 1 along -d: (step, point, terms), or None."""
     slope = _inner(g.ravel(), d.ravel())
     if not slope > 0:
         return None
-    step = min(1.0, step_cap / float(np.max(np.linalg.norm(d, axis=-1))))
+    step = 1.0
     for _ in range(MAX_HALVINGS + 1):
         trial = retract(x, (-step) * d)
         terms = objective(trial)
         f_trial = sum(terms)
-        # a non-finite trial fails Armijo at every step; report it as diverged.
+        # a NaN trial fails Armijo at every step; report it as diverged.
         # "<" keeps the descent strict where the Armijo term rounds away
-        if not np.isfinite(f_trial) or f_trial < f - ARMIJO_C * step * slope:
+        if math.isnan(f_trial) or f_trial < f - ARMIJO_C * step * slope:
             return step, trial, terms
         step *= 0.5
     return None
@@ -225,6 +218,10 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
     def on_step(it, psi, terms, grad, step):
         nonlocal gnorm0
         e2, e4 = terms
+        if it == 0 and math.isinf(e4):
+            raise RoughFieldError(
+                f"inadmissible start at n = {psi.grid.n}: a plaquette triangle has "
+                f"|area| >= A_MAX = {A_MAX}, so no charge is protected; refine the grid")
         gnorm = math.sqrt(_inner(grad.ravel(), grad.ravel()))
         if it == 0 and gnorm > 0:
             gnorm0 = gnorm
@@ -244,7 +241,7 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
         retract=lambda psi, v: psi.with_values(
             np.add(psi.values, v, out=empty_component_major(psi.values.shape))),
         project=_tangent, step_init=STEP_INIT, max_iters=cfg.max_iters,
-        on_step=on_step, step_cap=STEP_CAP, precondition=_sobolev(psi0.grid))
+        on_step=on_step, precondition=_sobolev(psi0.grid))
     return RelaxRun(history, psi, termination, cfg)
 
 
@@ -265,12 +262,3 @@ def _tangent(psi, v):
     p = np.ascontiguousarray(psi.values)
     return v - np.einsum("...i,...i->...", v, p)[..., None] * p
 
-
-def charge_guard(run):
-    """Iterations where adjacent charge estimates jump by more than 0.25.
-
-    A flagged pair is evidence of lattice-scale topology change; it is a
-    warning, not a failure.
-    """
-    charges = run.charges()   # monitored rows only
-    return [it1 for (_, c0), (it1, c1) in zip(charges, charges[1:]) if abs(c1 - c0) > 0.25]

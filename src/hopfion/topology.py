@@ -167,7 +167,7 @@ def area_flux_2form(psi):
     # the plaquette area approximates h^2 times the 2-form component
     n = psi.grid.n
     out = empty_component_major((n, n, n, len(SLOTS2), 1))
-    for slot, (_, area) in enumerate(alg.plaquette_areas(psi.values)):
+    for slot, (_, area, _) in enumerate(alg.plaquette_areas(psi.values)):
         np.divide(area, 4.0 * np.pi * psi.grid.h ** 2, out=out[:, :, :, slot, 0])
     return LatticeField(psi.grid, 2, out)
 
@@ -349,14 +349,15 @@ def _walk_loops(crossings, grid):
             loop.append(pos)
             candidates = [c for c in by_exit.get(enter, ()) if c not in used or c == start]
             if not candidates:
-                raise DegeneratePreimageError("preimage walk dead-ended")
+                raise DegeneratePreimageError(f"preimage walk dead-ended in cube {enter} at "
+                                              f"n = {grid.n}; refine the grid")
             ci = min(candidates, key=lambda c: (torus_dist(crossings[c][0], pos), c))
         # unwrap the closed loop: undo each jump of a whole period
         pts = np.array(loop + loop[:1], dtype=float)
         pts[1:] -= L * np.cumsum(np.rint(np.diff(pts, axis=0) / L), axis=0)
         if np.any(pts[-1] != pts[0]):
             raise DegeneratePreimageError(
-                "preimage loop winds the torus; linking in R^3 undefined")
+                f"preimage loop winds the torus at n = {grid.n}; linking in R^3 undefined")
         loops.append(pts)
     return loops
 
@@ -378,7 +379,7 @@ def gauss_linking(curve1, curve2):
     g = curve2[None, :-1] - curve1[:-1, None]
     with np.errstate(invalid="ignore"):
         g /= np.linalg.norm(g, axis=-1, keepdims=True)
-    _, area = next(alg.plaquette_areas(g[:, :, None]))
+    _, area, _ = next(alg.plaquette_areas(g[:, :, None]))
     if not np.all(np.abs(area) < 2.0 * np.pi):
         raise DegeneratePreimageError("preimage curves touch; linking number undefined")
     return int(np.rint(np.sum(area) / (4.0 * np.pi)))

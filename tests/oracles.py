@@ -20,6 +20,7 @@ import numpy as np
 
 from hopfion import lattice
 from hopfion.algebra import check_unit, su2_u1
+from hopfion.energy import A_MAX
 from hopfion.lattice import SLOTS2, LatticeField, centered_diff, d, wedge
 
 CHARGE_FROM_VOLUME = -1.0
@@ -339,11 +340,16 @@ def descent_energy(psi):
         delta = np.roll(p, -1, axis=mu) - p
         e2 += np.sum(delta * delta, axis=-1)
     e4 = np.zeros_like(e2)
+    peak = 0.0
     for mu, nu in SLOTS2:
         p10, p11, p01 = _corners(p, mu, nu)
-        area = spherical_triangle_area(p, p10, p11) + spherical_triangle_area(p, p11, p01)
+        t1, t2 = spherical_triangle_area(p, p10, p11), spherical_triangle_area(p, p11, p01)
+        peak = max(peak, np.max(np.abs(t1)), np.max(np.abs(t2)))
+        area = t1 + t2
         e4 += area * area
-    return float(np.sum(e2)) * h / 8.0, float(np.sum(e4)) / (16.0 * h)
+    # the admissibility wall: +inf once any single triangle reaches A_MAX
+    skyrme = np.inf if peak >= A_MAX else float(np.sum(e4)) / (16.0 * h)
+    return float(np.sum(e2)) * h / 8.0, skyrme
 
 
 def descent_gradient(psi):

@@ -215,7 +215,7 @@ class TestGradients:
         delta[..., 2] = 0.0
         psi = fl.constant_map(grid).with_values(
             fl.constant_map(grid).values + eps * delta)
-        assert all(not np.any(area) for _, area in
+        assert all(not np.any(area) for _, area, _ in
                    alg.plaquette_areas(psi.values))
         g = descent_gradient(psi)
         lap = sum(np.roll(psi.values, s, axis=mu) for mu in range(3) for s in (1, -1))

@@ -12,7 +12,7 @@ from hopfion import cli
 from hopfion import fields as fl
 from hopfion import io as hio
 from hopfion.cli import main
-from hopfion.energy import energy_map
+from hopfion.energy import A_MAX, energy_map
 from hopfion.errors import ConfigError
 from hopfion.gauge import make_stabilizer, smooth_scalar
 from hopfion.lattice import Grid, LatticeField
@@ -392,28 +392,35 @@ class TestCli:
             config = tmp_path / f"{tag}.cfg"
             outdir = tmp_path / tag
             config.write_text(
-                "grid.n = 12\nansatz.kind = hopf\nansatz.charge = 1\n"
+                "grid.n = 16\nansatz.kind = hopf\nansatz.charge = 1\n"
                 "optimizer.max_iters = 8\noptimizer.charge_check_every = 4\n"
                 f"output.dir = {outdir}\n")
             assert main(["relax", "--config", str(config)]) == 0
             csvs.append((outdir / "history.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
-    @pytest.mark.parametrize("n", [16, 12])
+    @pytest.mark.parametrize("n", [16, 12, 8])
     def test_relax_prints_final_charge(self, tmp_path, capsys, n):
         # the charge monitor's cadence (25) samples only row 0 of a 3-iteration
-        # run; at n = 12 the hopf map has flux through a coordinate 2-torus
+        # run; at n = 8 and 12 the hopf map is beyond the admissibility wall,
+        # so relax refuses it in one line and writes nothing
         config = tmp_path / "run.cfg"
         outdir = tmp_path / "out"
         config.write_text(f"grid.n = {n}\nansatz.kind = hopf\nansatz.charge = 1\n"
                           f"optimizer.max_iters = 3\noutput.dir = {outdir}\n")
+        if n < 16:
+            assert main(["relax", "--config", str(config)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and list(outdir.iterdir()) == []
+            assert captured.err.splitlines() == [
+                f"numerical failure: inadmissible start at n = {n}: a plaquette triangle has "
+                f"|area| >= A_MAX = {A_MAX}, so no charge is protected; refine the grid"]
+            return
         assert main(["relax", "--config", str(config)]) == 0
         _, final = hio.read_snapshot(outdir / "final.psi.hopf")
-        charge = "undefined" if n == 12 else f"{whitehead_charge(final):.6f}"
         out = capsys.readouterr().out.splitlines()
-        assert out[1] == f"final whitehead charge: {charge}"
-        warning = f"warning: no Hopf charge is defined on the final map at n = {n}; refine the grid"
-        assert (warning in out) == (n == 12)
+        assert out[1] == f"final whitehead charge: {whitehead_charge(final):.6f}"
+        assert not any(line.startswith("warning:") for line in out)
 
     def test_malformed_snapshot_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "junk.hopf"

@@ -271,6 +271,17 @@ class TestPreimageWalk:
             with pytest.raises(DegeneratePreimageError, match="dead-ended"):
                 tp._walk_loops(crossings, Grid(4, 4.0))
 
+    @pytest.mark.parametrize("seed, message", [
+        (0, "preimage loop winds the torus at n = 12;"),
+        (2, r"preimage walk dead-ended in cube \(0, 2, 3\) at n = 12;"),
+    ], ids=["winds", "dead_end"])
+    def test_rough_map_failures_name_the_grid(self, seed, message):
+        # neighbouring values up to 1.9 apart: a cube's boundary wraps the
+        # sphere, and the message says where and on which grid
+        psi = smooth_cp1_map(Grid(12), np.random.default_rng(seed), amplitude=1.0)
+        with pytest.raises(DegeneratePreimageError, match=message):
+            tp.linking_charge(psi)
+
 
 def _frame_map(f1, f2, f3, p):
     """A stand-in map whose values have the frame components (f1, f2, f3) about p, exactly."""
