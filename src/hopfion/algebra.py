@@ -18,11 +18,17 @@ round exactly as the np.sum / np.cross / np.sinc formulas they replaced;
 they take their last-axis cross and dot from lattice, except qmul, which
 writes its dot and cross term by term into the slots of its output.
 
+The adjoint action has two kernels.  qrotate, the fused quaternion chain,
+serves maps and lifts, whose results are pinned bit for bit; g-valued
+forms rotate through qrotate_form, which applies one 3x3 matrix of g to
+every slot and agrees with qrotate to a few ulps.
+
 Storage: every kernel takes per-site values as they are stored, on the
-last axis.  qmul, qconj, qrotate, the CP1 split and plaquette_areas'
-corner gradients allocate their results like their operand of full shape,
-so component-major forms, maps and lifts (see lattice) give
-component-major results whose components are contiguous blocks.
+last axis.  qmul, qconj, qrotate, qrotate_form, the CP1 split and
+plaquette_areas' corner gradients allocate their results like their
+operand of full shape, so component-major forms, maps and lifts (see
+lattice) give component-major results whose components are contiguous
+blocks.
 """
 
 from __future__ import annotations
@@ -135,14 +141,18 @@ def qlog(q):
     return factor * v
 
 
-# sites per slab of qrotate.  Whole-grid temporaries would peak above the
-# qim(qmul(...)) chain it replaces.  Tracemalloc peak MiB / median ms on
-# component-major form data over 3 slots (2 cores, numpy 2.4.6):
+# sites per slab of qrotate (maps and lifts) and of qrotate_form (forms).
+# Whole-grid temporaries would peak above the qim(qmul(...)) chain qrotate
+# replaces.  Tracemalloc peak MiB / median ms of qrotate on component-major
+# form data over 3 slots (2 cores, numpy 2.4.6):
 #   n = 32: chain 8.6 / 12.0, 2^11 3.6 / 13.2, 2^13 3.8 / 11.8,
 #           2^15 5.7 / 10.2, whole grid 10.8 / 10.3
 #   n = 64: chain 68.1 / 133, 2^11 27.0 / 61, 2^13 27.0 / 66,
 #           2^15 27.9 / 60, whole grid 86.1 / 86
-# so 2^11 to 2^13 sites keep the lowest peak at no measurable cost in time
+# so 2^11 to 2^13 sites keep the lowest peak at no measurable cost in time.
+# qrotate_form's slab holds its 3x3 matrix, 9 doubles a site; on the same
+# data it takes 1.1 ms at n = 32 and 10-13 ms at n = 64 (qrotate 6 and
+# 43 ms), and its peak stays within one slab of qrotate's
 _SLAB_SITES = 1 << 13
 
 
@@ -172,6 +182,69 @@ def qrotate(g, v):
         r += dot(gv, vx)[..., None] * gv
         np.add(r, cross(gv, t), out=dest[x:x + rows])
     return out
+
+
+def _twice_difference_and_sum(p, q):
+    """2 (p - q) and 2 (p + q), the second in p's buffer."""
+    difference = p - q
+    difference *= 2.0
+    p += q
+    p *= 2.0
+    return difference, p
+
+
+def _rotation_rows(g):
+    """Rows of the 3x3 matrix of v -> g v conj(g) from g's homogeneous entries:
+    diagonal ((w^2 + x^2) - y^2) - z^2, ((w^2 - x^2) + y^2) - z^2 and
+    ((w^2 - x^2) - y^2) + z^2, off-diagonal 2 (xy -+ wz), 2 (xz +- wy) and
+    2 (yz -+ wx), built in place so that each product is freed after use."""
+    w, x, y, z = (g[..., k] for k in range(4))
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    d0 = ww + xx
+    d0 -= yy
+    d0 -= zz
+    d2 = ww                 # w^2 - x^2 in ww's buffer, shared by d1 and d2
+    d2 -= xx
+    d1 = d2 + yy
+    d1 -= zz
+    d2 -= yy
+    d2 += zz
+    del ww, xx, yy, zz
+    r01, r10 = _twice_difference_and_sum(x * y, w * z)
+    r20, r02 = _twice_difference_and_sum(x * z, w * y)
+    r12, r21 = _twice_difference_and_sum(y * z, w * x)
+    return (d0, r01, r02), (r10, d1, r12), (r20, r21, d2)
+
+
+def qrotate_form(g, v):
+    """g v conj(g) on every slot of form data v (n, n, n, slots, 3), g (n, n, n, 4).
+
+    The adjoint action g v g^-1 for unit g, through the 3x3 matrix of g:
+    slab by slab along x, the matrix is built once from g's homogeneous
+    entries (w^2 + x^2 - y^2 - z^2, 2(xy - wz), ...), so a g of any norm
+    gives g v conj(g) as qrotate does, and each slot's three components take
+    9 products and 6 sums, on contiguous blocks of a component-major v.
+    The values agree with qrotate's to a few ulps, not bit for bit, hence
+    two kernels: qrotate serves maps and lifts (fields.act, make_ansatz and
+    with them every pinned map, charge and relax history), and forms, whose
+    slots share one matrix, rotate here in a quarter of qrotate's time or less.
+    """
+    out = np.empty_like(v)
+    rows = max(1, _SLAB_SITES // (g.shape[1] * g.shape[2]))
+    for x in range(0, g.shape[0], rows):
+        slab = slice(x, x + rows)
+        _matrix_apply(_rotation_rows(g[slab]), v[slab], out[slab])
+    return out
+
+
+def _matrix_apply(matrix, v, out):
+    """out[..., s, k] = (m[k][0] v[..., s, 0] + m[k][1] v[..., s, 1]) + m[k][2] v[..., s, 2]
+    for every slot s; the matrix is freed on return, before the next slab's."""
+    for slot in range(v.shape[3]):
+        for k, (m0, m1, m2) in enumerate(matrix):
+            dest = np.multiply(m0, v[..., slot, 0], out=out[..., slot, k])
+            dest += m1 * v[..., slot, 1]
+            dest += m2 * v[..., slot, 2]
 
 
 def random_unit_quaternions(rng, shape=()):

@@ -19,7 +19,7 @@ import numpy as np
 from . import io as hio
 from .algebra import cp1_point_of
 from .energy import energy_map
-from .errors import ConfigError, HopfionError
+from .errors import ConfigError, HopfionError, RoughFieldError
 from .fields import make_ansatz
 from .gauge import identity_suite
 from .lattice import Grid
@@ -211,13 +211,19 @@ def _run_relax(args):
                            cfgmap["grid.length"], cfgmap["ansatz.charge"])[0]
     cfg = hio.relax_config(cfgmap)
     outdir = cfgmap["output.dir"]
+    created = not os.path.isdir(outdir)
     os.makedirs(outdir, exist_ok=True)   # before the relaxation: an OSError exits 2
 
     def checkpoint(it, psi):
         hio.write_snapshot(os.path.join(outdir, f"checkpoint-{it:06d}.hopf"),
                            psi, extra_meta={"iteration": it})
 
-    run = relax(psi0, cfg, checkpoint_cb=checkpoint)
+    try:
+        run = relax(psi0, cfg, checkpoint_cb=checkpoint)
+    except RoughFieldError:   # an inadmissible start (exit 3) leaves no directory behind
+        if created and not os.listdir(outdir):
+            os.rmdir(outdir)
+        raise
     hio.write_history_csv(os.path.join(outdir, "history.csv"), run)
     hio.write_snapshot(os.path.join(outdir, "final.psi.hopf"), run.final_psi,
                        extra_meta={"termination": run.termination})

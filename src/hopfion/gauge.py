@@ -54,8 +54,7 @@ def make_stabilizer(phi, theta):
 
 def ad_inverse_apply(w, form):
     """Ad(w^-1) applied slotwise to a g-valued form (w broadcasts over slots)."""
-    return LatticeField(form.grid, form.degree,
-                        alg.qrotate(w.inverse_values()[:, :, :, None], form.data))
+    return LatticeField(form.grid, form.degree, alg.qrotate_form(w.inverse_values(), form.data))
 
 
 def stabilizer_log_derivative(stab, scheme="log"):
@@ -185,7 +184,13 @@ def _rel(residual_field, reference_field):
 
 
 def smooth_scalar(grid, rng, amplitude=1.0):
-    """Random low-frequency trig polynomial sampled on the grid."""
+    """Random low-frequency trig polynomial sampled on the grid.
+
+    Three modes amp sin(x k0 + y k1 + z k2 + phase), k in {-1, 0, 1}^3, each
+    from separable tables: sin(P + z k2) = sin P cos(z k2) + cos P sin(z k2)
+    with P = x k0 + y k1 + phase an (n, n, 1) table and amp folded into its
+    sin and cos, so no transcendental is taken over the whole grid.
+    """
     c = grid.axis_coords() * (2.0 * np.pi / grid.length)
     x, y, z = c[:, None, None], c[None, :, None], c[None, None, :]
     out = np.zeros((grid.n,) * 3)
@@ -193,7 +198,9 @@ def smooth_scalar(grid, rng, amplitude=1.0):
         k = rng.integers(-1, 2, size=3)
         phase = rng.uniform(0, 2 * np.pi)
         amp = rng.uniform(0.3, 1.0) * amplitude
-        out += amp * np.sin((x * k[0] + y * k[1]) + z * k[2] + phase)
+        p = (x * k[0] + y * k[1]) + phase
+        out += (amp * np.sin(p)) * np.cos(z * k[2])
+        out += (amp * np.cos(p)) * np.sin(z * k[2])
     return out
 
 

@@ -371,17 +371,24 @@ def gauss_linking(curve1, curve2):
 
     The Gauss map of vertex pairs (i, j), the unit vector from curve1[i] to
     curve2[j], lives on a periodic grid; its degree is the sum of the signed
-    plaquette areas over 4 pi (Berg & Luscher 1981).  A segment pair
-    subtends a solid angle below 2 pi, and its plaquette's area differs from
-    it by a multiple of 4 pi, so |area| < 2 pi everywhere proves the sum
-    exact; otherwise (touching curves give NaN) DegeneratePreimageError.
+    plaquette areas over 4 pi (Berg & Luscher 1981).  Two segments that
+    cross put their plaquette's corners on one great circle, where the
+    areas are rounding: a crossing that cuts both segments in one ratio
+    makes a diagonal's corners antipodal, any other makes one triangle a
+    hemisphere of +-2 pi.  So the sum is taken only when both diagonals of
+    every plaquette stay 1e-12 away from antipodal (in 1 + cos) and every
+    triangle is below pi; otherwise (touching curves give NaN)
+    DegeneratePreimageError.  The preimage curves of the n = 24-48 hopf
+    ansatz, charges 1 and 2, keep 1 + cos >= 1.36 and triangles <= 0.29.
     """
     g = curve2[None, :-1] - curve1[:-1, None]
     with np.errstate(invalid="ignore"):
         g /= np.linalg.norm(g, axis=-1, keepdims=True)
-    _, area, _ = next(alg.plaquette_areas(g[:, :, None]))
-    if not np.all(np.abs(area) < 2.0 * np.pi):
-        raise DegeneratePreimageError("preimage curves touch; linking number undefined")
+    _, area, peak = next(alg.plaquette_areas(g[:, :, None]))
+    g10, g01 = np.roll(g, -1, axis=0), np.roll(g, -1, axis=1)
+    cos_diagonal = min(float(np.min(dot(g, np.roll(g10, -1, axis=1)))), float(np.min(dot(g10, g01))))
+    if not (peak < np.pi and 1.0 + cos_diagonal > 1e-12):
+        raise DegeneratePreimageError("preimage curves touch or cross; linking number undefined")
     return int(np.rint(np.sum(area) / (4.0 * np.pi)))
 
 

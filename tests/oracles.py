@@ -244,6 +244,19 @@ def gauge_transform_potential(b, stab):
     return fl.PotentialField(ad_inverse_apply(stab.w, b.a - omega) + omega + dw, phi)
 
 
+def smooth_scalar(grid, rng, amplitude=1.0):
+    """gauge.smooth_scalar as it computed each mode: one sin over the whole grid."""
+    c = grid.axis_coords() * (2.0 * np.pi / grid.length)
+    x, y, z = c[:, None, None], c[None, :, None], c[None, None, :]
+    out = np.zeros((grid.n,) * 3)
+    for _ in range(3):
+        k = rng.integers(-1, 2, size=3)
+        phase = rng.uniform(0, 2 * np.pi)
+        amp = rng.uniform(0.3, 1.0) * amplitude
+        out += amp * np.sin((x * k[0] + y * k[1]) + z * k[2] + phase)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # test-only helpers: references with no caller in the library
 # ---------------------------------------------------------------------------

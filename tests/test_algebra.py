@@ -135,6 +135,39 @@ class TestComponentKernels:
 
         assert peak(alg.qrotate) <= peak(oracles.qrotate)
 
+    @pytest.mark.parametrize("n", [6, 24])
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_qrotate_form_matches_chain(self, rng, n, scale):
+        # g conj(g)-homogeneous: a g of norm 1.5 scales the result by 2.25 in
+        # both; n = 24 spans two slabs along x
+        g = scale * alg.random_unit_quaternions(rng, (n, n, n))
+        v = LatticeField(Grid(n), 1, rng.standard_normal((n, n, n, 3, 3))).data
+        got = alg.qrotate_form(g, v)
+        assert np.max(np.abs(got - oracles.qrotate(g[:, :, :, None], v))) <= 1e-15 * np.max(np.abs(v))
+
+    def test_qrotate_form_component_major(self, rng):
+        g = alg.random_unit_quaternions(rng, (6, 6, 6))
+        v = LatticeField(Grid(6), 2, rng.standard_normal((6, 6, 6, 3, 3))).data
+        got = alg.qrotate_form(g, v)
+        assert is_component_major(got) and got.strides == v.strides
+
+    def test_qrotate_form_peak_within_one_slab_of_qrotate(self, rng):
+        # the matrix of each slab is freed before the next slab's is built
+        g = alg.random_unit_quaternions(rng, (32, 32, 32))
+        v = LatticeField(Grid(32), 1, rng.standard_normal((32, 32, 32, 3, 3))).data
+
+        def peak(fn, g):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                fn(g, v)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        slab = alg._SLAB_SITES * 3 * 8   # one slab of 3-vectors
+        assert peak(alg.qrotate_form, g) <= peak(alg.qrotate, g[:, :, :, None]) + slab
+
     @pytest.mark.parametrize("shape", [(), (50,), (5, 4, 1)])
     def test_qconj_qembed_qexp_match_concatenation(self, rng, shape):
         q = rng.standard_normal(shape + (4,))

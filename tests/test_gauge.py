@@ -275,6 +275,29 @@ class TestComponentKernels:
         assert oracles.patch_kernels(monkeypatch) >= 15
         assert [row.as_dict() for row in identity_suite(sizes=(16, 32))] == fast
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_smooth_scalar_matches_whole_grid_sin(self, n):
+        # the separable tables against one sin over the whole grid, same draws
+        for seed in range(4):
+            for amplitude in (1.0, 0.4):
+                got = smooth_scalar(Grid(n), np.random.default_rng(seed), amplitude)
+                want = oracles.smooth_scalar(Grid(n), np.random.default_rng(seed), amplitude)
+                assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("seed, failed", [(0, []), (1, ["flat_quartic_iii_symmetric"])])
+    def test_suite_rows_keep_names_order_and_flags(self, seed, failed):
+        # the rotation matrix and the separable inputs move residuals in their
+        # last digits only: every row's name, place and verdict stay
+        rows = identity_suite(sizes=(16, 32), seed=seed)
+        assert [r.name for r in rows] == [
+            "curvature_equivariance_shared", "gauge_action_composition", "dphi_wedge_par",
+            "symmetric_fourth_term", "flat_curvature_i", "flat_curvature_i_symmetric",
+            "flat_quartic_iii_symmetric", "dphi_wedge_perp", "flat_derivative_ii",
+            "flat_derivative_ii_symmetric", "pure_gauge_flatness", "mapcon", "dual_energy",
+            "dafi_shared_inputs", "dafi_energy_density", "stabilizer_derivative_e062",
+            "refcurv_no_projection", "curvature_vs_projected_form", "isotropic_derivative_perp"]
+        assert [r.name for r in rows if not r.passed] == failed
+
 
 class TestGaugeSmooth:
     @staticmethod

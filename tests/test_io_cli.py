@@ -403,7 +403,7 @@ class TestCli:
     def test_relax_prints_final_charge(self, tmp_path, capsys, n):
         # the charge monitor's cadence (25) samples only row 0 of a 3-iteration
         # run; at n = 8 and 12 the hopf map is beyond the admissibility wall,
-        # so relax refuses it in one line and writes nothing
+        # so relax refuses it in one line and removes the directory it made
         config = tmp_path / "run.cfg"
         outdir = tmp_path / "out"
         config.write_text(f"grid.n = {n}\nansatz.kind = hopf\nansatz.charge = 1\n"
@@ -411,7 +411,7 @@ class TestCli:
         if n < 16:
             assert main(["relax", "--config", str(config)]) == 3
             captured = capsys.readouterr()
-            assert captured.out == "" and list(outdir.iterdir()) == []
+            assert captured.out == "" and not outdir.exists()
             assert captured.err.splitlines() == [
                 f"numerical failure: inadmissible start at n = {n}: a plaquette triangle has "
                 f"|area| >= A_MAX = {A_MAX}, so no charge is protected; refine the grid"]
@@ -421,6 +421,15 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[1] == f"final whitehead charge: {whitehead_charge(final):.6f}"
         assert not any(line.startswith("warning:") for line in out)
+
+    def test_refused_relax_keeps_existing_directory(self, tmp_path, capsys):
+        # only a directory this run made is removed on refusal
+        config = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        config.write_text(f"grid.n = 8\nansatz.kind = hopf\nansatz.charge = 1\noutput.dir = {outdir}\n")
+        assert main(["relax", "--config", str(config)]) == 3
+        assert outdir.is_dir() and list(outdir.iterdir()) == []
 
     def test_malformed_snapshot_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "junk.hopf"

@@ -94,7 +94,14 @@ def _built(name, psi, u, raw, a):
         stab = make_stabilizer(psi, smooth_scalar(psi.grid, np.random.default_rng(3)))
         p, w = np.ascontiguousarray(psi.values), np.ascontiguousarray(stab.w.values)
         omega = np.stack([0.5 * np.cross(p, centered_diff(p, mu, h)) for mu in range(3)], axis=3)
-        ad_omega = alg.qrotate(alg.qconj(w)[:, :, :, None], omega)
+        # Ad(w^-1) as the homogeneous matrix of conj(w), in qrotate_form's operation order
+        a, b, c, e = (alg.qconj(w)[..., k, None] for k in range(4))
+        aa, bb, cc, ee = a * a, b * b, c * c, e * e
+        m = (((aa + bb) - cc - ee, 2.0 * (b * c - a * e), 2.0 * (b * e + a * c)),
+             (2.0 * (b * c + a * e), (aa - bb) + cc - ee, 2.0 * (c * e - a * b)),
+             (2.0 * (b * e - a * c), 2.0 * (c * e + a * b), (aa - bb) - cc + ee))
+        ad_omega = np.stack([row[0] * omega[..., 0] + row[1] * omega[..., 1] + row[2] * omega[..., 2]
+                             for row in m], axis=-1)
         return stabilizer_log_derivative(stab, scheme="exact"), np.stack(
             [forward_diff(stab.theta, mu, h)[..., None] * p + ad_omega[:, :, :, mu]
              - omega[:, :, :, mu] for mu in range(3)], axis=3)

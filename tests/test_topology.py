@@ -443,6 +443,34 @@ class TestGaussLinking:
         curve[-1] = curve[0]
         self._check(self._core(), curve, 2)
 
+    @staticmethod
+    def _polygon(*points):
+        return np.array(points + points[:1], dtype=float)
+
+    @pytest.mark.parametrize("pair", ["cancelling", "half", "twice", "generic"])
+    def test_crossing_segments_refused(self, pair):
+        # segments crossing inside their interiors put a plaquette on one great
+        # circle.  "cancelling": rectangles crossing at both segments' midpoints,
+        # whose two triangles round to +2 pi and -2 pi; "half": squares whose
+        # degree sum is exactly 0.5; "twice": two midpoint crossings, each
+        # plaquette with antipodal diagonal corners, the degree sum exactly 0;
+        # "generic": a crossing at 1/4 of one segment and 1/2 of the other,
+        # where one triangle is a hemisphere and the degree sum rounds to -1
+        square = self._polygon((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0))
+        x, u, v = np.array([0.1, 0.0, 0.0]), np.array([-1.0, 1.0, 0.0]), np.array([-1.0, 2.0, -2.0])
+        side = np.cross(u, v)
+        c1, c2 = {
+            "cancelling": (self._polygon((-4.5, 0, 0), (4.5, 0, 0), (4.5, 0, -2), (-4.5, 0, -2)),
+                           self._polygon((-8, -2, 0), (8, 2, 0), (8, 2, 2), (-8, -2, 2))),
+            "half": (square, self._polygon((1, 0, -1), (1, 0, 1), (1, -2, 1), (1, -2, -1))),
+            "twice": (square, self._polygon((1, 0, -1), (1, 0, 1), (1, 2, 1), (1, 2, -1))),
+            "generic": (self._polygon(x - u / 4, x + 3 * u / 4, x + 3 * u / 4 + side, x - u / 4 + side),
+                        self._polygon(x - v / 2, x + v / 2, x + v / 2 - side, x - v / 2 - side)),
+        }[pair]
+        for first, second in ((c1, c2), (c2, c1), (c1[::-1], c2)):
+            with pytest.raises(DegeneratePreimageError, match="touch or cross"):
+                tp.gauss_linking(first, second)
+
     def test_shared_point_refused(self):
         core, partner = self._core(), self._hopf_partner()
         touching = partner - partner[10] + core[5]
