@@ -141,18 +141,20 @@ def qlog(q):
     return factor * v
 
 
-# sites per slab of qrotate (maps and lifts) and of qrotate_form (forms).
-# Whole-grid temporaries would peak above the qim(qmul(...)) chain qrotate
-# replaces.  Tracemalloc peak MiB / median ms of qrotate on component-major
-# form data over 3 slots (2 cores, numpy 2.4.6):
-#   n = 32: chain 8.6 / 12.0, 2^11 3.6 / 13.2, 2^13 3.8 / 11.8,
-#           2^15 5.7 / 10.2, whole grid 10.8 / 10.3
-#   n = 64: chain 68.1 / 133, 2^11 27.0 / 61, 2^13 27.0 / 66,
-#           2^15 27.9 / 60, whole grid 86.1 / 86
-# so 2^11 to 2^13 sites keep the lowest peak at no measurable cost in time.
-# qrotate_form's slab holds its 3x3 matrix, 9 doubles a site; on the same
-# data it takes 1.1 ms at n = 32 and 10-13 ms at n = 64 (qrotate 6 and
-# 43 ms), and its peak stays within one slab of qrotate's
+# sites per slab of qrotate (maps and lifts: fields.act, cp1_point_of) and of
+# qrotate_form (forms: gauge.ad_inverse_apply); no value depends on it.
+# Tracemalloc peak MiB / median ms with the output (2 cores, numpy 2.4.6) of
+# qrotate on the hopf lift and map as fields.act calls it, and of
+# qrotate_form on a 1-form (the whole grid is 2^15 sites at n = 32):
+#                           2^11        2^13        2^14        2^15  whole grid
+#   qrotate       n = 32   1.0 / 1.3   1.4 / 0.8   2.0 / 0.8   3.3 / 0.9
+#                 n = 48   2.8 / 3.9   3.1 / 2.8   3.8 / 2.7   5.0 / 3.2  11.0 / 4.3
+#                 n = 64   6.4 / 7.0   6.6 / 6.1   7.3 / 6.3   8.5 / 7.5  26.0 / 12.2
+#   qrotate_form  n = 32   2.4 / 1.6   2.9 / 1.3   3.5 / 1.2   4.8 / 1.4
+#                 n = 48   7.8 / 5.5   8.1 / 4.3   8.8 / 3.8  10.1 / 4.4  16.0 / 6.2
+#                 n = 64  18.3 / 12.6 18.6 / 11.5 19.3 / 11.1 20.5 / 13.0 38.0 / 16.8
+# 2^13 and 2^14 are the fastest for both kernels, within noise of each other,
+# and 2^13 keeps the lower peak
 _SLAB_SITES = 1 << 13
 
 

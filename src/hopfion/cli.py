@@ -159,7 +159,7 @@ def _dispatch(args):
         if u is not None and psi is not None:
             _require_lift_of(u, psi, args)
         report = ChargeReport(
-            cs_value=None if u is None else chern_simons_from_lift(u).cs_value,
+            cs_value=None if u is None else chern_simons_from_lift(u),
             whitehead_value=None if psi is None else whitehead_charge(psi),
             linking_value=None if psi is None or args.skip_linking else linking_charge(psi))
         _print_report(report, args.json)

@@ -126,14 +126,16 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
     positive definite and s.y > 0 for every kept pair H is positive
     definite, and the slope of the tangent grad is grad.H grad > 0.  A NaN
     objective, or a non-finite one at x, ends the run as "diverged" at the
-    last finite point.
+    last finite point; a non-finite start is not differentiated, and
+    on_step sees it with grad None.
     """
     terms = objective(x)
     f = sum(terms)
+    if not np.isfinite(f):
+        on_step(0, x, terms, None, 0.0)
+        return x, "diverged"
     g = gradient(x)
     stop = on_step(0, x, terms, g, 0.0)
-    if not np.isfinite(f):
-        return x, "diverged"
     if stop:
         return x, stop
 
@@ -222,7 +224,7 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
             raise RoughFieldError(
                 f"inadmissible start at n = {psi.grid.n}: a plaquette triangle has "
                 f"|area| >= A_MAX = {A_MAX}, so no charge is protected; refine the grid")
-        gnorm = math.sqrt(_inner(grad.ravel(), grad.ravel()))
+        gnorm = math.nan if grad is None else math.sqrt(_inner(grad.ravel(), grad.ravel()))
         if it == 0 and gnorm > 0:
             gnorm0 = gnorm
         charge = _charge_estimate(psi) if (

@@ -44,21 +44,20 @@ FLUX_TOL = 1e-6
 
 @dataclass
 class ChargeReport:
-    """Charge values per route and their one verdict; cs_value is a one-entry array.
+    """Charge values per route and their one verdict.
 
     Every route that ran must round to the same integer; reading the
     verdict of routes that round differently raises HopfionError.
     """
 
-    cs_value: np.ndarray = None
+    cs_value: float = None
     whitehead_value: float = None
     linking_value: int = None
 
     def _routes(self):
         """(name, value) of each route that ran; linking, if it ran, is exact."""
-        cs = () if self.cs_value is None else self.cs_value
-        routes = [("chern-simons", v) for v in cs]
-        routes += [("whitehead", self.whitehead_value), ("linking", self.linking_value)]
+        routes = (("chern-simons", self.cs_value), ("whitehead", self.whitehead_value),
+                  ("linking", self.linking_value))
         return [(name, v) for name, v in routes if v is not None]
 
     @property
@@ -78,7 +77,7 @@ class ChargeReport:
 
     def as_dict(self):
         return {
-            "cs": None if self.cs_value is None else list(map(float, self.cs_value)),
+            "cs": None if self.cs_value is None else [self.cs_value],
             "whitehead": self.whitehead_value,
             "linking": self.linking_value,
             "rounded": self.rounded,
@@ -87,7 +86,9 @@ class ChargeReport:
 
     def __str__(self):
         verdict = f"{self.rounded}   max deviation {self.max_deviation:.3e}"
-        cs = None if self.cs_value is None else np.array2string(self.cs_value, precision=6)
+        # numpy's shortest form to 6 digits, bracketed like the JSON's "cs" list
+        cs = None if self.cs_value is None else np.array2string(np.array([self.cs_value]),
+                                                                precision=6)
         wh = None if self.whitehead_value is None else f"{self.whitehead_value:.6f}"
         rows = (("chern-simons", cs), ("whitehead", wh), ("linking", self.linking_value),
                 ("rounded", verdict))
@@ -114,7 +115,7 @@ def chern_simons_charge(a):
     3 par perp^2, perp^3) resums to it pointwise.
     """
     total = float(np.sum(triple_trace_wedge(a.a.data, a.pair))) * a.grid.h ** 3
-    return ChargeReport(cs_value=np.array([CHERN_SIMONS_SU_N * total]))
+    return CHERN_SIMONS_SU_N * total
 
 
 def _subsample(field):
@@ -123,31 +124,32 @@ def _subsample(field):
     return type(field)(coarse, field.pair, field.values[::2, ::2, ::2], renormalize=False)
 
 
-def _richardson(fine, grid, coarse):
-    """(4 fine - coarse()) / 3, the h^2 bias removed against the stride-2 subsample.
+def _extrapolated(route, field):
+    """(4 q_h - q_2h) / 3 of q = route: the h^2 bias removed against the stride-2 subsample.
 
-    coarse is called only when the grid can be halved; otherwise the plain
-    fine value comes back.
+    The plain fine value q_h comes back when the grid cannot be halved (n
+    odd or below 8) or the subsample is flux-obstructed; any other error of
+    the subsample ends the call (Richardson & Gaunt 1927).
     """
-    if grid.n % 2 or grid.n < 8:
+    fine = route(field)
+    if field.grid.n % 2 or field.grid.n < 8:
         return fine
-    return (4.0 * fine - coarse()) / 3.0
+    try:
+        coarse = route(_subsample(field))
+    except FluxObstructionError:
+        return fine
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _chern_simons_plain(u):
+    # the potential carries no reference map: the integrand never reads one
+    return chern_simons_charge(fl.PotentialField(fl.maurer_cartan_form(u), pair=u.pair))
 
 
 def chern_simons_from_lift(u):
-    """Chern-Simons charge of a lift, with h^2 Richardson elimination.
-
-    The integral of u^-1 du is evaluated on the given grid and on
-    its stride-2 subsample (the same field at spacing 2h); the leading
-    quadratic quadrature bias cancels in (4 q_h - q_2h) / 3.  Falls back
-    to the plain value when the grid cannot be halved.  The potentials
-    carry no reference map: the integrand never reads one.
-    """
-    def plain(lift):
-        a = fl.PotentialField(fl.maurer_cartan_form(lift), pair=lift.pair)
-        return chern_simons_charge(a).cs_value
-
-    return ChargeReport(cs_value=_richardson(plain(u), u.grid, lambda: plain(_subsample(u))))
+    """Chern-Simons charge of a lift, the integral of u^-1 du, _extrapolated; a
+    subsample whose links reach qlog's cut raises RoughFieldError."""
+    return _extrapolated(_chern_simons_plain, u)
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +197,13 @@ def _whitehead_plain(psi):
 
 
 def whitehead_charge(psi):
-    """Integral of A ^ F with dA = F = psi^*(Omega / 4 pi).
+    """Integral of A ^ F with dA = F = psi^*(Omega / 4 pi), _extrapolated.
 
     Requires zero flux through every coordinate 2-torus; raises
-    FluxObstructionError otherwise.  As for the Chern-Simons route, the
-    quadratic quadrature bias is removed against the stride-2 subsample
-    unless the grid cannot be halved.
+    FluxObstructionError otherwise.  A flux-obstructed stride-2 subsample
+    leaves the plain fine value.
     """
-    fine = _whitehead_plain(psi)
-    try:
-        return _richardson(fine, psi.grid, lambda: _whitehead_plain(_subsample(psi)))
-    except FluxObstructionError:
-        # the halved field is too rough to carry its fluxes; keep the
-        # unextrapolated fine-grid value
-        return fine
+    return _extrapolated(_whitehead_plain, psi)
 
 
 # ---------------------------------------------------------------------------

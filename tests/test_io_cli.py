@@ -361,6 +361,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["rounded"] == [1]
 
+    def test_lift_route_prints_cs_as_one_float(self, tmp_path, capsys):
+        # the report holds a float; the text and the JSON show it as a
+        # one-entry list, the shape CI and the benchmark index with cs[0]
+        prefix = str(tmp_path / "l")
+        main(["ansatz", "--n", "16", "--out", prefix])
+        capsys.readouterr()
+        assert main(["hopf", "--lift", prefix + ".lift.hopf", "--json"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "chern-simons: [0.918585]"
+        cs = json.loads(lines[-1])["cs"]
+        assert isinstance(cs, list) and len(cs) == 1 and isinstance(cs[0], float)
+        assert cs[0] == 0.9185851781195439
+
     def test_export(self, tmp_path, capsys):
         prefix = str(tmp_path / "e")
         main(["ansatz", "--kind", "constant", "--n", "8", "--out", prefix])

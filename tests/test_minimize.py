@@ -183,6 +183,21 @@ class TestRelax:
         with pytest.raises(RoughFieldError, match=f"inadmissible start at n = {n}:"):
             relax(psi0)
 
+    def test_refused_start_not_differentiated(self, monkeypatch):
+        # the infinite objective alone refuses the start: no gradient of it
+        calls = []
+        gradient = minimize.descent_gradient
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return gradient(*args, **kwargs)
+
+        monkeypatch.setattr(minimize, "descent_gradient", counting)
+        psi0, _ = fl.make_ansatz("hopf", Grid(8), 1)
+        with pytest.raises(RoughFieldError, match="inadmissible start at n = 8:"):
+            relax(psi0)
+        assert len(calls) == 0
+
     def test_checkpoint_callback(self, rng):
         psi0 = smooth_cp1_map(Grid(12), rng, amplitude=0.4)
         seen = []

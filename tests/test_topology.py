@@ -9,7 +9,8 @@ from conftest import smooth_cp1_map, smooth_lift
 from hopfion import algebra as alg
 from hopfion import fields as fl
 from hopfion import topology as tp
-from hopfion.errors import DegeneratePreimageError, FluxObstructionError, HopfionError
+from hopfion.errors import (DegeneratePreimageError, FluxObstructionError, HopfionError,
+                            RoughFieldError)
 from hopfion.gauge import make_stabilizer, smooth_scalar
 from hopfion.lattice import Grid, LatticeField, coulomb_solve, d, l2_norm
 import oracles
@@ -27,15 +28,15 @@ def _su3_lift(u):
 class TestChernSimons:
     def test_zero_potential(self, grid16):
         a = fl.PotentialField(LatticeField.zeros(grid16, 1, 3), fl.constant_map(grid16))
-        report = tp.chern_simons_charge(a)
+        report = tp.ChargeReport(cs_value=tp.chern_simons_charge(a))
         assert np.allclose(report.cs_value, 0.0)
         assert report.max_deviation == 0.0
 
     def test_ball_degree_one_plain_route(self):
         # the op itself (no extrapolation) sits within 0.02 at n = 48
         _, u = fl.make_ansatz("ball_degree", Grid(48), 1)
-        report = tp.chern_simons_charge(fl.pure_gauge_potential(u))
-        assert abs(report.cs_value[0] - 1.0) <= 0.02
+        value = tp.chern_simons_charge(fl.pure_gauge_potential(u))
+        assert abs(value - 1.0) <= 0.02
 
     @pytest.mark.parametrize("q", [1, 2, -1])
     def test_matches_preimage_count_oracle(self, q):
@@ -43,7 +44,7 @@ class TestChernSimons:
         _, u = fl.make_ansatz("ball_degree", grid, q)
         count = signed_preimage_count(u)
         assert count == q
-        refined = tp.chern_simons_from_lift(u).cs_value[0]
+        refined = tp.chern_simons_from_lift(u)
         assert abs(refined - count) <= 0.02
         # frozen orientation dictionary: charge = -(volume-formula degree);
         # the plain volume quadrature carries its own O(h^2) deviation
@@ -55,7 +56,7 @@ class TestChernSimons:
         devs = {}
         for n in (24, 32, 48):
             _, u = fl.make_ansatz("hopf", Grid(n), 1)
-            devs[n] = abs(tp.chern_simons_charge(fl.pure_gauge_potential(u)).cs_value[0] - 1.0)
+            devs[n] = abs(tp.chern_simons_charge(fl.pure_gauge_potential(u)) - 1.0)
         hs = np.log([Grid(n).h for n in devs])
         order = np.polyfit(hs, np.log(list(devs.values())), 1)[0]
         assert devs[48] < devs[32] < devs[24]
@@ -68,26 +69,38 @@ class TestChernSimons:
         rng = np.random.default_rng(4)
         w = make_stabilizer(phi, smooth_scalar(grid, rng, 0.6)).w
         uw = fl.LiftField(grid, u.pair, alg.qmul(u.values, w.values))
-        c_u = tp.chern_simons_from_lift(u).cs_value[0]
-        c_w = tp.chern_simons_from_lift(w).cs_value[0]
-        c_uw = tp.chern_simons_from_lift(uw).cs_value[0]
+        c_u = tp.chern_simons_from_lift(u)
+        c_w = tp.chern_simons_from_lift(w)
+        c_uw = tp.chern_simons_from_lift(uw)
         assert abs(c_w) < 1e-10          # abelian-valued: integrand vanishes
         assert abs(c_uw - c_u - c_w) <= 0.03
 
     def test_odd_grid_plain_value(self, rng, monkeypatch):
         # n = 9 cannot be halved: no extrapolation, the plain four-term value
         u = smooth_lift(Grid(9), rng)
-        plain = tp.chern_simons_charge(fl.pure_gauge_potential(u)).cs_value
+        plain = tp.chern_simons_charge(fl.pure_gauge_potential(u))
         monkeypatch.setattr(tp, "_subsample", lambda u: pytest.fail("subsampled"))
-        assert np.array_equal(tp.chern_simons_from_lift(u).cs_value, plain)
+        assert np.array_equal(tp.chern_simons_from_lift(u), plain)
+
+    def test_coarse_rough_field_ends_the_route(self):
+        # links of pi/2 about i along x; the stride-2 links reach pi, qlog's
+        # cut.  The plain value is 0 (a has an x slot only), and the
+        # subsample's RoughFieldError is no flux obstruction: no fallback
+        theta = 0.5 * np.pi * np.broadcast_to(np.arange(8.0)[:, None, None], (8, 8, 8))
+        zero = np.zeros_like(theta)
+        u = fl.LiftField(Grid(8), alg.su2_u1(),
+                         np.stack([np.cos(theta), np.sin(theta), zero, zero], axis=-1))
+        assert tp.chern_simons_charge(fl.pure_gauge_potential(u)) == 0.0
+        with pytest.raises(RoughFieldError):
+            tp.chern_simons_from_lift(u)
 
     def test_constant_gauge_invariance(self, rng):
         grid = Grid(24)
         _, u = fl.make_ansatz("hopf", grid, 1)
         g = alg.random_unit_quaternions(rng)
         gu = fl.LiftField(grid, u.pair, alg.qmul(np.broadcast_to(g, u.values.shape), u.values))
-        c0 = tp.chern_simons_from_lift(u).cs_value[0]
-        c1 = tp.chern_simons_from_lift(gu).cs_value[0]
+        c0 = tp.chern_simons_from_lift(u)
+        c1 = tp.chern_simons_from_lift(gu)
         assert abs(c0 - c1) < 1e-10
 
     def test_four_term_split_resums(self, grid16, rng):
@@ -114,13 +127,13 @@ class TestChernSimons:
         group = fl.pure_gauge_potential(fl.LiftField(grid, alg.su2_group(), u.values,
                                                     renormalize=False))
         assert group.phi is None
-        assert np.array_equal(tp.chern_simons_charge(group).cs_value,
-                              tp.chern_simons_charge(a).cs_value)
+        assert np.array_equal(tp.chern_simons_charge(group),
+                              tp.chern_simons_charge(a))
         b = fl.pure_gauge_potential(_su3_lift(u))
         want = tp.triple_trace_wedge(a.a.data, a.pair)
         got = tp.triple_trace_wedge(b.a.data, b.pair)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        cs_a, cs_b = tp.chern_simons_charge(a).cs_value, tp.chern_simons_charge(b).cs_value
+        cs_a, cs_b = tp.chern_simons_charge(a), tp.chern_simons_charge(b)
         bound = 1e-12 * tp.CHERN_SIMONS_SU_N * np.sum(np.abs(want)) * grid.h ** 3
         assert np.abs(cs_b - cs_a) <= bound
 
@@ -128,8 +141,8 @@ class TestChernSimons:
         # the matrix log takes the link angles qlog takes, so the embedded
         # lift's stride-2 subsample is logged too and the value extrapolates
         _, u = fl.make_ansatz("hopf", Grid(16), 1)
-        want = tp.chern_simons_from_lift(u).cs_value
-        assert np.max(np.abs(tp.chern_simons_from_lift(_su3_lift(u)).cs_value - want)) <= 1e-12
+        want = tp.chern_simons_from_lift(u)
+        assert np.max(np.abs(tp.chern_simons_from_lift(_su3_lift(u)) - want)) <= 1e-12
 
 
 class TestTripleTraceKernel:
@@ -144,13 +157,13 @@ class TestTripleTraceKernel:
     @pytest.mark.parametrize("q", [1, 2])
     def test_chern_simons_from_lift_unmoved(self, q, monkeypatch):
         _, u = fl.make_ansatz("hopf", Grid(24), q)
-        got = tp.chern_simons_from_lift(u).cs_value
+        got = tp.chern_simons_from_lift(u)
 
         def oracle(A, pair):
             return oracles.triple_trace_wedge_data(A, A, A, oracles.trace_tensor(pair))
 
         monkeypatch.setattr(tp, "triple_trace_wedge", oracle)
-        ref = tp.chern_simons_from_lift(u).cs_value
+        ref = tp.chern_simons_from_lift(u)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
 
@@ -192,6 +205,14 @@ class TestWhitehead:
         psi = fl.MapField(grid, alg.su2_u1(), vals)
         with pytest.raises(FluxObstructionError):
             tp.whitehead_charge(psi)
+
+    def test_flux_obstructed_subsample_keeps_plain_value(self):
+        # the n = 16 charge-1 ansatz halves to the n = 8 map, which has flux
+        # through a coordinate 2-torus: the fine value is not extrapolated
+        psi, _ = fl.make_ansatz("hopf", Grid(16), 1)
+        with pytest.raises(FluxObstructionError):
+            tp._whitehead_plain(tp._subsample(psi))
+        assert tp.whitehead_charge(psi) == tp._whitehead_plain(psi) == 0.8608950326546079
 
     def test_great_circle_is_nullhomotopic(self):
         psi, _ = fl.make_ansatz("great_circle", Grid(16))
@@ -485,8 +506,8 @@ class TestOrientationAndAgreement:
         rev = lambda arr: np.roll(arr[::-1], 1, axis=0)
         psi_r = fl.MapField(grid, psi.pair, rev(psi.values), renormalize=False)
         u_r = fl.LiftField(grid, u.pair, rev(u.values), renormalize=False)
-        assert np.allclose(tp.chern_simons_from_lift(u_r).cs_value,
-                           -tp.chern_simons_from_lift(u).cs_value, atol=1e-12)
+        assert np.allclose(tp.chern_simons_from_lift(u_r),
+                           -tp.chern_simons_from_lift(u), atol=1e-12)
         assert np.isclose(tp.whitehead_charge(psi_r), -tp.whitehead_charge(psi), atol=1e-12)
         assert tp.linking_charge(psi_r) == -tp.linking_charge(psi)
 
@@ -497,7 +518,7 @@ class TestOrientationAndAgreement:
             cs = tp.chern_simons_from_lift(u)
             wh = tp.whitehead_charge(psi)
             lk = tp.linking_charge(psi)
-            assert cs.rounded[0] == int(round(wh)) == lk == q
+            assert int(round(cs)) == int(round(wh)) == lk == q
 
 
 class TestRouteMemory:
@@ -533,7 +554,7 @@ class TestRouteMemory:
 def test_charge_report_json():
     import json
 
-    report = tp.ChargeReport(cs_value=np.array([0.98]), whitehead_value=1.01,
+    report = tp.ChargeReport(cs_value=0.98, whitehead_value=1.01,
                              linking_value=1)
     payload = json.loads(json.dumps(report.as_dict()))
     assert set(payload) == {"cs", "whitehead", "linking", "rounded", "deviation"}
@@ -542,7 +563,7 @@ def test_charge_report_json():
 
 
 def test_routes_that_round_differently_have_no_verdict():
-    report = tp.ChargeReport(cs_value=[0.0], linking_value=1)
+    report = tp.ChargeReport(cs_value=0.0, linking_value=1)
     for read in (lambda r: r.rounded, tp.ChargeReport.as_dict, str):
         with pytest.raises(HopfionError, match="chern-simons 0, linking 1"):
             read(report)
@@ -550,7 +571,7 @@ def test_routes_that_round_differently_have_no_verdict():
 
 def test_linking_decides_the_verdict():
     # the float routes round to the exact linking integer, which is the verdict
-    report = tp.ChargeReport(cs_value=np.array([-0.4]), whitehead_value=0.3, linking_value=0)
+    report = tp.ChargeReport(cs_value=-0.4, whitehead_value=0.3, linking_value=0)
     assert report.rounded == [0]
     assert report.max_deviation == 0.4
     assert tp.ChargeReport().rounded == []
