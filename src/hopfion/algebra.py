@@ -450,14 +450,21 @@ def isotropy_split(pair, x, xi):
     """
     xi = np.asarray(xi)
     if _is_cp1_point(pair, x):
-        phi = np.asarray(x)
-        par = empty_like_operands(np.broadcast_shapes(xi.shape, phi.shape),
-                                  np.result_type(xi, phi), xi)
-        np.multiply(dot(xi, phi)[..., None], phi, out=par)
+        par = isotropic_part(pair, x, xi)
         return par, xi - par
     g = np.asarray(x)
     down = pair.ad(pair.inverse(g), xi)
     return pair.ad(g, pair.proj_h(down)), pair.ad(g, pair.proj_perp(down))
+
+
+def isotropic_part(pair, x, xi):
+    """isotropy_split(pair, x, xi)[0] alone: at a CP1 point, (xi.phi) phi with no
+    buffer for the other part, laid out like xi where their shapes agree."""
+    if not _is_cp1_point(pair, x):
+        return isotropy_split(pair, x, xi)[0]
+    xi, phi = np.asarray(xi), np.asarray(x)
+    par = empty_like_operands(np.broadcast_shapes(xi.shape, phi.shape), np.result_type(xi, phi), xi)
+    return np.multiply(dot(xi, phi)[..., None], phi, out=par)
 
 
 def coisotropy_form(pair, x, tangent):

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import algebra as alg
 from . import fields as fl
-from .lattice import LatticeField, SLOTS2, centered_diff, cross, dot, empty_component_major, wedge
+from .lattice import (LatticeField, SLOTS2, centered_diff, cross, dot, empty_component_major, wedge,
+                      wedge_slot)
 
 # descent_energy's admissibility wall in radians: relaxed hopf maps (charges
 # 1, 2; n >= 24) reach |triangle| 0.61, the n = 16 charge-2 start 1.75 and the
@@ -51,16 +52,22 @@ class EnergyReport:
 
 def comm_wedge(omega, pair):
     """(w ^ w) under the matrix product: slot (mu, nu) equals [w_mu, w_nu]."""
-    # antisymmetry doubles the single product: slot = 2 p(w_mu, w_nu)
     if pair.group_kind == "quaternion":
-        # one cross per slot: cross(w_nu, w_mu) is exactly -c, so the
-        # wedge's c - cross(w_nu, w_mu) is c + c
         data = empty_component_major(omega.data.shape[:3] + (len(SLOTS2), omega.vdim))
-        for slot, (mu, nu) in enumerate(SLOTS2):
-            c = cross(omega.slot(mu), omega.slot(nu))
-            np.add(c, c, out=data[:, :, :, slot])
+        for slot in range(len(SLOTS2)):
+            comm_slot(omega, pair, slot, out=data[:, :, :, slot])
         return LatticeField(omega.grid, 2, data)
     return wedge(omega, omega, lambda a, b: 0.5 * pair.bracket(a, b))
+
+
+def comm_slot(omega, pair, slot, out=None):
+    """Slot SLOTS2[slot] = (mu, nu) of comm_wedge(omega, pair) alone: [w_mu, w_nu]."""
+    if pair.group_kind != "quaternion":
+        return wedge_slot(omega, omega, lambda a, b: 0.5 * pair.bracket(a, b), slot, out=out)
+    # antisymmetry doubles the single product, and cross(w_nu, w_mu) is
+    # exactly -c, so the wedge's c - cross(w_nu, w_mu) is c + c
+    c = cross(*(omega.slot(mu) for mu in SLOTS2[slot]))
+    return np.add(c, c, out=c if out is None else out)
 
 
 def _report(grid, e2, e4, tag):
@@ -109,11 +116,14 @@ def energy_map(psi, variant="coisotropy"):
 
 
 def covariant_potential(a):
-    """D_phi a = a_perp + phi^* omega-perp as a 1-form, phi the reference map of a."""
-    _, aperp = a.split()
+    """D_phi a = a_perp + phi^* omega-perp as a 1-form, phi the reference map of a,
+    with phi^* omega-perp added into a_perp's buffer."""
     if a.phi is None:
-        return aperp
-    return aperp + fl.pullback_coisotropy(a.phi)
+        return a.split()[1]
+    omega = fl.pullback_coisotropy(a.phi)  # first: its transients outsize a_perp's
+    out = fl.coisotropic_values(a.a, a.phi)
+    out += omega.data
+    return LatticeField(a.grid, 1, out)
 
 
 def energy_potential(a):

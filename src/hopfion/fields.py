@@ -120,8 +120,33 @@ class PotentialField:
 
 def split_form(form, phi):
     """(par, perp): a g-valued form of any degree split pointwise into h_phi
-    and its orthogonal complement along the map phi, in phi's pair."""
+    and its orthogonal complement along the map phi, in phi's pair.
+    isotropic_part and coisotropic_part build one of them alone."""
     return _split_form(form, phi, phi.pair)
+
+
+def isotropic_part(form, phi):
+    """split_form(form, phi)[0]; on CP1 no buffer is made for the other part."""
+    return LatticeField(form.grid, form.degree, _isotropic_values(form, phi))
+
+
+def coisotropic_part(form, phi):
+    """split_form(form, phi)[1]; on CP1 in one form-sized buffer."""
+    return LatticeField(form.grid, form.degree, coisotropic_values(form, phi))
+
+
+def coisotropic_values(form, phi):
+    """coisotropic_part's data in a new writable array, for a caller that adds
+    into it: on CP1, xi - (xi . phi) phi written over the isotropic part."""
+    if not phi.is_cp1:
+        return np.array(split_form(form, phi)[1].data)
+    par = _isotropic_values(form, phi)
+    return np.subtract(form.data, par, out=par)
+
+
+def _isotropic_values(form, phi):
+    # phi broadcasts over the slot axis
+    return alg.isotropic_part(phi.pair, phi.values[:, :, :, None], form.data)
 
 
 def _split_form(form, phi, pair):

@@ -22,10 +22,10 @@ import numpy as np
 
 from . import algebra as alg
 from . import fields as fl
-from .energy import comm_wedge, energy_map, energy_potential
+from .energy import comm_slot, comm_wedge, energy_map, energy_potential
 from .errors import ConfigError
-from .lattice import (Grid, LatticeField, coulomb_solve, d, dot, empty_component_major, forward_diff,
-                      l2_norm, wedge)
+from .lattice import (SLOTS2, Grid, LatticeField, coulomb_solve, d, dot, empty_component_major,
+                      forward_diff, l2_norm, wedge, wedge_slot)
 
 ISOTROPY_TOL = 1e-10
 
@@ -84,7 +84,7 @@ def stabilizer_log_derivative(stab, scheme="log"):
 
 
 def _require_isotropic(b, phi):
-    perp = fl.split_form(b, phi)[1].data
+    perp = fl.coisotropic_values(b, phi)
     defect = max(float(perp.max()), -float(perp.min()))
     scale = max(float(b.data.max()), -float(b.data.min()), 1.0)
     if defect > ISOTROPY_TOL * scale:
@@ -107,10 +107,13 @@ def gauge_transform_potential(b, stab):
 
 
 def _gauge_transform(b, stab, omega):
-    """gauge_transform_potential with omega = phi^*omega given, stab built on phi."""
+    """gauge_transform_potential with omega = phi^*omega given, stab built on phi,
+    summed into the buffer of the Ad action."""
     _require_isotropic(b.a, b.phi)
-    return fl.PotentialField(
-        ad_inverse_apply(stab.w, b.a - omega) + omega + stabilizer_log_derivative(stab), b.phi)
+    out = alg.qrotate_form(stab.w.inverse_values(), (b.a - omega).data)
+    out += omega.data
+    out += stabilizer_log_derivative(stab).data
+    return fl.PotentialField(LatticeField(b.grid, 1, out), b.phi)
 
 
 def coset_curvature(b):
@@ -118,17 +121,26 @@ def coset_curvature(b):
     phi = b.phi
     if phi is None:
         raise ValueError("coset curvature needs the reference map")
-    omega = fl.pullback_coisotropy(phi)
-    return _coset_curvature(b, omega, fl.split_form(comm_wedge(omega, phi.pair), phi)[0])
+    return LatticeField(b.grid, 2, _coset_curvature(b, fl.pullback_coisotropy(phi)))
 
 
-def _coset_curvature(b, omega, oo_par):
-    """coset_curvature with omega = phi^*omega and oo_par = (omega ^ omega)_par given."""
+def _coset_curvature(b, omega):
+    """coset_curvature's data in a new writable buffer, omega = phi^*omega given:
+    the slots of [b ^ b], [b ^ omega] and (omega ^ omega)_par are formed and
+    summed into it one by one."""
     a, pair = b.a, b.pair
-    out = d(a).data + comm_wedge(a, pair).data
-    out -= wedge(a, omega, pair.bracket).data
-    out -= oo_par.data
-    return LatticeField(a.grid, 2, out)
+    da = d(a)
+    out = empty_component_major(a.data.shape)
+    for slot in range(len(SLOTS2)):
+        dest = np.add(da.slot(slot), comm_slot(a, pair, slot), out=out[:, :, :, slot])
+        dest -= wedge_slot(a, omega, pair.bracket, slot)
+        dest -= _oo_par(omega, b.phi, slot)
+    return out
+
+
+def _oo_par(omega, phi, slot):
+    """Slot SLOTS2[slot] of (omega ^ omega)_par alone, phi the map of omega."""
+    return alg.isotropic_part(phi.pair, phi.values, comm_slot(omega, phi.pair, slot))
 
 
 def projector_derivative_wedge(phi, form):
@@ -226,18 +238,20 @@ def smooth_inputs(grid, rng):
 
 def _gauge_action_rows(grid, rng, theta):
     """The gauge action on constant-map potentials, where it is exact: curvature
-    equivariance, and composition of same-axis stabilizers."""
+    equivariance, and composition of same-axis stabilizers.  The curvatures
+    come first, so that b0 is freed before b0^w is transformed again."""
     phi0 = fl.constant_map(grid)
     stab0 = make_stabilizer(phi0, theta)
     b0 = fl.PotentialField(LatticeField.from_slots(
         grid, 1, [smooth_scalar(grid, rng)[..., None] * phi0.values for _ in range(3)]), phi0)
-    omega0 = fl.pullback_coisotropy(phi0)  # the constant map's forms, once for five uses
-    oo0_par = fl.split_form(comm_wedge(omega0, phi0.pair), phi0)[0]
-    b0w = _gauge_transform(b0, stab0, omega0)
-    curvature = ad_inverse_apply(stab0.w, _coset_curvature(b0, omega0, oo0_par))
-    equivariance = _rel(_coset_curvature(b0w, omega0, oo0_par) - curvature, curvature)
-    del curvature, oo0_par
     stab0b = make_stabilizer(phi0, smooth_scalar(grid, rng, 0.6))
+    omega0 = fl.pullback_coisotropy(phi0)  # the constant map's form, once for five uses
+    b0w = _gauge_transform(b0, stab0, omega0)
+    curvature = ad_inverse_apply(stab0.w, LatticeField(grid, 2, _coset_curvature(b0, omega0)))
+    difference = _coset_curvature(b0w, omega0)
+    difference -= curvature.data
+    equivariance = _rel(LatticeField(grid, 2, difference), curvature)
+    del curvature, difference
     w12 = StabilizerField(
         w=fl.LiftField(grid, phi0.pair, alg.qmul(stab0.w.values, stab0b.w.values)),
         phi=phi0, theta=stab0.theta + stab0b.theta)
@@ -248,7 +262,7 @@ def _gauge_action_rows(grid, rng, theta):
              _rel(_gauge_transform(b0w, stab0b, omega0).a - composed, composed))]
 
 
-def _dafi_rows(stab, omega, a, a_perp):
+def _dafi_rows(stab, omega, a):
     """D a = a_perp + phi^*omega goes to Ad(w^-1) D a under a -> a^w, with its
     energy density, over shared discrete inputs (exact dw); dw's two routes."""
     dw = stabilizer_log_derivative(stab, scheme="exact")
@@ -257,9 +271,9 @@ def _dafi_rows(stab, omega, a, a_perp):
     del dw_log
     moved = ad_inverse_apply(stab.w, a) + dw
     del dw
-    cov_w = fl.split_form(moved, stab.phi)[1] + omega
+    cov_w = fl.coisotropic_part(moved, stab.phi) + omega
     del moved
-    cov = a_perp + omega
+    cov = fl.coisotropic_part(a, stab.phi) + omega
     rotated = ad_inverse_apply(stab.w, cov)
     density = cov.norm2_density()
     del cov
@@ -270,44 +284,50 @@ def _dafi_rows(stab, omega, a, a_perp):
             ("stabilizer_derivative_e062", "differential", routes)]
 
 
-def _curvature_rows(b, omega, oo, oo_par):
+def _curvature_rows(b, omega):
     """The coset curvature of an isotropy-valued b against its projected form,
     and the symmetric-space reference curvature, which has no perp part."""
     phi, pair = b.phi, b.pair
-    curvature = _coset_curvature(b, omega, oo_par)
-    db_par, db_perp = fl.split_form(d(b.a), phi)
+    oo = comm_wedge(omega, pair)
+    refcurv = l2_norm(fl.coisotropic_part(oo, phi)) / max(l2_norm(oo), 1e-30)
+    del oo
+    curvature = LatticeField(b.grid, 2, _coset_curvature(b, omega))
+    db = d(b.a)
+    # db_par + [b ^ b] - (omega ^ omega)_par, the sum written db_par - (-[b ^ b])
+    projected = _residual(curvature, fl.isotropic_part(db, phi).slot,
+                          lambda slot: -comm_slot(b.a, pair, slot),
+                          lambda slot: _oo_par(omega, phi, slot))
+    vs_projected = _rel(projected, curvature)
+    del curvature, projected
+    db_perp = fl.coisotropic_part(db, phi)
+    del db
     bracket = wedge(omega, b.a, pair.bracket)
-    return [("refcurv_no_projection", "pointwise",
-             l2_norm(fl.split_form(oo, phi)[1]) / max(l2_norm(oo), 1e-30)),
-            ("curvature_vs_projected_form", "differential",
-             _rel(curvature - (db_par + comm_wedge(b.a, pair) - oo_par), curvature)),
+    return [("refcurv_no_projection", "pointwise", refcurv),
+            ("curvature_vs_projected_form", "differential", vs_projected),
             ("isotropic_derivative_perp", "differential", _rel(db_perp - bracket, bracket))]
 
 
-def _flat_par_rows(phi, apar, aperp, dphi_par, dphi_perp, omega, oo, oo_par):
-    """a_par of a flat potential: dPhi ^ a_par against d a_par, then relation
-    (i) for its curvature, with and without the isotropy projections."""
-    d_apar = d(apar)
-    wedge_par = _rel(dphi_par - fl.split_form(d_apar, phi)[1], d_apar)
-    del d_apar
-    curvature = _coset_curvature(fl.PotentialField(apar, phi), omega, oo_par)
+def _flat_par_rows(phi, apar, aperp, dphi_perp, omega):
+    """a_par of a flat potential: relation (i) for its curvature, with and
+    without the isotropy projections.  dPhi ^ a_par is not formed yet."""
     aa = comm_wedge(aperp, phi.pair)
     aa_norm = l2_norm(aa)
-    flat_i_symmetric = _rel(_residual(curvature, dphi_perp, aa, oo), curvature)
-    aa_par, aa_perp = fl.split_form(aa, phi)
-    del aa
-    fourth = l2_norm(aa_perp) / max(aa_norm, 1e-30)
-    del aa_perp
-    return [("dphi_wedge_par", "differential", wedge_par),
-            ("symmetric_fourth_term", "pointwise", fourth),
-            ("flat_curvature_i", "differential",
-             _rel(_residual(curvature, dphi_perp, aa_par, oo_par), curvature)),
+    fourth = l2_norm(fl.coisotropic_part(aa, phi)) / max(aa_norm, 1e-30)
+    curvature = LatticeField(phi.grid, 2, _coset_curvature(fl.PotentialField(apar, phi), omega))
+    flat_i_symmetric = _rel(_residual(curvature, dphi_perp.slot, aa.slot,
+                                      lambda slot: comm_slot(omega, phi.pair, slot)), curvature)
+    flat_i = _rel(_residual(curvature, dphi_perp.slot,
+                            lambda slot: alg.isotropic_part(phi.pair, phi.values, aa.slot(slot)),
+                            lambda slot: _oo_par(omega, phi, slot)), curvature)
+    return [("symmetric_fourth_term", "pointwise", fourth),
+            ("flat_curvature_i", "differential", flat_i),
             ("flat_curvature_i_symmetric", "differential", flat_i_symmetric)]
 
 
 def _flat_perp_rows(phi, forms):
-    """a_perp of a flat potential: relation (iii) for d[a_perp ^ a_perp], then
-    dPhi ^ a_perp against d a_perp and relation (ii) for d a_perp.
+    """dPhi ^ a_par against d a_par, then, for a_perp of a flat potential,
+    relation (iii) for d[a_perp ^ a_perp], dPhi ^ a_perp against d a_perp and
+    relation (ii) for d a_perp.
 
     forms is the list [a_par, a_perp, dPhi ^ a_par, dPhi ^ a_perp], which
     holds the only references to them: this family empties it, so that each
@@ -315,6 +335,9 @@ def _flat_perp_rows(phi, forms):
     """
     apar, aperp, dphi_par, dphi_perp = forms
     forms.clear()
+    d_apar = d(apar)
+    wedge_par = _rel(dphi_par - fl.coisotropic_part(d_apar, phi), d_apar)
+    del d_apar
     bracket = phi.pair.bracket
     flat_ii = -dphi_par - dphi_perp - wedge(apar, aperp, bracket)
     del apar
@@ -323,27 +346,32 @@ def _flat_perp_rows(phi, forms):
     d_aa = d(aa)
     quartic = _rel(d_aa - (-wedge(dphi_par, aperp, bracket) + dphi_aa), d_aa)
     del dphi_par, dphi_aa, d_aa
-    aa_perp = fl.split_form(aa, phi)[1]
+    aa_perp = fl.coisotropic_part(aa, phi)
     del aa
     d_aperp = d(aperp)
-    return [("flat_quartic_iii_symmetric", "differential", quartic),
+    return [("dphi_wedge_par", "differential", wedge_par),
+            ("flat_quartic_iii_symmetric", "differential", quartic),
             ("dphi_wedge_perp", "differential",
-             _rel(dphi_perp + fl.split_form(d_aperp, phi)[0], d_aperp)),
+             _rel(dphi_perp + fl.isotropic_part(d_aperp, phi), d_aperp)),
             ("flat_derivative_ii", "differential",
-             _rel(_residual(d_aperp, flat_ii, aa_perp), d_aperp)),
+             _rel(_residual(d_aperp, flat_ii.slot, aa_perp.slot), d_aperp)),
             ("flat_derivative_ii_symmetric", "differential", _rel(d_aperp - flat_ii, d_aperp))]
 
 
 def _residual(lhs, first, *rest):
-    """lhs - (first - rest[0] - rest[1] - ...), evaluated as written, in one new buffer."""
-    out = first.data - rest[0].data
-    for term in rest[1:]:
-        out -= term.data
-    np.subtract(lhs.data, out, out=out)
+    """lhs - (first - rest[0] - rest[1] - ...), evaluated as written, slot by slot
+    in one new buffer; each term is a function that gives one slot of it, such
+    as a form's slot method."""
+    out = empty_component_major(lhs.data.shape)
+    for slot in range(lhs.data.shape[3]):
+        dest = np.subtract(first(slot), rest[0](slot), out=out[:, :, :, slot])
+        for term in rest[1:]:
+            dest -= term(slot)
+        np.subtract(lhs.slot(slot), dest, out=dest)
     return LatticeField(lhs.grid, lhs.degree, out)
 
 
-def _pure_gauge_rows(u, phi, omega, oo, oo_par):
+def _pure_gauge_rows(u, phi, omega):
     """The pure-gauge potential a = u^-1 du against phi: its flatness, its match
     with the map u.phi and its dual energy, then the flat-potential relations
     of its split."""
@@ -357,32 +385,35 @@ def _pure_gauge_rows(u, phi, omega, oo, oo_par):
     apar, aperp = apot.split()
     mapcon = _rel(aperp - (ad_inverse_apply(u, fl.pullback_coisotropy(psi)) - omega), aperp)
     del apot, psi
-    forms = [apar, aperp, projector_derivative_wedge(phi, apar),
-             projector_derivative_wedge(phi, aperp)]
-    del apar, aperp  # the list holds the only references, for _flat_perp_rows to free
-    rows = _flat_par_rows(phi, *forms, omega, oo, oo_par)
-    rows += _flat_perp_rows(phi, forms)
-    return rows + [("pure_gauge_flatness", "differential", flatness),
-                   ("mapcon", "differential", mapcon),
-                   ("dual_energy", "differential", dual)]
+    dphi_perp = projector_derivative_wedge(phi, aperp)
+    relation_i = _flat_par_rows(phi, apar, aperp, dphi_perp, omega)
+    forms = [apar, aperp, projector_derivative_wedge(phi, apar), dphi_perp]
+    del apar, aperp, dphi_perp  # the list holds the only references, for _flat_perp_rows to free
+    wedge_par, *relations = _flat_perp_rows(phi, forms)
+    return [wedge_par] + relation_i + relations + [
+        ("pure_gauge_flatness", "differential", flatness), ("mapcon", "differential", mapcon),
+        ("dual_energy", "differential", dual)]
 
 
 def _grid_rows(grid, seed):
-    """(name, kind, residual) of every identity on one grid, family by family;
-    only what later families share is bound here, and the pure-gauge family
-    runs last, once the Dafi and curvature families' inputs are freed."""
+    """(name, kind, residual) of every identity on one grid, family by family.
+    Each shared form is built just before its first use and dropped after its
+    last: the Dafi family runs before the isotropic part b of a exists, and
+    (omega ^ omega) and its isotropic part are formed in each family that
+    reads them, slot by slot where they enter a sum.  The gauge-action family,
+    the only one that draws from rng after smooth_inputs, runs last, on phi
+    and theta alone."""
     rng = np.random.default_rng(seed)  # same modes on every grid
     phi, u, theta, a = smooth_inputs(grid, rng)
-    gauge_action = _gauge_action_rows(grid, rng, theta)  # the only draws after smooth_inputs
     omega = fl.pullback_coisotropy(phi)
-    oo = comm_wedge(omega, phi.pair)
-    oo_par = fl.split_form(oo, phi)[0]
-    b, a_perp = fl.split_form(a, phi)
-    dafi = _dafi_rows(make_stabilizer(phi, theta), omega, a, a_perp)
-    del theta, a, a_perp
-    curvature = _curvature_rows(fl.PotentialField(b, phi), omega, oo, oo_par)
+    dafi = _dafi_rows(make_stabilizer(phi, theta), omega, a)
+    b = fl.PotentialField(fl.isotropic_part(a, phi), phi)
+    del a
+    curvature = _curvature_rows(b, omega)
     del b
-    return gauge_action + _pure_gauge_rows(u, phi, omega, oo, oo_par) + dafi + curvature
+    pure_gauge = _pure_gauge_rows(u, phi, omega)
+    del u, omega
+    return _gauge_action_rows(grid, rng, theta) + pure_gauge + dafi + curvature
 
 
 def identity_suite(sizes=(16, 32, 64), seed=0):

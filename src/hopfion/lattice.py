@@ -323,13 +323,13 @@ def wedge(alpha, beta, product):
             slots.append(product(o, s) if flip else product(s, o))
         return LatticeField.from_slots(g, other.degree, slots)
     if (ka, kb) == (1, 1):
-        data = None
-        for slot, (mu, nu) in enumerate(SLOTS2):
-            first = product(alpha.slot(mu), beta.slot(nu))
-            if data is None:
-                data = empty_component_major(first.shape[:3] + (len(SLOTS2),) + first.shape[3:],
-                                             first.dtype)
-            np.subtract(first, product(alpha.slot(nu), beta.slot(mu)), out=data[:, :, :, slot])
+        first = wedge_slot(alpha, beta, product, 0)
+        data = empty_component_major(first.shape[:3] + (len(SLOTS2),) + first.shape[3:],
+                                     first.dtype)
+        data[:, :, :, 0] = first
+        del first
+        for slot in range(1, len(SLOTS2)):
+            wedge_slot(alpha, beta, product, slot, out=data[:, :, :, slot])
         return LatticeField(g, 2, data)
     if ka == 2:
         # alpha ^ beta = beta ^ alpha here: the (1, 2) sum, factors exchanged
@@ -339,6 +339,13 @@ def wedge(alpha, beta, product):
            - product(alpha.slot(1), beta.slot(1))
            + product(alpha.slot(2), beta.slot(0)))
     return LatticeField.from_slots(g, 3, [out])
+
+
+def wedge_slot(alpha, beta, product, slot, out=None):
+    """Slot SLOTS2[slot] = (mu, nu) of wedge(alpha, beta, product) for 1-forms alone."""
+    mu, nu = SLOTS2[slot]
+    return np.subtract(product(alpha.slot(mu), beta.slot(nu)),
+                       product(alpha.slot(nu), beta.slot(mu)), out=out)
 
 
 def l2_inner(alpha, beta):

@@ -228,6 +228,17 @@ def coset_curvature(b):
     return d(a) + comm_wedge(a, pair) - wedge(a, omega, pair.bracket) - par_oo
 
 
+def covariant_potential(a):
+    """D_phi a as energy.covariant_potential formed it: both parts of the split,
+    then the perp part plus phi^*omega in a new form."""
+    from hopfion import fields as fl
+
+    _, aperp = a.split()
+    if a.phi is None:
+        return aperp
+    return aperp + fl.pullback_coisotropy(a.phi)
+
+
 def gauge_transform_potential(b, stab):
     """b^w as gauge.gauge_transform_potential computed it when it rebuilt
     phi^*omega itself, with LatticeField arithmetic."""

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import smooth_cp1_map, smooth_lift
 from hopfion import algebra as alg
+from hopfion import energy
 from hopfion import fields as fl
 from hopfion.energy import (
     CROSS_VARIANT_SKYRME_RATIO,
@@ -166,6 +167,27 @@ class TestEnergyPotential:
         d0 = e0.density.data
         d1 = e1.density.data
         assert np.max(np.abs(d0 - d1)) < 1e-10 * np.max(d0)
+
+    def test_one_buffer_covariant_unmoved_and_lean(self, rng, monkeypatch):
+        # D a = a_perp + phi^*omega is summed into a_perp's buffer, with no
+        # isotropic part kept: the report is the split-then-add one bit for
+        # bit, and the peak above the inputs, in units of one (n, n, n, 3, 3)
+        # float array at n = 32, is 2.89 (4.0 with the split)
+        grid = Grid(32)
+        a = fl.pure_gauge_potential(smooth_lift(grid, rng, amplitude=0.4),
+                                    smooth_cp1_map(grid, rng, amplitude=0.4))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            new = energy_potential(a)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(energy, "covariant_potential", oracles.covariant_potential)
+        old = energy_potential(a)
+        assert (new.dirichlet, new.skyrme, new.total) == (old.dirichlet, old.skyrme, old.total)
+        assert np.array_equal(new.density.data, old.density.data)
+        assert peak / (32 ** 3 * 9 * 8) <= 3.0
 
     def test_grid_mismatch_rejected(self, rng):
         from hopfion.lattice import LatticeField

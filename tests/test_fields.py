@@ -160,6 +160,30 @@ class TestSplit:
             assert np.max(np.abs(perp.data - a.a.data)) == 0.0
 
 
+class TestOnePartSplit:
+    @pytest.mark.parametrize("pair", ["su2_u1", "su2_group", "su3_t2"])
+    def test_one_part_helpers_equal_split_form(self, rng, pair):
+        # each helper builds the part split_form builds, bit for bit: on a
+        # smooth CP1 map, with a trivial isotropy group and on a matrix pair
+        grid = Grid(6)
+        if pair == "su2_u1":
+            phi = smooth_cp1_map(grid, rng, amplitude=0.4)
+        elif pair == "su2_group":
+            phi = fl.MapField(grid, alg.su2_group(), smooth_lift(grid, rng).values)
+        else:
+            gen = 0.3 * rng.standard_normal((6,) * 3 + (8,))
+            phi = fl.MapField(grid, alg.su3_t2(), oracles.matrix_exp(alg.su3_t2().matrix_of(gen)),
+                              renormalize=False)
+        for degree, slots in ((1, 3), (2, 3), (3, 1)):
+            data = rng.standard_normal((6,) * 3 + (slots, phi.pair.dim_g))
+            form = LatticeField(grid, degree, data)
+            par, perp = fl.split_form(form, phi)
+            assert np.array_equal(fl.isotropic_part(form, phi).data, par.data)
+            assert np.array_equal(fl.coisotropic_part(form, phi).data, perp.data)
+            values = fl.coisotropic_values(form, phi)
+            assert values.flags.writeable and np.array_equal(values, perp.data)
+
+
 class TestMergedSplit:
     def test_cp1_split_matches_old_formulas(self, grid12, rng):
         phi = smooth_cp1_map(grid12, rng, amplitude=0.4)
