@@ -433,35 +433,27 @@ def _is_cp1_point(pair, x):
 
 
 def project_isotropy(pair, x, xi):
-    """isotropy_split, with a CP1 point x first checked finite and unit."""
+    """(isotropic, coisotropic) parts of xi at x, a CP1 point x first checked
+    finite and unit."""
     if _is_cp1_point(pair, x):
         check_unit(x, "coset point")
-    return isotropy_split(pair, x, xi)
-
-
-def isotropy_split(pair, x, xi):
-    """Split xi into (isotropic, coisotropic) parts at the coset point x.
-
-    The one pointwise split into h_x and its orthogonal complement.  x is
-    either a unit imaginary quaternion, not checked (CP1 fast path:
-    par = (xi.phi) phi, perp = xi - par), or a group representative g with
-    x = gH, in which case both parts route through Ad(g).  x broadcasts
-    against xi, so a form splits in one call with x = phi.values[:, :, :, None].
-    """
-    xi = np.asarray(xi)
-    if _is_cp1_point(pair, x):
-        par = isotropic_part(pair, x, xi)
-        return par, xi - par
-    g = np.asarray(x)
-    down = pair.ad(pair.inverse(g), xi)
-    return pair.ad(g, pair.proj_h(down)), pair.ad(g, pair.proj_perp(down))
+    par = isotropic_part(pair, x, xi)
+    return par, np.asarray(xi) - par
 
 
 def isotropic_part(pair, x, xi):
-    """isotropy_split(pair, x, xi)[0] alone: at a CP1 point, (xi.phi) phi with no
-    buffer for the other part, laid out like xi where their shapes agree."""
+    """The part of xi in h_x, the one pointwise isotropy projection; the
+    coisotropic part is xi minus it.
+
+    x is either a unit imaginary quaternion, not checked (CP1 fast path:
+    (xi.phi) phi, laid out like xi where their shapes agree), or a group
+    representative g with x = gH, in which case the part is Ad(g) proj_h
+    Ad(g^-1) xi.  x broadcasts against xi, so a form projects in one call with
+    x = phi.values[:, :, :, None].
+    """
     if not _is_cp1_point(pair, x):
-        return isotropy_split(pair, x, xi)[0]
+        g = np.asarray(x)
+        return pair.ad(g, pair.proj_h(pair.ad(pair.inverse(g), xi)))
     xi, phi = np.asarray(xi), np.asarray(x)
     par = empty_like_operands(np.broadcast_shapes(xi.shape, phi.shape), np.result_type(xi, phi), xi)
     return np.multiply(dot(xi, phi)[..., None], phi, out=par)
@@ -484,8 +476,7 @@ def coisotropy_form(pair, x, tangent):
         if np.any(off > 1e-8 * scale):
             raise ValueError("tangent is not tangent to the sphere at x")
         return 0.5 * cross(q, eta)
-    _, perp = project_isotropy(pair, x, tangent)
-    return perp
+    return np.asarray(tangent) - isotropic_part(pair, x, tangent)
 
 
 def cp1_point_of(g):

@@ -91,7 +91,7 @@ def energy_map(psi, variant="coisotropy"):
     if variant == "cross_product":
         if not psi.is_cp1:
             raise ValueError("cross_product variant is defined for the CP1 pair only")
-        halves = [0.5 * alg.isotropy_split(psi.pair, psi.values, v)[1]
+        halves = [0.5 * (v - alg.isotropic_part(psi.pair, psi.values, v))
                   for v in fl.map_tangents(psi)]
         e2 = 0.5 * sum(dot(hm, hm) for hm in halves)
         e4 = np.zeros_like(e2)
@@ -105,7 +105,7 @@ def energy_map(psi, variant="coisotropy"):
     e2 = 0.5 * omega.norm2_density()
     W = comm_wedge(omega, psi.pair)
     if variant == "isotropic_skyrme":
-        W = fl.split_form(W, psi)[0]
+        W = fl.isotropic_part(W, psi)
         tag = "map/isotropic_skyrme"
     elif variant == "coisotropy":
         tag = "map/coisotropy"
@@ -121,9 +121,7 @@ def covariant_potential(a):
     if a.phi is None:
         return a.split()[1]
     omega = fl.pullback_coisotropy(a.phi)  # first: its transients outsize a_perp's
-    out = fl.coisotropic_values(a.a, a.phi)
-    out += omega.data
-    return LatticeField(a.grid, 1, out)
+    return fl.coisotropic_part(a.a, a.phi, plus=omega)
 
 
 def energy_potential(a):
@@ -186,7 +184,7 @@ def descent_gradient(psi):
             grad += corner
             del corner
     # C order, so that reductions over the returned gradient run as before
-    return np.ascontiguousarray(alg.isotropy_split(psi.pair, p, grad)[1])
+    return np.ascontiguousarray(grad - alg.isotropic_part(psi.pair, p, grad))
 
 
 def energy_gradient(psi):
@@ -226,4 +224,4 @@ def energy_gradient(psi):
         grad -= centered_diff(dEdv[mu], mu, h)
 
     grad *= h ** 3
-    return alg.isotropy_split(psi.pair, p, grad)[1]
+    return grad - alg.isotropic_part(psi.pair, p, grad)

@@ -110,56 +110,36 @@ class PotentialField:
         raise AttributeError("PotentialField is immutable")
 
     def split(self):
-        """(a_par, a_perp) as 1-forms, pointwise in h_phi and its complement."""
-        return _split_form(self.a, self.phi, self.pair)
+        """(a_par, a_perp) as 1-forms, pointwise in h_phi and its complement:
+        zero and a when h is trivial, a ValueError with no map otherwise."""
+        if self.pair.dim_h == 0:
+            return LatticeField.zeros(self.grid, 1, self.a.vdim), self.a
+        if self.phi is None:
+            raise ValueError("isotropy split needs a reference map")
+        par = isotropic_part(self.a, self.phi)
+        return par, self.a - par
 
     @property
     def grid(self):
         return self.a.grid
 
 
-def split_form(form, phi):
-    """(par, perp): a g-valued form of any degree split pointwise into h_phi
-    and its orthogonal complement along the map phi, in phi's pair.
-    isotropic_part and coisotropic_part build one of them alone."""
-    return _split_form(form, phi, phi.pair)
-
-
 def isotropic_part(form, phi):
-    """split_form(form, phi)[0]; on CP1 no buffer is made for the other part."""
-    return LatticeField(form.grid, form.degree, _isotropic_values(form, phi))
+    """The part of a g-valued form of any degree in h_phi, pointwise along the
+    map phi (unit where it was built, so not checked again) and broadcast over
+    the form's slots."""
+    return LatticeField(form.grid, form.degree,
+                        alg.isotropic_part(phi.pair, phi.values[:, :, :, None], form.data))
 
 
-def coisotropic_part(form, phi):
-    """split_form(form, phi)[1]; on CP1 in one form-sized buffer."""
-    return LatticeField(form.grid, form.degree, coisotropic_values(form, phi))
-
-
-def coisotropic_values(form, phi):
-    """coisotropic_part's data in a new writable array, for a caller that adds
-    into it: on CP1, xi - (xi . phi) phi written over the isotropic part."""
-    if not phi.is_cp1:
-        return np.array(split_form(form, phi)[1].data)
-    par = _isotropic_values(form, phi)
-    return np.subtract(form.data, par, out=par)
-
-
-def _isotropic_values(form, phi):
-    # phi broadcasts over the slot axis
-    return alg.isotropic_part(phi.pair, phi.values[:, :, :, None], form.data)
-
-
-def _split_form(form, phi, pair):
-    """The split along phi (unit where it was built) of pair: zero and the form
-    when h is trivial, a ValueError with no map (phi None) otherwise."""
-    if pair.dim_h == 0:
-        parts = np.zeros_like(form.data), form.data
-    elif phi is None:
-        raise ValueError("isotropy split needs a reference map")
-    else:
-        # phi broadcasts over the slot axis
-        parts = alg.isotropy_split(pair, phi.values[:, :, :, None], form.data)
-    return tuple(LatticeField(form.grid, form.degree, x) for x in parts)
+def coisotropic_part(form, phi, plus=None):
+    """form - isotropic_part(form, phi) in the isotropic part's buffer, with
+    plus, a form of the same degree, added into that buffer when given."""
+    out = alg.isotropic_part(phi.pair, phi.values[:, :, :, None], form.data)
+    np.subtract(form.data, out, out=out)
+    if plus is not None:
+        out += plus.data
+    return LatticeField(form.grid, form.degree, out)
 
 
 def constant_map(grid):

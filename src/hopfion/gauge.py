@@ -84,7 +84,7 @@ def stabilizer_log_derivative(stab, scheme="log"):
 
 
 def _require_isotropic(b, phi):
-    perp = fl.coisotropic_values(b, phi)
+    perp = fl.coisotropic_part(b, phi).data
     defect = max(float(perp.max()), -float(perp.min()))
     scale = max(float(b.data.max()), -float(b.data.min()), 1.0)
     if defect > ISOTROPY_TOL * scale:
@@ -271,9 +271,9 @@ def _dafi_rows(stab, omega, a):
     del dw_log
     moved = ad_inverse_apply(stab.w, a) + dw
     del dw
-    cov_w = fl.coisotropic_part(moved, stab.phi) + omega
+    cov_w = fl.coisotropic_part(moved, stab.phi, plus=omega)
     del moved
-    cov = fl.coisotropic_part(a, stab.phi) + omega
+    cov = fl.coisotropic_part(a, stab.phi, plus=omega)
     rotated = ad_inverse_apply(stab.w, cov)
     density = cov.norm2_density()
     del cov

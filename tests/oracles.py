@@ -214,8 +214,9 @@ def projector_derivative_wedge(phi, form):
 
 
 def coset_curvature(b):
-    """F(b) as gauge.coset_curvature computed it when it rebuilt phi^*omega and
-    (phi^*omega ^ phi^*omega)_par itself, with LatticeField arithmetic."""
+    """F(b) on CP1 as gauge.coset_curvature computed it when it rebuilt
+    phi^*omega and (phi^*omega ^ phi^*omega)_par itself, with LatticeField
+    arithmetic and the np.sum isotropy formula."""
     from hopfion import fields as fl
     from hopfion.energy import comm_wedge
 
@@ -224,7 +225,7 @@ def coset_curvature(b):
         raise ValueError("coset curvature needs the reference map")
     pair = phi.pair
     omega = fl.pullback_coisotropy(phi)
-    par_oo = fl.split_form(comm_wedge(omega, pair), phi)[0]
+    par_oo = cp1_isotropy_project_2form(comm_wedge(omega, pair), phi)
     return d(a) + comm_wedge(a, pair) - wedge(a, omega, pair.bracket) - par_oo
 
 
@@ -441,19 +442,20 @@ def cp1_isotropy_project_2form(W, psi):
     return LatticeField(W.grid, W.degree, par)
 
 
+def ad_route_split(pair, g, xi):
+    """(Ad(g) proj_h Ad(g^-1) xi, Ad(g) proj_perp Ad(g^-1) xi) at a group
+    representative g: both parts through Ad, the perp one not as xi - par."""
+    down = pair.ad(pair.inverse(g), xi)
+    return pair.ad(g, pair.proj_h(down)), pair.ad(g, pair.proj_perp(down))
+
+
 def slotwise_ad_split(form, phi):
     """Isotropy split along a matrix-pair map through Ad of its representatives,
     one slot at a time."""
-    pair = phi.pair
-    g = phi.values
-    ginv = np.swapaxes(g, -1, -2).conj()
-    par_slots, perp_slots = [], []
-    for idx in range(form.data.shape[3]):
-        down = pair.ad(ginv, form.slot(idx))
-        par_slots.append(pair.ad(g, pair.proj_h(down)))
-        perp_slots.append(pair.ad(g, pair.proj_perp(down)))
-    return (LatticeField.from_slots(form.grid, form.degree, par_slots),
-            LatticeField.from_slots(form.grid, form.degree, perp_slots))
+    parts = [ad_route_split(phi.pair, phi.values, form.slot(idx))
+             for idx in range(form.data.shape[3])]
+    return tuple(LatticeField.from_slots(form.grid, form.degree, list(slots))
+                 for slots in zip(*parts))
 
 
 # the periodic solves with complex full-spectrum transforms -----------------

@@ -322,6 +322,23 @@ class TestIsotropyProjection:
         assert np.max(np.abs(p_fast - p_gen)) < 1e-12
         assert np.max(np.abs(q_fast - q_gen)) < 1e-12
 
+    @pytest.mark.parametrize("name", ["su2_u1", "su2_group", "su3_t2"])
+    def test_generic_perp_matches_ad_route(self, rng, name):
+        # xi - par at a group representative against Ad(g) proj_perp Ad(g^-1) xi
+        pair = getattr(alg, name)()
+        for _ in range(5):
+            if pair.group_kind == "quaternion":
+                g = alg.random_unit_quaternions(rng, (4096,))
+            else:
+                # 40 series terms: at 24 the largest of these draws are unitary
+                # only to ~1e-12, and the two routes agree only as well as g is
+                gen = pair.matrix_of(0.7 * rng.standard_normal((4096, pair.dim_g)))
+                g = oracles.matrix_exp(gen, terms=40)
+            xi = rng.standard_normal((4096, pair.dim_g))
+            perp = alg.project_isotropy(pair, g, xi)[1]
+            ref = oracles.ad_route_split(pair, g, xi)[1]
+            assert np.max(np.abs(perp - ref)) <= 1e-13 * np.max(np.abs(xi))
+
     def test_symmetric_bracket_along_fibers(self, rng):
         pair = alg.su2_u1()
         pt = alg.cp1_point_of(alg.random_unit_quaternions(rng, (256,)))

@@ -162,8 +162,8 @@ class TestSplit:
 
 class TestOnePartSplit:
     @pytest.mark.parametrize("pair", ["su2_u1", "su2_group", "su3_t2"])
-    def test_one_part_helpers_equal_split_form(self, rng, pair):
-        # each helper builds the part split_form builds, bit for bit: on a
+    def test_coisotropic_part_is_form_less_isotropic_part(self, rng, pair):
+        # the two parts, bit for bit, and plus added into the one buffer: on a
         # smooth CP1 map, with a trivial isotropy group and on a matrix pair
         grid = Grid(6)
         if pair == "su2_u1":
@@ -177,24 +177,27 @@ class TestOnePartSplit:
         for degree, slots in ((1, 3), (2, 3), (3, 1)):
             data = rng.standard_normal((6,) * 3 + (slots, phi.pair.dim_g))
             form = LatticeField(grid, degree, data)
-            par, perp = fl.split_form(form, phi)
-            assert np.array_equal(fl.isotropic_part(form, phi).data, par.data)
-            assert np.array_equal(fl.coisotropic_part(form, phi).data, perp.data)
-            values = fl.coisotropic_values(form, phi)
-            assert values.flags.writeable and np.array_equal(values, perp.data)
+            plus = LatticeField(grid, degree, rng.standard_normal(data.shape))
+            par = fl.isotropic_part(form, phi)
+            perp = fl.coisotropic_part(form, phi)
+            assert np.array_equal(perp.data, form.data - par.data)
+            assert np.array_equal(fl.coisotropic_part(form, phi, plus=plus).data, (perp + plus).data)
+            if pair == "su2_group":
+                assert np.max(np.abs(par.data)) == 0.0
+                assert np.array_equal(perp.data, form.data)
 
 
 class TestMergedSplit:
     def test_cp1_split_matches_old_formulas(self, grid12, rng):
         phi = smooth_cp1_map(grid12, rng, amplitude=0.4)
         a = LatticeField(grid12, 1, rng.standard_normal((12,) * 3 + (3, 3)))
-        par, perp = fl.split_form(a, phi)
+        par, perp = fl.isotropic_part(a, phi), fl.coisotropic_part(a, phi)
         ref_par, ref_perp = oracles.cp1_split_potential(a, phi)
         assert np.array_equal(par.data, ref_par.data)
         assert np.array_equal(perp.data, ref_perp.data)
         W = comm_wedge(fl.pullback_coisotropy(phi), phi.pair) + LatticeField(
             grid12, 2, rng.standard_normal((12,) * 3 + (3, 3)))
-        par, perp = fl.split_form(W, phi)
+        par, perp = fl.isotropic_part(W, phi), fl.coisotropic_part(W, phi)
         ref_par = oracles.cp1_isotropy_project_2form(W, phi)
         assert np.array_equal(par.data, ref_par.data)
         assert np.array_equal(perp.data, (W - ref_par).data)  # the old project_perp
@@ -206,7 +209,7 @@ class TestMergedSplit:
         phi = fl.MapField(grid, pair, oracles.matrix_exp(pair.matrix_of(gen)), renormalize=False)
         for degree, slots in ((1, 3), (2, 3), (3, 1)):
             form = LatticeField(grid, degree, rng.standard_normal((6,) * 3 + (slots, 8)))
-            par, perp = fl.split_form(form, phi)
+            par, perp = fl.isotropic_part(form, phi), fl.coisotropic_part(form, phi)
             ref_par, ref_perp = oracles.slotwise_ad_split(form, phi)
             assert np.max(np.abs(par.data - ref_par.data)) <= 1e-12
             assert np.max(np.abs(perp.data - ref_perp.data)) <= 1e-12

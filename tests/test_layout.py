@@ -70,7 +70,9 @@ def _built(name, psi, u, raw, a):
     if name in ("split_par", "split_perp"):
         phi = psi.values[:, :, :, None]
         par = np.sum(raw * phi, axis=-1, keepdims=True) * phi
-        return fl.split_form(a, psi)[name == "split_perp"], (raw - par if name == "split_perp" else par)
+        if name == "split_perp":
+            return fl.coisotropic_part(a, psi), raw - par
+        return fl.isotropic_part(a, psi), par
     if name == "pullback_coisotropy":
         return fl.pullback_coisotropy(psi), np.stack(
             [0.5 * np.cross(psi.values, centered_diff(psi.values, mu, h)) for mu in range(3)], axis=3)
@@ -225,7 +227,7 @@ def test_map_and_lift_values_frozen(grid, rng, kind, renormalize):
             values[0, 0, 0, 0] = 0.5
 
 
-def test_split_form_trusts_the_map(grid, rng, monkeypatch):
+def test_form_parts_trust_the_map(grid, rng, monkeypatch):
     # the map was checked unit where it was built; a raw point is checked per call
     psi = smooth_cp1_map(grid, rng, amplitude=0.5)
     a = LatticeField(grid, 2, rng.standard_normal((N,) * 3 + (3, 3)))
@@ -233,7 +235,7 @@ def test_split_form_trusts_the_map(grid, rng, monkeypatch):
     check_unit = alg.check_unit
     monkeypatch.setattr(alg, "check_unit",
                         lambda q, what: calls.append(what) or check_unit(q, what))
-    par, perp = fl.split_form(a, psi)
+    par, perp = fl.isotropic_part(a, psi), fl.coisotropic_part(a, psi)
     assert calls == []
     raw = alg.project_isotropy(psi.pair, psi.values[:, :, :, None], a.data)
     assert len(calls) == 1
