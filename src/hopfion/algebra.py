@@ -13,7 +13,7 @@ matrices of g in the defining representation, with H selected by a subset
 of basis indices; group elements are then unitary matrices.
 
 The whole-grid kernels (qmul, qrotate, qconj, qembed, qexp, qlog, the su2
-bracket, the CP1 split, plaquette_areas) work component by component and
+bracket, the CP1 split, the plaquette kernels) work component by component and
 round exactly as the np.sum / np.cross / np.sinc formulas they replaced;
 they take their last-axis cross and dot from lattice, except qmul, which
 writes its dot and cross term by term into the slots of its output.
@@ -25,7 +25,7 @@ every slot and agrees with qrotate to a few ulps.
 
 Storage: every kernel takes per-site values as they are stored, on the
 last axis.  qmul, qconj, qrotate, qrotate_form, the CP1 split and
-plaquette_areas' corner gradients allocate their results like their
+add_plaquette_gradient's corners allocate their results like their
 operand of full shape, so component-major forms, maps and lifts (see
 lattice) give component-major results whose components are contiguous
 blocks.
@@ -534,7 +534,7 @@ def _slot_gradients(p, mu, nu):
     yield _vertex_gradient(cross(p, p11), p, p11, *w2)
 
 
-def plaquette_areas(p, with_grads=False):
+def plaquette_areas(p):
     """Signed spherical areas swept by the lattice plaquettes of a CP1 map.
 
     p holds unit 3-vectors on its last axis, shape (n, n, n, 3), in any
@@ -543,19 +543,12 @@ def plaquette_areas(p, with_grads=False):
     along grid axes mu and nu; area[x] sums the geodesic triangles
     (x, x+mu, x+mu+nu) and (x, x+mu+nu, x+nu), and peak is the largest
     |area| of a single triangle in the slot, read off the two triangles
-    before they are summed.  with_grads yields ((mu, nu), area, corners)
-    instead: corners iterates over the gradients of area[x] at the corners
-    x, x+mu, x+mu+nu and x+nu, laid out like p, forming each when asked for
-    and keeping none it has handed out.  Every product and sum matches
-    np.cross and np.sum(..., axis=-1) term for term, so results round as the
-    site-major formula does, in either layout; arithmetic runs in place to
-    spare temporaries.
+    before they are summed.  Every product and sum matches np.cross and
+    np.sum(..., axis=-1) term for term, so results round as the site-major
+    formula does, in either layout; arithmetic runs in place to spare
+    temporaries.
     """
     for mu, nu in SLOTS2:
-        if with_grads:
-            slot = _slot_gradients(p, mu, nu)
-            yield (mu, nu), next(slot), slot
-            continue
         # x+mu is freed before x+nu is made: two shifted copies at a time
         p10 = np.roll(p, -1, axis=mu)
         p11 = np.roll(p10, -1, axis=nu)
@@ -567,6 +560,26 @@ def plaquette_areas(p, with_grads=False):
         peak = max(float(np.max(np.abs(area))), float(np.max(np.abs(second))))
         area += second
         yield (mu, nu), area, peak
+
+
+def add_plaquette_gradient(p, scale, out):
+    """Add into out, laid out like p, the gradient of scale / 2 times the sum
+    of the squared plaquette areas of plaquette_areas(p), and return out.
+
+    Slot by slot, the area times scale weights the gradients at corners x,
+    x+mu, x+mu+nu and x+nu, each formed, weighted and rolled back onto its
+    site before the next is formed: one corner is held at a time.
+    """
+    for mu, nu in SLOTS2:
+        slot = _slot_gradients(p, mu, nu)
+        weight = (scale * next(slot))[..., None]
+        for corner, axes in zip(slot, ((), (mu,), (mu, nu), (nu,))):
+            corner *= weight
+            for axis in axes:
+                corner = np.roll(corner, 1, axis=axis)
+            out += corner
+            del corner
+    return out
 
 
 # ---------------------------------------------------------------------------

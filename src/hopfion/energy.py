@@ -174,15 +174,7 @@ def descent_gradient(psi):
     grad = np.zeros_like(p)
     for mu in range(3):
         grad += 0.25 * h * (2.0 * p - np.roll(p, -1, axis=mu) - np.roll(p, 1, axis=mu))
-    for (mu, nu), area, corners in alg.plaquette_areas(p, with_grads=True):
-        w = ((1.0 / (8.0 * h)) * area)[..., None]
-        # corners 00, 10, 11 and 01, each weighted and scattered before the next is formed
-        for corner, axes in zip(corners, ((), (mu,), (mu, nu), (nu,))):
-            corner *= w
-            for axis in axes:
-                corner = np.roll(corner, 1, axis=axis)
-            grad += corner
-            del corner
+    alg.add_plaquette_gradient(p, 1.0 / (8.0 * h), grad)
     # C order, so that reductions over the returned gradient run as before
     return np.ascontiguousarray(grad - alg.isotropic_part(psi.pair, p, grad))
 

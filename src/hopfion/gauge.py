@@ -324,40 +324,6 @@ def _flat_par_rows(phi, apar, aperp, dphi_perp, omega):
             ("flat_curvature_i_symmetric", "differential", flat_i_symmetric)]
 
 
-def _flat_perp_rows(phi, forms):
-    """dPhi ^ a_par against d a_par, then, for a_perp of a flat potential,
-    relation (iii) for d[a_perp ^ a_perp], dPhi ^ a_perp against d a_perp and
-    relation (ii) for d a_perp.
-
-    forms is the list [a_par, a_perp, dPhi ^ a_par, dPhi ^ a_perp], which
-    holds the only references to them: this family empties it, so that each
-    form is freed after its last use here.
-    """
-    apar, aperp, dphi_par, dphi_perp = forms
-    forms.clear()
-    d_apar = d(apar)
-    wedge_par = _rel(dphi_par - fl.coisotropic_part(d_apar, phi), d_apar)
-    del d_apar
-    bracket = phi.pair.bracket
-    flat_ii = -dphi_par - dphi_perp - wedge(apar, aperp, bracket)
-    del apar
-    aa = comm_wedge(aperp, phi.pair)
-    dphi_aa = projector_derivative_wedge(phi, aa)
-    d_aa = d(aa)
-    quartic = _rel(d_aa - (-wedge(dphi_par, aperp, bracket) + dphi_aa), d_aa)
-    del dphi_par, dphi_aa, d_aa
-    aa_perp = fl.coisotropic_part(aa, phi)
-    del aa
-    d_aperp = d(aperp)
-    return [("dphi_wedge_par", "differential", wedge_par),
-            ("flat_quartic_iii_symmetric", "differential", quartic),
-            ("dphi_wedge_perp", "differential",
-             _rel(dphi_perp + fl.isotropic_part(d_aperp, phi), d_aperp)),
-            ("flat_derivative_ii", "differential",
-             _rel(_residual(d_aperp, flat_ii.slot, aa_perp.slot), d_aperp)),
-            ("flat_derivative_ii_symmetric", "differential", _rel(d_aperp - flat_ii, d_aperp))]
-
-
 def _residual(lhs, first, *rest):
     """lhs - (first - rest[0] - rest[1] - ...), evaluated as written, slot by slot
     in one new buffer; each term is a function that gives one slot of it, such
@@ -374,7 +340,9 @@ def _residual(lhs, first, *rest):
 def _pure_gauge_rows(u, phi, omega):
     """The pure-gauge potential a = u^-1 du against phi: its flatness, its match
     with the map u.phi and its dual energy, then the flat-potential relations
-    of its split."""
+    of its split: dPhi ^ a_par against d a_par, relation (i), relation (iii)
+    for d[a_perp ^ a_perp], dPhi ^ a_perp against d a_perp and relation (ii)
+    for d a_perp.  Each form is freed after its last use."""
     apot = fl.pure_gauge_potential(u, phi)
     d_a = d(apot.a)
     flatness = _rel(d_a + comm_wedge(apot.a, phi.pair), d_a)
@@ -387,10 +355,29 @@ def _pure_gauge_rows(u, phi, omega):
     del apot, psi
     dphi_perp = projector_derivative_wedge(phi, aperp)
     relation_i = _flat_par_rows(phi, apar, aperp, dphi_perp, omega)
-    forms = [apar, aperp, projector_derivative_wedge(phi, apar), dphi_perp]
-    del apar, aperp, dphi_perp  # the list holds the only references, for _flat_perp_rows to free
-    wedge_par, *relations = _flat_perp_rows(phi, forms)
-    return [wedge_par] + relation_i + relations + [
+    dphi_par = projector_derivative_wedge(phi, apar)
+    d_apar = d(apar)
+    wedge_par = _rel(dphi_par - fl.coisotropic_part(d_apar, phi), d_apar)
+    del d_apar
+    bracket = phi.pair.bracket
+    flat_ii = -dphi_par - dphi_perp - wedge(apar, aperp, bracket)
+    del apar
+    aa = comm_wedge(aperp, phi.pair)
+    dphi_aa = projector_derivative_wedge(phi, aa)
+    d_aa = d(aa)
+    quartic = _rel(d_aa - (-wedge(dphi_par, aperp, bracket) + dphi_aa), d_aa)
+    del dphi_par, dphi_aa, d_aa
+    aa_perp = fl.coisotropic_part(aa, phi)
+    del aa
+    d_aperp = d(aperp)
+    del aperp
+    return [("dphi_wedge_par", "differential", wedge_par)] + relation_i + [
+        ("flat_quartic_iii_symmetric", "differential", quartic),
+        ("dphi_wedge_perp", "differential",
+         _rel(dphi_perp + fl.isotropic_part(d_aperp, phi), d_aperp)),
+        ("flat_derivative_ii", "differential",
+         _rel(_residual(d_aperp, flat_ii.slot, aa_perp.slot), d_aperp)),
+        ("flat_derivative_ii_symmetric", "differential", _rel(d_aperp - flat_ii, d_aperp)),
         ("pure_gauge_flatness", "differential", flatness), ("mapcon", "differential", mapcon),
         ("dual_energy", "differential", dual)]
 

@@ -274,16 +274,19 @@ def _collect_crossings(crossings, grid, rho, f, sign, hit, b, c):
     """Append the crossings of p through the rho-face triangles (00, b, c) that hold +-p.
 
     At the hits only, the barycentric weights of the corners b and c give
-    the hemisphere (third frame component positive) and the position; the
-    common edge sign gives the orientation.
+    the hemisphere (third frame component positive) and the position, 1/3
+    each where the projected triangle is degenerate; the common edge sign
+    gives the orientation.
     """
     idx = np.argwhere(hit)
     A, B, C = ([x[tuple(((idx + corner) % grid.n).T)] for x in f] for corner in (0, b, c))
     d1x, d1y = B[0] - A[0], B[1] - A[1]
     d2x, d2y = C[0] - A[0], C[1] - A[1]
     det = d1x * d2y - d1y * d2x
-    lb = (-A[0] * d2y + A[1] * d2x) / det
-    lc = (-d1x * A[1] + d1y * A[0]) / det
+    # a triangle flat in projection (C - A rounds to -A beside a corner at the
+    # vacuum) has no barycentric solve: its crossing takes the corners' mean
+    lb, lc = (np.divide(num, det, out=np.full_like(det, 1.0 / 3.0), where=det != 0)
+              for num in (-A[0] * d2y + A[1] * d2x, -d1x * A[1] + d1y * A[0]))
     upper = (1.0 - lb - lc) * A[2] + lb * B[2] + lc * C[2] > 0
     idx, lb, lc = idx[upper], lb[upper, None], lc[upper, None]
     # the weighted offset is summed before the site index is added, as the

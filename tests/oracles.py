@@ -283,15 +283,11 @@ def quat_to_matrix(q):
     return out
 
 
-def matrix_exp(X, terms=24):
-    """exp of anti-Hermitian matrices by plain series; meant for |X| <~ 1."""
-    X = np.asarray(X)
-    out = np.broadcast_to(np.eye(X.shape[-1], dtype=complex), X.shape).copy()
-    term = out.copy()
-    for k in range(1, terms + 1):
-        term = term @ X / k
-        out = out + term
-    return out
+def matrix_exp(X):
+    """exp of anti-Hermitian matrices, unitary to rounding: with -iX =
+    V diag(w) V^H (eigh), exp X = V diag(e^(iw)) V^H."""
+    w, V = np.linalg.eigh(-1j * np.asarray(X))
+    return (V * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
 
 
 def cp1_lift_of(point, tol=1e-12):

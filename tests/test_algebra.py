@@ -330,10 +330,8 @@ class TestIsotropyProjection:
             if pair.group_kind == "quaternion":
                 g = alg.random_unit_quaternions(rng, (4096,))
             else:
-                # 40 series terms: at 24 the largest of these draws are unitary
-                # only to ~1e-12, and the two routes agree only as well as g is
                 gen = pair.matrix_of(0.7 * rng.standard_normal((4096, pair.dim_g)))
-                g = oracles.matrix_exp(gen, terms=40)
+                g = oracles.matrix_exp(gen)
             xi = rng.standard_normal((4096, pair.dim_g))
             perp = alg.project_isotropy(pair, g, xi)[1]
             ref = oracles.ad_route_split(pair, g, xi)[1]
@@ -423,29 +421,34 @@ def test_plaquette_area_corner_gradients(rng):
     x, y = 2 * i, 2 * j
     p[x, y, k], p[x + 1, y, k], p[x + 1, y + 1, k] = a, b, c
 
-    def slot_xy(q, with_grads=False):
-        return next(alg.plaquette_areas(q, with_grads))
+    def area_xy(q):
+        (mu, nu), area, _ = next(alg.plaquette_areas(q))
+        assert (mu, nu) == (0, 1)
+        return area
 
-    # the corners come one at a time, in the order 00, 10, 11, 01
-    (mu, nu), _, corners = slot_xy(p, with_grads=True)
-    assert (mu, nu) == (0, 1) and iter(corners) is corners
+    # the area first, then the corners one at a time, in the order 00, 10, 11, 01
+    slot = alg._slot_gradients(p, 0, 1)
+    next(slot)
+    assert iter(slot) is slot
     eps = 1e-7
-    for (dx, dy), grad in zip(((0, 0), (1, 0), (1, 1), (0, 1)), corners):
+    for (dx, dy), grad in zip(((0, 0), (1, 0), (1, 1), (0, 1)), slot):
         d = rng.standard_normal((32, 3))
         p_p, p_m = p.copy(), p.copy()
         p_p[x + dx, y + dy, k] += eps * d
         p_m[x + dx, y + dy, k] -= eps * d
-        fd = (slot_xy(p_p)[1][x, y, k] - slot_xy(p_m)[1][x, y, k]) / (2 * eps)
+        fd = (area_xy(p_p)[x, y, k] - area_xy(p_m)[x, y, k]) / (2 * eps)
         an = np.sum(grad[x, y, k] * d, axis=-1)
         assert np.max(np.abs(fd - an)) < 1e-6
-    assert next(corners, None) is None
+    assert next(slot, None) is None
 
 
 def test_plaquette_areas_drop_handed_out_corners(rng):
     # the kernel holds no corner it has handed out: once the caller lets a
     # corner go, asking for the next frees it
     p = alg.cp1_point_of(alg.random_unit_quaternions(rng, (8, 8, 8)))
-    for _, _, corners in alg.plaquette_areas(p, with_grads=True):
+    for mu, nu in alg.SLOTS2:
+        corners = alg._slot_gradients(p, mu, nu)
+        next(corners)
         held = weakref.ref(next(corners))
         for corner in corners:
             assert held() is None
@@ -458,11 +461,14 @@ def test_plaquette_areas_read_either_layout(rng):
     p = alg.cp1_point_of(alg.random_unit_quaternions(rng, (8, 8, 8)))
     stored = component_major(p)
     assert p.flags.c_contiguous and is_component_major(stored)
-    for (slot, area, corners), (cm_slot, cm_area, cm_corners) in zip(
-            alg.plaquette_areas(p, with_grads=True),
-            alg.plaquette_areas(stored, with_grads=True)):
+    pairs = []
+    for (slot, area, _), (cm_slot, cm_area, _) in zip(alg.plaquette_areas(p),
+                                                      alg.plaquette_areas(stored)):
         assert slot == cm_slot
-        pairs = [(area, cm_area), *zip(corners, cm_corners)]
-        assert len(pairs) == 5
-        for x, y in pairs:
-            assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        pairs.append((area, cm_area))
+    base = rng.standard_normal(p.shape)
+    pairs.append((alg.add_plaquette_gradient(p, 0.3, base.copy()),
+                  alg.add_plaquette_gradient(stored, 0.3, component_major(base))))
+    assert len(pairs) == 4
+    for x, y in pairs:
+        assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))

@@ -189,6 +189,21 @@ class TestEnergyPotential:
         assert np.array_equal(new.density.data, old.density.data)
         assert peak / (32 ** 3 * 9 * 8) <= 3.0
 
+    def test_group_pair_without_map_is_identity_reference(self, rng):
+        # su2_group has a trivial isotropy group, so a potential with no map
+        # is its own covariant potential: the report against the identity map
+        from hopfion.lattice import LatticeField
+
+        grid = Grid(12)
+        u = fl.LiftField(grid, alg.su2_group(), smooth_lift(grid, rng).values)
+        bare = fl.pure_gauge_potential(u)
+        assert bare.phi is None
+        ident = fl.MapField(grid, u.pair, u.pair.identity_element((12,) * 3))
+        new = energy_potential(bare)
+        ref = energy_potential(fl.PotentialField(LatticeField(grid, 1, bare.a.data), ident))
+        assert (new.dirichlet, new.skyrme, new.total) == (ref.dirichlet, ref.skyrme, ref.total)
+        assert np.array_equal(new.density.data, ref.density.data)
+
     def test_grid_mismatch_rejected(self, rng):
         from hopfion.lattice import LatticeField
 
@@ -317,7 +332,7 @@ def test_energies_unmoved_by_component_kernels(rng, monkeypatch):
 def test_descent_gradient_memory():
     # each plaquette corner is weighted and scattered before the next is
     # formed: at most 11 (n, n, n, 3) float arrays at n = 32, the returned
-    # gradient included, seen by tracemalloc (9.7 measured; 17.7 while a
+    # gradient included, seen by tracemalloc (9.3 measured; 17.7 while a
     # slot's four corners were formed together)
     psi, _ = fl.make_ansatz("hopf", Grid(32), 1)
     tracemalloc.start()

@@ -87,6 +87,15 @@ class TestAction:
         assert np.max(np.abs(moved.values - alg.qmul(phi.values, u.values))) > 1e-3
 
 
+    def test_matrix_target_left_product(self, rng):
+        # on a matrix pair the lift acts by the matrix product u phi
+        pair, grid = alg.su3_t2(), Grid(6)
+        u, phi = (oracles.matrix_exp(pair.matrix_of(0.4 * rng.standard_normal((6,) * 3 + (8,))))
+                  for _ in range(2))
+        moved = fl.act(fl.LiftField(grid, pair, u), fl.MapField(grid, pair, phi, renormalize=False))
+        assert moved.pair is pair
+        assert np.array_equal(moved.values, u @ phi)
+
 class TestPullback:
     def test_constant_map(self, grid16):
         omega = fl.pullback_coisotropy(fl.constant_map(grid16))

@@ -21,7 +21,8 @@ from hopfion.gauge import (
     smooth_scalar,
     stabilizer_log_derivative,
 )
-from hopfion.lattice import SLOT_COUNT, Grid, LatticeField, dot, forward_diff, l2_norm
+from hopfion.lattice import (SLOT_COUNT, Grid, LatticeField, d, dot, forward_diff, l2_norm,
+                             wedge)
 
 
 def isotropic_potential(grid, phi, rng, amplitude=0.6):
@@ -171,6 +172,19 @@ class TestCosetCurvature:
         rhs = ad_inverse_apply(stab.w, coset_curvature(b))
         assert l2_norm(lhs - rhs) < 1e-8 * l2_norm(rhs)
 
+
+    def test_matrix_pair_isotropic_potential(self, rng):
+        # su3_t2, a non-symmetric matrix pair: the kernel equals the form-level
+        # formula bit for bit, its brackets taken on matrices
+        pair, grid = alg.su3_t2(), Grid(6)
+        phi = fl.MapField(grid, pair, oracles.matrix_exp(
+            pair.matrix_of(0.3 * rng.standard_normal((6,) * 3 + (8,)))), renormalize=False)
+        a = LatticeField(grid, 1, rng.standard_normal((6,) * 3 + (3, 8)))
+        b = fl.isotropic_part(a, phi)
+        omega = fl.pullback_coisotropy(phi)
+        expected = (d(b) + comm_wedge(b, pair) - wedge(b, omega, pair.bracket)
+                    - fl.isotropic_part(comm_wedge(omega, pair), phi))
+        assert np.array_equal(coset_curvature(fl.PotentialField(b, phi)).data, expected.data)
 
 class TestIdentitySuite:
     def test_small_sizes_pass(self):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
@@ -237,6 +238,20 @@ class TestLinking:
         psi, _ = fl.make_ansatz("hopf", Grid(32), 1)
         assert tp.linking_charge(psi) == 1
         assert calls == [tp.LINK_P, tp.LINK_Q]
+
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("charge", [1, 2])
+    @pytest.mark.parametrize("turn", ["i_to_j", "i_to_k"])
+    def test_vacuum_on_a_regular_value(self, n, charge, turn):
+        # the ansatz turned exactly by 90 degrees in the target, so that its
+        # vacuum sits on LINK_P or LINK_Q: beside a vacuum corner a face
+        # triangle can be flat in projection, and its crossing is still kept
+        psi, _ = fl.make_ansatz("hopf", Grid(n), charge)
+        x, y, z = np.moveaxis(psi.values, -1, 0)
+        turned = np.stack([-y, x, z] if turn == "i_to_j" else [-z, y, x], axis=-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert tp.linking_charge(psi.with_values(turned, renormalize=False)) == charge
 
     def test_matches_gauss_integral(self):
         psi, _ = fl.make_ansatz("hopf", Grid(32), 1)
