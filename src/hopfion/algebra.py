@@ -288,8 +288,8 @@ class HomogeneousPair:
     basis_h: tuple
     symmetric: bool
     group_kind: str  # 'quaternion' or 'matrix'
-    structure_consts: np.ndarray = field(default=None, repr=False)
-    frob_scale: float = field(default=None, repr=False)
+    structure_consts: np.ndarray = field(init=False, repr=False)
+    frob_scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         B = np.asarray(self.basis_matrices)
@@ -359,6 +359,12 @@ class HomogeneousPair:
         if self.group_kind == "quaternion":
             return qmul(g, k)
         return np.asarray(g) @ k
+
+    def log(self, g):
+        """Principal logarithm of group elements, as coefficients on g."""
+        if self.group_kind == "quaternion":
+            return qlog(g)
+        return self.coeffs_of(matrix_log_unitary(g))
 
     def identity_element(self, shape=()):
         if self.group_kind == "quaternion":

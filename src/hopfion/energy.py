@@ -1,7 +1,9 @@
 """Faddeev-Skyrme energy densities, totals and the exact discrete gradient.
 
-The canonical density is e = |w|^2 / 2 + |w ^ w|^2 / 4 with w the pullback
-of the coisotropy form, evaluated on centered-difference tangents.  On CP1
+The canonical density is e = |w|^2 / 2 + |w ^ w|^2 / 4 of a g-valued 1-form
+w: the pullback of the coisotropy form, evaluated on centered-difference
+tangents, for a map, and D_phi a for a potential, so one function
+evaluates both sides of the map/potential correspondence.  On CP1
 this makes the model metric the Riemann-quotient one: tangent lengths are
 half their Euclidean length on the embedded unit sphere, and the quartic
 slot values are commutators [w_mu, w_nu].
@@ -101,18 +103,21 @@ def energy_map(psi, variant="coisotropy"):
         e4 = 0.25 * e4
         return _report(grid, e2, e4, "map/cross_product")
 
-    omega = fl.pullback_coisotropy(psi)
-    e2 = 0.5 * omega.norm2_density()
-    W = comm_wedge(omega, psi.pair)
-    if variant == "isotropic_skyrme":
-        W = fl.isotropic_part(W, psi)
-        tag = "map/isotropic_skyrme"
-    elif variant == "coisotropy":
-        tag = "map/coisotropy"
-    else:
+    if variant not in ("coisotropy", "isotropic_skyrme"):
         raise ValueError(f"unknown energy variant '{variant}'")
+    return _form_energy(fl.pullback_coisotropy(psi), psi.pair, f"map/{variant}",
+                        psi if variant == "isotropic_skyrme" else None)
+
+
+def _form_energy(w, pair, tag, phi=None):
+    """The Faddeev-Skyrme density |w|^2 / 2 + |w ^ w|^2 / 4 of a g-valued
+    1-form w, its quartic slots projected onto h_phi when phi is given."""
+    e2 = 0.5 * w.norm2_density()
+    W = comm_wedge(w, pair)
+    if phi is not None:
+        W = fl.isotropic_part(W, phi)
     e4 = 0.25 * W.norm2_density()
-    return _report(grid, e2, e4, tag)
+    return _report(w.grid, e2, e4, tag)
 
 
 def covariant_potential(a):
@@ -126,11 +131,7 @@ def covariant_potential(a):
 
 def energy_potential(a):
     """Energy of a potential relative to its reference map: E_phi(a)."""
-    D = covariant_potential(a)
-    e2 = 0.5 * D.norm2_density()
-    W = comm_wedge(D, a.pair)
-    e4 = 0.25 * W.norm2_density()
-    return _report(a.grid, e2, e4, "potential")
+    return _form_energy(covariant_potential(a), a.pair, "potential")
 
 
 def descent_energy(psi):

@@ -162,31 +162,23 @@ def pure_gauge_potential(u, phi=None):
 
 def maurer_cartan_form(u):
     """u^-1 du as a 1-form, from principal logs of link variables, exactly g-valued."""
-    h = u.grid.h
     data = empty_component_major(u.values.shape[:3] + (3, u.pair.dim_g))
     for mu in range(3):
-        ell = links(u, mu)
-        if u.pair.group_kind == "quaternion":
-            coeffs = alg.qlog(ell)
-        else:
-            coeffs = u.pair.coeffs_of(alg.matrix_log_unitary(ell))
-        del ell
-        np.divide(coeffs, h, out=data[:, :, :, mu])
-        del coeffs  # before the next link is formed
+        np.divide(u.pair.log(links(u, mu)), u.grid.h, out=data[:, :, :, mu])
     return LatticeField(u.grid, 1, data)
 
 
 def plaquette_defect(u):
     """Max distance of any plaquette holonomy from the identity."""
     pair = u.pair
-    axes = -1 if pair.group_kind == "quaternion" else (-2, -1)
     worst = 0.0
     for mu, nu in SLOTS2:
         l_mu = links(u, mu)
         l_nu = links(u, nu)
         p = pair.mul(pair.mul(l_mu, np.roll(l_nu, -1, axis=mu)),
                      pair.inverse(pair.mul(l_nu, np.roll(l_mu, -1, axis=nu))))
-        defect = np.linalg.norm(p - pair.identity_element(p.shape[:3]), axis=axes)
+        defect = np.linalg.norm(p - pair.identity_element(p.shape[:3]),
+                                axis=tuple(range(3, p.ndim)))
         worst = max(worst, float(np.max(defect)))
     return worst
 
@@ -197,9 +189,7 @@ def act(u, phi):
         raise ValueError("grids differ")
     if phi.is_cp1:
         return phi.with_values(alg.qrotate(u.values, phi.values))
-    if phi.pair.group_kind == "quaternion":
-        return phi.with_values(alg.qmul(u.values, phi.values))
-    return phi.with_values(u.values @ phi.values, renormalize=False)
+    return phi.with_values(phi.pair.mul(u.values, phi.values))
 
 
 def map_tangents(psi):
@@ -213,8 +203,9 @@ def pullback_coisotropy(psi):
     CP1: the form on the centered-difference tangent projected to the
     sphere; the cross product with the unit base point performs both the
     projection and the quarter-turn, slot = psi x D_mu psi / 2.  Group
-    targets: right-translated projected tangent.  Matrix cosets: forward
-    link logs pushed through Ad of the representative.
+    targets: right-translated projected tangent.  Matrix cosets: the
+    coisotropic part of maurer_cartan_form pushed through Ad of the
+    representative.
     """
     g = psi.grid
     if psi.is_cp1:
@@ -232,9 +223,8 @@ def pullback_coisotropy(psi):
             slots.append(alg.qim(alg.qmul(v, psi.pair.inverse(psi.values))))
         return LatticeField.from_slots(g, 1, slots)
     pair = psi.pair
-    down = [pair.proj_perp(pair.coeffs_of(alg.matrix_log_unitary(links(psi, mu))) / g.h)
-            for mu in range(3)]
-    return LatticeField(g, 1, pair.ad(psi.values[:, :, :, None], np.stack(down, axis=3)))
+    return LatticeField(g, 1, pair.ad(psi.values[:, :, :, None],
+                                      pair.proj_perp(maurer_cartan_form(psi).data)))
 
 
 # ---------------------------------------------------------------------------

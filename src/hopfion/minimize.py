@@ -44,7 +44,7 @@ MAX_HALVINGS = 10
 # / 32 / 48 converges in 33 / 36 / 40 iterations, in 31 / 32 / 36 at 0.3 and 28 /
 # 30 / 32 at 0.4 (energies equal to 1e-5); 0.2 keeps the pinned relax histories.
 SOBOLEV_KAPPA = 0.2
-# relax's H0 = STEP_INIT * P before any pair
+# descend's H0 = STEP_INIT * P before any pair
 STEP_INIT = 0.2
 
 
@@ -103,8 +103,7 @@ def _charge_estimate(psi):
         return None
 
 
-def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
-            on_step, precondition):
+def descend(objective, gradient, x, *, retract, project, max_iters, on_step, precondition):
     """Riemannian L-BFGS with a monotone Armijo line search; returns (x, termination).
 
     objective(x) gives the terms whose sum is minimized and gradient(x) the
@@ -117,7 +116,7 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
 
     The direction is the two-loop product H grad over the last MEMORY pairs
     (s = the accepted step, y = the change of the gradient), projected at
-    x; a pair is kept only when s.y > 0.  H0 is step_init * P with no pairs
+    x; a pair is kept only when s.y > 0.  H0 is STEP_INIT * P with no pairs
     and gamma P after, with gamma = s.y / y.Py of the newest pair.  The
     trial step along the direction starts at 1 and is halved up to
     MAX_HALVINGS times until the Armijo test on the slope grad.d passes;
@@ -141,7 +140,7 @@ def descend(objective, gradient, x, *, retract, project, step_init, max_iters,
 
     pairs = deque()    # (s, y, 1 / s.y, s.y / y.Py), flat, oldest first
     for it in range(1, max_iters + 1):
-        d = project(x, _two_loop(g, pairs, step_init, precondition))
+        d = project(x, _two_loop(g, pairs, precondition))
         found = _line_search(objective, retract, x, f, g, d)
         if found is None:
             return x, "stalled"
@@ -177,16 +176,15 @@ def _inner(u, v):
     return float(np.einsum("i,i->", u, v))
 
 
-def _two_loop(g, pairs, scale, precondition):
-    """The L-BFGS product H g; H0 is scale * P with no pairs, the newest gamma * P after."""
+def _two_loop(g, pairs, precondition):
+    """The L-BFGS product H g; H0 is STEP_INIT * P with no pairs, the newest gamma * P after."""
     q = g.ravel().copy()
     alphas = []
     for s, y, rho, _ in reversed(pairs):
         a = rho * _inner(s, q)
         q -= a * y
         alphas.append(a)
-    if pairs:
-        scale = pairs[-1][3]
+    scale = pairs[-1][3] if pairs else STEP_INIT
     q = scale * precondition(q.reshape(g.shape)).ravel()
     for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
         q += (a - rho * _inner(y, q)) * s
@@ -242,7 +240,7 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
         # the sum is laid out like the values, so the constructor's norm reads contiguous blocks
         retract=lambda psi, v: psi.with_values(
             np.add(psi.values, v, out=empty_component_major(psi.values.shape))),
-        project=_tangent, step_init=STEP_INIT, max_iters=cfg.max_iters,
+        project=_tangent, max_iters=cfg.max_iters,
         on_step=on_step, precondition=_sobolev(psi0.grid))
     return RelaxRun(history, psi, termination, cfg)
 

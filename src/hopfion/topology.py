@@ -11,22 +11,27 @@ Whitehead route: the pullback of the normalized area form is realized as
 the signed spherical area swept by each plaquette (quantized fluxes, so
 the form is exactly closed cell by cell), dA = F is solved in Coulomb gauge
 by lattice.coulomb_solve, exact at every Fourier mode of the
-forward-difference complex, and the charge is the integral of A ^ F.
+forward-difference complex, and the charge is lattice.integrate_3form of A ^ F.
 
 Linking route: preimage polylines of two regular values are extracted by
-marching through lattice cells, and their linking number is the degree of
-the Gauss map on the periodic grid of vertex pairs: the sum of its signed
-plaquette areas over 4 pi, refused unless every plaquette area is below
-2 pi in magnitude.  The face crossings are watertight (Woop, Benthin &
-Wald, JCGT 2, 2013): each lattice edge carries one orientation sign, read
-negated by the triangle that runs it backwards, and exact zeros are broken
-by Simulation of Simplicity (Edelsbrunner & Muecke, ACM TOG 9, 1990), so a
-preimage through an edge or a vertex is counted once and the regular value
-is never tilted.  A map that misses a regular value links nothing: 0.
+marching through lattice cells, and the linking number of two loops in R^3
+is the degree of the Gauss map on the periodic grid of vertex pairs: the
+sum of its signed plaquette areas over 4 pi, refused unless every triangle
+is below pi in magnitude and no plaquette diagonal joins antipodal
+directions.  Each loop is unwrapped from its own first crossing, so the
+torus linking number of two loops is the image sum over the lattice
+translates of one whose bounding box meets the other's.  The face
+crossings are watertight (Woop, Benthin & Wald, JCGT 2, 2013): each
+lattice edge carries one orientation sign, read negated by the triangle
+that runs it backwards, and exact zeros are broken by Simulation of
+Simplicity (Edelsbrunner & Muecke, ACM TOG 9, 1990), so a preimage through
+an edge or a vertex is counted once and the regular value is never tilted.
+A map that misses a regular value links nothing: 0.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +39,8 @@ import numpy as np
 from . import algebra as alg
 from . import fields as fl
 from .errors import DegeneratePreimageError, FluxObstructionError, HopfionError
-from .lattice import Grid, LatticeField, SLOTS2, coulomb_solve, dot, empty_component_major, wedge
+from .lattice import (Grid, LatticeField, SLOTS2, coulomb_solve, dot, empty_component_major,
+                      integrate_3form, wedge)
 
 # Calibrated on the degree-1 ball ansatz and frozen; see README, conventions.
 CHERN_SIMONS_SU_N = 1.0 / (24.0 * np.pi ** 2)
@@ -191,9 +197,7 @@ def _whitehead_plain(psi):
         raise FluxObstructionError(
             f"Whitehead integral undefined: flux {flux:.3e} through a coordinate 2-torus means "
             f"a nonzero degree there or a grid (n = {psi.grid.n}) too coarse; refine the grid")
-    A = coulomb_solve(F)
-    AF = wedge(A, F, np.multiply)
-    return float(np.sum(AF.data) * psi.grid.h ** 3)
+    return integrate_3form(wedge(coulomb_solve(F), F, np.multiply))
 
 
 def whitehead_charge(psi):
@@ -391,11 +395,22 @@ def gauss_linking(curve1, curve2):
 
 
 def linking_charge(psi):
-    """Hopf charge as the linking number of the preimages of LINK_P and LINK_Q."""
+    """Hopf charge as the torus linking number of the preimages of LINK_P and LINK_Q.
+
+    Each preimage loop is unwrapped to R^3 from its own first crossing, so
+    two loops can come out a period apart.  The torus linking number of
+    null-homologous loops cp and cq is the sum of gauss_linking(cp, cq + L k)
+    over the lattice vectors k; a translate whose bounding box misses cp's
+    links it zero times, so only the k whose boxes meet cp's are taken.
+    """
+    L = psi.grid.length
     curves_p = preimage_curves(psi, LINK_P)
     curves_q = preimage_curves(psi, LINK_Q)
     total = 0
     for cp in curves_p:
         for cq in curves_q:
-            total += gauss_linking(cp, cq)
+            lo = np.ceil((cp.min(axis=0) - cq.max(axis=0)) / L).astype(int)
+            hi = np.floor((cp.max(axis=0) - cq.min(axis=0)) / L).astype(int)
+            for k in itertools.product(*map(range, lo, hi + 1)):
+                total += gauss_linking(cp, cq + L * np.array(k))
     return total

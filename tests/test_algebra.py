@@ -278,6 +278,19 @@ class TestPairs:
             xi = rng.standard_normal((32, pair.dim_g))
             assert np.allclose(pair.coeffs_of(pair.matrix_of(xi)), xi, atol=1e-12)
 
+    def test_log_inverts_exp(self, rng):
+        for pair, exp in ((alg.su2_u1(), alg.qexp),
+                          (alg.su3_t2(), lambda xi: oracles.matrix_exp(alg.su3_t2().matrix_of(xi)))):
+            xi = 0.4 * rng.standard_normal((32, pair.dim_g))
+            assert np.allclose(pair.log(exp(xi)), xi, atol=1e-12)
+
+    @pytest.mark.parametrize("derived", ["structure_consts", "frob_scale"])
+    def test_derived_data_is_not_an_argument(self, derived):
+        # both are computed from the basis; a value passed in would be dropped
+        with pytest.raises(TypeError):
+            alg.HomogeneousPair(name="su2_u1", basis_matrices=alg._SU2_BASIS, basis_h=(0,),
+                                symmetric=True, group_kind="quaternion", **{derived: 1.0})
+
 
 class TestIsotropyProjection:
     def test_examples_at_i(self):

@@ -117,8 +117,10 @@ class TestEnergyMap:
         assert abs(total - rep.total) < 1e-12 * rep.total
         assert np.all(rep.density.data >= 0.0)
 
-    def test_unknown_variant(self, grid16):
-        with pytest.raises(ValueError):
+    def test_unknown_variant(self, grid16, monkeypatch):
+        # refused before the pullback is built
+        monkeypatch.setattr(fl, "pullback_coisotropy", None)
+        with pytest.raises(ValueError, match="unknown energy variant 'manton'"):
             energy_map(fl.constant_map(grid16), variant="manton")
 
 

@@ -256,7 +256,7 @@ def _descend(objective, gradient, x0, project=lambda x, v: v, max_iters=100, tol
         return "converged" if np.linalg.norm(grad) <= tol else None
 
     _, termination = minimize.descend(objective, gradient, x0, retract=lambda x, v: x + v,
-                                      project=project, step_init=0.2, max_iters=max_iters,
+                                      project=project, max_iters=max_iters,
                                       on_step=on_step, precondition=precondition)
     return termination, seen
 

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 from collections import Counter
@@ -5,9 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import smooth_cp1_map, smooth_lift
 from hopfion import algebra as alg
+from hopfion import energy as en
 from hopfion import fields as fl
 from hopfion import topology as tp
 from hopfion.errors import (DegeneratePreimageError, FluxObstructionError, HopfionError,
@@ -252,6 +256,14 @@ class TestLinking:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert tp.linking_charge(psi.with_values(turned, renormalize=False)) == charge
+
+    @pytest.mark.parametrize("shift", range(5, 10))
+    def test_translated_across_the_period(self, shift):
+        # rolled along z, the two preimages unwrap from first crossings on
+        # either side of the period and come out a period apart
+        psi, _ = fl.make_ansatz("hopf", Grid(16), 1)
+        rolled = psi.with_values(np.roll(psi.values, shift, axis=2), renormalize=False)
+        assert tp.linking_charge(rolled) == 1
 
     def test_matches_gauss_integral(self):
         psi, _ = fl.make_ansatz("hopf", Grid(32), 1)
@@ -534,6 +546,51 @@ class TestOrientationAndAgreement:
             wh = tp.whitehead_charge(psi)
             lk = tp.linking_charge(psi)
             assert int(round(cs)) == int(round(wh)) == lk == q
+
+
+def _plain_charges_and_energies(psi, u):
+    return (tp._whitehead_plain(psi), tp._chern_simons_plain(u), tp.linking_charge(psi),
+            en.energy_map(psi).total, en.energy_potential(fl.pure_gauge_potential(u)).total)
+
+
+@functools.cache
+def _hopf16(q):
+    psi, u = fl.make_ansatz("hopf", Grid(16), q)
+    return psi, u, _plain_charges_and_energies(psi, u)
+
+
+_SYMMETRIES = st.one_of(
+    st.tuples(st.just("translate"), st.tuples(*[st.integers(0, 15)] * 3)),
+    st.tuples(st.just("reflect"), st.integers(0, 2)),
+    st.tuples(st.just("rotate"), st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([1, 2]), move=_SYMMETRIES)
+def test_symmetries_of_plain_routes_and_energies(q, move):
+    """A lattice translation keeps the plain charges, the linking number and
+    both energies; an axis reflection negates the three charges; a target
+    rotation g . u keeps all five."""
+    psi, u, expected = _hopf16(q)
+    kind, arg = move
+    if kind == "rotate":
+        g = alg.random_unit_quaternions(np.random.default_rng(arg))
+        lift_g = fl.LiftField(u.grid, u.pair, np.broadcast_to(g, u.values.shape))
+        moved_psi = fl.act(lift_g, psi)
+        moved_u = fl.LiftField(u.grid, u.pair, alg.qmul(g, u.values))
+    else:
+        if kind == "translate":
+            move_sites = lambda v: np.roll(v, arg, axis=(0, 1, 2))
+        else:  # site i -> -i along the axis arg
+            move_sites = lambda v: np.roll(np.flip(v, arg), 1, axis=arg)
+        moved_psi = psi.with_values(move_sites(psi.values), renormalize=False)
+        moved_u = fl.LiftField(u.grid, u.pair, move_sites(u.values), renormalize=False)
+    sign = -1 if kind == "reflect" else 1
+    whitehead, cs, linking, e_map, e_potential = _plain_charges_and_energies(moved_psi, moved_u)
+    assert linking == sign * expected[2]
+    for got, want in ((whitehead, sign * expected[0]), (cs, sign * expected[1]),
+                      (e_map, expected[3]), (e_potential, expected[4])):
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestRouteMemory:
