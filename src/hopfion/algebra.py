@@ -269,9 +269,12 @@ _SU2_BASIS = np.array(
 # homogeneous pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomogeneousPair:
     """Data of a pair (G, H): orthonormal basis of g, H-subbasis, brackets.
+
+    Pairs compare and hash by identity (a field-wise == would compare
+    ndarrays); the cached constructors return one object per pair.
 
     basis_matrices holds anti-Hermitian matrices of the defining
     representation matching the coefficient convention of the pair (for
@@ -517,14 +520,19 @@ def _vertex_gradient(x, u, v, cn, cd):
 
 
 def _slot_gradients(p, mu, nu):
-    """The (mu, nu) plaquette areas, then their gradients at corners 00, 10,
-    11 and 01, each formed when asked for and dropped once handed out."""
+    """The (mu, nu) plaquette areas and their peak |triangle|, then their
+    gradients at corners 00, 10, 11 and 01, each formed when asked for and
+    dropped once handed out."""
     p10 = np.roll(p, -1, axis=mu)
     p11 = np.roll(p10, -1, axis=nu)
     p01 = np.roll(p, -1, axis=nu)
     a1, x1, *w1 = _triangle(p, p10, p11, True)
     a2, x2, *w2 = _triangle(p, p11, p01, True)
-    yield a1 + a2
+    peak = max(float(np.max(np.abs(a1))), float(np.max(np.abs(a2))))
+    a1 += a2
+    del a2
+    yield a1, peak
+    del a1
     corner = _vertex_gradient(x1, p10, p11, *w1)
     corner += _vertex_gradient(x2, p11, p01, *w2)
     del x1, x2
@@ -569,23 +577,29 @@ def plaquette_areas(p):
 
 
 def add_plaquette_gradient(p, scale, out):
-    """Add into out, laid out like p, the gradient of scale / 2 times the sum
-    of the squared plaquette areas of plaquette_areas(p), and return out.
+    """The one gradient pass over the plaquettes of p: add into out, laid out
+    like p, the gradient of scale / 2 times the sum of the squared plaquette
+    areas, slot by slot.
 
-    Slot by slot, the area times scale weights the gradients at corners x,
-    x+mu, x+mu+nu and x+nu, each formed, weighted and rolled back onto its
-    site before the next is formed: one corner is held at a time.
+    A generator: for each slot it first yields ((mu, nu), area, peak) as
+    plaquette_areas(p) does, the same bits, and when resumed weights the
+    gradients at corners x, x+mu, x+mu+nu and x+nu by scale * area, each
+    formed, weighted and rolled back onto its site before the next is formed:
+    one corner is held at a time.  A consumer that stops adds no corner of the
+    slot it stopped at; run to its end, it has added the whole gradient.
     """
     for mu, nu in SLOTS2:
         slot = _slot_gradients(p, mu, nu)
-        weight = (scale * next(slot))[..., None]
+        area, peak = next(slot)
+        yield (mu, nu), area, peak
+        weight = (scale * area)[..., None]
+        del area
         for corner, axes in zip(slot, ((), (mu,), (mu, nu), (nu,))):
             corner *= weight
             for axis in axes:
                 corner = np.roll(corner, 1, axis=axis)
             out += corner
             del corner
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,41 @@ def energy_potential(a):
     return _form_energy(covariant_potential(a), a.pair, "potential")
 
 
+def _descent_pass(psi, wall):
+    """((dirichlet, skyrme), grad) of the descent objective in one pass.
+
+    The Dirichlet term and its gradient share each axis's forward roll, and
+    the quartic term and its gradient one add_plaquette_gradient pass.  With
+    wall set the pass stops at the first slot with a triangle of |area| >=
+    A_MAX and returns ((dirichlet, inf), None).
+    """
+    if not psi.is_cp1:
+        raise ValueError("the descent objective is implemented for the CP1 target")
+    h = psi.grid.h
+    p = psi.values
+    e2 = np.zeros(p.shape[:3])
+    grad = np.zeros_like(p)
+    for mu in range(3):
+        ahead = np.roll(p, -1, axis=mu)
+        delta = ahead - p
+        e2 += dot(delta, delta)
+        del delta
+        grad += 0.25 * h * (2.0 * p - ahead - np.roll(p, 1, axis=mu))
+        del ahead
+    dirichlet = float(np.sum(e2)) * h / 8.0
+    del e2
+    e4 = np.zeros(p.shape[:3])
+    for _, area, peak in alg.add_plaquette_gradient(p, 1.0 / (8.0 * h), grad):
+        if wall and peak >= A_MAX:
+            return (dirichlet, np.inf), None
+        e4 += area * area
+        del area  # the slot's corners are formed once the loop resumes
+    skyrme = float(np.sum(e4)) / (16.0 * h)
+    del e4
+    # C order, so that reductions over the returned gradient run as before
+    return (dirichlet, skyrme), np.ascontiguousarray(grad - alg.isotropic_part(psi.pair, p, grad))
+
+
 def descent_energy(psi):
     """The relaxation objective, (dirichlet, skyrme): a topology-protecting discretization.
 
@@ -147,37 +182,27 @@ def descent_energy(psi):
     +inf once a triangle reaches |area| = A_MAX, short of the +-2 pi branch,
     so no path on which it stays finite changes the lattice charge (Berg &
     Luscher 1981).
+
+    The gradient is formed in the same pass and kept on psi (None beyond the
+    wall) until descent_gradient(psi) hands it out; psi is immutable, so the
+    kept gradient is always psi's.
     """
-    if not psi.is_cp1:
-        raise ValueError("the descent objective is implemented for the CP1 target")
-    h = psi.grid.h
-    p = psi.values
-    e2 = np.zeros(p.shape[:3])
-    for mu in range(3):
-        delta = np.roll(p, -1, axis=mu) - p
-        e2 += dot(delta, delta)
-    dirichlet = float(np.sum(e2)) * h / 8.0
-    e4 = np.zeros_like(e2)
-    for _, area, peak in alg.plaquette_areas(p):
-        if peak >= A_MAX:
-            return dirichlet, np.inf
-        e4 += area * area
-    skyrme = float(np.sum(e4)) / (16.0 * h)
-    return dirichlet, skyrme
+    terms, grad = _descent_pass(psi, wall=True)
+    object.__setattr__(psi, "_descent_grad", grad)
+    return terms
 
 
 def descent_gradient(psi):
-    """Exact tangent gradient of descent_energy with respect to site values."""
-    if not psi.is_cp1:
-        raise ValueError("the descent objective is implemented for the CP1 target")
-    h = psi.grid.h
-    p = psi.values
-    grad = np.zeros_like(p)
-    for mu in range(3):
-        grad += 0.25 * h * (2.0 * p - np.roll(p, -1, axis=mu) - np.roll(p, 1, axis=mu))
-    alg.add_plaquette_gradient(p, 1.0 / (8.0 * h), grad)
-    # C order, so that reductions over the returned gradient run as before
-    return np.ascontiguousarray(grad - alg.isotropic_part(psi.pair, p, grad))
+    """Exact tangent gradient of descent_energy with respect to site values.
+
+    The gradient descent_energy(psi) kept is handed out once and forgotten;
+    with none kept, one pass without the wall forms it, for any map.
+    """
+    grad = getattr(psi, "_descent_grad", None)
+    if grad is None:
+        return _descent_pass(psi, wall=False)[1]
+    object.__setattr__(psi, "_descent_grad", None)
+    return grad
 
 
 def energy_gradient(psi):

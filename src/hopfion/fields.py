@@ -68,7 +68,9 @@ class MapField(_SiteField):
     quaternions, and matrix pairs store coset representatives.
     """
 
-    __slots__ = ()
+    # _descent_grad: the gradient energy.descent_energy formed with the
+    # objective, kept until energy.descent_gradient hands it out
+    __slots__ = ("_descent_grad",)
     _kind = "map"
 
     @property

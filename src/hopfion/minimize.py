@@ -114,13 +114,22 @@ def descend(objective, gradient, x, *, retract, project, max_iters, on_step, pre
     that termination.  precondition(v) applies a symmetric positive-definite
     P to an array v shaped like the gradient.
 
+    objective and gradient are called in pairs: gradient(x) follows
+    objective(x) on the start and on every accepted trial, with no other
+    objective call between, so an objective may form the gradient in its own
+    pass and hand it to the gradient call (energy.descent_energy does).
+
     The direction is the two-loop product H grad over the last MEMORY pairs
     (s = the accepted step, y = the change of the gradient), projected at
     x; a pair is kept only when s.y > 0.  H0 is STEP_INIT * P with no pairs
-    and gamma P after, with gamma = s.y / y.Py of the newest pair.  The
-    trial step along the direction starts at 1 and is halved up to
-    MAX_HALVINGS times until the Armijo test on the slope grad.d passes;
-    when it fails the run has "stalled"; a trial objective of +inf fails it.
+    and gamma P after, with gamma = s.y / y.Py of the newest pair.  Once the
+    direction is formed a full memory evicts its oldest pair, before the
+    line search: every exit but acceptance returns, and acceptance appends
+    at most one pair, so the line search's trials run with one pair fewer
+    held and the same pairs result.  The trial step along the direction
+    starts at 1 and is halved up to MAX_HALVINGS times until the Armijo
+    test on the slope grad.d passes; when it fails the run has "stalled";
+    a trial objective of +inf fails it.
     The direction always descends, so there is nothing to retry: with P
     positive definite and s.y > 0 for every kept pair H is positive
     definite, and the slope of the tangent grad is grad.H grad > 0.  A NaN
@@ -141,17 +150,17 @@ def descend(objective, gradient, x, *, retract, project, max_iters, on_step, pre
     pairs = deque()    # (s, y, 1 / s.y, s.y / y.Py), flat, oldest first
     for it in range(1, max_iters + 1):
         d = project(x, _two_loop(g, pairs, precondition))
+        # the trial passes set the peak memory, so the evicted pair goes
+        # before them; every exit but acceptance returns
+        if len(pairs) == MEMORY:
+            pairs.popleft()
         found = _line_search(objective, retract, x, f, g, d)
         if found is None:
             return x, "stalled"
         step, trial, trial_terms = found
         if not np.isfinite(sum(trial_terms)):
             return x, "diverged"
-        # the gradient's temporaries set the peak memory: let the old point
-        # and the pair the new one evicts go first
         x, terms, f = trial, trial_terms, sum(trial_terms)
-        if len(pairs) == MEMORY:
-            pairs.popleft()
         d *= -step
         g_new = gradient(x)
         s, y = d.ravel(), (g_new - g).ravel()

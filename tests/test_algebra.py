@@ -195,6 +195,15 @@ class TestComponentKernels:
 
 
 class TestPairs:
+    def test_pairs_compare_and_hash_by_identity(self):
+        # a field-wise == would compare the basis ndarrays and raise
+        pair = alg.su2_u1()
+        assert hash(pair) == hash(alg.su2_u1())
+        assert {pair: 1}[alg.su2_u1()] == 1
+        assert alg.su2_u1() == alg.su2_u1()
+        assert not alg.su2_u1() == alg.su2_group()
+        assert alg.su2_u1() != alg.su2_group()
+
     @pytest.mark.parametrize("factory", [alg.su2_u1, alg.su2_group, alg.su3_t2])
     def test_subalgebra_conditions(self, factory):
         pair = factory()
@@ -480,8 +489,30 @@ def test_plaquette_areas_read_either_layout(rng):
         assert slot == cm_slot
         pairs.append((area, cm_area))
     base = rng.standard_normal(p.shape)
-    pairs.append((alg.add_plaquette_gradient(p, 0.3, base.copy()),
-                  alg.add_plaquette_gradient(stored, 0.3, component_major(base))))
+    grads = (base.copy(), component_major(base))
+    for q, grad in zip((p, stored), grads):
+        for _ in alg.add_plaquette_gradient(q, 0.3, grad):
+            pass
+    pairs.append(grads)
     assert len(pairs) == 4
     for x, y in pairs:
         assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+def test_gradient_pass_yields_the_plaquette_areas(rng):
+    # one pass serves the objective and its gradient: each slot's area and
+    # peak are plaquette_areas' bits, handed out before that slot's corners
+    p = alg.cp1_point_of(alg.random_unit_quaternions(rng, (8, 8, 8)))
+    out = np.zeros_like(p)
+    passes = alg.add_plaquette_gradient(p, 0.3, out)
+    for (slot, area, peak), (ref_slot, ref_area, ref_peak) in zip(passes, alg.plaquette_areas(p)):
+        assert slot == ref_slot and peak == ref_peak
+        assert np.array_equal(area, ref_area)
+        if slot == (0, 1):
+            assert not np.any(out)
+    assert next(passes, None) is None and np.any(out)
+    # stopped at its second slot, the pass has added the first slot's corners only
+    stopped = np.zeros_like(p)
+    for slot, _, _ in alg.add_plaquette_gradient(p, 0.3, stopped):
+        if slot == (0, 2):
+            break
+    assert np.any(stopped) and not np.array_equal(stopped, out)

@@ -263,20 +263,54 @@ class TestGradients:
         assert np.max(np.abs(g - expected)) < 1e-9 * np.max(np.abs(g))
 
 
+def _perturbed_map(start, rng, n=12):
+    grid = Grid(n)
+    if start == "perturbed_hopf":
+        psi, _ = fl.make_ansatz("hopf", grid, 1)
+        return psi.with_values(psi.values + 0.2 * rng.standard_normal(psi.values.shape))
+    return smooth_cp1_map(grid, rng, amplitude=0.5)
+
+
 @pytest.mark.parametrize("start", ["perturbed_hopf", "smooth"])
 def test_plaquette_kernel_bit_exact(start, rng):
     # the component-major kernel rounds exactly like the site-major reference
-    grid = Grid(12)
-    if start == "perturbed_hopf":
-        psi, _ = fl.make_ansatz("hopf", grid, 1)
-        psi = psi.with_values(psi.values + 0.2 * rng.standard_normal(psi.values.shape))
-    else:
-        psi = smooth_cp1_map(grid, rng, amplitude=0.5)
+    psi = _perturbed_map(start, rng)
     assert descent_energy(psi) == oracles.descent_energy(psi)
     grad = descent_gradient(psi)
     assert grad.flags.c_contiguous
     assert np.array_equal(grad, oracles.descent_gradient(psi))
     assert np.array_equal(area_flux_2form(psi).data, oracles.area_flux_2form(psi).data)
+
+
+@pytest.mark.parametrize("start", ["perturbed_hopf", "smooth"])
+def test_descent_gradient_handed_over_once(start, rng, monkeypatch):
+    # descent_energy keeps the gradient of its pass on the field, and
+    # descent_gradient hands it out once: the bits a fresh field's own pass
+    # gives, and a second call forms them again (the hopf ansatz is beyond
+    # the wall below n = 16)
+    psi = _perturbed_map(start, rng, n=24)
+    passes = []
+    one_pass = energy._descent_pass
+    monkeypatch.setattr(energy, "_descent_pass",
+                        lambda psi, wall: passes.append(wall) or one_pass(psi, wall))
+    assert np.isfinite(sum(descent_energy(psi)))
+    handed = descent_gradient(psi)
+    assert passes == [True]
+    fresh = psi.with_values(psi.values, renormalize=False)
+    assert np.array_equal(handed, descent_gradient(fresh))
+    again = descent_gradient(psi)
+    assert passes == [True, False, False]
+    assert again is not handed and np.array_equal(again, handed)
+
+
+def test_trial_beyond_the_wall_keeps_nothing():
+    # the n = 8 hopf map is beyond the wall: its pass stops there and keeps no
+    # part of a gradient, so descent_gradient forms the whole one afresh
+    psi, _ = fl.make_ansatz("hopf", Grid(8), 1)
+    assert descent_energy(psi)[1] == np.inf
+    assert psi._descent_grad is None
+    fresh = psi.with_values(psi.values, renormalize=False)
+    assert np.array_equal(descent_gradient(psi), descent_gradient(fresh))
 
 
 def test_descent_energy_consistent_with_map_energy():
@@ -334,8 +368,9 @@ def test_energies_unmoved_by_component_kernels(rng, monkeypatch):
 def test_descent_gradient_memory():
     # each plaquette corner is weighted and scattered before the next is
     # formed: at most 11 (n, n, n, 3) float arrays at n = 32, the returned
-    # gradient included, seen by tracemalloc (9.3 measured; 17.7 while a
-    # slot's four corners were formed together)
+    # gradient included, seen by tracemalloc (9.67 measured with the
+    # objective's terms formed alongside, 9.3 without; 17.7 while a slot's
+    # four corners were formed together)
     psi, _ = fl.make_ansatz("hopf", Grid(32), 1)
     tracemalloc.start()
     try:
@@ -344,4 +379,20 @@ def test_descent_gradient_memory():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+    assert peak / psi.values.nbytes <= 11.0
+
+
+def test_descent_energy_memory():
+    # the objective forms its gradient in the same pass and keeps it on the
+    # field: the same bound of 11 (n, n, n, 3) float arrays at n = 32, the
+    # kept gradient included (9.67 measured; 7.0 for the objective alone)
+    psi, _ = fl.make_ansatz("hopf", Grid(32), 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        descent_energy(psi)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert psi._descent_grad is not None
     assert peak / psi.values.nbytes <= 11.0

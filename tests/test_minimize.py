@@ -208,9 +208,11 @@ class TestRelax:
 
     def test_traced_peak(self):
         # 10 iterations of the n = 24 hopf ansatz, the L-BFGS pairs full: at
-        # most 24 (n, n, n, 3) float arrays seen by tracemalloc (22.7
-        # measured; 30.4 while the gradient formed a slot's corners together),
-        # under the CLI's estimate of relax's bytes per site
+        # most 24 (n, n, n, 3) float arrays seen by tracemalloc (23.7
+        # measured, where each trial forms its gradient with its objective
+        # beside the held point; 22.7 while only accepted points were
+        # differentiated, 30.4 while the gradient formed a slot's corners
+        # together), under the CLI's estimate of relax's bytes per site
         psi0, _ = fl.make_ansatz("hopf", Grid(24), 1)
         tracemalloc.start()
         try:
