@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import struct
-import sys
 import tempfile
 
 import numpy as np
@@ -21,7 +20,7 @@ from . import algebra as alg
 from . import fields as fl
 from .energy import energy_map
 from .errors import ConfigError
-from .lattice import Grid, LatticeField
+from .lattice import Grid, LatticeField, spacing_fits
 from .minimize import HistoryRow, RelaxConfig
 
 MAGIC = b"HOPF"
@@ -97,9 +96,9 @@ def _is_count(value):
 def validate_meta(meta):
     """Check a snapshot header against its kind before anything is allocated.
 
-    Needs n (an integer >= 4), a positive finite length, a known kind, and
-    a component count that fits it: 3 for map_s2, 4 for lift_su2 and 9,
-    three slots of su2 coefficients, for potential.
+    Needs n (an integer >= 4), a length that fits Grid's spacing rule, a known
+    kind, and a component count that fits it: 3 for map_s2, 4 for lift_su2
+    and 9, three slots of su2 coefficients, for potential.
     """
     if not isinstance(meta, dict):
         raise SnapshotError("metadata is not a JSON object")
@@ -112,8 +111,9 @@ def validate_meta(meta):
     if not _is_count(n) or n < 4:
         raise SnapshotError(f"grid size n = {n!r} is not an integer >= 4")
     number = isinstance(length, (int, float)) and not isinstance(length, bool)
-    if not number or not 0 < length <= sys.float_info.max:
-        raise SnapshotError(f"period length = {length!r} is not a positive number")
+    if not number or not spacing_fits(n, length):
+        raise SnapshotError(f"period length = {length!r} over n = {n} is no number, or Grid's "
+                            "spacing rule refuses it: a power h^-4 ... h^3 is not finite normal")
     fits = _is_count(ncomp) and {"map_s2": ncomp == 3, "lift_su2": ncomp == 4,
                                  "potential": ncomp == 9}[kind]
     if not fits:

@@ -33,6 +33,7 @@ of full shape: component-major in, component-major out.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,9 @@ class Grid:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("grid needs at least 4 sites per axis")
-        if not (np.isfinite(self.length) and self.length > 0):
-            raise ValueError("period must be positive and finite")
+        if not spacing_fits(self.n, self.length):
+            raise ValueError(f"period length = {self.length!r} over n = {self.n}: the spacing's "
+                             "powers h^-4 ... h^3 are not all positive, finite and normal")
 
     @property
     def h(self):
@@ -66,6 +68,15 @@ class Grid:
         c = self.axis_coords()
         x, y, z = np.meshgrid(c[planes], c, c, indexing="ij")
         return np.stack([x, y, z], axis=-1)
+
+
+def spacing_fits(n, length):
+    """True when the kernels' powers h^-4 ... h^3 of h = length / n are finite normal floats."""
+    try:
+        h = float(length) / n
+        return all(sys.float_info.min <= h ** p <= sys.float_info.max for p in range(-4, 4))
+    except (OverflowError, ZeroDivisionError):
+        return False
 
 
 def empty_component_major(shape, dtype=float):

@@ -39,11 +39,12 @@ MEMORY = 5
 # once; ten means the model misses the objective by three orders of
 # magnitude, as where every longer step meets the admissibility wall.
 MAX_HALVINGS = 10
-# kappa of relax's preconditioner (I - kappa Lap_h)^-1, a length^2 on the
-# default period 2 pi (sqrt = 0.45, 1.7 h at n = 24).  The hopf ansatz at n = 24
-# / 32 / 48 converges in 33 / 36 / 40 iterations, in 31 / 32 / 36 at 0.3 and 28 /
-# 30 / 32 at 0.4 (energies equal to 1e-5); 0.2 keeps the pinned relax histories.
-SOBOLEV_KAPPA = 0.2
+# kappa of relax's preconditioner (I - kappa Lap_h)^-1, a length^2 on the default
+# period 2 pi (sqrt = 0.77, 3.0 h at n = 24).  Objective evaluations / iterations of
+# the charge-1 hopf ansatz at n = 24, 32, 48 (final energies equal to 5e-6):
+# 0.2: 35/33 39/36 42/40; 0.4: 32/28 32/30 36/32; 0.6: 28/26 29/27 33/29;
+# 0.8: 28/24 31/28 32/28, fewer iterations but no fewer evaluations.
+SOBOLEV_KAPPA = 0.6
 # descend's H0 = STEP_INIT * P before any pair
 STEP_INIT = 0.2
 
@@ -103,7 +104,8 @@ def _charge_estimate(psi):
         return None
 
 
-def descend(objective, gradient, x, *, retract, project, max_iters, on_step, precondition):
+def descend(objective, gradient, x, *, retract, project, max_iters, on_step, precondition,
+            quadratic):
     """Riemannian L-BFGS with a monotone Armijo line search; returns (x, termination).
 
     objective(x) gives the terms whose sum is minimized and gradient(x) the
@@ -112,7 +114,7 @@ def descend(objective, gradient, x, *, retract, project, max_iters, on_step, pre
     tangent at x.  on_step(it, x, terms, grad, step) sees the start (it 0,
     step 0) and every accepted step; a true return value ends the run as
     that termination.  precondition(v) applies a symmetric positive-definite
-    P to an array v shaped like the gradient.
+    P to an array v shaped like the gradient, and quadratic(v) gives v.Pv.
 
     objective and gradient are called in pairs: gradient(x) follows
     objective(x) on the start and on every accepted trial, with no other
@@ -122,7 +124,8 @@ def descend(objective, gradient, x, *, retract, project, max_iters, on_step, pre
     The direction is the two-loop product H grad over the last MEMORY pairs
     (s = the accepted step, y = the change of the gradient), projected at
     x; a pair is kept only when s.y > 0.  H0 is STEP_INIT * P with no pairs
-    and gamma P after, with gamma = s.y / y.Py of the newest pair.  Once the
+    and gamma P after, with gamma = s.y / quadratic(y) of the newest pair,
+    so P runs once per iteration.  Once the
     direction is formed a full memory evicts its oldest pair, before the
     line search: every exit but acceptance returns, and acceptance appends
     at most one pair, so the line search's trials run with one pair fewer
@@ -167,8 +170,7 @@ def descend(objective, gradient, x, *, retract, project, max_iters, on_step, pre
         sy = _inner(s, y)
         if sy > 0:
             rho = 1.0 / sy
-            py = precondition(y.reshape(g.shape)).ravel()
-            pairs.append((s, y, rho, 1.0 / (rho * _inner(y, py))))
+            pairs.append((s, y, rho, 1.0 / (rho * quadratic(y.reshape(g.shape)))))
         g = g_new
         stop = on_step(it, x, terms, g, step)
         if stop:
@@ -250,18 +252,36 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
         retract=lambda psi, v: psi.with_values(
             np.add(psi.values, v, out=empty_component_major(psi.values.shape))),
         project=_tangent, max_iters=cfg.max_iters,
-        on_step=on_step, precondition=_sobolev(psi0.grid))
+        on_step=on_step, precondition=_sobolev(psi0.grid), quadratic=_sobolev_form(psi0.grid))
     return RelaxRun(history, psi, termination, cfg)
 
 
 def _sobolev(grid):
     """v -> (I - SOBOLEV_KAPPA Lap_h)^-1 v, C order, by a real FFT of each component's view."""
-    _, S = forward_diff_symbols(grid)
-    S[0, 0, 0] = 0.0
-    symbol = 1.0 / (1.0 + SOBOLEV_KAPPA * S)
+    symbol = _sobolev_symbol(grid)
     axes = (0, 1, 2)
     return lambda v: np.stack([np.fft.irfftn(np.fft.rfftn(v[..., k]) * symbol, v.shape[:3], axes)
                                for k in range(v.shape[-1])], axis=-1)
+
+
+def _sobolev_form(grid):
+    """v -> v.Pv for _sobolev's P by Parseval: sum_k w_k sigma_k |v_k|^2 / n^3 over rfftn's half.
+
+    sigma is P's symbol; w = 1 on the self-conjugate planes k_2 = 0 and n / 2
+    (even n) and 2 elsewhere, where a mode stands for its conjugate too.
+    """
+    w = np.where(2 * np.arange(grid.n // 2 + 1) % grid.n == 0, 1.0, 2.0)
+    # repeated for the (real, imaginary) pairs of each spectrum's float64 view
+    sw = np.repeat(_sobolev_symbol(grid) * w / grid.n ** 3, 2, axis=-1)
+    return lambda v: sum(float(np.einsum("ijk,ijk,ijk->", sw, f, f)) for f in (
+        np.fft.rfftn(v[..., k]).view(np.float64) for k in range(v.shape[-1])))
+
+
+def _sobolev_symbol(grid):
+    """P's symbol 1 / (1 + SOBOLEV_KAPPA S) on the rfftn half spectrum, 1 at k = 0."""
+    _, S = forward_diff_symbols(grid)
+    S[0, 0, 0] = 0.0
+    return 1.0 / (1.0 + SOBOLEV_KAPPA * S)
 
 
 def _tangent(psi, v):

@@ -40,7 +40,7 @@ from . import algebra as alg
 from . import fields as fl
 from .errors import DegeneratePreimageError, FluxObstructionError, HopfionError
 from .lattice import (Grid, LatticeField, SLOTS2, coulomb_solve, dot, empty_component_major,
-                      integrate_3form, wedge)
+                      integrate_3form, spacing_fits, wedge)
 
 # Calibrated on the degree-1 ball ansatz and frozen; see README, conventions.
 CHERN_SIMONS_SU_N = 1.0 / (24.0 * np.pi ** 2)
@@ -134,11 +134,13 @@ def _extrapolated(route, field):
     """(4 q_h - q_2h) / 3 of q = route: the h^2 bias removed against the stride-2 subsample.
 
     The plain fine value q_h comes back when the grid cannot be halved (n
-    odd or below 8) or the subsample is flux-obstructed; any other error of
-    the subsample ends the call (Richardson & Gaunt 1927).
+    odd or below 8, or 2h outside Grid's spacing rule) or the subsample is
+    flux-obstructed; any other error of the subsample ends the call
+    (Richardson & Gaunt 1927).
     """
     fine = route(field)
-    if field.grid.n % 2 or field.grid.n < 8:
+    n = field.grid.n
+    if n % 2 or n < 8 or not spacing_fits(n // 2, field.grid.length):
         return fine
     try:
         coarse = route(_subsample(field))

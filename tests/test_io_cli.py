@@ -543,6 +543,27 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists() and not (tmp_path / "a.psi.hopf").exists()
 
+    @pytest.mark.parametrize("length", ["1e-300", "1e-76", "1e79", "1e300"])
+    def test_extreme_period_exit_2(self, tmp_path, capsys, length):
+        # 1e-76 and 1e79 are the first powers of ten outside Grid's spacing
+        # rule at n = 16; 1e-300 and 1e300 once ended in a traceback from the
+        # flux form (NaN) or from 4 pi h^2 (OverflowError), with output.dir left
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid.n = 16\ngrid.length = {length}\noutput.dir = {tmp_path / 'out'}\n")
+        assert main(["relax", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: period length = ") and err.count("\n") == 1
+        assert "Traceback" not in err and out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("length", [1e-50, 1e50])
+    def test_extreme_period_accepted(self, tmp_path, capsys, length):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid.n = 16\ngrid.length = {length!r}\noptimizer.max_iters = 1\n"
+                       f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["relax", "--config", str(cfg)]) == 0
+        meta, _ = hio.read_snapshot(tmp_path / "out" / "final.psi.hopf")
+        assert meta["length"] == length
+
     @pytest.mark.parametrize("where", ["missing_parent", "under_file"])
     def test_ansatz_unwritable_out_exit_2(self, tmp_path, capsys, where):
         out = _unwritable(tmp_path, where)
@@ -625,6 +646,8 @@ def _with(**changes):
     (_with(n=4.0), _UNIT_X),
     (_with(length=0.0), _UNIT_X),
     (_with(length=10 ** 400), _UNIT_X),
+    (_with(length=1e-77), _UNIT_X),
+    (_with(length=1e78), _UNIT_X),
     (_with(kind="sphere"), _UNIT_X),
     (_with(components=4), np.zeros(4 ** 4).astype("<f8").tobytes()),
     (_with(kind="lift_su2"), _UNIT_X),
@@ -634,13 +657,48 @@ def _with(**changes):
     (_with(kind="potential", components=9), np.full(4 ** 3 * 9, np.nan).astype("<f8").tobytes()),
     (_with(kind="lift_su2", components=4),
      np.tile([np.nan, 0.0, 0.0, 0.0], 4 ** 3).astype("<f8").tobytes()),
-], ids=["missing_n", "n_zero", "n_negative", "n_float", "length_zero", "length_huge", "unknown_kind",
+], ids=["missing_n", "n_zero", "n_negative", "n_float", "length_zero", "length_huge",
+        "length_1e-77", "length_1e78", "unknown_kind",
         "map_with_4_components", "lift_with_3_components", "potential_with_4_components",
         "nan_payload", "inf_payload", "nan_potential_payload", "nan_lift_payload"])
 def test_bad_snapshot_meta_exit_2(tmp_path, capsys, meta, payload):
+    # 1e-77 and 1e78 are the first powers of ten outside Grid's spacing rule at n = 4
     path = _forged_snapshot(tmp_path / "bad.hopf", meta, payload)
     assert main(["energy", "--map", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("length", [1e-300, 1e300])
+@pytest.mark.parametrize("argv", [["energy", "--map", "{map}"],
+                                  ["hopf", "--map", "{map}", "--lift", "{lift}"],
+                                  ["export", "--in", "{map}", "--out", "{tmp}/x"]],
+                         ids=["energy", "hopf", "export"])
+def test_extreme_period_snapshot_exit_2(tmp_path, capsys, length, argv):
+    # these once crashed with a traceback; read_snapshot refuses the header
+    psi, u = fl.make_ansatz("hopf", Grid(16), 1)
+    paths = {}
+    for name, kind, obj in (("map", "map_s2", psi), ("lift", "lift_su2", u)):
+        meta = {"n": 16, "length": length, "kind": kind, "components": obj.values.shape[-1]}
+        paths[name] = _forged_snapshot(tmp_path / f"{name}.hopf", meta,
+                                       hio._site_payload(obj.values).tobytes())
+    assert main([arg.format(tmp=tmp_path, **paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: period length = ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lift.hopf", "map.hopf"]
+
+
+@pytest.mark.parametrize("length", [1e-50, 1e50])
+def test_extreme_period_snapshot_reads(tmp_path, capsys, length):
+    # the energy scales exactly: the Dirichlet term with L, the Skyrme term with 1 / L
+    psi, _ = fl.make_ansatz("hopf", Grid(16), 1)
+    meta = {"n": 16, "length": length, "kind": "map_s2", "components": 3}
+    path = _forged_snapshot(tmp_path / "map.hopf", meta, hio._site_payload(psi.values).tobytes())
+    assert main(["energy", "--map", str(path), "--json"]) == 0
+    got = json.loads(capsys.readouterr().out.splitlines()[-1])
+    ref = energy_map(psi)
+    scale = length / psi.grid.length
+    assert abs(got["dirichlet"] - ref.dirichlet * scale) <= 1e-12 * got["dirichlet"]
+    assert abs(got["skyrme"] - ref.skyrme / scale) <= 1e-12 * got["skyrme"]
 
 
 @pytest.mark.parametrize("command", [["energy", "--map"], ["export", "--in"]])

@@ -16,6 +16,7 @@ from hopfion.lattice import (
     integrate_3form,
     l2_inner,
     l2_norm,
+    spacing_fits,
     wedge,
 )
 
@@ -47,6 +48,22 @@ class TestGrid:
             Grid(3)
         with pytest.raises(ValueError):
             Grid(8, -1.0)
+
+    @pytest.mark.parametrize("length, fits", [
+        (1e-300, False), (1e-76, False), (1e-75, True), (1e-50, True),
+        (1e50, True), (1e78, True), (1e79, False), (1e300, False),
+        (0.0, False), (float("inf"), False), (float("nan"), False),
+        pytest.param(10 ** 400, False, id="int-10**400-False"),
+    ])
+    def test_spacing_rule(self, length, fits):
+        # at n = 16 every power h^-4 ... h^3 is a finite normal float from
+        # period 1e-75 to 1e78: h^-4 overflows below, h^-4 underflows above
+        assert spacing_fits(16, length) == fits
+        if fits:
+            assert Grid(16, length).h == length / 16
+        else:
+            with pytest.raises(ValueError, match="spacing"):
+                Grid(16, length)
 
 
 class TestExteriorDerivative:

@@ -219,6 +219,17 @@ class TestWhitehead:
             tp._whitehead_plain(tp._subsample(psi))
         assert tp.whitehead_charge(psi) == tp._whitehead_plain(psi) == 0.8608950326546079
 
+    def test_subsample_outside_the_spacing_rule_keeps_plain_value(self):
+        # at period 1e78 the n = 24 grid passes Grid's spacing rule and its
+        # stride-2 subsample does not: the fine value comes back, the one of
+        # the default period up to rounding
+        psi, _ = fl.make_ansatz("hopf", Grid(24), 1)
+        far = fl.MapField(Grid(24, 1e78), psi.pair, psi.values, renormalize=False)
+        with pytest.raises(ValueError, match="spacing"):
+            tp._subsample(far)
+        assert tp.whitehead_charge(far) == tp._whitehead_plain(far)
+        assert abs(tp.whitehead_charge(far) - tp._whitehead_plain(psi)) <= 1e-12
+
     def test_great_circle_is_nullhomotopic(self):
         psi, _ = fl.make_ansatz("great_circle", Grid(16))
         assert abs(tp.whitehead_charge(psi)) < 1e-10
