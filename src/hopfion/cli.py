@@ -35,9 +35,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ansatz", help="write a charged initial configuration")
-    p.add_argument("--kind", default="hopf",
-                   choices=["constant", "hopf", "ball_degree", "great_circle"])
-    p.add_argument("--charge", type=int, default=1)
+    p.add_argument("--kind", default="hopf", choices=["constant", "hopf", "great_circle"])
+    p.add_argument("--charge", type=int, default=None, help="hopf only (default 1)")
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--length", type=float, default=None)
     p.add_argument("--out", default="ansatz", help="output prefix")
@@ -140,7 +139,9 @@ def _dispatch(args):
         _require_output_dir(args.out)
         length = args.length if args.length is not None else 2.0 * np.pi
         psi, u = _initial_fields("ansatz", args.kind, args.n, length, args.charge)
-        meta = {"ansatz": args.kind, "charge": args.charge}
+        # the charge of the map written: make_ansatz's 1 on hopf, 0 on the other kinds
+        charge = int(args.kind == "hopf") if args.charge is None else args.charge
+        meta = {"ansatz": args.kind, "charge": charge}
         hio.write_snapshot(args.out + ".psi.hopf", psi, extra_meta=meta)
         hio.write_snapshot(args.out + ".lift.hopf", u, extra_meta=meta)
         print(f"wrote {args.out}.psi.hopf and {args.out}.lift.hopf")

@@ -270,19 +270,23 @@ def _suspension_lift(grid, charge):
     return LiftField(grid, alg.su2_u1(), vals)
 
 
-def make_ansatz(kind, grid, charge=0):
+def make_ansatz(kind, grid, charge=None):
     """Charged initial data: returns (psi, u) with psi = u . i . u^-1.
 
-    Kinds: 'constant', 'hopf' (Hopf charge = `charge`), 'ball_degree'
-    (lift degree = `charge`, same suspension generator) and 'great_circle'
-    (an equatorial wrap along x with its closed periodic lift).
+    Kinds: 'constant', 'hopf' (Hopf charge and lift degree = `charge`, 1
+    when not given) and 'great_circle' (an equatorial wrap along x with its
+    closed periodic lift).  Only 'hopf' takes a charge: one given to another
+    kind is a ValueError, not dropped.
     """
     pair = alg.su2_u1()
+    if charge is not None and kind in ("constant", "great_circle"):
+        raise ValueError(f"the {kind} ansatz takes no charge, but was given {charge}")
+    charge = 1 if charge is None else int(charge)
     if kind == "constant" or (kind == "hopf" and charge == 0):
         u = LiftField(grid, pair, pair.identity_element((grid.n,) * 3))
         return constant_map(grid), u
-    if kind in ("hopf", "ball_degree"):
-        u = _suspension_lift(grid, int(charge))
+    if kind == "hopf":
+        u = _suspension_lift(grid, charge)
         return act(u, constant_map(grid)), u
     if kind == "great_circle":
         x1 = grid.site_coords()[..., 0]

@@ -238,12 +238,14 @@ def smooth_inputs(grid, rng):
 
 def _gauge_action_rows(grid, rng, theta):
     """The gauge action on constant-map potentials, where it is exact: curvature
-    equivariance, and composition of same-axis stabilizers.  The curvatures
-    come first, so that b0 is freed before b0^w is transformed again."""
+    equivariance, composition of same-axis stabilizers, and the Coulomb
+    condition of gauge_smooth's fixing.  The curvatures come first, so that b0
+    is freed before b0^w is transformed again."""
     phi0 = fl.constant_map(grid)
     stab0 = make_stabilizer(phi0, theta)
     b0 = fl.PotentialField(LatticeField.from_slots(
         grid, 1, [smooth_scalar(grid, rng)[..., None] * phi0.values for _ in range(3)]), phi0)
+    coulomb = _coulomb_residual(b0)
     stab0b = make_stabilizer(phi0, smooth_scalar(grid, rng, 0.6))
     omega0 = fl.pullback_coisotropy(phi0)  # the constant map's form, once for five uses
     b0w = _gauge_transform(b0, stab0, omega0)
@@ -259,7 +261,22 @@ def _gauge_action_rows(grid, rng, theta):
     del b0, w12
     return [("curvature_equivariance_shared", "pointwise", equivariance),
             ("gauge_action_composition", "pointwise",
-             _rel(_gauge_transform(b0w, stab0b, omega0).a - composed, composed))]
+             _rel(_gauge_transform(b0w, stab0b, omega0).a - composed, composed)),
+            ("coulomb_gauge_fixing", "pointwise", coulomb)]
+
+
+def _coulomb_residual(b):
+    """max|div(beta + d theta)| / max|div beta| for b = beta phi and theta the
+    angle of gauge_smooth(b), div the backward-difference adjoint of d (its 1/h
+    cancels): the discrete Coulomb condition that fixes the gauge."""
+    theta = gauge_smooth(b).theta
+    fixed, free = np.zeros_like(theta), np.zeros_like(theta)
+    for mu in range(3):
+        beta = dot(b.a.slot(mu), b.phi.values)
+        gauged = beta + forward_diff(theta, mu, b.grid.h)
+        fixed += gauged - np.roll(gauged, 1, axis=mu)
+        free += beta - np.roll(beta, 1, axis=mu)
+    return float(np.max(np.abs(fixed))) / (float(np.max(np.abs(free))) or 1.0)
 
 
 def _dafi_rows(stab, omega, a):

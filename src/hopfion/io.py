@@ -170,7 +170,7 @@ CONFIG_DEFAULTS = {
     "grid.n": 32,
     "grid.length": 2.0 * np.pi,
     "ansatz.kind": "hopf",
-    "ansatz.charge": 1,
+    "ansatz.charge": None,   # make_ansatz's default; an int when given
     **{f"optimizer.{f.name}": f.default for f in dataclasses.fields(RelaxConfig)},
     "output.dir": "hopfion-out",
 }
@@ -190,8 +190,9 @@ def parse_config(text):
         value = value.strip()
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        default = CONFIG_DEFAULTS[key]
         try:
-            values[key] = type(CONFIG_DEFAULTS[key])(value)
+            values[key] = (int if default is None else type(default))(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") from exc
     return values

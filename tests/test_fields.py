@@ -329,6 +329,17 @@ class TestAnsatz:
         with pytest.raises(ValueError):
             fl.make_ansatz("vortex", grid16, 1)
 
+    @pytest.mark.parametrize("kind, charge", [("constant", 2), ("constant", 0),
+                                              ("great_circle", 1)])
+    def test_charge_refused_on_charge_less_kind(self, grid16, kind, charge):
+        with pytest.raises(ValueError, match="takes no charge"):
+            fl.make_ansatz(kind, grid16, charge)
+
+    def test_hopf_charge_defaults_to_1(self, grid16):
+        psi, u = fl.make_ansatz("hopf", grid16)
+        psi1, u1 = fl.make_ansatz("hopf", grid16, 1)
+        assert np.array_equal(psi.values, psi1.values) and np.array_equal(u.values, u1.values)
+
 
 def test_mapcon_identity_refines(rng):
     # a_u-perp = Ad(u^-1)(u phi)^*omega - phi^*omega, O(h) discretely

@@ -202,6 +202,7 @@ class TestIdentitySuite:
         assert {r.name: r.kind for r in rows} == {
             "curvature_equivariance_shared": "pointwise",
             "gauge_action_composition": "pointwise",
+            "coulomb_gauge_fixing": "pointwise",
             "dafi_shared_inputs": "pointwise",
             "dafi_energy_density": "pointwise",
             "symmetric_fourth_term": "pointwise",
@@ -304,8 +305,9 @@ class TestComponentKernels:
         # last digits only: every row's name, place and verdict stay
         rows = identity_suite(sizes=(16, 32), seed=seed)
         assert [r.name for r in rows] == [
-            "curvature_equivariance_shared", "gauge_action_composition", "dphi_wedge_par",
-            "symmetric_fourth_term", "flat_curvature_i", "flat_curvature_i_symmetric",
+            "curvature_equivariance_shared", "gauge_action_composition", "coulomb_gauge_fixing",
+            "dphi_wedge_par", "symmetric_fourth_term", "flat_curvature_i",
+            "flat_curvature_i_symmetric",
             "flat_quartic_iii_symmetric", "dphi_wedge_perp", "flat_derivative_ii",
             "flat_derivative_ii_symmetric", "pure_gauge_flatness", "mapcon", "dual_energy",
             "dafi_shared_inputs", "dafi_energy_density", "stabilizer_derivative_e062",

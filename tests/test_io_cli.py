@@ -355,11 +355,28 @@ class TestCli:
 
     def test_degree_route(self, tmp_path, capsys):
         prefix = str(tmp_path / "d")
-        main(["ansatz", "--kind", "ball_degree", "--charge", "1", "--n", "24",
-              "--out", prefix])
+        main(["ansatz", "--kind", "hopf", "--charge", "1", "--n", "24", "--out", prefix])
         assert main(["hopf", "--lift", prefix + ".lift.hopf", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["rounded"] == [1]
+
+    @pytest.mark.parametrize("args, charge", [
+        ([], 1), (["--charge", "2"], 2), (["--kind", "constant"], 0),
+        (["--kind", "great_circle"], 0)])
+    def test_ansatz_meta_records_the_written_charge(self, tmp_path, capsys, args, charge):
+        # a charge-less kind once recorded the unused --charge default, 1
+        prefix = str(tmp_path / "m")
+        assert main(["ansatz", "--n", "16", "--out", prefix] + args) == 0
+        for suffix in (".psi.hopf", ".lift.hopf"):
+            assert hio.read_snapshot(prefix + suffix)[0]["charge"] == charge
+
+    @pytest.mark.parametrize("kind", ["constant", "great_circle"])
+    def test_relax_charge_less_kind_without_charge_line(self, tmp_path, capsys, kind):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"grid.n = 16\nansatz.kind = {kind}\noptimizer.max_iters = 1\n"
+                          f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["relax", "--config", str(config)]) == 0
+        assert (tmp_path / "out" / "final.psi.hopf").exists()
 
     def test_lift_route_prints_cs_as_one_float(self, tmp_path, capsys):
         # the report holds a float; the text and the JSON show it as a
@@ -531,10 +548,14 @@ class TestCli:
         (b"grid.n = 8  # \xff\n", ["relax", "--config", "{cfg}"]),
         (b"grid.n = 3\n", ["relax", "--config", "{cfg}"]),
         (b"grid.n = 8\nansatz.kind = bogus\n", ["relax", "--config", "{cfg}"]),
+        (b"grid.n = 8\nansatz.kind = ball_degree\n", ["relax", "--config", "{cfg}"]),
+        (b"grid.n = 8\nansatz.kind = constant\nansatz.charge = 2\n",
+         ["relax", "--config", "{cfg}"]),
         (b"grid.n = 8\ngrid.length = nan\n", ["relax", "--config", "{cfg}"]),
         (None, ["ansatz", "--n", "3", "--out", "{tmp}/a"]),
-    ], ids=["missing_config", "non_utf8_config", "n_3", "unknown_ansatz", "nan_length",
-            "ansatz_n_3"])
+        (None, ["ansatz", "--kind", "constant", "--charge", "2", "--out", "{tmp}/a"]),
+    ], ids=["missing_config", "non_utf8_config", "n_3", "unknown_ansatz", "ball_degree",
+            "charge_on_constant", "nan_length", "ansatz_n_3", "ansatz_charge_on_constant"])
     def test_bad_run_input_exit_2(self, tmp_path, capsys, config, argv):
         cfg = tmp_path / "run.cfg"
         if config is not None:

@@ -38,15 +38,16 @@ class TestChernSimons:
         assert report.max_deviation == 0.0
 
     def test_ball_degree_one_plain_route(self):
-        # the op itself (no extrapolation) sits within 0.02 at n = 48
-        _, u = fl.make_ansatz("ball_degree", Grid(48), 1)
+        # the op itself (no extrapolation) sits within 0.02 at n = 48 on the
+        # degree-1 lift supported in a ball
+        _, u = fl.make_ansatz("hopf", Grid(48), 1)
         value = tp.chern_simons_charge(fl.pure_gauge_potential(u))
         assert abs(value - 1.0) <= 0.02
 
     @pytest.mark.parametrize("q", [1, 2, -1])
     def test_matches_preimage_count_oracle(self, q):
         grid = Grid(32)
-        _, u = fl.make_ansatz("ball_degree", grid, q)
+        _, u = fl.make_ansatz("hopf", grid, q)
         count = signed_preimage_count(u)
         assert count == q
         refined = tp.chern_simons_from_lift(u)
