@@ -12,7 +12,7 @@ A general pair (G, H) is represented by explicit anti-Hermitian basis
 matrices of g in the defining representation, with H selected by a subset
 of basis indices; group elements are then unitary matrices.
 
-The whole-grid kernels (qmul, qrotate, qconj, qembed, qexp, qlog, the su2
+The whole-grid kernels (qmul, qrotate, qconj, qexp, qlog, the su2
 bracket, the CP1 split, the plaquette kernels) work component by component and
 round exactly as the np.sum / np.cross / np.sinc formulas they replaced;
 they take their last-axis cross and dot from lattice, except qmul, which
@@ -92,15 +92,6 @@ def qnorm(q):
     return np.linalg.norm(np.asarray(q), axis=-1)
 
 
-def qembed(v):
-    """Imaginary-part coefficients (..., 3) as full quaternions (..., 4)."""
-    v = np.asarray(v)
-    out = np.empty(v.shape[:-1] + (4,), dtype=v.dtype)
-    out[..., 0] = 0
-    out[..., 1:] = v
-    return out
-
-
 def qim(q):
     return np.asarray(q)[..., 1:]
 
@@ -161,7 +152,7 @@ _SLAB_SITES = 1 << 13
 def qrotate(g, v):
     """Adjoint action g v g^-1 on imaginary coefficients v (..., 3).
 
-    qim(qmul(qmul(g, qembed(v)), qconj(g))) fused, slab by slab along the
+    qim(qmul(qmul(g, (0, v)), qconj(g))) fused, slab by slab along the
     leading axis: t = g (0, v), then only the imaginary part of t g^-1,
     each in qmul's operation order.  The terms with the embedded zero are
     dropped (adding +-0 moves only the sign of a zero) and signs are taken

@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import io as hio
 from .algebra import cp1_point_of
 from .energy import energy_map
@@ -38,7 +36,7 @@ def _build_parser():
     p.add_argument("--kind", default="hopf", choices=["constant", "hopf", "great_circle"])
     p.add_argument("--charge", type=int, default=None, help="hopf only (default 1)")
     p.add_argument("--n", type=int, default=32)
-    p.add_argument("--length", type=float, default=None)
+    p.add_argument("--length", type=float, default=Grid.length)
     p.add_argument("--out", default="ansatz", help="output prefix")
 
     p = sub.add_parser("energy", help="print the energy report of a map snapshot")
@@ -137,8 +135,7 @@ def _initial_fields(command, kind, n, length, charge):
 def _dispatch(args):
     if args.command == "ansatz":
         _require_output_dir(args.out)
-        length = args.length if args.length is not None else 2.0 * np.pi
-        psi, u = _initial_fields("ansatz", args.kind, args.n, length, args.charge)
+        psi, u = _initial_fields("ansatz", args.kind, args.n, args.length, args.charge)
         # the charge of the map written: make_ansatz's 1 on hopf, 0 on the other kinds
         charge = int(args.kind == "hopf") if args.charge is None else args.charge
         meta = {"ansatz": args.kind, "charge": charge}

@@ -123,8 +123,6 @@ def _form_energy(w, pair, tag, phi=None):
 def covariant_potential(a):
     """D_phi a = a_perp + phi^* omega-perp as a 1-form, phi the reference map of a,
     with phi^* omega-perp added into a_perp's buffer."""
-    if a.phi is None:
-        return a.split()[1]
     omega = fl.pullback_coisotropy(a.phi)  # first: its transients outsize a_perp's
     return fl.coisotropic_part(a.a, a.phi, plus=omega)
 

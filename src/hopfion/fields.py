@@ -89,19 +89,17 @@ class LiftField(_SiteField):
 
 
 class PotentialField:
-    """A g-valued 1-form a with its reference map phi (on a's grid, giving the
-    pair), as in E_phi(a); a pair given without phi means there is no map."""
+    """A g-valued 1-form a with its reference map phi, on a's grid and giving
+    the pair, as in E_phi(a)."""
 
     __slots__ = ("a", "phi", "pair")
 
-    def __init__(self, a, phi=None, pair=None):
+    def __init__(self, a, phi):
         if a.degree != 1:
             raise ValueError("potential must be a 1-form")
-        if (phi is None) == (pair is None):
-            raise ValueError("a potential takes a reference map or, without one, a pair")
-        if phi is not None and phi.grid != a.grid:
+        if phi.grid != a.grid:
             raise ValueError("potential and reference map live on different grids")
-        pair = pair if phi is None else phi.pair
+        pair = phi.pair
         if a.vdim != pair.dim_g:
             raise ValueError(f"a {pair.name} potential has {pair.dim_g} components, not {a.vdim}")
         object.__setattr__(self, "a", a)
@@ -113,11 +111,9 @@ class PotentialField:
 
     def split(self):
         """(a_par, a_perp) as 1-forms, pointwise in h_phi and its complement:
-        zero and a when h is trivial, a ValueError with no map otherwise."""
+        zero and a when h is trivial."""
         if self.pair.dim_h == 0:
             return LatticeField.zeros(self.grid, 1, self.a.vdim), self.a
-        if self.phi is None:
-            raise ValueError("isotropy split needs a reference map")
         par = isotropic_part(self.a, self.phi)
         return par, self.a - par
 
@@ -144,9 +140,13 @@ def coisotropic_part(form, phi, plus=None):
     return LatticeField(form.grid, form.degree, out)
 
 
-def constant_map(grid):
-    """The constant reference map phi = i on CP1."""
-    return MapField(grid, alg.su2_u1(), np.broadcast_to([1.0, 0.0, 0.0], (grid.n,) * 3 + (3,)))
+def constant_map(grid, pair=None):
+    """The vacuum map of a pair, the coset of the identity: phi = i on CP1 for
+    su2_u1 (the default), the identity representative otherwise."""
+    pair = alg.su2_u1() if pair is None else pair
+    if pair is alg.su2_u1():
+        return MapField(grid, pair, np.broadcast_to([1.0, 0.0, 0.0], (grid.n,) * 3 + (3,)))
+    return MapField(grid, pair, pair.identity_element((grid.n,) * 3))
 
 
 def links(u, axis):
@@ -155,11 +155,9 @@ def links(u, axis):
 
 
 def pure_gauge_potential(u, phi=None):
-    """a = maurer_cartan_form(u) against phi (default: the constant map for
-    su2_u1, none otherwise)."""
-    if phi is None and u.pair.name != "su2_u1":
-        return PotentialField(maurer_cartan_form(u), pair=u.pair)
-    return PotentialField(maurer_cartan_form(u), phi if phi is not None else constant_map(u.grid))
+    """a = maurer_cartan_form(u) against phi (default: the vacuum map of u's pair)."""
+    a = maurer_cartan_form(u)
+    return PotentialField(a, constant_map(u.grid, u.pair) if phi is None else phi)
 
 
 def maurer_cartan_form(u):

@@ -100,7 +100,7 @@ def gauge_transform_potential(b, stab):
     roundoff for constant phi and up to O(h) otherwise.
     """
     phi = b.phi
-    if stab.phi is not phi and (phi is None or stab.phi.grid != phi.grid
+    if stab.phi is not phi and (stab.phi.grid != phi.grid
                                 or not np.array_equal(stab.phi.values, phi.values)):
         raise ValueError("stabilizer and potential have different reference maps")
     return _gauge_transform(b, stab, fl.pullback_coisotropy(phi))
@@ -118,10 +118,7 @@ def _gauge_transform(b, stab, omega):
 
 def coset_curvature(b):
     """F(b) = db + b ^ b - [b, phi^*omega] - (phi^*omega ^ phi^*omega)_par, phi = b.phi."""
-    phi = b.phi
-    if phi is None:
-        raise ValueError("coset curvature needs the reference map")
-    return LatticeField(b.grid, 2, _coset_curvature(b, fl.pullback_coisotropy(phi)))
+    return LatticeField(b.grid, 2, _coset_curvature(b, fl.pullback_coisotropy(b.phi)))
 
 
 def _coset_curvature(b, omega):
@@ -461,7 +458,7 @@ def gauge_smooth(b):
     theta = -coulomb_solve(beta), whose zero mode is 0.
     """
     phi = b.phi
-    if phi is None or not phi.is_cp1:
+    if not phi.is_cp1:
         raise ValueError("gauge smoothing is implemented for the CP1 pair")
     _require_isotropic(b.a, phi)
     beta = LatticeField.from_slots(b.grid, 1, [dot(b.a.slot(mu), phi.values)[..., None]

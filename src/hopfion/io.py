@@ -20,7 +20,7 @@ from . import algebra as alg
 from . import fields as fl
 from .energy import energy_map
 from .errors import ConfigError
-from .lattice import Grid, LatticeField, spacing_fits
+from .lattice import Grid, LatticeField
 from .minimize import HistoryRow, RelaxConfig
 
 MAGIC = b"HOPF"
@@ -69,9 +69,9 @@ def write_snapshot(path, obj, extra_meta=None):
         kind, values = "potential", obj.a.data
     else:
         raise SnapshotError(f"cannot snapshot object of type {type(obj).__name__}")
-    if obj.pair.name != "su2_u1":
+    if obj.pair is not alg.su2_u1():
         raise SnapshotError(f"a snapshot holds an su2_u1 field, not {obj.pair.name}")
-    if kind == "potential" and (obj.phi is None or np.any(obj.phi.values != (1.0, 0.0, 0.0))):
+    if kind == "potential" and np.any(obj.phi.values != (1.0, 0.0, 0.0)):
         raise SnapshotError("a potential snapshot holds a potential on the constant map only")
     ncomp = int(np.prod(values.shape[3:]))
     meta = {
@@ -89,16 +89,13 @@ def write_snapshot(path, obj, extra_meta=None):
     _atomic_write(path, (header + meta_bytes, _site_payload(values)))
 
 
-def _is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def validate_meta(meta):
-    """Check a snapshot header against its kind before anything is allocated.
+    """The Grid of a snapshot header, checked against its kind before anything
+    is allocated.
 
-    Needs n (an integer >= 4), a length that fits Grid's spacing rule, a known
-    kind, and a component count that fits it: 3 for map_s2, 4 for lift_su2
-    and 9, three slots of su2 coefficients, for potential.
+    Needs n and length that make a Grid, a known kind, and a component count
+    that fits it: 3 for map_s2, 4 for lift_su2 and 9, three slots of su2
+    coefficients, for potential.
     """
     if not isinstance(meta, dict):
         raise SnapshotError("metadata is not a JSON object")
@@ -108,16 +105,15 @@ def validate_meta(meta):
     n, length, kind, ncomp = meta["n"], meta["length"], meta["kind"], meta["components"]
     if kind not in FIELD_KINDS:
         raise SnapshotError(f"unknown field kind '{kind}'")
-    if not _is_count(n) or n < 4:
-        raise SnapshotError(f"grid size n = {n!r} is not an integer >= 4")
-    number = isinstance(length, (int, float)) and not isinstance(length, bool)
-    if not number or not spacing_fits(n, length):
-        raise SnapshotError(f"period length = {length!r} over n = {n} is no number, or Grid's "
-                            "spacing rule refuses it: a power h^-4 ... h^3 is not finite normal")
-    fits = _is_count(ncomp) and {"map_s2": ncomp == 3, "lift_su2": ncomp == 4,
-                                 "potential": ncomp == 9}[kind]
+    try:
+        grid = Grid(n, length)
+    except ValueError as exc:
+        raise SnapshotError(str(exc)) from exc
+    count = isinstance(ncomp, int) and not isinstance(ncomp, bool)
+    fits = count and {"map_s2": ncomp == 3, "lift_su2": ncomp == 4, "potential": ncomp == 9}[kind]
     if not fits:
         raise SnapshotError(f"{kind} snapshot cannot have {ncomp!r} components")
+    return grid
 
 
 def read_snapshot(path):
@@ -140,7 +136,7 @@ def read_snapshot(path):
         meta = json.loads(blob[12:12 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"metadata is not UTF-8 JSON: {exc}") from exc
-    validate_meta(meta)
+    grid = validate_meta(meta)
     n = meta["n"]
     ncomp = meta["components"]
     raw = memoryview(blob)[12 + meta_len:]
@@ -149,7 +145,6 @@ def read_snapshot(path):
         raise SnapshotError(f"payload is {len(raw)} bytes, expected {expected}")
     # sites (x, y, z, comps), a view: the field constructors copy it once, into their layout
     values = np.frombuffer(raw, dtype="<f8").reshape(n, n, n, ncomp).transpose(2, 1, 0, 3)
-    grid = Grid(n, meta["length"])
     kind = meta["kind"]
     try:  # the constructors refuse NaN, Inf and non-unit values
         if kind == "map_s2":
@@ -168,7 +163,7 @@ def read_snapshot(path):
 
 CONFIG_DEFAULTS = {
     "grid.n": 32,
-    "grid.length": 2.0 * np.pi,
+    "grid.length": Grid.length,
     "ansatz.kind": "hopf",
     "ansatz.charge": None,   # make_ansatz's default; an int when given
     **{f"optimizer.{f.name}": f.default for f in dataclasses.fields(RelaxConfig)},
@@ -179,6 +174,7 @@ CONFIG_DEFAULTS = {
 def parse_config(text):
     """Parse a `key = value` document; unknown keys are a hard error."""
     values = dict(CONFIG_DEFAULTS)
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -190,6 +186,9 @@ def parse_config(text):
         value = value.strip()
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key '{key}' repeats line {seen[key]}")
+        seen[key] = lineno
         default = CONFIG_DEFAULTS[key]
         try:
             values[key] = (int if default is None else type(default))(value)

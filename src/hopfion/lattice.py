@@ -33,6 +33,7 @@ of full shape: component-major in, component-major out.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -50,6 +51,10 @@ class Grid:
     length: float = 2.0 * np.pi
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+            raise ValueError(f"grid size n = {self.n!r} is not an integer")
+        if not isinstance(self.length, numbers.Real) or isinstance(self.length, bool):
+            raise ValueError(f"period length = {self.length!r} is not a real number")
         if self.n < 4:
             raise ValueError("grid needs at least 4 sites per axis")
         if not spacing_fits(self.n, self.length):
@@ -363,10 +368,13 @@ def l2_inner(alpha, beta):
     """Discrete L2 pairing: sum over sites, slots, components times h^3."""
     if alpha.grid != beta.grid or alpha.data.shape != beta.data.shape:
         raise ValueError("shape mismatch in l2_inner")
-    # numpy's own fixed-order loop over the stored buffers, not a BLAS dot,
-    # whose sum would change with the thread count
-    return float(np.einsum("i,i->", _buffer(alpha.data).ravel(), _buffer(beta.data).ravel())
-                 * alpha.grid.h ** 3)
+    return flat_inner(_buffer(alpha.data).ravel(), _buffer(beta.data).ravel()) * alpha.grid.h ** 3
+
+
+def flat_inner(u, v):
+    """u.v of flat arrays in numpy's own fixed-order loop, not a BLAS dot,
+    which splits the sum over its threads: the sum would change with their count."""
+    return float(np.einsum("i,i->", u, v))
 
 
 def l2_norm(alpha):

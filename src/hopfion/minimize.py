@@ -28,7 +28,7 @@ import numpy as np
 
 from .energy import A_MAX, descent_energy, descent_gradient
 from .errors import ConfigError, FluxObstructionError, RoughFieldError
-from .lattice import empty_component_major, forward_diff_symbols
+from .lattice import empty_component_major, flat_inner, forward_diff_symbols
 from .topology import whitehead_charge
 
 ARMIJO_C = 1e-4
@@ -167,7 +167,7 @@ def descend(objective, gradient, x, *, retract, project, max_iters, on_step, pre
         d *= -step
         g_new = gradient(x)
         s, y = d.ravel(), (g_new - g).ravel()
-        sy = _inner(s, y)
+        sy = flat_inner(s, y)
         if sy > 0:
             rho = 1.0 / sy
             pairs.append((s, y, rho, 1.0 / (rho * quadratic(y.reshape(g.shape)))))
@@ -178,33 +178,24 @@ def descend(objective, gradient, x, *, retract, project, max_iters, on_step, pre
     return x, "max_iters"
 
 
-def _inner(u, v):
-    """u.v of flat arrays in numpy's own fixed-order loop.
-
-    Not np.dot: BLAS splits a dot product over its threads, so the sum, and
-    with it the whole L-BFGS path, would change with the thread count.
-    """
-    return float(np.einsum("i,i->", u, v))
-
-
 def _two_loop(g, pairs, precondition):
     """The L-BFGS product H g; H0 is STEP_INIT * P with no pairs, the newest gamma * P after."""
     q = g.ravel().copy()
     alphas = []
     for s, y, rho, _ in reversed(pairs):
-        a = rho * _inner(s, q)
+        a = rho * flat_inner(s, q)
         q -= a * y
         alphas.append(a)
     scale = pairs[-1][3] if pairs else STEP_INIT
     q = scale * precondition(q.reshape(g.shape)).ravel()
     for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * _inner(y, q)) * s
+        q += (a - rho * flat_inner(y, q)) * s
     return q.reshape(g.shape)
 
 
 def _line_search(objective, retract, x, f, g, d):
     """Armijo halving from step 1 along -d: (step, point, terms), or None."""
-    slope = _inner(g.ravel(), d.ravel())
+    slope = flat_inner(g.ravel(), d.ravel())
     if not slope > 0:
         return None
     step = 1.0
@@ -233,7 +224,7 @@ def relax(psi0, cfg=None, checkpoint_cb=None):
             raise RoughFieldError(
                 f"inadmissible start at n = {psi.grid.n}: a plaquette triangle has "
                 f"|area| >= A_MAX = {A_MAX}, so no charge is protected; refine the grid")
-        gnorm = math.nan if grad is None else math.sqrt(_inner(grad.ravel(), grad.ravel()))
+        gnorm = math.nan if grad is None else math.sqrt(flat_inner(grad.ravel(), grad.ravel()))
         if it == 0 and gnorm > 0:
             gnorm0 = gnorm
         charge = _charge_estimate(psi) if (

@@ -120,7 +120,12 @@ def chern_simons_charge(a):
     isotropy split enters, and the four-term split (par^3, 3 par^2 perp,
     3 par perp^2, perp^3) resums to it pointwise.
     """
-    total = float(np.sum(triple_trace_wedge(a.a.data, a.pair))) * a.grid.h ** 3
+    return _chern_simons(a.a, a.pair)
+
+
+def _chern_simons(form, pair):
+    """c * integral tr(w ^ w ^ w) of a g-valued 1-form w of the pair."""
+    total = float(np.sum(triple_trace_wedge(form.data, pair))) * form.grid.h ** 3
     return CHERN_SIMONS_SU_N * total
 
 
@@ -150,8 +155,7 @@ def _extrapolated(route, field):
 
 
 def _chern_simons_plain(u):
-    # the potential carries no reference map: the integrand never reads one
-    return chern_simons_charge(fl.PotentialField(fl.maurer_cartan_form(u), pair=u.pair))
+    return _chern_simons(fl.maurer_cartan_form(u), u.pair)
 
 
 def chern_simons_from_lift(u):

@@ -109,7 +109,7 @@ def qconj(q):
 
 
 def qembed(v):
-    """Imaginary coefficients as full quaternions, as algebra.qembed computed it."""
+    """Imaginary coefficients v as full quaternions (0, v)."""
     v = np.asarray(v)
     w = np.zeros(v.shape[:-1] + (1,), dtype=v.dtype)
     return np.concatenate([w, v], axis=-1)
@@ -163,7 +163,7 @@ def comm_wedge(omega, pair):
 
 
 # library kernels that have an oracle above under the same name
-KERNELS = {"algebra": ("qconj", "qembed", "qexp", "qlog", "qrotate"),
+KERNELS = {"algebra": ("qconj", "qexp", "qlog", "qrotate"),
            "lattice": ("cross", "dot"),
            "energy": ("comm_wedge",)}
 

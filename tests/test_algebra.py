@@ -169,11 +169,10 @@ class TestComponentKernels:
         assert peak(alg.qrotate_form, g) <= peak(alg.qrotate, g[:, :, :, None]) + slab
 
     @pytest.mark.parametrize("shape", [(), (50,), (5, 4, 1)])
-    def test_qconj_qembed_qexp_match_concatenation(self, rng, shape):
+    def test_qconj_qexp_match_concatenation(self, rng, shape):
         q = rng.standard_normal(shape + (4,))
         v = rng.standard_normal(shape + (3,))
         assert np.array_equal(alg.qconj(q), oracles.qconj(q))
-        assert np.array_equal(alg.qembed(v), oracles.qembed(v))
         assert np.array_equal(alg.qexp(v), oracles.qexp(v))
         assert np.array_equal(alg.qexp(np.zeros(shape + (3,))), oracles.qexp(np.zeros(shape + (3,))))
 

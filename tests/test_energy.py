@@ -192,19 +192,34 @@ class TestEnergyPotential:
         assert peak / (32 ** 3 * 9 * 8) <= 3.0
 
     def test_group_pair_without_map_is_identity_reference(self, rng):
-        # su2_group has a trivial isotropy group, so a potential with no map
-        # is its own covariant potential: the report against the identity map
+        # su2_group has a trivial isotropy group, so a pure gauge is its own
+        # covariant potential on its vacuum, the identity map
         from hopfion.lattice import LatticeField
 
         grid = Grid(12)
         u = fl.LiftField(grid, alg.su2_group(), smooth_lift(grid, rng).values)
         bare = fl.pure_gauge_potential(u)
-        assert bare.phi is None
         ident = fl.MapField(grid, u.pair, u.pair.identity_element((12,) * 3))
+        assert np.array_equal(bare.phi.values, ident.values)
         new = energy_potential(bare)
         ref = energy_potential(fl.PotentialField(LatticeField(grid, 1, bare.a.data), ident))
         assert (new.dirichlet, new.skyrme, new.total) == (ref.dirichlet, ref.skyrme, ref.total)
         assert np.array_equal(new.density.data, ref.density.data)
+
+    def test_su3_pure_gauge_on_identity_coset(self, rng):
+        # a pure gauge is relative to its pair's vacuum, the identity coset, so
+        # a su3_t2 one splits (par = proj_h a) and its energy is the map energy
+        # of u itself, Ad(u) carrying one covariant form to the other
+        grid = Grid(8)
+        pair = alg.su3_t2()
+        gen = np.stack([smooth_scalar(grid, rng, 0.4) for _ in range(8)], axis=-1)
+        u = fl.LiftField(grid, pair, oracles.matrix_exp(pair.matrix_of(gen)))
+        a = fl.pure_gauge_potential(u)
+        par, perp = a.split()
+        assert np.max(np.abs(par.data - pair.proj_h(a.a.data))) <= 1e-12
+        assert np.array_equal(perp.data, (a.a - par).data)
+        got, want = energy_potential(a).total, energy_map(fl.MapField(grid, pair, u.values)).total
+        assert np.isfinite(got) and abs(got - want) <= 1e-12 * want
 
     def test_grid_mismatch_rejected(self, rng):
         from hopfion.lattice import LatticeField

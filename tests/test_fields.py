@@ -36,6 +36,22 @@ class TestPureGauge:
         with pytest.raises(RoughFieldError):
             fl.pure_gauge_potential(u)
 
+    @pytest.mark.parametrize("pair", [alg.su2_u1(), alg.su2_group(), alg.su3_t2()],
+                             ids=lambda pair: pair.name)
+    def test_vacuum_is_identity_coset(self, grid12, rng, pair):
+        # CP1 i for su2_u1 (the default), the identity representative
+        # otherwise; a pure gauge is taken against it
+        phi = fl.constant_map(grid12, pair)
+        vacuum = [1.0, 0.0, 0.0] if pair is alg.su2_u1() else pair.identity_element()
+        assert phi.pair is pair
+        assert np.array_equal(phi.values, np.broadcast_to(vacuum, phi.values.shape))
+        if pair is alg.su2_u1():
+            assert np.array_equal(fl.constant_map(grid12).values, phi.values)
+        quaternion = pair.group_kind == "quaternion"
+        values = smooth_lift(grid12, rng).values if quaternion else pair.identity_element((12,) * 3)
+        u = fl.LiftField(grid12, pair, values)
+        assert np.array_equal(fl.pure_gauge_potential(u).phi.values, phi.values)
+
     def test_plaquette_triviality(self, rng):
         u = smooth_lift(Grid(20), rng, amplitude=0.7)
         assert fl.plaquette_defect(u) < 1e-12
@@ -161,7 +177,7 @@ class TestSplit:
     def test_group_pair_has_no_isotropic_part(self, grid16, rng):
         u = smooth_lift(grid16, rng)
         psi = fl.MapField(grid16, alg.su2_group(), u.values)
-        # with the map, and without one: h is trivial, so neither needs it
+        # with the map, and on the vacuum: h is trivial, so neither split reads it
         for a in (fl.PotentialField(fl.pure_gauge_potential(u).a, psi),
                   fl.pure_gauge_potential(fl.LiftField(grid16, alg.su2_group(), u.values))):
             par, perp = a.split()
@@ -224,29 +240,15 @@ class TestMergedSplit:
             assert np.max(np.abs(perp.data - ref_perp.data)) <= 1e-12
             assert np.max(np.abs(par.data + perp.data - form.data)) <= 1e-12
 
-    def test_needs_reference_map(self, grid12):
-        # a potential without a map splits only when h is trivial
-        a = fl.PotentialField(LatticeField.zeros(grid12, 1, 3), pair=alg.su2_u1())
-        with pytest.raises(ValueError):
-            a.split()
-
-    @pytest.mark.parametrize("given", ["both", "neither"])
-    def test_map_or_pair(self, grid12, given):
-        # the pair comes from the map; one is given without the other
-        a = LatticeField.zeros(grid12, 1, 3)
-        args = (fl.constant_map(grid12), alg.su2_u1()) if given == "both" else ()
-        with pytest.raises(ValueError):
-            fl.PotentialField(a, *args)
-
     @pytest.mark.parametrize("with_map", [True, False])
     def test_value_dimension_must_be_dim_g(self, grid12, with_map):
-        # an 8-component form is no su2 potential, with or without a reference map
+        # an 8-component form is no su2 potential, on the su2_u1 or the su2_group vacuum
         a = LatticeField.zeros(grid12, 1, 8)
         with pytest.raises(ValueError, match="components"):
             if with_map:
                 fl.PotentialField(a, fl.constant_map(grid12))
             else:
-                fl.PotentialField(a, pair=alg.su2_group())
+                fl.PotentialField(a, fl.constant_map(grid12, alg.su2_group()))
 
     @pytest.mark.parametrize("attr", ["a", "phi", "pair", "extra"])
     def test_immutable(self, grid12, attr):

@@ -50,7 +50,8 @@ class TestSnapshots:
     @pytest.mark.parametrize("build", [
         lambda psi, u: fl.pure_gauge_potential(u, psi),
         lambda psi, u: fl.pure_gauge_potential(fl.LiftField(psi.grid, alg.su2_group(), u.values)),
-        lambda psi, u: fl.PotentialField(LatticeField.zeros(psi.grid, 1, 8), pair=alg.su3_t2()),
+        lambda psi, u: fl.PotentialField(LatticeField.zeros(psi.grid, 1, 8),
+                                         fl.constant_map(psi.grid, alg.su3_t2())),
         lambda psi, u: fl.MapField(psi.grid, alg.su2_group(), u.values),
         lambda psi, u: fl.LiftField(psi.grid, alg.su3_t2(),
                                     alg.su3_t2().identity_element((8,) * 3)),
@@ -118,6 +119,11 @@ class TestRunConfig:
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
             hio.parse_config("grid.n 32")
+
+    def test_repeated_key_names_both_lines(self):
+        # the last value once won silently
+        with pytest.raises(ConfigError, match="line 3: key 'grid.n' repeats line 1"):
+            hio.parse_config("grid.n = 16\n# n\ngrid.n = 24\n")
 
     def test_defaults_match_relax_config(self):
         # every optimizer.* key is a RelaxConfig field with the same default
@@ -554,8 +560,10 @@ class TestCli:
         (b"grid.n = 8\ngrid.length = nan\n", ["relax", "--config", "{cfg}"]),
         (None, ["ansatz", "--n", "3", "--out", "{tmp}/a"]),
         (None, ["ansatz", "--kind", "constant", "--charge", "2", "--out", "{tmp}/a"]),
+        (b"grid.n = 8\ngrid.n = 16\n", ["relax", "--config", "{cfg}"]),
     ], ids=["missing_config", "non_utf8_config", "n_3", "unknown_ansatz", "ball_degree",
-            "charge_on_constant", "nan_length", "ansatz_n_3", "ansatz_charge_on_constant"])
+            "charge_on_constant", "nan_length", "ansatz_n_3", "ansatz_charge_on_constant",
+            "repeated_key"])
     def test_bad_run_input_exit_2(self, tmp_path, capsys, config, argv):
         cfg = tmp_path / "run.cfg"
         if config is not None:
@@ -665,6 +673,8 @@ def _with(**changes):
     (_with(n=0), b""),
     (_with(n=-4), b""),
     (_with(n=4.0), _UNIT_X),
+    (_with(n=16.0), _UNIT_X),
+    (_with(n="16"), _UNIT_X),
     (_with(length=0.0), _UNIT_X),
     (_with(length=10 ** 400), _UNIT_X),
     (_with(length=1e-77), _UNIT_X),
@@ -678,8 +688,8 @@ def _with(**changes):
     (_with(kind="potential", components=9), np.full(4 ** 3 * 9, np.nan).astype("<f8").tobytes()),
     (_with(kind="lift_su2", components=4),
      np.tile([np.nan, 0.0, 0.0, 0.0], 4 ** 3).astype("<f8").tobytes()),
-], ids=["missing_n", "n_zero", "n_negative", "n_float", "length_zero", "length_huge",
-        "length_1e-77", "length_1e78", "unknown_kind",
+], ids=["missing_n", "n_zero", "n_negative", "n_float", "n_float_16", "n_string", "length_zero",
+        "length_huge", "length_1e-77", "length_1e78", "unknown_kind",
         "map_with_4_components", "lift_with_3_components", "potential_with_4_components",
         "nan_payload", "inf_payload", "nan_potential_payload", "nan_lift_payload"])
 def test_bad_snapshot_meta_exit_2(tmp_path, capsys, meta, payload):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hopfion.algebra import qembed, qmul, su2_u1
+from hopfion.algebra import qmul, su2_u1
 from hopfion.lattice import (
     Grid,
     LatticeField,
@@ -23,7 +23,7 @@ from hopfion.lattice import (
 
 def quat(a, b):
     """The quaternion product; imaginary (v = 3) inputs are embedded with w = 0."""
-    return qmul(*(qembed(x) if x.shape[-1] == 3 else x for x in (a, b)))
+    return qmul(*(oracles.qembed(x) if x.shape[-1] == 3 else x for x in (a, b)))
 
 
 def dot_value(a, b):
@@ -48,6 +48,20 @@ class TestGrid:
             Grid(3)
         with pytest.raises(ValueError):
             Grid(8, -1.0)
+
+    @pytest.mark.parametrize("n", [16.0, 16.5, True, "16"])
+    def test_size_is_an_integer(self, n):
+        # 16.0 once reached make_ansatz's numpy calls, "16" a TypeError of n < 4
+        with pytest.raises(ValueError, match="not an integer"):
+            Grid(n)
+
+    @pytest.mark.parametrize("length", [True, "6.28", 1j])
+    def test_length_is_a_real_number(self, length):
+        with pytest.raises(ValueError, match="not a real number"):
+            Grid(16, length)
+
+    def test_numpy_integer_size(self):
+        assert Grid(np.int64(16)) == Grid(16)
 
     @pytest.mark.parametrize("length, fits", [
         (1e-300, False), (1e-76, False), (1e-75, True), (1e-50, True),
