@@ -132,8 +132,9 @@ def qlog(q):
     return factor * v
 
 
-# sites per slab of qrotate (maps and lifts: fields.act, cp1_point_of) and of
-# qrotate_form (forms: gauge.ad_inverse_apply); no value depends on it.
+# sites per slab of qrotate (maps and lifts: fields.act, cp1_point_of), of
+# qrotate_form (forms: gauge.ad_inverse_apply) and of the link logarithms of
+# fields.maurer_cartan_slot; no value depends on it.
 # Tracemalloc peak MiB / median ms with the output (2 cores, numpy 2.4.6) of
 # qrotate on the hopf lift and map as fields.act calls it, and of
 # qrotate_form on a 1-form (the whole grid is 2^15 sites at n = 32):
@@ -145,7 +146,11 @@ def qlog(q):
 #                 n = 48   7.8 / 5.5   8.1 / 4.3   8.8 / 3.8  10.1 / 4.4  16.0 / 6.2
 #                 n = 64  18.3 / 12.6 18.6 / 11.5 19.3 / 11.1 20.5 / 13.0 38.0 / 16.8
 # 2^13 and 2^14 are the fastest for both kernels, within noise of each other,
-# and 2^13 keeps the lower peak
+# and 2^13 keeps the lower peak.  maurer_cartan_form on the charge-2 hopf lift,
+# peak forms (n, n, n, 3, 3) with the output / median ms:
+#                          2^13        2^14        2^15   whole grid
+#   n = 48               1.10 / 16   1.23 / 15   1.45 / 16   2.56 / 19
+#   n = 64               1.05 / 37   1.10 / 38   1.19 / 39   2.56 / 46
 _SLAB_SITES = 1 << 13
 
 
@@ -209,7 +214,7 @@ def _rotation_rows(g):
     return (d0, r01, r02), (r10, d1, r12), (r20, r21, d2)
 
 
-def qrotate_form(g, v):
+def qrotate_form(g, v, out=None):
     """g v conj(g) on every slot of form data v (n, n, n, slots, 3), g (n, n, n, 4).
 
     The adjoint action g v g^-1 for unit g, through the 3x3 matrix of g:
@@ -221,12 +226,17 @@ def qrotate_form(g, v):
     two kernels: qrotate serves maps and lifts (fields.act, make_ansatz and
     with them every pinned map, charge and relax history), and forms, whose
     slots share one matrix, rotate here in a quarter of qrotate's time or less.
+
+    out, when given, receives the result and may be v itself: each slab of v
+    is then copied before its rotation overwrites it.
     """
-    out = np.empty_like(v)
+    if out is None:
+        out = np.empty_like(v)
+    in_place = np.may_share_memory(out, v)
     rows = max(1, _SLAB_SITES // (g.shape[1] * g.shape[2]))
     for x in range(0, g.shape[0], rows):
         slab = slice(x, x + rows)
-        _matrix_apply(_rotation_rows(g[slab]), v[slab], out[slab])
+        _matrix_apply(_rotation_rows(g[slab]), v[slab].copy() if in_place else v[slab], out[slab])
     return out
 
 
@@ -441,7 +451,7 @@ def project_isotropy(pair, x, xi):
     return par, np.asarray(xi) - par
 
 
-def isotropic_part(pair, x, xi):
+def isotropic_part(pair, x, xi, out=None):
     """The part of xi in h_x, the one pointwise isotropy projection; the
     coisotropic part is xi minus it.
 
@@ -449,14 +459,21 @@ def isotropic_part(pair, x, xi):
     (xi.phi) phi, laid out like xi where their shapes agree), or a group
     representative g with x = gH, in which case the part is Ad(g) proj_h
     Ad(g^-1) xi.  x broadcasts against xi, so a form projects in one call with
-    x = phi.values[:, :, :, None].
+    x = phi.values[:, :, :, None].  out, when given, receives the part and may
+    be xi itself.
     """
     if not _is_cp1_point(pair, x):
         g = np.asarray(x)
-        return pair.ad(g, pair.proj_h(pair.ad(pair.inverse(g), xi)))
+        par = pair.ad(g, pair.proj_h(pair.ad(pair.inverse(g), xi)))
+        if out is None:
+            return par
+        out[...] = par
+        return out
     xi, phi = np.asarray(xi), np.asarray(x)
-    par = empty_like_operands(np.broadcast_shapes(xi.shape, phi.shape), np.result_type(xi, phi), xi)
-    return np.multiply(dot(xi, phi)[..., None], phi, out=par)
+    if out is None:
+        out = empty_like_operands(np.broadcast_shapes(xi.shape, phi.shape),
+                                  np.result_type(xi, phi), xi)
+    return np.multiply(dot(xi, phi)[..., None], phi, out=out)
 
 
 def coisotropy_form(pair, x, tangent):

@@ -110,8 +110,8 @@ def _read_field(path, kind):
 
 
 # peak bytes per grid site, a margin over the measured peaks: ansatz about 170,
-# relax 551 with its L-BFGS pairs full (n = 48, 64), check 682 (n = 64), traced
-_SITE_BYTES = {"ansatz": 256, "relax": 768, "check": 848}
+# relax 551 with its L-BFGS pairs full (n = 48, 64), check 495 (n = 64), traced
+_SITE_BYTES = {"ansatz": 256, "relax": 768, "check": 616}
 
 
 def _require_memory(command, n):

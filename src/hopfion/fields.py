@@ -149,9 +149,17 @@ def constant_map(grid, pair=None):
     return MapField(grid, pair, pair.identity_element((grid.n,) * 3))
 
 
-def links(u, axis):
-    """Link variable u(x)^-1 u(x + e_axis)."""
-    return u.pair.mul(u.inverse_values(), np.roll(u.values, -1, axis=axis))
+def links(u, axis, planes=slice(None)):
+    """Link variables u(x)^-1 u(x + e_axis) on the x-planes `planes`, a slice (all by default)."""
+    here = u.values[planes]
+    if axis:
+        ahead = np.roll(here, -1, axis=axis)
+    else:
+        start, stop, _ = planes.indices(u.grid.n)
+        ahead = np.empty_like(here)
+        ahead[:-1] = u.values[start + 1:stop]
+        ahead[-1] = u.values[stop % u.grid.n]
+    return u.pair.mul(u.pair.inverse(here), ahead)
 
 
 def pure_gauge_potential(u, phi=None):
@@ -164,8 +172,22 @@ def maurer_cartan_form(u):
     """u^-1 du as a 1-form, from principal logs of link variables, exactly g-valued."""
     data = empty_component_major(u.values.shape[:3] + (3, u.pair.dim_g))
     for mu in range(3):
-        np.divide(u.pair.log(links(u, mu)), u.grid.h, out=data[:, :, :, mu])
+        maurer_cartan_slot(u, mu, out=data[:, :, :, mu])
     return LatticeField(u.grid, 1, data)
+
+
+def maurer_cartan_slot(u, mu, out=None):
+    """Slot mu of maurer_cartan_form(u) alone: the log of the link along mu over h,
+    formed slab by slab along x, so that the links and their logs' temporaries
+    are a slab's, not the grid's."""
+    n = u.grid.n
+    if out is None:
+        out = empty_component_major(u.values.shape[:3] + (u.pair.dim_g,))
+    rows = max(1, alg._SLAB_SITES // (n * n))
+    for x in range(0, n, rows):
+        planes = slice(x, x + rows)
+        np.divide(u.pair.log(links(u, mu, planes)), u.grid.h, out=out[planes])
+    return out
 
 
 def plaquette_defect(u):

@@ -208,8 +208,20 @@ class LatticeField:
             raise ValueError("incompatible fields")
 
 
+def _along(axis, part):
+    """Index of the slice part along the grid axis `axis` of per-site data."""
+    return (slice(None),) * axis + (part,)
+
+
 def forward_diff(arr, axis, h, out=None):
-    out = np.subtract(np.roll(arr, -1, axis=axis), arr, out=out)
+    """(arr(x + e_axis) - arr(x)) / h with periodic wrap, from slices of arr rather
+    than a rolled copy; out, when given, must not overlap arr."""
+    if out is None:
+        out = np.empty_like(arr)
+    np.subtract(arr[_along(axis, slice(1, None))], arr[_along(axis, slice(None, -1))],
+                out=out[_along(axis, slice(None, -1))])
+    np.subtract(arr[_along(axis, slice(None, 1))], arr[_along(axis, slice(-1, None))],
+                out=out[_along(axis, slice(-1, None))])
     out /= h
     return out
 
@@ -263,7 +275,16 @@ def coulomb_solve(form):
 
 
 def centered_diff(arr, axis, h):
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
+    """(arr(x + e_axis) - arr(x - e_axis)) / 2h with periodic wrap, from slices of arr."""
+    out = np.empty_like(arr)
+    np.subtract(arr[_along(axis, slice(2, None))], arr[_along(axis, slice(None, -2))],
+                out=out[_along(axis, slice(1, -1))])
+    np.subtract(arr[_along(axis, slice(1, 2))], arr[_along(axis, slice(-1, None))],
+                out=out[_along(axis, slice(None, 1))])
+    np.subtract(arr[_along(axis, slice(None, 1))], arr[_along(axis, slice(-2, -1))],
+                out=out[_along(axis, slice(-1, None))])
+    out /= 2.0 * h
+    return out
 
 
 def d(f):
@@ -280,15 +301,22 @@ def d(f):
         for mu in range(3):
             forward_diff(f.slot(0), mu, h, out=out[:, :, :, mu])
     elif f.degree == 1:
-        for slot, (mu, nu) in enumerate(SLOTS2):
-            dest = forward_diff(f.slot(nu), mu, h, out=out[:, :, :, slot])
-            dest -= forward_diff(f.slot(mu), nu, h)
+        for slot in range(len(SLOTS2)):
+            d_slot(f, slot, out=out[:, :, :, slot])
     else:
         # slots (xy, xz, yz): d_x w_yz - d_y w_xz + d_z w_xy
         dest = forward_diff(f.slot(2), 0, h, out=out[:, :, :, 0])
         dest -= forward_diff(f.slot(1), 1, h)
         dest += forward_diff(f.slot(0), 2, h)
     return LatticeField(f.grid, f.degree + 1, out)
+
+
+def d_slot(f, slot, out=None):
+    """Slot SLOTS2[slot] = (mu, nu) of d(f) for a 1-form alone: d_mu f_nu - d_nu f_mu."""
+    mu, nu = SLOTS2[slot]
+    dest = forward_diff(f.slot(nu), mu, f.grid.h, out=out)
+    dest -= forward_diff(f.slot(mu), nu, f.grid.h)
+    return dest
 
 
 # bilinear products on value axes ------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from hopfion import lattice
 from hopfion.algebra import check_unit, su2_u1
 from hopfion.energy import A_MAX
-from hopfion.lattice import SLOTS2, LatticeField, centered_diff, d, wedge
+from hopfion.lattice import SLOTS2, LatticeField, d, wedge
 
 CHARGE_FROM_VOLUME = -1.0
 
@@ -143,6 +143,48 @@ def qrotate(g, v):
     from hopfion.algebra import qmul as component_qmul
 
     return component_qmul(component_qmul(g, qembed(v)), qconj(g))[..., 1:]
+
+
+def forward_diff(arr, axis, h, out=None):
+    """lattice.forward_diff as it computed it, from a rolled copy."""
+    out = np.subtract(np.roll(arr, -1, axis=axis), arr, out=out)
+    out /= h
+    return out
+
+
+def centered_diff(arr, axis, h):
+    """lattice.centered_diff as it computed it, from two rolled copies."""
+    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
+
+
+def d_slot(f, slot):
+    """Slot SLOTS2[slot] of d of a 1-form from the rolled forward differences."""
+    mu, nu = SLOTS2[slot]
+    return forward_diff(f.slot(nu), mu, f.grid.h) - forward_diff(f.slot(mu), nu, f.grid.h)
+
+
+def qrotate_form(g, v):
+    """algebra.qrotate_form's matrix product, its nine entries built over the
+    whole grid at once from g's homogeneous entries, in the kernel's order."""
+    w, x, y, z = (g[..., k] for k in range(4))
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    matrix = ((((ww + xx) - yy) - zz, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
+              (2.0 * (x * y + w * z), ((ww - xx) + yy) - zz, 2.0 * (y * z - w * x)),
+              (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), ((ww - xx) - yy) + zz))
+    out = np.empty_like(v)
+    for slot in range(v.shape[3]):
+        for k, (m0, m1, m2) in enumerate(matrix):
+            out[..., slot, k] = ((m0 * v[..., slot, 0] + m1 * v[..., slot, 1])
+                                 + m2 * v[..., slot, 2])
+    return out
+
+
+def maurer_cartan_form(u):
+    """u^-1 du as fields.maurer_cartan_form computed it: each slot the log of the
+    whole grid's links, u^-1 times u rolled along the axis, over h."""
+    slots = [u.pair.log(u.pair.mul(u.pair.inverse(u.values), np.roll(u.values, -1, axis=mu)))
+             / u.grid.h for mu in range(3)]
+    return LatticeField.from_slots(u.grid, 1, slots)
 
 
 def cross(a, b):

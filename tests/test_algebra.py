@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hopfion import algebra as alg
-from hopfion.lattice import Grid, LatticeField, component_major, is_component_major
+from hopfion.lattice import (Grid, LatticeField, component_major, empty_component_major,
+                             is_component_major)
 import oracles
 
 I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -150,6 +151,18 @@ class TestComponentKernels:
         v = LatticeField(Grid(6), 2, rng.standard_normal((6, 6, 6, 3, 3))).data
         got = alg.qrotate_form(g, v)
         assert is_component_major(got) and got.strides == v.strides
+
+    @pytest.mark.parametrize("n", [6, 24])
+    def test_qrotate_form_in_place_matches_whole_grid_formula(self, rng, n):
+        # out=v rotates v in its own buffer, each slab copied first, with the
+        # values of the whole-grid matrix product; n = 24 spans two slabs
+        g = alg.random_unit_quaternions(rng, (n, n, n))
+        v = empty_component_major((n, n, n, 3, 3))
+        v[...] = rng.standard_normal(v.shape)
+        want = oracles.qrotate_form(g, v)
+        assert np.array_equal(alg.qrotate_form(g, v), want)
+        assert alg.qrotate_form(g, v, out=v) is v
+        assert np.array_equal(v, want)
 
     def test_qrotate_form_peak_within_one_slab_of_qrotate(self, rng):
         # the matrix of each slab is freed before the next slab's is built
@@ -332,6 +345,20 @@ class TestIsotropyProjection:
         p_gen, q_gen = alg.project_isotropy(pair, g, xi)
         assert np.max(np.abs(p_fast - p_gen)) < 1e-12
         assert np.max(np.abs(q_fast - q_gen)) < 1e-12
+
+    @pytest.mark.parametrize("target", ["cp1", "su3_t2"])
+    def test_part_written_into_its_operand(self, rng, target):
+        # out may be xi itself: the part is the one formed into a new array
+        if target == "cp1":
+            pair, x = alg.su2_u1(), alg.cp1_point_of(alg.random_unit_quaternions(rng, (64,)))
+            xi = rng.standard_normal((64, 3))
+        else:
+            pair = alg.su3_t2()
+            x = oracles.matrix_exp(pair.matrix_of(0.3 * rng.standard_normal((64, 8))))
+            xi = rng.standard_normal((64, 8))
+        want = alg.isotropic_part(pair, x, xi)
+        assert alg.isotropic_part(pair, x, xi, out=xi) is xi
+        assert np.array_equal(xi, want)
 
     def test_generic_path_broadcasts_over_slots(self, rng):
         # one representative per site acting on every slot of a form

@@ -52,6 +52,22 @@ class TestPureGauge:
         u = fl.LiftField(grid12, pair, values)
         assert np.array_equal(fl.pure_gauge_potential(u).phi.values, phi.values)
 
+    @pytest.mark.parametrize("pair, n", [(alg.su2_u1(), 24), (alg.su3_t2(), 6)],
+                             ids=["su2_u1", "su3_t2"])
+    def test_slab_links_match_whole_grid_formula(self, rng, pair, n):
+        # the links' logs are formed slab by slab along x: n = 24 spans two
+        # slabs, the second wrapping to x = 0; each slot alone and the form
+        grid = Grid(n)
+        if pair.group_kind == "quaternion":
+            u = smooth_lift(grid, rng, amplitude=0.7)
+        else:
+            u = fl.LiftField(grid, pair, oracles.matrix_exp(
+                pair.matrix_of(0.3 * rng.standard_normal((n,) * 3 + (8,)))))
+        want = oracles.maurer_cartan_form(u).data
+        assert np.array_equal(fl.maurer_cartan_form(u).data, want)
+        for mu in range(3):
+            assert np.array_equal(fl.maurer_cartan_slot(u, mu), want[:, :, :, mu])
+
     def test_plaquette_triviality(self, rng):
         u = smooth_lift(Grid(20), rng, amplitude=0.7)
         assert fl.plaquette_defect(u) < 1e-12

@@ -16,6 +16,7 @@ from hopfion.gauge import (
     gauge_transform_potential,
     identity_suite,
     make_stabilizer,
+    projector_derivative_slot,
     projector_derivative_wedge,
     smooth_algebra_field,
     smooth_scalar,
@@ -235,9 +236,9 @@ class TestIdentitySuite:
 
     def test_peak_memory(self):
         # each row family builds its forms just before their first use and
-        # frees them after their last, and keeps one part of a split alone;
-        # in units of one (n, n, n, 3, 3) float array at the largest n, seen
-        # by tracemalloc (9.34 measured, 12.12 before)
+        # frees them after their last, and holds no whole form it reads one
+        # slot at a time; in units of one (n, n, n, 3, 3) float array at the
+        # largest n, seen by tracemalloc (7.44 measured, 9.34 before)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -245,7 +246,33 @@ class TestIdentitySuite:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak / (32 ** 3 * 9 * 8) <= 9.85
+        assert peak / (32 ** 3 * 9 * 8) <= 7.8
+
+    @pytest.mark.parametrize("family, bound", [
+        ("dafi", 3.9), ("curvature", 3.4), ("pure_gauge", 6.2), ("gauge_action", 6.7)])
+    def test_family_peak_memory(self, family, bound):
+        # each family's tracemalloc peak above its inputs, as _grid_rows builds
+        # them, in (n, n, n, 3, 3) float arrays at n = 32: measured 3.73, 3.22,
+        # 5.89 and 6.36 (3.73, 4.89, 7.12 and 8.50 before they were formed
+        # slot by slot)
+        grid = Grid(32)
+        rng = np.random.default_rng(0)
+        phi, u, theta, a = gauge.smooth_inputs(grid, rng)
+        omega = fl.pullback_coisotropy(phi)
+        stab = make_stabilizer(phi, theta)
+        b = fl.PotentialField(fl.isotropic_part(a, phi), phi)
+        call = {"dafi": lambda: gauge._dafi_rows(stab, omega, a),
+                "curvature": lambda: gauge._curvature_rows(b, omega),
+                "pure_gauge": lambda: gauge._pure_gauge_rows(u, phi),
+                "gauge_action": lambda: gauge._gauge_action_rows(grid, rng, theta)}[family]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak / (32 ** 3 * 9 * 8) <= bound
 
 
 class TestComponentKernels:
@@ -283,6 +310,22 @@ class TestComponentKernels:
         transformed = oracles.gauge_transform_potential(b, stab).a.data
         assert np.array_equal(gauge_transform_potential(b, stab).a.data, transformed)
         assert np.array_equal(gauge._gauge_transform(b, stab, omega).a.data, transformed)
+
+    @pytest.mark.parametrize("reference", ["constant", "smooth"])
+    def test_slot_kernels_match_whole_form_formulas(self, grid12, rng, reference):
+        # each slot alone equals that slot of the whole-form formula
+        if reference == "constant":
+            phi = fl.constant_map(grid12)
+        else:
+            phi = smooth_cp1_map(grid12, rng, amplitude=0.4)
+        b = isotropic_potential(grid12, phi, rng)
+        omega = fl.pullback_coisotropy(phi)
+        form = LatticeField(grid12, 1, rng.standard_normal((12,) * 3 + (3, 3)))
+        curvature = oracles.coset_curvature(b).data
+        dphi = oracles.projector_derivative_wedge(phi, form).data
+        for slot in range(3):
+            assert np.array_equal(gauge._curvature_slot(b, omega, slot), curvature[:, :, :, slot])
+            assert np.array_equal(projector_derivative_slot(phi, form, slot), dphi[:, :, :, slot])
 
     def test_suite_rows_unmoved_by_component_kernels(self, monkeypatch):
         # the same process with the old formulas rebound at every module binding

@@ -507,6 +507,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
+    def test_check_size_below_grid_minimum_carries_grid_message(self, capsys):
+        # the suite builds its grids first: Grid's own rule and message, one line
+        assert main(["check", "--sizes", "2,16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: grid needs at least 4 sites per axis\n"
+        assert captured.out == ""
+
     def test_check_negative_seed_exit_2(self, capsys, monkeypatch):
         # numpy's default_rng raises a ValueError on a negative seed: refuse it first
         monkeypatch.setattr(cli, "identity_suite", lambda *a, **k: pytest.fail("suite ran"))

@@ -8,10 +8,13 @@ from hopfion.algebra import qmul, su2_u1
 from hopfion.lattice import (
     Grid,
     LatticeField,
+    centered_diff,
     coulomb_solve,
     cross,
     d,
+    d_slot,
     dot,
+    forward_diff,
     forward_diff_symbols,
     integrate_3form,
     l2_inner,
@@ -93,6 +96,22 @@ class TestExteriorDerivative:
     def test_three_form_rejected(self, grid12, rng):
         with pytest.raises(ValueError):
             d(random_field(grid12, 3, 1, rng))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_differences_from_slices_match_rolled_copies(self, grid12, rng, axis):
+        # a form's slot (component-major, strided) and a site-major array
+        f = random_field(grid12, 1, 3, rng)
+        h = grid12.h
+        for arr in (f.slot(1), rng.standard_normal((12, 12, 12, 4))):
+            assert np.array_equal(forward_diff(arr, axis, h), oracles.forward_diff(arr, axis, h))
+            assert np.array_equal(centered_diff(arr, axis, h), oracles.centered_diff(arr, axis, h))
+
+    def test_slot_kernel_matches_rolled_differences(self, grid12, rng):
+        f = random_field(grid12, 1, 3, rng)
+        for slot in range(3):
+            want = oracles.d_slot(f, slot)
+            assert np.array_equal(d_slot(f, slot), want)
+            assert np.array_equal(d(f).slot(slot), want)
 
     def test_sin_derivative_first_order(self):
         errs = {}
