@@ -451,7 +451,7 @@ def project_isotropy(pair, x, xi):
     return par, np.asarray(xi) - par
 
 
-def isotropic_part(pair, x, xi, out=None):
+def isotropic_part(pair, x, xi):
     """The part of xi in h_x, the one pointwise isotropy projection; the
     coisotropic part is xi minus it.
 
@@ -459,20 +459,14 @@ def isotropic_part(pair, x, xi, out=None):
     (xi.phi) phi, laid out like xi where their shapes agree), or a group
     representative g with x = gH, in which case the part is Ad(g) proj_h
     Ad(g^-1) xi.  x broadcasts against xi, so a form projects in one call with
-    x = phi.values[:, :, :, None].  out, when given, receives the part and may
-    be xi itself.
+    x = phi.values[:, :, :, None].
     """
     if not _is_cp1_point(pair, x):
         g = np.asarray(x)
-        par = pair.ad(g, pair.proj_h(pair.ad(pair.inverse(g), xi)))
-        if out is None:
-            return par
-        out[...] = par
-        return out
+        return pair.ad(g, pair.proj_h(pair.ad(pair.inverse(g), xi)))
     xi, phi = np.asarray(xi), np.asarray(x)
-    if out is None:
-        out = empty_like_operands(np.broadcast_shapes(xi.shape, phi.shape),
-                                  np.result_type(xi, phi), xi)
+    out = empty_like_operands(np.broadcast_shapes(xi.shape, phi.shape),
+                              np.result_type(xi, phi), xi)
     return np.multiply(dot(xi, phi)[..., None], phi, out=out)
 
 

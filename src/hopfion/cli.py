@@ -156,8 +156,10 @@ def _dispatch(args):
         psi = None if args.map is None else _read_field(args.map, "map_s2")
         if u is not None and psi is not None:
             _require_lift_of(u, psi, args)
+        cs_value = None if u is None else chern_simons_from_lift(u)
+        del u  # the map's routes run without the lift
         report = ChargeReport(
-            cs_value=None if u is None else chern_simons_from_lift(u),
+            cs_value=cs_value,
             whitehead_value=None if psi is None else whitehead_charge(psi),
             linking_value=None if psi is None or args.skip_linking else linking_charge(psi))
         _print_report(report, args.json)

@@ -16,17 +16,20 @@ with forward differences on theta so that d d theta telescopes away).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import algebra as alg
 from . import fields as fl
+# d, wedge and comm_wedge are not called here: they stay bound because the
+# benchmark tracer wraps them at this module and refuses to run without them
+# (perfbench/spans.REQUIRED_BINDINGS)
 from .energy import comm_slot, comm_wedge, energy_map, energy_potential
 from .errors import ConfigError
-from .lattice import (SLOTS2, Grid, LatticeField, centered_diff, coulomb_solve, d,
-                      d_slot, dot, empty_component_major, forward_diff, l2_norm, wedge,
-                      wedge_slot)
+from .lattice import (SLOTS2, Grid, LatticeField, centered_diff, coulomb_solve,
+                      d, d_slot, dot, empty_component_major, forward_diff, wedge, wedge_slot)
 
 ISOTROPY_TOL = 1e-10
 
@@ -72,16 +75,28 @@ def stabilizer_log_derivative(stab, scheme="log"):
         raise ValueError("scheme must be 'log' or 'exact'")
     if stab.theta is None:
         raise ValueError("'exact' scheme needs the generating angle field")
-    h = grid.h
     omega = fl.pullback_coisotropy(stab.phi)
-    ad_omega = ad_inverse_apply(stab.w, omega)
+    w_inv = stab.w.inverse_values()
     data = empty_component_major(omega.data.shape)
     for mu in range(3):
-        dest = np.multiply(forward_diff(stab.theta, mu, h)[..., None], stab.phi.values,
-                           out=data[:, :, :, mu])
-        dest += ad_omega.slot(mu)
-        dest -= omega.slot(mu)
+        _exact_log_derivative_slot(stab, omega, w_inv, mu, out=data[:, :, :, mu])
     return LatticeField(grid, 1, data)
+
+
+def _exact_log_derivative_slot(stab, omega, w_inv, mu, out=None):
+    """Slot mu of stabilizer_log_derivative(stab, 'exact') alone, omega = phi^*omega
+    and w_inv = w^-1 given: d_mu theta phi + Ad(w^-1) omega_mu - omega_mu."""
+    dest = np.multiply(forward_diff(stab.theta, mu, stab.w.grid.h)[..., None],
+                       stab.phi.values, out=out)
+    dest += _rotate_slot(w_inv, omega.slot(mu))
+    dest -= omega.slot(mu)
+    return dest
+
+
+def _rotate_slot(w_inv, x):
+    """Ad(w^-1) x for one slot x (n, n, n, 3) of a form, w_inv = w^-1: the values
+    ad_inverse_apply gives that slot of the whole form."""
+    return alg.qrotate_form(w_inv, x[:, :, :, None])[:, :, :, 0]
 
 
 def _require_isotropic(b, phi):
@@ -121,17 +136,13 @@ def _gauge_transform(b, stab, omega):
 
 
 def coset_curvature(b):
-    """F(b) = db + b ^ b - [b, phi^*omega] - (phi^*omega ^ phi^*omega)_par, phi = b.phi."""
-    return LatticeField(b.grid, 2, _coset_curvature(b, fl.pullback_coisotropy(b.phi)))
-
-
-def _coset_curvature(b, omega):
-    """coset_curvature's data in a new writable buffer, omega = phi^*omega given,
+    """F(b) = db + b ^ b - [b, phi^*omega] - (phi^*omega ^ phi^*omega)_par, phi = b.phi,
     written slot by slot."""
+    omega = fl.pullback_coisotropy(b.phi)
     out = empty_component_major(b.a.data.shape)
     for slot in range(len(SLOTS2)):
         _curvature_slot(b, omega, slot, out=out[:, :, :, slot])
-    return out
+    return LatticeField(b.grid, 2, out)
 
 
 def _curvature_slot(b, omega, slot, out=None):
@@ -142,13 +153,8 @@ def _curvature_slot(b, omega, slot, out=None):
     dest = d_slot(a, slot, out=out)
     dest += comm_slot(a, pair, slot)
     dest -= wedge_slot(a, omega, pair.bracket, slot)
-    dest -= _oo_par(omega, b.phi, slot)
+    dest -= alg.isotropic_part(pair, b.phi.values, comm_slot(omega, pair, slot))
     return dest
-
-
-def _oo_par(omega, phi, slot):
-    """Slot SLOTS2[slot] of (omega ^ omega)_par alone, phi the map of omega."""
-    return alg.isotropic_part(phi.pair, phi.values, comm_slot(omega, phi.pair, slot))
 
 
 def projector_derivative_wedge(phi, form):
@@ -223,26 +229,20 @@ def _fit_order(grids, residuals):
     return float(slope)
 
 
-def _rel(residual_field, reference_field):
-    return _over(l2_norm(residual_field), l2_norm(reference_field))
+class _SumsOfSquares(dict):
+    """Sums of squares by name, each added one slot of a form at a time: a
+    relative L2 residual is the ratio of two of their roots, and h^3 cancels,
+    so no whole form is held to be measured."""
 
+    def add(self, name, x):
+        # dot gives one C-ordered (n, n, n) array whatever x's layout, so the
+        # sum runs in one order; an einsum over x would run in x's memory
+        # order, which the kernels that formed x decide
+        self[name] = self.get(name, 0.0) + float(np.sum(dot(x, x)))
 
-def _over(norm, reference):
-    """A relative residual: norm over the reference norm, or over 1 where that is 0."""
-    return norm / (reference if reference > 0 else 1.0)
-
-
-def _norm2(grid, data):
-    """l2_norm of 2-form data that is written again after it is read, through a frozen view."""
-    return l2_norm(LatticeField(grid, 2, data.view()))
-
-
-def _d_data(a):
-    """d of a 1-form as new writable data, written slot by slot."""
-    out = empty_component_major(a.data.shape)
-    for slot in range(len(SLOTS2)):
-        d_slot(a, slot, out=out[:, :, :, slot])
-    return out
+    def rel(self, residual, reference):
+        """The residual's root over the reference's, or over 1 where that is 0."""
+        return math.sqrt(self[residual]) / (math.sqrt(self[reference]) or 1.0)
 
 
 def smooth_scalar(grid, rng, amplitude=1.0):
@@ -290,9 +290,8 @@ def _gauge_action_rows(grid, rng, theta):
     """The gauge action on constant-map potentials, where it is exact: curvature
     equivariance, composition of same-axis stabilizers, and the Coulomb
     condition of gauge_smooth's fixing.  The equivariance difference is formed
-    slot by slot in the rotated curvature's buffer; (b0^w)^w_b is formed and
-    b0^w freed before b0^(w w_b) is, and the second stabilizer is built from its
-    angle, drawn in its place, only then."""
+    slot by slot; (b0^w)^w_b is formed and b0^w freed before b0^(w w_b) is, and
+    the second stabilizer is built from its angle, drawn in its place, only then."""
     phi0 = fl.constant_map(grid)
     stab0 = make_stabilizer(phi0, theta)
     b0 = fl.PotentialField(LatticeField.from_slots(
@@ -301,16 +300,17 @@ def _gauge_action_rows(grid, rng, theta):
     theta_b = smooth_scalar(grid, rng, 0.6)
     omega0 = fl.pullback_coisotropy(phi0)  # the constant map's form, once for five uses
     b0w = _gauge_transform(b0, stab0, omega0)
-    rotated = _coset_curvature(b0, omega0)
-    alg.qrotate_form(stab0.w.inverse_values(), rotated, out=rotated)
-    reference = _norm2(grid, rotated)
+    sums, w_inv = _SumsOfSquares(), stab0.w.inverse_values()
     for slot in range(len(SLOTS2)):
-        np.subtract(_curvature_slot(b0w, omega0, slot), rotated[:, :, :, slot],
-                    out=rotated[:, :, :, slot])
-    equivariance = _over(_norm2(grid, rotated), reference)
-    del rotated
+        rotated = _rotate_slot(w_inv, _curvature_slot(b0, omega0, slot))
+        sums.add("rotated", rotated)
+        moved = _curvature_slot(b0w, omega0, slot)
+        moved -= rotated
+        sums.add("equivariance", moved)
+        del rotated, moved
+    del w_inv
     stab0b = make_stabilizer(phi0, theta_b)
-    twice = _gauge_transform(b0w, stab0b, omega0).a.data
+    twice = _gauge_transform(b0w, stab0b, omega0).a
     del b0w
     w12 = StabilizerField(
         w=fl.LiftField(grid, phi0.pair, alg.qmul(stab0.w.values, stab0b.w.values)),
@@ -318,9 +318,11 @@ def _gauge_action_rows(grid, rng, theta):
     del stab0, stab0b
     composed = _gauge_transform(b0, w12, omega0).a
     del b0, w12
-    return [("curvature_equivariance_shared", "pointwise", equivariance),
-            ("gauge_action_composition", "pointwise",
-             _rel(LatticeField(grid, 1, twice - composed.data), composed)),
+    for mu in range(3):
+        sums.add("composed", composed.slot(mu))
+        sums.add("composition", twice.slot(mu) - composed.slot(mu))
+    return [("curvature_equivariance_shared", "pointwise", sums.rel("equivariance", "rotated")),
+            ("gauge_action_composition", "pointwise", sums.rel("composition", "composed")),
             ("coulomb_gauge_fixing", "pointwise", coulomb)]
 
 
@@ -340,74 +342,98 @@ def _coulomb_residual(b):
 
 def _dafi_rows(stab, omega, a):
     """D a = a_perp + phi^*omega goes to Ad(w^-1) D a under a -> a^w, with its
-    energy density, over shared discrete inputs (exact dw); dw's two routes."""
-    dw = stabilizer_log_derivative(stab, scheme="exact")
-    dw_log = stabilizer_log_derivative(stab, scheme="log")
-    routes = _rel(dw_log - dw, dw_log)
-    del dw_log
-    moved = ad_inverse_apply(stab.w, a) + dw
-    del dw
-    cov_w = fl.coisotropic_part(moved, stab.phi, plus=omega)
-    del moved
-    cov = fl.coisotropic_part(a, stab.phi, plus=omega)
-    rotated = ad_inverse_apply(stab.w, cov)
-    density = cov.norm2_density()
-    del cov
-    return [("dafi_shared_inputs", "pointwise", _rel(cov_w - rotated, rotated)),
+    energy density, over shared discrete inputs (exact dw); dw's two routes.
+    One pass over mu forms both routes' slot of dw, then D a^w's and D a's
+    slots, and sums the two densities slot by slot."""
+    phi, pair = stab.phi, stab.phi.pair
+    sums, w_inv = _SumsOfSquares(), stab.w.inverse_values()
+    density = density_w = 0.0
+    for mu in range(3):
+        dw = _exact_log_derivative_slot(stab, omega, w_inv, mu)
+        dw_log = fl.maurer_cartan_slot(stab.w, mu)
+        sums.add("dw_log", dw_log)
+        sums.add("routes", dw_log - dw)
+        del dw_log
+        moved = _rotate_slot(w_inv, a.slot(mu))
+        moved += dw
+        del dw
+        cov_w = np.subtract(moved, alg.isotropic_part(pair, phi.values, moved), out=moved)
+        cov_w += omega.slot(mu)
+        del moved
+        cov = a.slot(mu) - alg.isotropic_part(pair, phi.values, a.slot(mu))
+        cov += omega.slot(mu)
+        density_w += dot(cov_w, cov_w)
+        density += dot(cov, cov)
+        rotated = _rotate_slot(w_inv, cov)
+        del cov
+        sums.add("rotated", rotated)
+        sums.add("dafi", np.subtract(cov_w, rotated, out=cov_w))
+        del cov_w, rotated
+    return [("dafi_shared_inputs", "pointwise", sums.rel("dafi", "rotated")),
             ("dafi_energy_density", "pointwise",
-             float(np.max(np.abs(cov_w.norm2_density() - density)))
-             / (float(np.max(np.abs(density))) or 1.0)),
-            ("stabilizer_derivative_e062", "differential", routes)]
+             float(np.max(np.abs(density_w - density))) / (float(np.max(np.abs(density))) or 1.0)),
+            ("stabilizer_derivative_e062", "differential", sums.rel("routes", "dw_log"))]
 
 
 def _curvature_rows(b, omega):
     """The coset curvature of an isotropy-valued b against its projected form,
-    and the symmetric-space reference curvature, which has no perp part.  The
-    slots of db are formed where they are read, and each residual in the
-    buffer of the form it is measured against, after that form's norm."""
-    grid, phi, pair = b.grid, b.phi, b.pair
-    oo = comm_wedge(omega, pair)
-    refcurv = l2_norm(fl.coisotropic_part(oo, phi)) / max(l2_norm(oo), 1e-30)
-    del oo
-    curvature = _coset_curvature(b, omega)
-    reference = _norm2(grid, curvature)
+    and the symmetric-space reference curvature, which has no perp part.  One
+    pass: each slot forms omega ^ omega, [omega ^ b], d b, its isotropic part
+    and F once, F in d b's buffer ([b ^ omega] = [omega ^ b] bit for bit under
+    the cross-product bracket)."""
+    a, phi, pair = b.a, b.phi, b.pair
+    sums = _SumsOfSquares()
     for slot in range(len(SLOTS2)):
-        # db_par + [b ^ b] - (omega ^ omega)_par, the sum written db_par - (-[b ^ b])
-        dest = alg.isotropic_part(pair, phi.values, d_slot(b.a, slot))
-        dest -= -comm_slot(b.a, pair, slot)
-        dest -= _oo_par(omega, phi, slot)
-        np.subtract(curvature[:, :, :, slot], dest, out=curvature[:, :, :, slot])
-    vs_projected = _over(_norm2(grid, curvature), reference)
-    del curvature
-    bracket = wedge(omega, b.a, pair.bracket)
-    perp = empty_component_major(b.a.data.shape)
-    for slot in range(len(SLOTS2)):
-        db = d_slot(b.a, slot)
-        dest = np.subtract(db, alg.isotropic_part(pair, phi.values, db), out=perp[:, :, :, slot])
-        dest -= bracket.slot(slot)
-    return [("refcurv_no_projection", "pointwise", refcurv),
-            ("curvature_vs_projected_form", "differential", vs_projected),
-            ("isotropic_derivative_perp", "differential",
-             _rel(LatticeField(grid, 2, perp), bracket))]
+        oo = comm_slot(omega, pair, slot)
+        oo_par = alg.isotropic_part(pair, phi.values, oo)
+        sums.add("oo", oo)
+        sums.add("oo_perp", oo - oo_par)
+        del oo
+        bracket = wedge_slot(omega, a, pair.bracket, slot)
+        sums.add("bracket", bracket)
+        db = d_slot(a, slot)
+        db_par = alg.isotropic_part(pair, phi.values, db)
+        perp = np.subtract(db, db_par)
+        perp -= bracket
+        sums.add("perp", perp)
+        del perp
+        bb = comm_slot(a, pair, slot)
+        curvature = db
+        curvature += bb
+        curvature -= bracket
+        curvature -= oo_par
+        del db, bracket
+        sums.add("curvature", curvature)
+        # the projected form db_par + [b ^ b] - (omega ^ omega)_par, in db_par's buffer
+        projected = db_par
+        projected += bb
+        projected -= oo_par
+        del db_par, bb, oo_par
+        sums.add("vs_projected", np.subtract(curvature, projected, out=projected))
+        del curvature, projected
+    return [("refcurv_no_projection", "pointwise", sums.rel("oo_perp", "oo")),
+            ("curvature_vs_projected_form", "differential", sums.rel("vs_projected", "curvature")),
+            ("isotropic_derivative_perp", "differential", sums.rel("perp", "bracket"))]
 
 
 def _pure_gauge_rows(u, phi):
     """The pure-gauge potential a = u^-1 du against phi: its flatness, its match
     with the map u.phi and its dual energy, then the flat-potential relations
-    of its split a_par + a_perp.  No whole form is held that is read one slot
-    at a time: relation (iii) and dPhi ^ a_par against d a_par share one pass
-    over the slots of dPhi ^ a_par, relation (ii) takes a second, and relation
-    (i) and dPhi ^ a_perp a pass over the slots of dPhi ^ a_perp once F(a_par)
-    is formed and a_par freed.  phi^*omega is formed for mapcon and again for
-    relation (i), so that the two passes between them run without it."""
+    of its split a_par + a_perp, in three passes over the slots.  Flatness
+    takes the slots of a; relation (iii), dPhi ^ a_par and the fourth term
+    share the slots yz, xz, xy of dPhi ^ a_par and [a_perp ^ a_perp], which
+    meet axis x, y, z of a 1-form in the 3-forms; relations (i) and (ii) and
+    dPhi ^ a_perp share the slots of F(a_par) and dPhi ^ a_perp.  phi^*omega
+    is formed for mapcon and again for the last pass, so that the pass
+    before it runs without it."""
     grid, pair = phi.grid, phi.pair
+    sums = _SumsOfSquares()
     apot = fl.pure_gauge_potential(u, phi)
-    d_a = d(apot.a)
-    flat = empty_component_major(d_a.data.shape)
     for slot in range(len(SLOTS2)):
-        np.add(d_a.slot(slot), comm_slot(apot.a, pair, slot), out=flat[:, :, :, slot])
-    flatness = _rel(LatticeField(grid, 2, flat), d_a)
-    del d_a, flat
+        da = d_slot(apot.a, slot)
+        sums.add("d_a", da)
+        sums.add("flatness", da + comm_slot(apot.a, pair, slot))
+        del da
     psi = fl.act(u, phi)
     e_map = energy_map(psi).total
     dual = abs(e_map - energy_potential(apot).total) / max(abs(e_map), 1e-30)
@@ -416,54 +442,83 @@ def _pure_gauge_rows(u, phi):
     moved = alg.qrotate_form(u.inverse_values(), fl.pullback_coisotropy(psi).data)
     del psi
     moved -= fl.pullback_coisotropy(phi).data
-    mapcon = _rel(LatticeField(grid, 1, np.subtract(aperp.data, moved, out=moved)), aperp)
+    for mu in range(3):
+        sums.add("aperp", aperp.slot(mu))
+        sums.add("mapcon", np.subtract(aperp.slot(mu), moved[:, :, :, mu], out=moved[:, :, :, mu]))
     del moved
-    quartic, wedge_par = _flat_quartic_rows(phi, apar, aperp)
-    d_aperp_norm, flat_ii, flat_ii_symmetric = _flat_derivative_rows(phi, apar, aperp)
-    omega = fl.pullback_coisotropy(phi)
-    curvature = _coset_curvature(fl.PotentialField(apar, phi), omega)
-    del apar
-    relation_i, wedge_perp_norm = _flat_curvature_rows(phi, aperp, curvature, omega)
-    return [("dphi_wedge_par", "differential", wedge_par)] + relation_i + [
-        ("flat_quartic_iii_symmetric", "differential", quartic),
-        ("dphi_wedge_perp", "differential", _over(wedge_perp_norm, d_aperp_norm)),
-        ("flat_derivative_ii", "differential", flat_ii),
-        ("flat_derivative_ii_symmetric", "differential", flat_ii_symmetric),
-        ("pure_gauge_flatness", "differential", flatness), ("mapcon", "differential", mapcon),
-        ("dual_energy", "differential", dual)]
 
-
-def _flat_quartic_rows(phi, apar, aperp):
-    """Relation (iii), d[a_perp ^ a_perp] = -(dPhi ^ a_par) ^ a_perp + dPhi ^ [a_perp ^ a_perp],
-    and dPhi ^ a_par against the perp part of d a_par, the residual in d a_par's
-    buffer, from one pass over the slots yz, xz, xy of dPhi ^ a_par and
-    [a_perp ^ a_perp].  Each of those slots meets axis x, y, z of a 1-form in
-    the 3-forms, which sum their terms with signs + - + as d and wedge do."""
-    grid, pair = phi.grid, phi.pair
-    d_apar = _d_data(apar)
-    reference = _norm2(grid, d_apar)
+    # relation (iii), d[a_perp ^ a_perp] = -(dPhi ^ a_par) ^ a_perp + dPhi ^ [a_perp ^ a_perp],
+    # its 3-forms summed with signs + - + as d and wedge sum them
     d_aa = dphi_par_aperp = dphi_aa = None
     for slot, axis in ((2, 0), (1, 1), (0, 2)):
+        d_apar = d_slot(apar, slot)
+        sums.add("d_apar", d_apar)
+        perp = d_apar - alg.isotropic_part(pair, phi.values, d_apar)
+        del d_apar
         dphi_par = projector_derivative_slot(phi, apar, slot)
-        perp = d_apar[:, :, :, slot] - alg.isotropic_part(pair, phi.values, d_apar[:, :, :, slot])
-        np.subtract(dphi_par, perp, out=d_apar[:, :, :, slot])
+        sums.add("wedge_par", np.subtract(dphi_par, perp, out=perp))
         del perp
-        dphi_par_aperp = _sum_3form(dphi_par_aperp, slot,
-                                    pair.bracket(dphi_par, aperp.slot(axis)))
+        dphi_par_aperp = _sum_3form(dphi_par_aperp, slot, pair.bracket(dphi_par, aperp.slot(axis)))
         del dphi_par
         aa = comm_slot(aperp, pair, slot)
+        sums.add("aa", aa)
+        sums.add("aa_perp", aa - alg.isotropic_part(pair, phi.values, aa))
         d_aa = _sum_3form(d_aa, slot, forward_diff(aa, axis, grid.h))
         dphi_aa = _sum_3form(dphi_aa, slot, _dphi(phi, axis, aa))
         del aa
-    wedge_par = _over(_norm2(grid, d_apar), reference)
-    del d_apar
-    # d[aa] - (-(dPhi ^ a_par) ^ a_perp + dPhi ^ [aa])
     residual = np.negative(dphi_par_aperp, out=dphi_par_aperp)
     residual += dphi_aa
-    np.subtract(d_aa, residual, out=residual)
-    quartic = _rel(LatticeField(grid, 3, residual[:, :, :, None]),
-                   LatticeField(grid, 3, d_aa[:, :, :, None]))
-    return quartic, wedge_par
+    sums.add("d_aa", d_aa)
+    sums.add("quartic", np.subtract(d_aa, residual, out=residual))
+    del d_aa, dphi_par_aperp, dphi_aa, residual
+
+    # dPhi ^ a_perp, relation (ii) for d a_perp, and relation (i) for F(a_par)
+    omega = fl.pullback_coisotropy(phi)
+    for slot in range(len(SLOTS2)):
+        dphi_perp = projector_derivative_slot(phi, aperp, slot)
+        d_aperp = d_slot(aperp, slot)
+        sums.add("d_aperp", d_aperp)
+        sums.add("wedge_perp", dphi_perp + alg.isotropic_part(pair, phi.values, d_aperp))
+        # -dPhi ^ a_par - dPhi ^ a_perp - [a_par ^ a_perp], without and with (aa)_perp
+        flat = projector_derivative_slot(phi, apar, slot)
+        np.negative(flat, out=flat)
+        flat -= dphi_perp
+        flat -= wedge_slot(apar, aperp, pair.bracket, slot)
+        sums.add("ii_symmetric", d_aperp - flat)
+        aa = comm_slot(aperp, pair, slot)
+        aa_par = alg.isotropic_part(pair, phi.values, aa)
+        flat -= aa - aa_par
+        sums.add("ii", np.subtract(d_aperp, flat, out=flat))
+        del d_aperp, flat
+        # the right sides of relation (i) without and with the isotropy projections
+        oo = comm_slot(omega, pair, slot)
+        symmetric = np.subtract(dphi_perp, aa, out=aa)
+        symmetric -= oo
+        oo_par = alg.isotropic_part(pair, phi.values, oo)
+        del aa, oo
+        projected = np.subtract(dphi_perp, aa_par, out=aa_par)
+        projected -= oo_par
+        del dphi_perp, aa_par
+        curvature = d_slot(apar, slot)
+        curvature += comm_slot(apar, pair, slot)
+        curvature -= wedge_slot(apar, omega, pair.bracket, slot)
+        curvature -= oo_par
+        del oo_par
+        sums.add("curvature", curvature)
+        sums.add("i_symmetric", np.subtract(curvature, symmetric, out=symmetric))
+        sums.add("i", np.subtract(curvature, projected, out=projected))
+        del curvature, symmetric, projected
+    return [("dphi_wedge_par", "differential", sums.rel("wedge_par", "d_apar")),
+            ("symmetric_fourth_term", "pointwise", sums.rel("aa_perp", "aa")),
+            ("flat_curvature_i", "differential", sums.rel("i", "curvature")),
+            ("flat_curvature_i_symmetric", "differential", sums.rel("i_symmetric", "curvature")),
+            ("flat_quartic_iii_symmetric", "differential", sums.rel("quartic", "d_aa")),
+            ("dphi_wedge_perp", "differential", sums.rel("wedge_perp", "d_aperp")),
+            ("flat_derivative_ii", "differential", sums.rel("ii", "d_aperp")),
+            ("flat_derivative_ii_symmetric", "differential", sums.rel("ii_symmetric", "d_aperp")),
+            ("pure_gauge_flatness", "differential", sums.rel("flatness", "d_a")),
+            ("mapcon", "differential", sums.rel("mapcon", "aperp")),
+            ("dual_energy", "differential", dual)]
 
 
 def _sum_3form(total, slot, term):
@@ -478,72 +533,13 @@ def _sum_3form(total, slot, term):
     return total
 
 
-def _flat_derivative_rows(phi, apar, aperp):
-    """Relation (ii) for d a_perp: flat_ii = -dPhi ^ a_par - dPhi ^ a_perp - [a_par ^ a_perp]
-    against it, with and without (a_perp ^ a_perp)_perp, over the slots of
-    flat_ii; the residual without it in d a_perp's buffer after its norm, which
-    is returned first."""
-    grid, pair = phi.grid, phi.pair
-    d_aperp = _d_data(aperp)
-    reference = _norm2(grid, d_aperp)
-    with_aa = empty_component_major(d_aperp.shape)
-    for slot in range(len(SLOTS2)):
-        scratch, dest = with_aa[:, :, :, slot], d_aperp[:, :, :, slot]
-        flat = projector_derivative_slot(phi, apar, slot)
-        np.negative(flat, out=flat)
-        flat -= projector_derivative_slot(phi, aperp, slot, out=scratch)
-        flat -= wedge_slot(apar, aperp, pair.bracket, slot, out=scratch)
-        aa = comm_slot(aperp, pair, slot)
-        aa_perp = np.subtract(aa, alg.isotropic_part(pair, phi.values, aa), out=aa)
-        np.subtract(dest, np.subtract(flat, aa_perp, out=scratch), out=scratch)
-        np.subtract(dest, flat, out=dest)
-        del flat, aa, aa_perp
-    return (reference, _over(_norm2(grid, with_aa), reference),
-            _over(_norm2(grid, d_aperp), reference))
-
-
-def _flat_curvature_rows(phi, aperp, curvature, omega):
-    """a_par of a flat potential, through its curvature data F (written over):
-    relation (i) with and without the isotropy projections, the residual with
-    them in F's buffer after its norm, the symmetric fourth term, and the
-    norm of dPhi ^ a_perp + (d a_perp)_par, formed from the same slots of
-    dPhi ^ a_perp."""
-    grid, pair = phi.grid, phi.pair
-    aa = comm_wedge(aperp, pair)
-    fourth = l2_norm(fl.coisotropic_part(aa, phi)) / max(l2_norm(aa), 1e-30)
-    del aa
-    reference = _norm2(grid, curvature)
-    symmetric = empty_component_major(curvature.shape)
-    wedge_perp = empty_component_major(curvature.shape)
-    for slot in range(len(SLOTS2)):
-        lhs = curvature[:, :, :, slot]
-        dphi_perp = projector_derivative_slot(phi, aperp, slot, out=wedge_perp[:, :, :, slot])
-        aa = comm_slot(aperp, pair, slot)
-        oo = comm_slot(omega, pair, slot)
-        dest = np.subtract(dphi_perp, aa, out=symmetric[:, :, :, slot])
-        dest -= oo
-        np.subtract(lhs, dest, out=dest)
-        # the isotropic parts in the buffers of the slots they project
-        dest = np.subtract(dphi_perp, alg.isotropic_part(pair, phi.values, aa, out=aa), out=aa)
-        dest -= alg.isotropic_part(pair, phi.values, oo, out=oo)
-        np.subtract(lhs, dest, out=lhs)
-        del dest, aa, oo
-        dphi_perp += alg.isotropic_part(pair, phi.values, d_slot(aperp, slot))
-    flat_i_symmetric = _over(_norm2(grid, symmetric), reference)
-    del symmetric
-    rows = [("symmetric_fourth_term", "pointwise", fourth),
-            ("flat_curvature_i", "differential", _over(_norm2(grid, curvature), reference)),
-            ("flat_curvature_i_symmetric", "differential", flat_i_symmetric)]
-    return rows, _norm2(grid, wedge_perp)
-
-
 def _grid_rows(grid, seed):
     """(name, kind, residual) of every identity on one grid, family by family.
     Each shared form is built just before its first use and dropped after its
     last: the Dafi family runs before the isotropic part b of a exists, omega
     is dropped before the pure-gauge family, which forms it where it reads it,
-    and (omega ^ omega) and its isotropic part are formed in each family that
-    reads them, slot by slot where they enter a sum.  The gauge-action family,
+    and (omega ^ omega) and its isotropic part are formed slot by slot in each
+    family that reads them.  The gauge-action family,
     the only one that draws from rng after smooth_inputs, runs last, on phi
     and theta alone."""
     rng = np.random.default_rng(seed)  # same modes on every grid

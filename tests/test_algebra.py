@@ -346,20 +346,6 @@ class TestIsotropyProjection:
         assert np.max(np.abs(p_fast - p_gen)) < 1e-12
         assert np.max(np.abs(q_fast - q_gen)) < 1e-12
 
-    @pytest.mark.parametrize("target", ["cp1", "su3_t2"])
-    def test_part_written_into_its_operand(self, rng, target):
-        # out may be xi itself: the part is the one formed into a new array
-        if target == "cp1":
-            pair, x = alg.su2_u1(), alg.cp1_point_of(alg.random_unit_quaternions(rng, (64,)))
-            xi = rng.standard_normal((64, 3))
-        else:
-            pair = alg.su3_t2()
-            x = oracles.matrix_exp(pair.matrix_of(0.3 * rng.standard_normal((64, 8))))
-            xi = rng.standard_normal((64, 8))
-        want = alg.isotropic_part(pair, x, xi)
-        assert alg.isotropic_part(pair, x, xi, out=xi) is xi
-        assert np.array_equal(xi, want)
-
     def test_generic_path_broadcasts_over_slots(self, rng):
         # one representative per site acting on every slot of a form
         pair = alg.su2_u1()

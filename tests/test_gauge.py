@@ -229,6 +229,35 @@ class TestIdentitySuite:
             else:
                 assert r.fitted_order is not None
 
+    def test_residuals_pinned_at_seed_0(self):
+        # the differential rows' values at sizes 12 and 16, seed 0, as the
+        # suite gave them when each norm was one sum over a whole form; the
+        # slot-wise sums move them in the last digits only.  The flag tests
+        # cannot see a row whose value moves but still passes
+        pinned = {
+            "dphi_wedge_par": (0.26504965175142525, 0.2007686588255706),
+            "flat_curvature_i": (0.5289672873917751, 0.41240049470482915),
+            "flat_curvature_i_symmetric": (0.5289672873917751, 0.41240049470482915),
+            "flat_quartic_iii_symmetric": (0.48953754104797614, 0.3777223516277716),
+            "dphi_wedge_perp": (0.22531520238830663, 0.17252845729299937),
+            "flat_derivative_ii": (0.35537793867479267, 0.27212297874760516),
+            "flat_derivative_ii_symmetric": (0.35537793867479267, 0.27212297874760516),
+            "pure_gauge_flatness": (0.2384690849563929, 0.17949186629319927),
+            "mapcon": (0.2703563012805309, 0.1975977203106562),
+            "dual_energy": (0.17462230025759995, 0.0965007945644886),
+            "stabilizer_derivative_e062": (0.21679404299932448, 0.16486337387408398),
+            "curvature_vs_projected_form": (0.2488739891507166, 0.1931665789780019),
+            "isotropic_derivative_perp": (0.5562873685732469, 0.42132578236141494),
+        }
+        rows = identity_suite(sizes=(12, 16), seed=0)
+        for r in rows:
+            if r.kind == "pointwise":
+                assert max(r.residuals.values()) <= gauge.POINTWISE_BUDGET, r.name
+            else:
+                for n, want in zip((12, 16), pinned.pop(r.name)):
+                    assert abs(r.residuals[n] - want) <= 1e-13 * want, (r.name, n)
+        assert pinned == {}
+
     @pytest.mark.parametrize("sizes", [(16,), (16, 16), (2, 16)])
     def test_needs_two_distinct_sizes_from_4(self, sizes):
         with pytest.raises(ValueError):
@@ -236,9 +265,10 @@ class TestIdentitySuite:
 
     def test_peak_memory(self):
         # each row family builds its forms just before their first use and
-        # frees them after their last, and holds no whole form it reads one
-        # slot at a time; in units of one (n, n, n, 3, 3) float array at the
-        # largest n, seen by tracemalloc (7.44 measured, 9.34 before)
+        # frees them after their last, and measures its rows slot by slot
+        # without holding a whole form for it; in units of one (n, n, n, 3, 3)
+        # float array at the largest n, seen by tracemalloc (6.76 measured,
+        # 7.07 while each family held whole reference forms, 9.34 before that)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -246,14 +276,15 @@ class TestIdentitySuite:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak / (32 ** 3 * 9 * 8) <= 7.8
+        assert peak / (32 ** 3 * 9 * 8) <= 7.1
 
     @pytest.mark.parametrize("family, bound", [
-        ("dafi", 3.9), ("curvature", 3.4), ("pure_gauge", 6.2), ("gauge_action", 6.7)])
+        ("dafi", 2.04), ("curvature", 1.98), ("pure_gauge", 5.6), ("gauge_action", 6.68)])
     def test_family_peak_memory(self, family, bound):
         # each family's tracemalloc peak above its inputs, as _grid_rows builds
-        # them, in (n, n, n, 3, 3) float arrays at n = 32: measured 3.73, 3.22,
-        # 5.89 and 6.36 (3.73, 4.89, 7.12 and 8.50 before they were formed
+        # them, in (n, n, n, 3, 3) float arrays at n = 32: measured 1.95, 1.89,
+        # 5.34 and 6.36 (3.73, 3.22, 5.89 and 6.36 while they measured whole
+        # reference forms, 3.73, 4.89, 7.12 and 8.50 before they were formed
         # slot by slot)
         grid = Grid(32)
         rng = np.random.default_rng(0)
@@ -306,7 +337,6 @@ class TestComponentKernels:
         omega = fl.pullback_coisotropy(phi)
         curvature = oracles.coset_curvature(b).data
         assert np.array_equal(coset_curvature(b).data, curvature)
-        assert np.array_equal(gauge._coset_curvature(b, omega), curvature)
         transformed = oracles.gauge_transform_potential(b, stab).a.data
         assert np.array_equal(gauge_transform_potential(b, stab).a.data, transformed)
         assert np.array_equal(gauge._gauge_transform(b, stab, omega).a.data, transformed)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,26 @@ class TestCli:
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["rounded"] == [1]
         assert payload["linking"] == 1
+
+    def test_hopf_frees_the_lift_before_the_map_routes(self, tmp_path, capsys):
+        # the lift's last use is the Chern-Simons route, so the Whitehead
+        # route, which sets the command's peak, runs without it.  Traced peak
+        # at n = 32 in lift arrays (32^3 quaternions, 1 MiB): 5.55 measured,
+        # 6.55 with the lift alive through all three routes
+        prefix = str(tmp_path / "h")
+        main(["ansatz", "--n", "32", "--out", prefix])
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            code = main(["hopf", "--map", prefix + ".psi.hopf", "--lift", prefix + ".lift.hopf",
+                         "--skip-linking", "--json"])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["rounded"] == [1]
+        assert peak / (32 ** 3 * 4 * 8) <= 5.8
 
     def test_hopf_refuses_the_lift_of_another_map(self, tmp_path, capsys):
         one, zero = str(tmp_path / "one"), str(tmp_path / "zero")
