@@ -133,8 +133,9 @@ def qlog(q):
 
 
 # sites per slab of qrotate (maps and lifts: fields.act, cp1_point_of), of
-# qrotate_form (forms: gauge.ad_inverse_apply) and of the link logarithms of
-# fields.maurer_cartan_slot; no value depends on it.
+# qrotate_form (forms: gauge.ad_inverse_apply), and of lattice.x_slabs, which
+# cuts the link logarithms of fields.maurer_cartan_slot and the identity
+# suite's passes; no value depends on it.
 # Tracemalloc peak MiB / median ms with the output (2 cores, numpy 2.4.6) of
 # qrotate on the hopf lift and map as fields.act calls it, and of
 # qrotate_form on a 1-form (the whole grid is 2^15 sites at n = 32):
@@ -151,6 +152,11 @@ def qlog(q):
 #                          2^13        2^14        2^15   whole grid
 #   n = 48               1.10 / 16   1.23 / 15   1.45 / 16   2.56 / 19
 #   n = 64               1.05 / 37   1.10 / 38   1.19 / 39   2.56 / 46
+# identity_suite(sizes=(16, 32, 64)) in x-slabs, median s of 5 (range) and the
+# tracemalloc peak of sizes (16, 64) in forms at n = 64:
+#   2^11 2.07 (1.93-2.70) 4.57   2^12 1.92 (1.85-2.57) 4.57   2^13 1.91 (1.77-2.13) 4.59
+#   2^14 1.76 (1.71-1.88) 4.62   2^15 1.93 (1.82-2.22) 4.76
+# 2^14's edge on the suite is inside the spread of both, so 2^13 stays.
 _SLAB_SITES = 1 << 13
 
 

@@ -110,8 +110,9 @@ def _read_field(path, kind):
 
 
 # peak bytes per grid site, a margin over the measured peaks: ansatz about 170,
-# relax 551 with its L-BFGS pairs full (n = 48, 64), check 495 (n = 64), traced
-_SITE_BYTES = {"ansatz": 256, "relax": 768, "check": 616}
+# relax 551 with its L-BFGS pairs full (n = 48, 64), check 334 (n = 64, check
+# --sizes 16,32,64 with its passes in x-slabs; 1.24 times it), traced
+_SITE_BYTES = {"ansatz": 256, "relax": 768, "check": 416}
 
 
 def _require_memory(command, n):

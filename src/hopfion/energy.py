@@ -62,13 +62,15 @@ def comm_wedge(omega, pair):
     return wedge(omega, omega, lambda a, b: 0.5 * pair.bracket(a, b))
 
 
-def comm_slot(omega, pair, slot, out=None):
-    """Slot SLOTS2[slot] = (mu, nu) of comm_wedge(omega, pair) alone: [w_mu, w_nu]."""
+def comm_slot(omega, pair, slot, out=None, planes=slice(None)):
+    """Slot SLOTS2[slot] = (mu, nu) of comm_wedge(omega, pair) alone, on the
+    x-planes `planes` (all by default): [w_mu, w_nu]."""
     if pair.group_kind != "quaternion":
-        return wedge_slot(omega, omega, lambda a, b: 0.5 * pair.bracket(a, b), slot, out=out)
+        return wedge_slot(omega, omega, lambda a, b: 0.5 * pair.bracket(a, b), slot, out=out,
+                          planes=planes)
     # antisymmetry doubles the single product, and cross(w_nu, w_mu) is
     # exactly -c, so the wedge's c - cross(w_nu, w_mu) is c + c
-    c = cross(*(omega.slot(mu) for mu in SLOTS2[slot]))
+    c = cross(*(omega.slot(mu)[planes] for mu in SLOTS2[slot]))
     return np.add(c, c, out=c if out is None else out)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import algebra as alg
 from .lattice import (LatticeField, SLOTS2, centered_diff, component_major, cross, dot,
-                      empty_component_major)
+                      empty_component_major, x_halo, x_slabs)
 
 
 class _SiteField:
@@ -158,7 +158,7 @@ def links(u, axis, planes=slice(None)):
         start, stop, _ = planes.indices(u.grid.n)
         ahead = np.empty_like(here)
         ahead[:-1] = u.values[start + 1:stop]
-        ahead[-1] = u.values[stop % u.grid.n]
+        ahead[-1] = u.values[x_halo(planes, u.grid.n)[1]]
     return u.pair.mul(u.pair.inverse(here), ahead)
 
 
@@ -176,17 +176,17 @@ def maurer_cartan_form(u):
     return LatticeField(u.grid, 1, data)
 
 
-def maurer_cartan_slot(u, mu, out=None):
-    """Slot mu of maurer_cartan_form(u) alone: the log of the link along mu over h,
-    formed slab by slab along x, so that the links and their logs' temporaries
-    are a slab's, not the grid's."""
-    n = u.grid.n
+def maurer_cartan_slot(u, mu, out=None, planes=None):
+    """Slot mu of maurer_cartan_form(u) alone: the log of the link along mu over h.
+    On the x-planes `planes` when given, else on the whole grid, formed slab by
+    slab (lattice.x_slabs), so that the links and their logs' temporaries are a
+    slab's, not the grid's."""
+    if planes is not None:
+        return np.divide(u.pair.log(links(u, mu, planes)), u.grid.h, out=out)
     if out is None:
         out = empty_component_major(u.values.shape[:3] + (u.pair.dim_g,))
-    rows = max(1, alg._SLAB_SITES // (n * n))
-    for x in range(0, n, rows):
-        planes = slice(x, x + rows)
-        np.divide(u.pair.log(links(u, mu, planes)), u.grid.h, out=out[planes])
+    for planes in x_slabs(u.grid.n):
+        maurer_cartan_slot(u, mu, out=out[planes], planes=planes)
     return out
 
 
@@ -233,8 +233,7 @@ def pullback_coisotropy(psi):
     if psi.is_cp1:
         data = empty_component_major(psi.values.shape[:3] + (3, 3))
         for mu in range(3):
-            v = centered_diff(psi.values, mu, g.h)
-            np.multiply(0.5, cross(psi.values, v), out=data[:, :, :, mu])
+            coisotropy_slot(psi, mu, out=data[:, :, :, mu])
         return LatticeField(g, 1, data)
     if psi.pair.group_kind == "quaternion":
         # omega-perp = dg g^-1 for trivial H, on projected tangents
@@ -247,6 +246,14 @@ def pullback_coisotropy(psi):
     pair = psi.pair
     return LatticeField(g, 1, pair.ad(psi.values[:, :, :, None],
                                       pair.proj_perp(maurer_cartan_form(psi).data)))
+
+
+def coisotropy_slot(psi, mu, out=None, planes=slice(None)):
+    """Slot mu of pullback_coisotropy(psi) for a CP1 map alone, on the x-planes
+    `planes` (all by default): psi x D_mu psi / 2."""
+    p = psi.values
+    return np.multiply(0.5, cross(p[planes], centered_diff(p, mu, psi.grid.h, planes=planes)),
+                       out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,13 @@ through.  Reductions (l2_inner, norm2_density, integrate_3form) read the
 buffer as stored, with no copy, so their sums run in storage order: within
 about 1e-14 relative of the same sums over site-major data.
 
+Slot kernels (forward_diff, centered_diff, d_slot, wedge_slot and the
+gauge and fields kernels built on them) take a `planes` slice of x-planes,
+all by default, and form their slot on those planes alone: x_slabs cuts the
+x axis into slabs of at most algebra._SLAB_SITES sites, and x_halo names the
+wrapped planes next to a slab that a difference along x reads.  Each site's
+value is the whole-grid value bit for bit.
+
 cross and dot are the package's one last-axis cross product of 3-vectors
 and dot product, in the operation order of np.cross and np.sum(a * b, axis=-1),
 whose rounding they keep; every whole-grid cross or dot product calls them
@@ -213,15 +220,41 @@ def _along(axis, part):
     return (slice(None),) * axis + (part,)
 
 
-def forward_diff(arr, axis, h, out=None):
-    """(arr(x + e_axis) - arr(x)) / h with periodic wrap, from slices of arr rather
-    than a rolled copy; out, when given, must not overlap arr."""
+def x_slabs(n):
+    """The x-slabs of an n-site axis that the slab passes walk: slices of
+    consecutive x-planes of at most algebra._SLAB_SITES sites each, one plane
+    at least, covering the planes 0 .. n - 1 in order.  Their halo planes are
+    x_halo's."""
+    from . import algebra  # algebra imports this module, so it is read at the call
+    rows = max(1, algebra._SLAB_SITES // (n * n))
+    return [slice(x, min(x + rows, n)) for x in range(0, n, rows)]
+
+
+def x_halo(planes, n):
+    """(behind, ahead): the x-planes next to the slab `planes` of an n-site axis
+    with periodic wrap, start - 1 and stop mod n.  A forward difference along x
+    reads ahead beyond the slab, a centered one both."""
+    start, stop, _ = planes.indices(n)
+    return (start - 1) % n, stop % n
+
+
+def forward_diff(arr, axis, h, out=None, planes=slice(None)):
+    """(arr(x + e_axis) - arr(x)) / h with periodic wrap on the x-planes `planes`
+    (all by default), from slices of arr rather than a rolled copy; along x the
+    plane ahead of the slab is read from arr.  out, when given, must not
+    overlap arr."""
     if out is None:
-        out = np.empty_like(arr)
-    np.subtract(arr[_along(axis, slice(1, None))], arr[_along(axis, slice(None, -1))],
-                out=out[_along(axis, slice(None, -1))])
-    np.subtract(arr[_along(axis, slice(None, 1))], arr[_along(axis, slice(-1, None))],
-                out=out[_along(axis, slice(-1, None))])
+        out = np.empty_like(arr[planes])
+    if axis:
+        here = arr[planes]
+        np.subtract(here[_along(axis, slice(1, None))], here[_along(axis, slice(None, -1))],
+                    out=out[_along(axis, slice(None, -1))])
+        np.subtract(here[_along(axis, slice(None, 1))], here[_along(axis, slice(-1, None))],
+                    out=out[_along(axis, slice(-1, None))])
+    else:
+        start, stop, _ = planes.indices(len(arr))
+        np.subtract(arr[start + 1:stop], arr[start:stop - 1], out=out[:-1])
+        np.subtract(arr[x_halo(planes, len(arr))[1]], arr[stop - 1], out=out[-1])
     out /= h
     return out
 
@@ -274,15 +307,27 @@ def coulomb_solve(form):
     return LatticeField(form.grid, form.degree - 1, out)
 
 
-def centered_diff(arr, axis, h):
-    """(arr(x + e_axis) - arr(x - e_axis)) / 2h with periodic wrap, from slices of arr."""
-    out = np.empty_like(arr)
-    np.subtract(arr[_along(axis, slice(2, None))], arr[_along(axis, slice(None, -2))],
-                out=out[_along(axis, slice(1, -1))])
-    np.subtract(arr[_along(axis, slice(1, 2))], arr[_along(axis, slice(-1, None))],
-                out=out[_along(axis, slice(None, 1))])
-    np.subtract(arr[_along(axis, slice(None, 1))], arr[_along(axis, slice(-2, -1))],
-                out=out[_along(axis, slice(-1, None))])
+def centered_diff(arr, axis, h, planes=slice(None)):
+    """(arr(x + e_axis) - arr(x - e_axis)) / 2h with periodic wrap on the x-planes
+    `planes` (all by default), from slices of arr; along x the planes behind and
+    ahead of the slab are read from arr."""
+    out = np.empty_like(arr[planes])
+    if axis:
+        here = arr[planes]
+        np.subtract(here[_along(axis, slice(2, None))], here[_along(axis, slice(None, -2))],
+                    out=out[_along(axis, slice(1, -1))])
+        np.subtract(here[_along(axis, slice(1, 2))], here[_along(axis, slice(-1, None))],
+                    out=out[_along(axis, slice(None, 1))])
+        np.subtract(here[_along(axis, slice(None, 1))], here[_along(axis, slice(-2, -1))],
+                    out=out[_along(axis, slice(-1, None))])
+    else:
+        start, stop, _ = planes.indices(len(arr))
+        behind, ahead = x_halo(planes, len(arr))
+        if stop - start > 2:
+            np.subtract(arr[start + 2:stop], arr[start:stop - 2], out=out[1:-1])
+        np.subtract(arr[start + 1] if stop - start > 1 else arr[ahead], arr[behind], out=out[0])
+        if stop - start > 1:
+            np.subtract(arr[ahead], arr[stop - 2], out=out[-1])
     out /= 2.0 * h
     return out
 
@@ -311,11 +356,12 @@ def d(f):
     return LatticeField(f.grid, f.degree + 1, out)
 
 
-def d_slot(f, slot, out=None):
-    """Slot SLOTS2[slot] = (mu, nu) of d(f) for a 1-form alone: d_mu f_nu - d_nu f_mu."""
+def d_slot(f, slot, out=None, planes=slice(None)):
+    """Slot SLOTS2[slot] = (mu, nu) of d(f) for a 1-form alone, on the x-planes
+    `planes` (all by default): d_mu f_nu - d_nu f_mu."""
     mu, nu = SLOTS2[slot]
-    dest = forward_diff(f.slot(nu), mu, f.grid.h, out=out)
-    dest -= forward_diff(f.slot(mu), nu, f.grid.h)
+    dest = forward_diff(f.slot(nu), mu, f.grid.h, out=out, planes=planes)
+    dest -= forward_diff(f.slot(mu), nu, f.grid.h, planes=planes)
     return dest
 
 
@@ -385,11 +431,12 @@ def wedge(alpha, beta, product):
     return LatticeField.from_slots(g, 3, [out])
 
 
-def wedge_slot(alpha, beta, product, slot, out=None):
-    """Slot SLOTS2[slot] = (mu, nu) of wedge(alpha, beta, product) for 1-forms alone."""
+def wedge_slot(alpha, beta, product, slot, out=None, planes=slice(None)):
+    """Slot SLOTS2[slot] = (mu, nu) of wedge(alpha, beta, product) for 1-forms
+    alone, on the x-planes `planes` (all by default)."""
     mu, nu = SLOTS2[slot]
-    return np.subtract(product(alpha.slot(mu), beta.slot(nu)),
-                       product(alpha.slot(nu), beta.slot(mu)), out=out)
+    return np.subtract(product(alpha.slot(mu)[planes], beta.slot(nu)[planes]),
+                       product(alpha.slot(nu)[planes], beta.slot(mu)[planes]), out=out)
 
 
 def l2_inner(alpha, beta):

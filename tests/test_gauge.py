@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from conftest import smooth_cp1_map, smooth_lift
 from hopfion import algebra as alg
 from hopfion import fields as fl
 from hopfion import gauge
-from hopfion.energy import comm_wedge
+from hopfion.energy import comm_slot, comm_wedge
 from hopfion.gauge import (
     ad_inverse_apply,
     coset_curvature,
@@ -23,7 +24,7 @@ from hopfion.gauge import (
     stabilizer_log_derivative,
 )
 from hopfion.lattice import (SLOT_COUNT, Grid, LatticeField, d, dot, forward_diff, l2_norm,
-                             wedge)
+                             wedge, x_slabs)
 
 
 def isotropic_potential(grid, phi, rng, amplitude=0.6):
@@ -88,6 +89,17 @@ class TestGaugeAction:
         bw = gauge_transform_potential(zero, make_stabilizer(equal, theta))
         assert np.array_equal(bw.a.data, gauge_transform_potential(
             zero, make_stabilizer(phi, theta)).a.data)
+
+    def test_isotropy_defect_is_the_whole_forms(self, grid16, rng):
+        # taken slab by slab, the defect is the max over the whole coisotropic part
+        phi = smooth_cp1_map(grid16, rng, amplitude=0.4)
+        bad = LatticeField(grid16, 1, np.stack([smooth_algebra_field(grid16, rng, 0.5)
+                                                for _ in range(3)], axis=3))
+        perp = fl.coisotropic_part(bad, phi).data
+        defect = max(float(perp.max()), -float(perp.min()))
+        text = f"potential is not isotropy-valued (defect {defect:.3e})"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            gauge._require_isotropic(bad, phi)
 
     def test_isotropy_test_memory(self, rng):
         # the test forms the perp part alone, in one buffer, and reduces it
@@ -265,12 +277,13 @@ class TestIdentitySuite:
 
     def test_peak_memory(self):
         # each row family builds its forms just before their first use and
-        # frees them after their last, and measures its rows slot by slot
-        # without holding a whole form for it; in units of one (n, n, n, 3, 3)
-        # float array at the largest n, seen by tracemalloc (6.76 measured,
-        # 7.07 while each family held whole reference forms, 9.34 before that).
-        # A small run first imports what the suite imports lazily, so the
-        # peak does not depend on which tests ran before this one
+        # frees them after their last, and forms and measures every other form
+        # slot by slot and x-slab by x-slab; in units of one (n, n, n, 3, 3)
+        # float array at the largest n, seen by tracemalloc (5.46 measured,
+        # 6.76 while each slot was formed whole, 7.07 while each family held
+        # whole reference forms, 9.34 before that).  A small run first imports
+        # what the suite imports lazily, so the peak does not depend on which
+        # tests ran before this one
         identity_suite(sizes=(4, 6))
         tracemalloc.start()
         try:
@@ -279,7 +292,7 @@ class TestIdentitySuite:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak / (32 ** 3 * 9 * 8) <= 7.1
+        assert peak / (32 ** 3 * 9 * 8) <= 5.72
 
     @staticmethod
     def _family_peak(family):
@@ -304,20 +317,47 @@ class TestIdentitySuite:
             tracemalloc.stop()
         return peak / (32 ** 3 * 9 * 8)
 
+    @pytest.fixture(scope="class")
+    def family_peaks(self):
+        # each family measured once for the three tests below, after a small
+        # suite has imported what the families import lazily
+        identity_suite(sizes=(4, 6))
+        return {family: self._family_peak(family)
+                for family in ("dafi", "curvature", "pure_gauge", "gauge_action")}
+
     @pytest.mark.parametrize("family, bound", [
         ("dafi", 3.9), ("curvature", 3.4), ("pure_gauge", 6.2), ("gauge_action", 6.7)])
-    def test_family_peak_memory(self, family, bound):
+    def test_family_peak_memory(self, family_peaks, family, bound):
         # the ceilings of the families once their forms were formed slot by
         # slot (3.73, 4.89, 7.12 and 8.50 measured before that)
-        assert self._family_peak(family) <= bound
+        assert family_peaks[family] <= bound
 
     @pytest.mark.parametrize("family, bound", [
         ("dafi", 2.04), ("curvature", 1.98), ("pure_gauge", 5.6), ("gauge_action", 6.68)])
-    def test_family_peak_memory_measured_slot_by_slot(self, family, bound):
-        # measured 1.95, 1.89, 5.34 and 6.36 now that the rows are measured
-        # slot by slot too (3.73, 3.22, 5.89 and 6.36 while they measured
-        # whole reference forms)
-        assert self._family_peak(family) <= bound
+    def test_family_peak_memory_measured_slot_by_slot(self, family_peaks, family, bound):
+        # the ceilings once the rows were measured slot by slot too (1.95,
+        # 1.89, 5.34 and 6.36 measured then; 3.73, 3.22, 5.89 and 6.36 while
+        # they measured whole reference forms)
+        assert family_peaks[family] <= bound
+
+    @pytest.mark.parametrize("family, bound", [
+        pytest.param("dafi", 1.72, id="dafi"), pytest.param("curvature", 1.63, id="curvature"),
+        pytest.param("pure_gauge", 4.78, id="pure_gauge"),
+        pytest.param("gauge_action", 4.84, id="gauge_action")])
+    def test_family_peak_memory_in_slabs(self, family_peaks, family, bound):
+        # every pass runs over (slot, x-slab), so no slot-sized temporary is
+        # whole: 1.64, 1.56, 4.56 and 4.62 measured.  Slabs of 2^13 sites are
+        # 8 of the 32 planes here, so slab temporaries weigh more than at n = 64
+        assert family_peaks[family] <= bound
+
+    def test_rows_independent_of_slab_size(self, monkeypatch):
+        # one plane per slab, the default slabs (28 planes do not split evenly
+        # at 2^13 sites) and one slab per grid give the same rows bit for bit
+        rows = []
+        for sites in (1, alg._SLAB_SITES, 28 ** 3):
+            monkeypatch.setattr(alg, "_SLAB_SITES", sites)
+            rows.append([r.as_dict() for r in identity_suite(sizes=(12, 28))])
+        assert rows[0] == rows[1] == rows[2]
 
 
 class TestComponentKernels:
@@ -370,6 +410,57 @@ class TestComponentKernels:
         for slot in range(3):
             assert np.array_equal(gauge._curvature_slot(b, omega, slot), curvature[:, :, :, slot])
             assert np.array_equal(projector_derivative_slot(phi, form, slot), dphi[:, :, :, slot])
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("reference", ["constant", "smooth"])
+    def test_slab_kernels_match_whole_slot_oracles(self, monkeypatch, grid12, rng, reference,
+                                                   rows):
+        # every slab, the wrap planes' included, equals those planes of the
+        # whole-form formula; 12 planes split into slabs of 1 and of 5, 5, 2
+        monkeypatch.setattr(alg, "_SLAB_SITES", rows * 12 ** 2)
+        if reference == "constant":
+            phi = fl.constant_map(grid12)
+        else:
+            phi = smooth_cp1_map(grid12, rng, amplitude=0.4)
+        b = isotropic_potential(grid12, phi, rng)
+        stab = make_stabilizer(phi, smooth_scalar(grid12, rng, 0.6))
+        omega = fl.pullback_coisotropy(phi)
+        form = LatticeField(grid12, 1, rng.standard_normal((12,) * 3 + (3, 3)))
+        curvature = oracles.coset_curvature(b).data
+        dphi = oracles.projector_derivative_wedge(phi, form).data
+        comm = oracles.comm_wedge(form, phi.pair).data
+        transformed = oracles.gauge_transform_potential(b, stab).a.data
+        logs = oracles.maurer_cartan_form(stab.w).data
+        coisotropy = oracles.pullback_coisotropy_cp1(phi).data
+        for planes in x_slabs(12):
+            for slot in range(3):
+                assert np.array_equal(gauge._curvature_slot(b, omega, slot, planes=planes),
+                                      curvature[planes, :, :, slot])
+                assert np.array_equal(projector_derivative_slot(phi, form, slot, planes=planes),
+                                      dphi[planes, :, :, slot])
+                assert np.array_equal(comm_slot(form, phi.pair, slot, planes=planes),
+                                      comm[planes, :, :, slot])
+            for mu in range(3):
+                assert np.array_equal(gauge._gauge_transform_slot(b, stab.w, mu, omega, planes),
+                                      transformed[planes, :, :, mu])
+                assert np.array_equal(fl.maurer_cartan_slot(stab.w, mu, planes=planes),
+                                      logs[planes, :, :, mu])
+                assert np.array_equal(fl.coisotropy_slot(phi, mu, planes=planes),
+                                      coisotropy[planes, :, :, mu])
+
+    def test_constant_map_path_drops_its_zero_form(self, grid12, rng):
+        # the constant map's phi^*omega has no nonzero entry, so the kernels
+        # that drop its terms give the values of those that add them
+        phi = fl.constant_map(grid12)
+        b = isotropic_potential(grid12, phi, rng)
+        stab = make_stabilizer(phi, smooth_scalar(grid12, rng, 0.6))
+        omega = fl.pullback_coisotropy(phi)
+        assert np.count_nonzero(omega.data) == 0
+        assert np.array_equal(gauge._gauge_transform(b, stab).a.data,
+                              gauge._gauge_transform(b, stab, omega).a.data)
+        for slot in range(3):
+            assert np.array_equal(gauge._curvature_slot(b, None, slot),
+                                  gauge._curvature_slot(b, omega, slot))
 
     def test_suite_rows_unmoved_by_component_kernels(self, monkeypatch):
         # the same process with the old formulas rebound at every module binding

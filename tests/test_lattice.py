@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hopfion import algebra as alg
 from hopfion.algebra import qmul, su2_u1
 from hopfion.lattice import (
     Grid,
@@ -21,6 +22,8 @@ from hopfion.lattice import (
     l2_norm,
     spacing_fits,
     wedge,
+    x_halo,
+    x_slabs,
 )
 
 
@@ -113,6 +116,23 @@ class TestExteriorDerivative:
             assert np.array_equal(d_slot(f, slot), want)
             assert np.array_equal(d(f).slot(slot), want)
 
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_slab_differences_match_rolled_copies(self, monkeypatch, grid12, rng, rows, axis):
+        # slabs of 1, 2 and 5 planes: the last of 5 holds 2, and every split
+        # has a slab at each wrap plane
+        monkeypatch.setattr(alg, "_SLAB_SITES", rows * 12 ** 2)
+        f = random_field(grid12, 1, 3, rng)
+        h = grid12.h
+        arr = f.slot(1)
+        fwd, ctr = oracles.forward_diff(arr, axis, h), oracles.centered_diff(arr, axis, h)
+        slots = [oracles.d_slot(f, slot) for slot in range(3)]
+        for planes in x_slabs(12):
+            assert np.array_equal(forward_diff(arr, axis, h, planes=planes), fwd[planes])
+            assert np.array_equal(centered_diff(arr, axis, h, planes=planes), ctr[planes])
+            for slot in range(3):
+                assert np.array_equal(d_slot(f, slot, planes=planes), slots[slot][planes])
+
     def test_sin_derivative_first_order(self):
         errs = {}
         for n in (16, 32, 64):
@@ -141,6 +161,24 @@ class TestExteriorDerivative:
             errs[n] = l2_norm(defect)
         order = np.polyfit(np.log([Grid(n).h for n in errs]), np.log(list(errs.values())), 1)[0]
         assert order >= 0.9
+
+
+class TestXSlabs:
+    @pytest.mark.parametrize("sites, n, rows", [
+        (1, 12, 1), (5 * 12 ** 2, 12, 5), (1 << 13, 12, 12), (1 << 13, 28, 10), (28 ** 3, 28, 28)])
+    def test_slabs_cover_the_axis_in_order(self, monkeypatch, sites, n, rows):
+        monkeypatch.setattr(alg, "_SLAB_SITES", sites)
+        slabs = x_slabs(n)
+        assert [s.stop - s.start for s in slabs[:-1]] == [rows] * (len(slabs) - 1)
+        assert [x for s in slabs for x in range(s.start, s.stop)] == list(range(n))
+
+    def test_halo_wraps_at_both_ends(self):
+        assert x_halo(slice(0, 5), 12) == (11, 5)
+        assert x_halo(slice(5, 10), 12) == (4, 10)
+        assert x_halo(slice(10, 12), 12) == (9, 0)
+        assert x_halo(slice(0, 1), 12) == (11, 1)
+        assert x_halo(slice(11, 12), 12) == (10, 0)
+        assert x_halo(slice(None), 12) == (11, 0)
 
 
 class TestWedge:
